@@ -122,7 +122,7 @@ fn main() {
             let start = Instant::now();
             for (&j, partners) in &by_probe {
                 match TrieVerifier::new(&ds.strings[j], defaults.k, defaults.tau, EAGER_NODE_CAP) {
-                    Some(v) => {
+                    Some(mut v) => {
                         for &i in partners {
                             std::hint::black_box(v.verify(&ds.strings[i]).similar);
                         }

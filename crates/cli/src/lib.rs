@@ -207,6 +207,10 @@ fn cmd_generate(flags: &Flags) -> Result<String, CliError> {
 
 fn join_config(flags: &Flags) -> Result<JoinConfig, CliError> {
     let k: usize = flags.get_parse("k", 2)?;
+    // The verifiers keep edit distances in a byte.
+    if k >= 255 {
+        return Err(err(format!("--k must be below 255, got {k}")));
+    }
     let tau: f64 = flags.get_parse("tau", 0.1)?;
     if !(0.0..=1.0).contains(&tau) {
         return Err(err(format!("--tau must lie in [0, 1], got {tau}")));
@@ -1396,6 +1400,8 @@ mod tests {
         assert!(e.0.contains("--tau must lie in [0, 1]"), "{e:?}");
         let e = run(&args(&["join", "--input", &data, "--q", "0"])).unwrap_err();
         assert!(e.0.contains("--q must be at least 1"), "{e:?}");
+        let e = run(&args(&["join", "--input", &data, "--k", "255"])).unwrap_err();
+        assert!(e.0.contains("--k must be below 255"), "{e:?}");
 
         // Positional junk is rejected by the flag parser itself.
         let e = run(&args(&["join", "extra", "--input", &data])).unwrap_err();

@@ -43,9 +43,9 @@
 //! fingerprint), and [`FtOptions::resume`] replays index construction for
 //! committed waves while skipping their probes — the resumed output is
 //! bit-identical to an uninterrupted run. Failpoints (`parallel.evict`,
-//! `parallel.batch`, `parallel.verify`, `index.build`,
-//! `checkpoint.write`) let tests inject each failure deterministically
-//! (see `usj-fault`).
+//! `parallel.batch`, `parallel.isolate`, `parallel.verify`,
+//! `index.build`, `checkpoint.write`) let tests inject each failure
+//! deterministically (see `usj-fault`).
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -487,7 +487,7 @@ where
                         };
                         local_rec.counter(Counter::StealBatches, 1);
                         let ids = &wave_order[batch];
-                        match run_batch_caught(ids, &ctx, &make_recorder) {
+                        match run_batch_caught(ids, false, &ctx, &make_recorder) {
                             Ok((mut bp, bs, br)) => {
                                 local_pairs.append(&mut bp);
                                 local_stats.absorb(&bs);
@@ -505,7 +505,7 @@ where
                                 // probe-by-probe so one poisonous probe
                                 // cannot take its batchmates down with it.
                                 for &id in ids {
-                                    match run_batch_caught(&[id], &ctx, &make_recorder) {
+                                    match run_batch_caught(&[id], true, &ctx, &make_recorder) {
                                         Ok((mut pp, ps, pr)) => {
                                             local_pairs.append(&mut pp);
                                             local_stats.absorb(&ps);
@@ -649,8 +649,10 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// the batch the scratch is discarded wholesale — no half-counted funnel
 /// counters, no partial pairs — and the payload is returned for the
 /// caller to triage (retry, quarantine, count injected faults).
+/// `isolated` marks the probe-by-probe retry of a failed batch.
 fn run_batch_caught<R, F>(
     ids: &[u32],
+    isolated: bool,
     ctx: &WaveCtx<'_>,
     make_recorder: &F,
 ) -> Result<(Vec<SimilarPair>, JoinStats, R), Box<dyn Any + Send>>
@@ -670,6 +672,13 @@ where
                 // Failpoint: a crash taking down a whole batch; a delay
                 // that fires is a survived fault.
                 if usj_fault::fail_point!("parallel.batch") {
+                    rec.count(Counter::FaultsInjected, 1);
+                }
+                // Failpoint: a probe that fails again when retried alone.
+                // Only the retry of a failed batch crosses it, so a plan
+                // can poison exactly that batch's probe, whichever worker
+                // ran it.
+                if isolated && usj_fault::fail_point!("parallel.isolate") {
                     rec.count(Counter::FaultsInjected, 1);
                 }
             }

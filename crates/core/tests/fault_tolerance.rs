@@ -251,15 +251,20 @@ fn recovered_batch_panic_is_bit_identical() {
 fn persistent_probe_panic_is_quarantined_not_fatal() {
     let _g = lock();
     let strings = collection();
-    let baseline = par_self_join(config(), 4, &strings, 3);
+    // One probe per batch, so the isolation retry replays exactly the
+    // probe that failed.
+    let cfg = config().with_batch_range(1, 1);
+    let baseline = par_self_join(cfg.clone(), 4, &strings, 3);
 
-    // Fire on the batch run *and* on the isolation retry: the probe under
-    // that failpoint consult is poison.
+    // Fire on the batch run *and* on its isolation retry: the probe under
+    // the first verification consult is poison. `parallel.isolate` is
+    // crossed only by that retry, so no other worker can take the second
+    // hit.
     let armed = FaultPlan::new()
         .fail_at("parallel.verify", 0, FaultAction::Panic)
-        .fail_at("parallel.verify", 1, FaultAction::Panic)
+        .fail_at("parallel.isolate", 0, FaultAction::Panic)
         .arm();
-    let (result, report, _rec) = run_ft(&config(), &strings, &FtOptions::default()).unwrap();
+    let (result, report, _rec) = run_ft(&cfg, &strings, &FtOptions::default()).unwrap();
     drop(armed);
 
     assert_eq!(report.quarantined.len(), 1);

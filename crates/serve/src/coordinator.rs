@@ -58,7 +58,7 @@ use usj_obs::{
 
 use crate::client::{Client, ClientConfig, ClientError, ProbeOutcome};
 use crate::proto::{parse_request, Request, Response, ShardState};
-use crate::server::panic_message;
+use crate::server::{linger_close, panic_message};
 
 /// One shard as the coordinator sees it: where to reach it and which
 /// length band it owns.
@@ -475,6 +475,7 @@ fn admit(shared: &Shared, stream: TcpStream) {
         };
         let _ = stream.write_all(busy.encode().as_bytes());
         let _ = stream.write_all(b"\n");
+        linger_close(stream);
         return;
     }
     let depth = {

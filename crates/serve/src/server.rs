@@ -10,8 +10,8 @@
 //! [`CollectingRecorder`] using the golden `usj-obs` schema.
 
 use std::collections::{BTreeSet, VecDeque};
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -384,17 +384,16 @@ impl Shared {
             .clone()
     }
 
-    /// The degraded bands whose length window contains `probe_len`
-    /// (candidates within edit distance `k` can differ by at most `k`
-    /// in length).
-    fn degraded_touch(&self, probe_len: usize, k: usize) -> Vec<usize> {
+    /// The bands still missing from the index. Read it *before*
+    /// [`Shared::collection`]: snapshot maintenance swaps the rebuilt
+    /// index in before it clears this set, so an empty set guarantees
+    /// the index read afterwards is complete, and a stale non-empty one
+    /// only widens an answer to a sound superset.
+    fn degraded_bands(&self) -> BTreeSet<usize> {
         self.degraded_bands
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .copied()
-            .filter(|band| band.abs_diff(probe_len) <= k)
-            .collect()
+            .clone()
     }
 
     fn draining(&self) -> bool {
@@ -494,6 +493,7 @@ fn admit(shared: &Shared, stream: TcpStream) {
         };
         let _ = stream.write_all(busy.encode().as_bytes());
         let _ = stream.write_all(b"\n");
+        linger_close(stream);
         return;
     }
     let depth = {
@@ -507,6 +507,30 @@ fn admit(shared: &Shared, stream: TcpStream) {
         r.gauge(Gauge::ServeQueueDepth, depth as u64);
     });
     shared.queue_cv.notify_one();
+}
+
+/// How long a shed connection may keep the accept thread draining it.
+const SHED_LINGER: Duration = Duration::from_millis(50);
+
+/// Closes a connection whose request was never read. Closing with
+/// unread input resets the connection, and a reset can make the client's
+/// kernel discard the `BUSY` line before the client reads it. So stop
+/// writing, then discard input until the client closes (it does so as
+/// soon as it has read the reply) or [`SHED_LINGER`] passes.
+pub(crate) fn linger_close(mut stream: TcpStream) {
+    let until = Instant::now() + SHED_LINGER;
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut sink = [0u8; 512];
+    loop {
+        let left = until.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
+    }
 }
 
 fn worker_loop(shared: &Shared) {
@@ -648,7 +672,9 @@ fn handle_probe(
         shared.record(|r| r.counter(Counter::FaultsInjected, 1));
     }
     // One Arc clone up front: the probe searches a consistent index even
-    // if the snapshot-maintenance thread swaps the slot mid-request.
+    // if the snapshot-maintenance thread swaps the slot mid-request. The
+    // degraded set is read first (see `Shared::degraded_bands`).
+    let degraded = shared.degraded_bands();
     let coll = shared.collection();
     // The index is built for one (k, τ): segment partitioning depends on
     // k, filter thresholds on τ. Serving a different pair would be
@@ -681,9 +707,13 @@ fn handle_probe(
     }
     // Bands admitted in superset mode after a failed snapshot salvage:
     // their strings are absent from the index, so any probe whose
-    // length window touches one cannot be answered exactly until the
-    // background rebuild readmits them.
-    let touched = shared.degraded_touch(probe.len(), config.k);
+    // length window touches one (candidates within edit distance k
+    // differ by at most k in length) cannot be answered exactly until
+    // the background rebuild readmits them.
+    let touched: Vec<usize> = degraded
+        .into_iter()
+        .filter(|band| band.abs_diff(probe.len()) <= config.k)
+        .collect();
     let level = shared.controller.level();
     let response = if level == Level::Shed {
         local.counter(Counter::ServeShed, 1);

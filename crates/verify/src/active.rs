@@ -15,15 +15,27 @@
 //! the old set; the third propagates *within* the new set from parents to
 //! children, which a single ascending-id pass handles because the arena
 //! stores parents before children.
+//!
+//! [`AdvanceScratch::advance`] is the one implementation of this step,
+//! for the eager and the lazy trie alike (through [`ProbeTrie`]). It
+//! allocates nothing once its buffers have grown: the tentative distances
+//! live in a dense per-node array that is reset entry by entry, the
+//! ascending-id pass is a min-heap over the reached ids, and the result
+//! is written into a caller-owned [`ActiveSet`].
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-use crate::trie::InstanceTrie;
+use crate::trie::{InstanceTrie, ProbeTrie};
 use usj_model::Symbol;
+
+/// Marks a node the current step has not reached (distances are ≤ k,
+/// and k < 255).
+const UNSET: u8 = u8::MAX;
 
 /// Active set: trie node ids with their edit distance to the current
 /// probe prefix, only entries with distance ≤ k.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ActiveSet {
     /// `(node id, distance)` sorted by node id.
     entries: Vec<(u32, u8)>,
@@ -32,17 +44,27 @@ pub struct ActiveSet {
 impl ActiveSet {
     /// The active set of the *empty* probe prefix: every node of depth
     /// `d ≤ k` with distance `d` (deleting all its characters).
-    pub fn initial(trie: &InstanceTrie, k: usize) -> ActiveSet {
-        let mut entries = Vec::new();
-        // Nodes are in DFS order; depth filter suffices.
-        for id in 0..trie.num_nodes() as u32 {
-            let depth = trie.node(id).depth as usize;
-            if depth <= k {
-                entries.push((id, depth as u8));
+    pub fn initial<T: ProbeTrie>(trie: &mut T, k: usize) -> ActiveSet {
+        let mut set = ActiveSet::default();
+        set.reset(trie, k);
+        set
+    }
+
+    /// Overwrites `self` with [`ActiveSet::initial`], reusing its buffer.
+    /// Materialises the top `k` layers of a lazy trie, level by level.
+    pub fn reset<T: ProbeTrie>(&mut self, trie: &mut T, k: usize) {
+        let entries = &mut self.entries;
+        entries.clear();
+        entries.push((InstanceTrie::ROOT, 0));
+        // Breadth-first: `entries` doubles as the queue.
+        let mut next = 0;
+        while let Some(&(v, d)) = entries.get(next) {
+            next += 1;
+            if usize::from(d) < k {
+                entries.extend(trie.children(v).map(|child| (child, d + 1)));
             }
         }
         entries.sort_unstable_by_key(|&(id, _)| id);
-        ActiveSet { entries }
     }
 
     /// Entries as `(node id, distance)`, ascending by id.
@@ -68,47 +90,71 @@ impl ActiveSet {
             .ok()
             .map(|i| self.entries[i].1)
     }
+}
 
-    /// Computes `A(u·c)` from `A(u) = self`.
-    pub fn advance(&self, trie: &InstanceTrie, c: Symbol, k: usize) -> ActiveSet {
-        let kk = k as u8;
-        let mut map: BTreeMap<u32, u8> = BTreeMap::new();
-        let relax = |map: &mut BTreeMap<u32, u8>, id: u32, d: u8| {
-            if d <= kk {
-                map.entry(id)
-                    .and_modify(|old| *old = (*old).min(d))
-                    .or_insert(d);
-            }
-        };
-        for &(v, d) in &self.entries {
+/// Reusable scratch of the active-set transition. One per verifier: it
+/// serves every step of every candidate.
+#[derive(Debug, Clone, Default)]
+pub struct AdvanceScratch {
+    /// Best distance found so far per node id, `UNSET` when unreached.
+    /// Every entry is `UNSET` between steps.
+    best: Vec<u8>,
+    /// Reached ids not yet emitted, smallest first.
+    pending: BinaryHeap<Reverse<u32>>,
+}
+
+impl AdvanceScratch {
+    /// Writes `A(u·c)` into `to`, given `from = A(u)`, materialising trie
+    /// nodes as needed. `k` must be below 255.
+    pub fn advance<T: ProbeTrie>(
+        &mut self,
+        trie: &mut T,
+        from: &ActiveSet,
+        c: Symbol,
+        k: usize,
+        to: &mut ActiveSet,
+    ) {
+        debug_assert!(k < usize::from(UNSET), "k must be below {UNSET}");
+        let k = k as u8;
+        for &(v, d) in &from.entries {
             // Delete c: v stays, distance grows.
-            relax(&mut map, v, d.saturating_add(1));
+            self.relax(v, d + 1, k);
             // Match / substitute against each child edge.
-            for &(x, child) in &trie.node(v).children {
-                relax(&mut map, child, d + u8::from(x != c));
+            for child in trie.children(v) {
+                let x = trie.node(child).symbol;
+                self.relax(child, d + u8::from(x != c), k);
             }
         }
-        // Insertion closure: propagate down the trie inside the new set.
-        // Parents precede children in id order, so one ascending pass
-        // (which may insert larger keys mid-iteration) suffices.
-        let mut cursor = 0u32;
-        while let Some((&v, &d)) = map.range(cursor..).next() {
-            if d < kk {
-                for &(_, child) in &trie.node(v).children {
-                    let nd = d + 1;
-                    map.entry(child)
-                        .and_modify(|old| *old = (*old).min(nd))
-                        .or_insert(nd);
+        // Insertion closure, in ascending id order: a node's parent has a
+        // smaller id, so its distance is final when it is popped.
+        to.entries.clear();
+        while let Some(Reverse(v)) = self.pending.pop() {
+            let d = std::mem::replace(&mut self.best[v as usize], UNSET);
+            to.entries.push((v, d));
+            if d < k {
+                for child in trie.children(v) {
+                    self.relax(child, d + 1, k);
                 }
             }
-            match v.checked_add(1) {
-                Some(next) => cursor = next,
-                None => break,
-            }
         }
-        ActiveSet {
-            entries: map.into_iter().collect(),
+    }
+
+    /// Lowers node `id`'s tentative distance to `d` (if `d ≤ k`),
+    /// queueing it the first time it is reached.
+    #[inline]
+    fn relax(&mut self, id: u32, d: u8, k: u8) {
+        if d > k {
+            return;
         }
+        let i = id as usize;
+        if i >= self.best.len() {
+            self.best.resize(i + 1, UNSET);
+        }
+        let best = &mut self.best[i];
+        if *best == UNSET {
+            self.pending.push(Reverse(id));
+        }
+        *best = (*best).min(d);
     }
 }
 
@@ -124,19 +170,22 @@ mod tests {
     /// Walks the probe through the active set and cross-checks every
     /// node's distance against a direct edit-distance computation.
     fn check_against_direct(target: &UncertainString, probe: &[u8], k: usize) {
-        let trie = InstanceTrie::build(target, 100_000).unwrap();
+        let mut trie = InstanceTrie::build(target, 100_000).unwrap();
         // Collect each node's prefix string by DFS.
         let mut prefixes: Vec<Vec<u8>> = vec![Vec::new(); trie.num_nodes()];
         let mut stack = vec![InstanceTrie::ROOT];
         while let Some(id) = stack.pop() {
-            for &(sym, child) in &trie.node(id).children {
+            for child in trie.node(id).children() {
                 let mut p = prefixes[id as usize].clone();
-                p.push(sym);
+                p.push(trie.node(child).symbol);
                 prefixes[child as usize] = p;
                 stack.push(child);
             }
         }
-        let mut active = ActiveSet::initial(&trie, k);
+        // One scratch for every step: it must come back clean each time.
+        let mut scratch = AdvanceScratch::default();
+        let mut active = ActiveSet::initial(&mut trie, k);
+        let mut next = ActiveSet::default();
         for step in 0..=probe.len() {
             let prefix = &probe[..step];
             // Expected active set by brute force.
@@ -153,7 +202,8 @@ mod tests {
                 "step {step} prefix {prefix:?}"
             );
             if step < probe.len() {
-                active = active.advance(&trie, probe[step], k);
+                scratch.advance(&mut trie, &active, probe[step], k, &mut next);
+                std::mem::swap(&mut active, &mut next);
             }
         }
     }
@@ -180,21 +230,25 @@ mod tests {
     #[test]
     fn empty_set_stays_empty() {
         let target = dna("AAAA");
-        let trie = InstanceTrie::build(&target, 100).unwrap();
-        let mut active = ActiveSet::initial(&trie, 1);
+        let mut trie = InstanceTrie::build(&target, 100).unwrap();
+        let mut scratch = AdvanceScratch::default();
+        let mut active = ActiveSet::initial(&mut trie, 1);
+        let mut next = ActiveSet::default();
         let t = Alphabet::dna().symbol('T').unwrap();
         for _ in 0..4 {
-            active = active.advance(&trie, t, 1);
+            scratch.advance(&mut trie, &active, t, 1, &mut next);
+            std::mem::swap(&mut active, &mut next);
         }
         assert!(active.is_empty());
-        assert!(active.advance(&trie, t, 1).is_empty());
+        scratch.advance(&mut trie, &active, t, 1, &mut next);
+        assert!(next.is_empty());
     }
 
     #[test]
     fn initial_set_depth_bound() {
         let target = dna("{(A,0.5),(C,0.5)}{(A,0.5),(C,0.5)}GG");
-        let trie = InstanceTrie::build(&target, 100).unwrap();
-        let active = ActiveSet::initial(&trie, 2);
+        let mut trie = InstanceTrie::build(&target, 100).unwrap();
+        let active = ActiveSet::initial(&mut trie, 2);
         for &(id, d) in active.entries() {
             assert_eq!(trie.node(id).depth as u8, d);
             assert!(d <= 2);
@@ -206,8 +260,8 @@ mod tests {
     #[test]
     fn distance_lookup() {
         let target = dna("AC");
-        let trie = InstanceTrie::build(&target, 100).unwrap();
-        let active = ActiveSet::initial(&trie, 1);
+        let mut trie = InstanceTrie::build(&target, 100).unwrap();
+        let active = ActiveSet::initial(&mut trie, 1);
         assert_eq!(active.distance_of(InstanceTrie::ROOT), Some(0));
         assert_eq!(active.distance_of(999), None);
     }

@@ -12,30 +12,23 @@
 //! (≈ 10M worlds) whose candidate shares no prefix, the eager trie
 //! allocates millions of nodes; the lazy trie allocates a few hundred.
 //!
-//! Correctness is unchanged: the active-set transition is the same as
-//! [`crate::active`], and the arena still allocates parents before
-//! children, preserving the ascending-id closure pass.
+//! Correctness is unchanged: the active-set transition is the same
+//! [`crate::active::AdvanceScratch::advance`], and expansion appends a
+//! node's children as one contiguous block after every existing node, so
+//! parents still precede children in id order.
 
-use std::collections::BTreeMap;
+use std::ops::Range;
 
-use usj_model::{Prob, Symbol, UncertainString};
+use usj_model::{Prob, UncertainString};
 
-use crate::trie_verify::{VerifyOutcome, VerifyStats};
-
-/// One lazily-expanded trie node.
-#[derive(Debug, Clone)]
-struct LazyNode {
-    depth: u32,
-    prob: Prob,
-    /// `None` until the node is expanded.
-    children: Option<Vec<(Symbol, u32)>>,
-}
+use crate::trie::{expand, ProbeTrie, TrieNode};
+use crate::trie_verify::ProbeTrieVerifier;
 
 /// Trie over the instances of a probe string, materialised on demand.
 #[derive(Debug, Clone)]
 pub struct LazyTrie {
     probe: UncertainString,
-    nodes: Vec<LazyNode>,
+    nodes: Vec<TrieNode>,
 }
 
 impl LazyTrie {
@@ -43,285 +36,53 @@ impl LazyTrie {
     pub fn new(probe: UncertainString) -> LazyTrie {
         LazyTrie {
             probe,
-            nodes: vec![LazyNode {
-                depth: 0,
-                prob: 1.0,
-                children: None,
-            }],
+            nodes: vec![TrieNode::ROOT],
         }
-    }
-
-    /// Root node id.
-    pub const ROOT: u32 = 0;
-
-    /// Probe length (= leaf depth).
-    pub fn string_len(&self) -> usize {
-        self.probe.len()
     }
 
     /// Number of nodes materialised so far.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
     }
-
-    /// Probability mass of the subtree rooted at `id`.
-    pub fn prob(&self, id: u32) -> Prob {
-        self.nodes[id as usize].prob
-    }
-
-    /// Depth of node `id`.
-    pub fn depth(&self, id: u32) -> u32 {
-        self.nodes[id as usize].depth
-    }
-
-    /// `true` when `id` is a full instance of the probe.
-    pub fn is_leaf(&self, id: u32) -> bool {
-        self.nodes[id as usize].depth as usize == self.probe.len()
-    }
-
-    /// Children of `id`, materialising them on first access. Returns an
-    /// owned (small, ≤ γ entries) vector to keep borrows simple.
-    pub fn children(&mut self, id: u32) -> Vec<(Symbol, u32)> {
-        let depth = self.nodes[id as usize].depth as usize;
-        if depth == self.probe.len() {
-            return Vec::new();
-        }
-        if self.nodes[id as usize].children.is_none() {
-            let parent_prob = self.nodes[id as usize].prob;
-            let mut created = Vec::with_capacity(self.probe.position(depth).num_alternatives());
-            for (sym, p) in self.probe.position(depth).alternatives() {
-                let child = self.nodes.len() as u32;
-                self.nodes.push(LazyNode {
-                    depth: depth as u32 + 1,
-                    prob: parent_prob * p,
-                    children: None,
-                });
-                created.push((sym, child));
-            }
-            self.nodes[id as usize].children = Some(created);
-        }
-        self.nodes[id as usize].children.clone().unwrap_or_default()
-    }
 }
 
-/// Active set against a lazy trie (same semantics as
-/// [`crate::active::ActiveSet`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LazyActiveSet {
-    entries: Vec<(u32, u8)>,
-}
-
-impl LazyActiveSet {
-    /// Active set of the empty prefix: nodes of depth ≤ k at distance =
-    /// depth (materialising those top layers).
-    pub fn initial(trie: &mut LazyTrie, k: usize) -> LazyActiveSet {
-        let mut entries = vec![(LazyTrie::ROOT, 0u8)];
-        let mut frontier = vec![LazyTrie::ROOT];
-        for d in 1..=k {
-            let mut next = Vec::new();
-            for &v in &frontier {
-                for (_, child) in trie.children(v) {
-                    entries.push((child, d as u8));
-                    next.push(child);
-                }
-            }
-            frontier = next;
-        }
-        entries.sort_unstable_by_key(|&(id, _)| id);
-        LazyActiveSet { entries }
+impl ProbeTrie for LazyTrie {
+    #[inline]
+    fn node(&self, id: u32) -> &TrieNode {
+        &self.nodes[id as usize]
     }
 
-    /// `(node id, distance)` entries, ascending by id.
-    pub fn entries(&self) -> &[(u32, u8)] {
-        &self.entries
+    #[inline]
+    fn string_len(&self) -> usize {
+        self.probe.len()
     }
 
-    /// `true` when the set is empty (prefix prunable).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Computes `A(u·c)` from `A(u)`, expanding trie nodes as needed.
-    pub fn advance(&self, trie: &mut LazyTrie, c: Symbol, k: usize) -> LazyActiveSet {
-        let kk = k as u8;
-        let mut map: BTreeMap<u32, u8> = BTreeMap::new();
-        let relax = |map: &mut BTreeMap<u32, u8>, id: u32, d: u8| {
-            if d <= kk {
-                map.entry(id)
-                    .and_modify(|old| *old = (*old).min(d))
-                    .or_insert(d);
-            }
-        };
-        for &(v, d) in &self.entries {
-            relax(&mut map, v, d.saturating_add(1));
-            // Match/substitute transitions only ever need children whose
-            // distance can be ≤ k; expanding others would waste arena
-            // space, so skip nodes already at the limit with no match
-            // possible. (d + [x≠c] ≤ k requires d ≤ k always; when d = k
-            // only an exact match keeps the child, so expansion is still
-            // needed — hence no filter here beyond the relax guard.)
-            for (x, child) in trie.children(v) {
-                relax(&mut map, child, d + u8::from(x != c));
-            }
+    /// Materialises the children on first access: an inner node always
+    /// has at least one, so an empty range below the leaf depth means
+    /// "not expanded yet".
+    #[inline]
+    fn children(&mut self, id: u32) -> Range<u32> {
+        let node = &self.nodes[id as usize];
+        if node.children().is_empty() && (node.depth as usize) < self.probe.len() {
+            return expand(&mut self.nodes, &self.probe, id);
         }
-        // Insertion closure (parents precede children in id order).
-        let mut cursor = 0u32;
-        while let Some((&v, &d)) = map.range(cursor..).next() {
-            if d < kk {
-                for (_, child) in trie.children(v) {
-                    let nd = d + 1;
-                    map.entry(child)
-                        .and_modify(|old| *old = (*old).min(nd))
-                        .or_insert(nd);
-                }
-            }
-            match v.checked_add(1) {
-                Some(next) => cursor = next,
-                None => break,
-            }
-        }
-        LazyActiveSet {
-            entries: map.into_iter().collect(),
-        }
+        node.children()
     }
 }
 
 /// Verifier over a lazily materialised probe trie — the default verifier
 /// of the join driver.
-#[derive(Debug, Clone)]
-pub struct LazyTrieVerifier {
-    trie: LazyTrie,
-    k: usize,
-    tau: Prob,
-    early_stop: bool,
-}
+pub type LazyTrieVerifier = ProbeTrieVerifier<LazyTrie>;
 
 impl LazyTrieVerifier {
     /// Creates the verifier (cheap: only the root is materialised).
     pub fn new(probe: &UncertainString, k: usize, tau: Prob) -> LazyTrieVerifier {
-        assert!((0.0..=1.0).contains(&tau), "tau must lie in [0, 1]");
-        LazyTrieVerifier {
-            trie: LazyTrie::new(probe.clone()),
-            k,
-            tau,
-            early_stop: true,
-        }
-    }
-
-    /// Disables early termination (`prob` becomes exact).
-    pub fn without_early_stop(mut self) -> Self {
-        self.early_stop = false;
-        self
+        ProbeTrieVerifier::with_trie(LazyTrie::new(probe.clone()), k, tau)
     }
 
     /// Nodes materialised so far (diagnostics/benchmarks).
     pub fn nodes_materialized(&self) -> usize {
-        self.trie.num_nodes()
-    }
-
-    /// Verifies one candidate. `&mut self` because verification may
-    /// materialise more of the probe trie (which later candidates reuse).
-    pub fn verify(&mut self, s: &UncertainString) -> VerifyOutcome {
-        let mut stats = VerifyStats::default();
-        if s.len().abs_diff(self.trie.string_len()) > self.k {
-            return VerifyOutcome {
-                similar: false,
-                prob: 0.0,
-                stats,
-            };
-        }
-        let initial = LazyActiveSet::initial(&mut self.trie, self.k);
-        let mut ctx = LazyWalk {
-            k: self.k,
-            tau: self.tau,
-            early_stop: self.early_stop,
-            s,
-            acc: 0.0,
-            explored: 0.0,
-            decided: None,
-        };
-        ctx.dfs(&mut self.trie, 0, 1.0, &initial, &mut stats);
-        match ctx.decided {
-            Some(similar) => VerifyOutcome {
-                similar,
-                prob: ctx.acc,
-                stats,
-            },
-            None => VerifyOutcome {
-                similar: ctx.acc > self.tau,
-                prob: ctx.acc,
-                stats,
-            },
-        }
-    }
-}
-
-struct LazyWalk<'a> {
-    k: usize,
-    tau: Prob,
-    early_stop: bool,
-    s: &'a UncertainString,
-    acc: Prob,
-    explored: Prob,
-    decided: Option<bool>,
-}
-
-impl LazyWalk<'_> {
-    fn dfs(
-        &mut self,
-        trie: &mut LazyTrie,
-        depth: usize,
-        prefix_prob: Prob,
-        active: &LazyActiveSet,
-        stats: &mut VerifyStats,
-    ) {
-        if self.decided.is_some() {
-            return;
-        }
-        stats.s_nodes_expanded += 1;
-        if depth == self.s.len() {
-            stats.s_leaves_reached += 1;
-            let mut leaf_mass = 0.0;
-            for &(id, _) in active.entries() {
-                if trie.is_leaf(id) {
-                    leaf_mass += trie.prob(id);
-                }
-            }
-            self.acc += prefix_prob * leaf_mass;
-            self.explored += prefix_prob;
-            self.check_termination();
-            return;
-        }
-        for (sym, p) in self.s.position(depth).alternatives() {
-            if self.decided.is_some() {
-                return;
-            }
-            let child_prob = prefix_prob * p;
-            let next = active.advance(trie, sym, self.k);
-            if next.is_empty() {
-                stats.s_subtrees_pruned += 1;
-                self.explored += child_prob;
-                self.check_termination();
-            } else {
-                self.dfs(trie, depth + 1, child_prob, &next, stats);
-            }
-        }
-    }
-
-    fn check_termination(&mut self) {
-        if !self.early_stop {
-            return;
-        }
-        if self.acc > self.tau {
-            self.decided = Some(true);
-        } else if self.acc + (1.0 - self.explored) <= self.tau {
-            self.decided = Some(false);
-        }
+        self.trie().num_nodes()
     }
 }
 

@@ -28,9 +28,9 @@ pub mod oracle;
 pub mod trie;
 pub mod trie_verify;
 
-pub use active::ActiveSet;
-pub use lazy::{LazyActiveSet, LazyTrie, LazyTrieVerifier};
+pub use active::{ActiveSet, AdvanceScratch};
+pub use lazy::{LazyTrie, LazyTrieVerifier};
 pub use naive::{naive_verify, NaiveOutcome};
 pub use oracle::{exact_similarity_prob, exact_similarity_prob_capped};
-pub use trie::InstanceTrie;
-pub use trie_verify::{TrieVerifier, VerifyOutcome, VerifyStats};
+pub use trie::{InstanceTrie, ProbeTrie, TrieNode};
+pub use trie_verify::{ProbeTrieVerifier, TrieVerifier, VerifyOutcome, VerifyStats};

@@ -6,27 +6,97 @@
 //! the path, so a leaf's probability is its world's probability and an
 //! inner node's probability is the total mass of the worlds below it.
 //!
-//! Nodes are stored in a flat arena in DFS order, which guarantees
-//! `parent id < child id` — the property the active-set closure pass in
-//! [`crate::active`] relies on.
+//! Nodes are stored in a flat arena. A node's children are created
+//! together, so they occupy one contiguous id range, and always after
+//! their parent, so `parent id < child id` — the property the active-set
+//! closure in [`crate::active`] relies on. [`ProbeTrie`] is the view of
+//! such an arena that the active-set transition walks; the eager
+//! [`InstanceTrie`] and the lazy [`crate::lazy::LazyTrie`] both provide
+//! it.
+
+use std::ops::Range;
 
 use usj_model::{Prob, Symbol, UncertainString};
 
 /// One trie node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct TrieNode {
     /// Depth = number of characters on the path from the root.
     pub depth: u32,
+    /// First child id; the children are `first_child..first_child +
+    /// num_children`.
+    first_child: u32,
+    /// Number of materialised children (0 for leaves and for lazy nodes
+    /// not yet expanded).
+    num_children: u32,
     /// Edge label from the parent (unspecified for the root).
     pub symbol: Symbol,
     /// Probability mass of the subtree (product of position probabilities
     /// along the path).
     pub prob: Prob,
-    /// Children as `(edge symbol, node id)`, sorted by symbol.
-    pub children: Vec<(Symbol, u32)>,
 }
 
-/// Trie of all possible instances of an uncertain string.
+impl TrieNode {
+    /// The root: depth 0, probability 1, no children yet.
+    pub(crate) const ROOT: TrieNode = TrieNode {
+        depth: 0,
+        first_child: 0,
+        num_children: 0,
+        symbol: 0,
+        prob: 1.0,
+    };
+
+    /// Ids of the materialised children, in ascending symbol order.
+    #[inline]
+    pub fn children(&self) -> Range<u32> {
+        self.first_child..self.first_child + self.num_children
+    }
+}
+
+/// Appends the children of node `id` (one per alternative of `probe`'s
+/// next position) to `nodes` and records their range on `id`.
+pub(crate) fn expand(nodes: &mut Vec<TrieNode>, probe: &UncertainString, id: u32) -> Range<u32> {
+    let parent = nodes[id as usize];
+    let first = nodes.len() as u32;
+    for (sym, p) in probe.position(parent.depth as usize).alternatives() {
+        nodes.push(TrieNode {
+            depth: parent.depth + 1,
+            first_child: 0,
+            num_children: 0,
+            symbol: sym,
+            prob: parent.prob * p,
+        });
+    }
+    let count = nodes.len() as u32 - first;
+    let node = &mut nodes[id as usize];
+    node.first_child = first;
+    node.num_children = count;
+    node.children()
+}
+
+/// A probe trie as the active-set transition sees it: nodes by id (the
+/// root is [`InstanceTrie::ROOT`]), and each node's contiguous child
+/// range, materialised on request.
+pub trait ProbeTrie {
+    /// Node `id`.
+    fn node(&self, id: u32) -> &TrieNode;
+
+    /// Length of the underlying string (= leaf depth).
+    fn string_len(&self) -> usize;
+
+    /// Ids of `id`'s children, materialising them first if the trie is
+    /// lazy. Empty only for leaves.
+    fn children(&mut self, id: u32) -> Range<u32>;
+
+    /// `true` when `id` is a leaf (full instance).
+    #[inline]
+    fn is_leaf(&self, id: u32) -> bool {
+        self.node(id).depth as usize == self.string_len()
+    }
+}
+
+/// Trie of all possible instances of an uncertain string, built up front
+/// in DFS order.
 #[derive(Debug, Clone)]
 pub struct InstanceTrie {
     nodes: Vec<TrieNode>,
@@ -38,47 +108,24 @@ impl InstanceTrie {
     /// `max_nodes` nodes (worlds grow exponentially with uncertain
     /// positions; the paper's experiments cap uncertain characters at 8).
     pub fn build(s: &UncertainString, max_nodes: usize) -> Option<InstanceTrie> {
-        let mut nodes = Vec::new();
-        nodes.push(TrieNode {
-            depth: 0,
-            symbol: 0,
-            prob: 1.0,
-            children: Vec::new(),
-        });
-        // Iterative DFS carrying (node id, depth, path probability).
-        let mut stack = vec![0u32];
+        let mut nodes = vec![TrieNode::ROOT];
+        // Iterative DFS; a node's children are pushed together, so the
+        // last-created child is expanded next.
+        let mut stack = vec![Self::ROOT];
         while let Some(id) = stack.pop() {
             let depth = nodes[id as usize].depth as usize;
             if depth == s.len() {
                 continue;
             }
-            let parent_prob = nodes[id as usize].prob;
-            let mut children = Vec::with_capacity(s.position(depth).num_alternatives());
-            for (sym, p) in s.position(depth).alternatives() {
-                if nodes.len() >= max_nodes {
-                    return None;
-                }
-                let child = nodes.len() as u32;
-                nodes.push(TrieNode {
-                    depth: depth as u32 + 1,
-                    symbol: sym,
-                    prob: parent_prob * p,
-                    children: Vec::new(),
-                });
-                children.push((sym, child));
-                stack.push(child);
+            if nodes.len() + s.position(depth).num_alternatives() > max_nodes {
+                return None;
             }
-            nodes[id as usize].children = children;
+            stack.extend(expand(&mut nodes, s, id));
         }
         Some(InstanceTrie {
             nodes,
             len: s.len(),
         })
-    }
-
-    /// Length of the underlying string (= leaf depth).
-    pub fn string_len(&self) -> usize {
-        self.len
     }
 
     /// Total number of nodes.
@@ -94,20 +141,8 @@ impl InstanceTrie {
             .count()
     }
 
-    /// Access a node by id.
-    #[inline]
-    pub fn node(&self, id: u32) -> &TrieNode {
-        &self.nodes[id as usize]
-    }
-
     /// The root node id.
     pub const ROOT: u32 = 0;
-
-    /// `true` when `id` is a leaf (full instance).
-    #[inline]
-    pub fn is_leaf(&self, id: u32) -> bool {
-        self.node(id).depth as usize == self.len
-    }
 
     /// Reconstructs the instance string for a node by walking up is not
     /// possible in the flat arena (no parent links); instead this walks
@@ -117,20 +152,36 @@ impl InstanceTrie {
         let mut id = Self::ROOT;
         let mut out = Vec::with_capacity(self.len);
         while !self.is_leaf(id) {
-            let node = self.node(id);
-            let &(sym, child) = node
-                .children
-                .iter()
-                .max_by(|a, b| {
-                    let pa = self.node(a.1).prob;
-                    let pb = self.node(b.1).prob;
+            let child = self
+                .node(id)
+                .children()
+                .max_by(|&a, &b| {
+                    let pa = self.node(a).prob;
+                    let pb = self.node(b).prob;
                     pa.partial_cmp(&pb).unwrap()
                 })
                 .expect("inner nodes have children");
-            out.push(sym);
+            out.push(self.node(child).symbol);
             id = child;
         }
         (out, self.node(id).prob)
+    }
+}
+
+impl ProbeTrie for InstanceTrie {
+    #[inline]
+    fn node(&self, id: u32) -> &TrieNode {
+        &self.nodes[id as usize]
+    }
+
+    #[inline]
+    fn string_len(&self) -> usize {
+        self.len
+    }
+
+    #[inline]
+    fn children(&mut self, id: u32) -> Range<u32> {
+        self.nodes[id as usize].children()
     }
 }
 
@@ -180,7 +231,7 @@ mod tests {
         let s = dna("{(A,0.5),(C,0.5)}{(G,0.3),(T,0.7)}{(A,0.5),(C,0.5)}");
         let t = InstanceTrie::build(&s, 1000).unwrap();
         for id in 0..t.num_nodes() as u32 {
-            for &(_, child) in &t.node(id).children {
+            for child in t.node(id).children() {
                 assert!(child > id, "child {child} ≤ parent {id}");
             }
         }

@@ -12,11 +12,17 @@
 //! Early termination (optional): accept as soon as the accumulated mass
 //! exceeds `τ`; reject as soon as accumulated + unexplored mass drops to
 //! `≤ τ`.
+//!
+//! The walk is the same for the eager trie ([`TrieVerifier`]) and the
+//! lazy one ([`crate::LazyTrieVerifier`]): both are a
+//! [`ProbeTrieVerifier`] over their trie. The verifier owns one active
+//! set per `S` depth and the transition's scratch, so after the first few
+//! candidates a verification allocates nothing.
 
 use usj_model::{Prob, UncertainString};
 
-use crate::active::ActiveSet;
-use crate::trie::InstanceTrie;
+use crate::active::{ActiveSet, AdvanceScratch};
+use crate::trie::{InstanceTrie, ProbeTrie};
 
 /// Statistics of one verification run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -44,24 +50,44 @@ pub struct VerifyOutcome {
 /// Verifier holding the probe's trie, reusable across all candidates of
 /// the probe (the paper amortises `T_R` construction the same way).
 #[derive(Debug, Clone)]
-pub struct TrieVerifier {
-    trie: InstanceTrie,
+pub struct ProbeTrieVerifier<T> {
+    trie: T,
     k: usize,
     tau: Prob,
     early_stop: bool,
+    scratch: AdvanceScratch,
+    /// `levels[d]` = active set of the current `S`-prefix of length `d`.
+    levels: Vec<ActiveSet>,
 }
+
+/// Verifier over the paper's eager probe trie.
+pub type TrieVerifier = ProbeTrieVerifier<InstanceTrie>;
 
 impl TrieVerifier {
     /// Builds the verifier for probe `r`; `None` if the probe's trie
     /// exceeds `max_nodes`.
     pub fn new(r: &UncertainString, k: usize, tau: Prob, max_nodes: usize) -> Option<TrieVerifier> {
+        Some(ProbeTrieVerifier::with_trie(
+            InstanceTrie::build(r, max_nodes)?,
+            k,
+            tau,
+        ))
+    }
+}
+
+impl<T: ProbeTrie> ProbeTrieVerifier<T> {
+    /// Wraps a probe trie; `k` must be below 255.
+    pub(crate) fn with_trie(trie: T, k: usize, tau: Prob) -> Self {
         assert!((0.0..=1.0).contains(&tau), "tau must lie in [0, 1]");
-        Some(TrieVerifier {
-            trie: InstanceTrie::build(r, max_nodes)?,
+        assert!(k < 255, "k must be below 255");
+        ProbeTrieVerifier {
+            trie,
             k,
             tau,
             early_stop: true,
-        })
+            scratch: AdvanceScratch::default(),
+            levels: Vec::new(),
+        }
     }
 
     /// Disables early termination so `prob` is always the exact
@@ -72,12 +98,14 @@ impl TrieVerifier {
     }
 
     /// The probe trie (exposed for diagnostics/benchmarks).
-    pub fn trie(&self) -> &InstanceTrie {
+    pub fn trie(&self) -> &T {
         &self.trie
     }
 
-    /// Verifies one candidate.
-    pub fn verify(&self, s: &UncertainString) -> VerifyOutcome {
+    /// Verifies one candidate. `&mut self` because the walk reuses the
+    /// verifier's buffers, and a lazy trie may materialise nodes (which
+    /// later candidates reuse).
+    pub fn verify(&mut self, s: &UncertainString) -> VerifyOutcome {
         let mut stats = VerifyStats::default();
         if s.len().abs_diff(self.trie.string_len()) > self.k {
             return VerifyOutcome {
@@ -86,7 +114,10 @@ impl TrieVerifier {
                 stats,
             };
         }
-        let initial = ActiveSet::initial(&self.trie, self.k);
+        if self.levels.len() <= s.len() {
+            self.levels.resize_with(s.len() + 1, ActiveSet::default);
+        }
+        self.levels[0].reset(&mut self.trie, self.k);
         let mut walker = Walker {
             verifier: self,
             s,
@@ -95,26 +126,18 @@ impl TrieVerifier {
             stats: &mut stats,
             decided: None,
         };
-        walker.dfs(0, 1.0, &initial);
-        let decided = walker.decided;
-        let acc = walker.acc;
-        match decided {
-            Some(similar) => VerifyOutcome {
-                similar,
-                prob: acc,
-                stats,
-            },
-            None => VerifyOutcome {
-                similar: acc > self.tau,
-                prob: acc,
-                stats,
-            },
+        walker.dfs(0, 1.0);
+        let (acc, decided) = (walker.acc, walker.decided);
+        VerifyOutcome {
+            similar: decided.unwrap_or(acc > self.tau),
+            prob: acc,
+            stats,
         }
     }
 }
 
-struct Walker<'a> {
-    verifier: &'a TrieVerifier,
+struct Walker<'a, T> {
+    verifier: &'a mut ProbeTrieVerifier<T>,
     s: &'a UncertainString,
     /// Accumulated similar mass.
     acc: Prob,
@@ -124,24 +147,26 @@ struct Walker<'a> {
     decided: Option<bool>,
 }
 
-impl Walker<'_> {
+impl<T: ProbeTrie> Walker<'_, T> {
     /// Depth-first walk over the logical trie of `S`.
     ///
     /// `depth` = number of fixed S characters, `prefix_prob` = probability
-    /// of the current S prefix, `active` = A(prefix).
-    fn dfs(&mut self, depth: usize, prefix_prob: Prob, active: &ActiveSet) {
+    /// of the current S prefix; `verifier.levels[depth]` holds A(prefix).
+    fn dfs(&mut self, depth: usize, prefix_prob: Prob) {
         if self.decided.is_some() {
             return;
         }
         self.stats.s_nodes_expanded += 1;
-        if depth == self.s.len() {
+        let s = self.s;
+        if depth == s.len() {
             // Full S instance: every leaf in the active set is a world of
             // R within distance k.
             self.stats.s_leaves_reached += 1;
+            let v = &*self.verifier;
             let mut leaf_mass = 0.0;
-            for &(id, _) in active.entries() {
-                if self.verifier.trie.is_leaf(id) {
-                    leaf_mass += self.verifier.trie.node(id).prob;
+            for &(id, _) in v.levels[depth].entries() {
+                if v.trie.is_leaf(id) {
+                    leaf_mass += v.trie.node(id).prob;
                 }
             }
             self.acc += prefix_prob * leaf_mass;
@@ -149,12 +174,15 @@ impl Walker<'_> {
             self.check_termination();
             return;
         }
-        for (sym, p) in self.s.position(depth).alternatives() {
+        for (sym, p) in s.position(depth).alternatives() {
             if self.decided.is_some() {
                 return;
             }
             let child_prob = prefix_prob * p;
-            let next = active.advance(&self.verifier.trie, sym, self.verifier.k);
+            let v = &mut *self.verifier;
+            let (done, rest) = v.levels.split_at_mut(depth + 1);
+            let next = &mut rest[0];
+            v.scratch.advance(&mut v.trie, &done[depth], sym, v.k, next);
             if next.is_empty() {
                 // No extension of this prefix can be similar: prune the
                 // whole subtree (and all worlds below it).
@@ -162,7 +190,7 @@ impl Walker<'_> {
                 self.explored += child_prob;
                 self.check_termination();
             } else {
-                self.dfs(depth + 1, child_prob, &next);
+                self.dfs(depth + 1, child_prob);
             }
         }
     }
@@ -210,7 +238,7 @@ mod tests {
         for (rt, st) in CASES {
             let (r, s) = (dna(rt), dna(st));
             for k in 0..3 {
-                let v = TrieVerifier::new(&r, k, 0.5, 100_000)
+                let mut v = TrieVerifier::new(&r, k, 0.5, 100_000)
                     .unwrap()
                     .without_early_stop();
                 let out = v.verify(&s);
@@ -234,7 +262,7 @@ mod tests {
                 // floating-point knife edge where either decision is
                 // defensible.
                 for tau in [0.01, 0.26, 0.61, 0.93] {
-                    let v = TrieVerifier::new(&r, k, tau, 100_000).unwrap();
+                    let mut v = TrieVerifier::new(&r, k, tau, 100_000).unwrap();
                     let trie_out = v.verify(&s);
                     let naive_out = naive_verify(&r, &s, k, tau, false);
                     assert_eq!(
@@ -253,7 +281,7 @@ mod tests {
         let r = dna("AAAAAAAA");
         let s = dna("{(T,0.5),(G,0.5)}{(T,0.5),(G,0.5)}{(T,0.5),(G,0.5)}\
              {(T,0.5),(G,0.5)}{(T,0.5),(G,0.5)}{(T,0.5),(G,0.5)}AA");
-        let v = TrieVerifier::new(&r, 2, 0.0, 100_000)
+        let mut v = TrieVerifier::new(&r, 2, 0.0, 100_000)
             .unwrap()
             .without_early_stop();
         let out = v.verify(&s);
@@ -270,7 +298,7 @@ mod tests {
     #[test]
     fn early_accept_stops_quickly() {
         let r = dna("{(A,0.5),(C,0.5)}{(A,0.5),(C,0.5)}{(A,0.5),(C,0.5)}GTGT");
-        let v = TrieVerifier::new(&r, 2, 0.05, 100_000).unwrap();
+        let mut v = TrieVerifier::new(&r, 2, 0.05, 100_000).unwrap();
         let out = v.verify(&r);
         assert!(out.similar);
         let full = TrieVerifier::new(&r, 2, 0.05, 100_000)
@@ -282,7 +310,7 @@ mod tests {
 
     #[test]
     fn length_gap_short_circuits() {
-        let v = TrieVerifier::new(&dna("ACGT"), 1, 0.5, 1000).unwrap();
+        let mut v = TrieVerifier::new(&dna("ACGT"), 1, 0.5, 1000).unwrap();
         let out = v.verify(&dna("ACGTACGT"));
         assert!(!out.similar);
         assert_eq!(out.stats.s_nodes_expanded, 0);
@@ -297,7 +325,7 @@ mod tests {
     #[test]
     fn empty_strings() {
         let e = UncertainString::empty();
-        let v = TrieVerifier::new(&e, 0, 0.5, 10).unwrap();
+        let mut v = TrieVerifier::new(&e, 0, 0.5, 10).unwrap();
         let out = v.verify(&e);
         assert!(out.similar);
         assert!((out.prob - 1.0).abs() < 1e-12);

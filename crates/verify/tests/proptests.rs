@@ -7,7 +7,8 @@ use std::ops::Range;
 use usj_model::rng::{check_seeds, random_string, Rng};
 use usj_model::UncertainString;
 use usj_verify::{
-    exact_similarity_prob, naive_verify, ActiveSet, InstanceTrie, LazyTrieVerifier, TrieVerifier,
+    exact_similarity_prob, naive_verify, ActiveSet, AdvanceScratch, InstanceTrie, LazyTrieVerifier,
+    ProbeTrie, TrieVerifier,
 };
 
 const CASES: u64 = 160;
@@ -28,7 +29,7 @@ fn trie_equals_oracle() {
         let (r, s) = (string(rng, 0..7), string(rng, 0..7));
         let k = rng.below(3);
         let exact = exact_similarity_prob(&r, &s, k);
-        let v = TrieVerifier::new(&r, k, 0.5, 1_000_000)
+        let mut v = TrieVerifier::new(&r, k, 0.5, 1_000_000)
             .unwrap()
             .without_early_stop();
         let out = v.verify(&s);
@@ -84,19 +85,21 @@ fn active_sets_are_exact() {
         let target = string(rng, 1..6);
         let probe: Vec<u8> = (0..rng.below(7)).map(|_| rng.below(3) as u8).collect();
         let k = rng.below(3);
-        let trie = InstanceTrie::build(&target, 1_000_000).unwrap();
+        let mut trie = InstanceTrie::build(&target, 1_000_000).unwrap();
         // Prefix strings per node.
         let mut prefixes: Vec<Vec<u8>> = vec![Vec::new(); trie.num_nodes()];
         let mut stack = vec![InstanceTrie::ROOT];
         while let Some(id) = stack.pop() {
-            for &(sym, child) in &trie.node(id).children {
+            for child in trie.node(id).children() {
                 let mut p = prefixes[id as usize].clone();
-                p.push(sym);
+                p.push(trie.node(child).symbol);
                 prefixes[child as usize] = p;
                 stack.push(child);
             }
         }
-        let mut active = ActiveSet::initial(&trie, k);
+        let mut scratch = AdvanceScratch::default();
+        let mut active = ActiveSet::initial(&mut trie, k);
+        let mut next = ActiveSet::default();
         for step in 0..=probe.len() {
             let prefix = &probe[..step];
             for id in 0..trie.num_nodes() as u32 {
@@ -105,7 +108,8 @@ fn active_sets_are_exact() {
                 assert_eq!(active.distance_of(id), want, "node {id} prefix {prefix:?}");
             }
             if step < probe.len() {
-                active = active.advance(&trie, probe[step], k);
+                scratch.advance(&mut trie, &active, probe[step], k, &mut next);
+                std::mem::swap(&mut active, &mut next);
             }
         }
     });
@@ -134,6 +138,31 @@ fn lazy_equals_oracle_and_eager() {
                 exact > tau,
                 "exact={exact} tau={tau}"
             );
+        }
+    });
+}
+
+/// With early stop off, both trie verifiers compute the oracle
+/// probability for every k in 0..=3, including k above both lengths.
+#[test]
+fn lazy_and_eager_equal_oracle_up_to_k3() {
+    check_seeds(CASES, |rng| {
+        let (r, s) = (string(rng, 0..7), string(rng, 0..7));
+        for k in 0..=3 {
+            let exact = exact_similarity_prob(&r, &s, k);
+            let lazy = LazyTrieVerifier::new(&r, k, 0.5)
+                .without_early_stop()
+                .verify(&s);
+            let eager = TrieVerifier::new(&r, k, 0.5, 1_000_000)
+                .unwrap()
+                .without_early_stop()
+                .verify(&s);
+            for (name, prob) in [("lazy", lazy.prob), ("eager", eager.prob)] {
+                assert!(
+                    (prob - exact).abs() < 1e-9,
+                    "k={k}: {name}={prob} oracle={exact}"
+                );
+            }
         }
     });
 }
