@@ -1,7 +1,7 @@
 //! Fixed-seed micro/meso benchmarks over the pipeline's hot kernels.
 //!
 //! This is the suite behind `usj bench` and the `bench_kernels` binary:
-//! ten benches spanning the cost hierarchy of the paper's join —
+//! nine benches spanning the cost hierarchy of the paper's join —
 //!
 //! | bench                        | kernel                                   |
 //! |------------------------------|------------------------------------------|
@@ -13,7 +13,6 @@
 //! | `simd_pb_row_update`         | dispatched PB row kernel (`usj-simd`)    |
 //! | `simd_cdf_row_update`        | dispatched CDF row kernel (`usj-simd`)   |
 //! | `simd_prefix_strip`          | dispatched affix scans (`usj-simd`)      |
-//! | `simd_intersect_u32`         | dispatched sorted-id intersect (`usj-simd`) |
 //! | `snapshot_load_vs_rebuild`   | warm-restart decode (`snapshot::load`, rung Verified) |
 //!
 //! Inputs are generated from a caller-supplied xorshift seed, so two runs
@@ -44,7 +43,7 @@ pub const BENCH_SIGMA: usize = 4;
 
 /// Stable bench names, in run order (pinned by tests and the committed
 /// `BENCH_baseline.json`).
-pub const BENCH_NAMES: [&str; 10] = [
+pub const BENCH_NAMES: [&str; 9] = [
     "edit_distance_banded",
     "poisson_binomial_segment_dp",
     "cdf_bound_recurrence",
@@ -53,7 +52,6 @@ pub const BENCH_NAMES: [&str; 10] = [
     "simd_pb_row_update",
     "simd_cdf_row_update",
     "simd_prefix_strip",
-    "simd_intersect_u32",
     "snapshot_load_vs_rebuild",
 ];
 
@@ -212,29 +210,6 @@ pub fn kernel_suite(label: &str, n: usize, seed: u64, spec: BenchSpec) -> BenchR
         }
     }));
 
-    let id_lists: Vec<(Vec<u32>, Vec<u32>)> = (0..32)
-        .map(|_| {
-            let gen_list = |rng: &mut Rng| {
-                let mut cur = 0u64;
-                (0..4096)
-                    .map(|_| {
-                        cur += 1 + rng.below(4) as u64;
-                        cur as u32
-                    })
-                    .collect::<Vec<u32>>()
-            };
-            (gen_list(&mut rng), gen_list(&mut rng))
-        })
-        .collect();
-    let mut hits: Vec<(u32, u32)> = Vec::new();
-    report.benches.push(run(BENCH_NAMES[8], spec, || {
-        for (a, b) in &id_lists {
-            hits.clear();
-            usj_simd::intersect_sorted_ids(a, b, &mut hits);
-            black_box(hits.len());
-        }
-    }));
-
     // Meso: the warm-restart decode path — a committed snapshot of the
     // same n-string collection, loaded back through the recovery ladder
     // with every checksum verified (rung Verified). Its median against
@@ -251,7 +226,7 @@ pub fn kernel_suite(label: &str, n: usize, seed: u64, spec: BenchSpec) -> BenchR
     let snap_path = snap_dir.join(format!("{label}.snap"));
     snapshot::write(&snap_path, &collection).expect("bench snapshot commits");
     let snap_config = bench_config();
-    report.benches.push(run(BENCH_NAMES[9], spec, || {
+    report.benches.push(run(BENCH_NAMES[8], spec, || {
         let loaded = snapshot::load(
             &snap_path,
             &snap_config,

@@ -480,6 +480,11 @@ mod tests {
 
     #[test]
     fn save_load_round_trips_and_missing_is_distinct() {
+        // An empty plan takes the process-wide plan lock: without it, a
+        // concurrently armed `checkpoint.write` fault (see
+        // `save_failpoint_preserves_previous_checkpoint`) can fire on this
+        // test's save instead of its own.
+        let _serial = FaultPlan::new().arm();
         let dir = scratch_dir("roundtrip");
         assert!(matches!(
             Checkpoint::load(&dir),

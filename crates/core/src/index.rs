@@ -7,21 +7,30 @@
 //! A string id appears at most once per list and in as many lists of
 //! `L^x_l` as its segment has instances.
 //!
+//! Each `(length, segment)` table stores its lists as hash-addressed
+//! runs: a map from interned segment id to the head and tail of a linked
+//! run in one per-table posting arena. Appending a posting is one lookup
+//! plus one arena push, and finding a list is one hash probe, so neither
+//! cost grows with the table.
+//!
 //! A probe `R` queries one `LengthIndex` by building its equivalent sets
-//! `q(r, x)` and merging the matching posting lists, accumulating
-//! `α_x(i) = Σ_w p_r(w) · Pr(w = S_i^x)` per candidate id — all candidate
+//! `q(r, x)` and walking the matching runs, accumulating
+//! `α_x(i) = Σ_w p_r(w) · Pr(w = S_i^x)` per candidate id into dense α
+//! rows owned by the probe's [`EquivCache`] — all candidate
 //! generation work is proportional to the postings touched, never to the
 //! collection size.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use usj_model::hash::FastBuildHasher;
 use usj_model::{Prob, Symbol, UncertainString};
 use usj_obs::{Counter, NoopRecorder, Recorder};
 use usj_qgram::{
-    pack_instance, partition, segment_instances, window_range, window_region, EquivalentSet,
-    Region, Segment, TailBounder,
+    pack_instance, partition, window_range, window_region, EquivalentSet, Region, Segment,
+    TailBounder,
 };
 
 use crate::config::JoinConfig;
@@ -37,6 +46,9 @@ use crate::record::Recording;
 /// across the shards a probe touches). Over-cap results (`None`) are
 /// cached too: re-deriving "too many instances" is as wasteful as
 /// re-deriving the set.
+///
+/// The cache also owns the α rows a query fills, so the queries of one
+/// probe reuse them instead of building a fresh table per length.
 #[derive(Debug, Default)]
 pub struct EquivCache {
     map: HashMap<(usize, usize, usize), Option<EquivalentSet>, FastBuildHasher>,
@@ -45,12 +57,21 @@ pub struct EquivCache {
     /// The salt keeps resolutions from different indices (the sharded
     /// driver probes several, each with its own interner) apart.
     resolved: HashMap<(u64, usize, usize, usize), ResolvedSet, FastBuildHasher>,
+    /// The last query's α rows.
+    alphas: AlphaVectors,
 }
 
 impl EquivCache {
     /// An empty cache; scope it to one probe (entries are probe-specific).
     pub fn new() -> Self {
         EquivCache::default()
+    }
+
+    /// Forgets every cached set so the cache can serve the next probe,
+    /// keeping its allocations (the α rows included).
+    pub(crate) fn clear(&mut self) {
+        self.map.clear();
+        self.resolved.clear();
     }
 
     /// Cached equivalent sets (including negative over-cap entries).
@@ -66,9 +87,9 @@ impl EquivCache {
 
 /// Global intern table for instantiated q-gram segments: segment bytes →
 /// dense `u32` ids, assigned first-seen at index-build time and shared by
-/// every [`LengthIndex`] of one [`SegmentIndex`]. Posting lookups then
-/// compare ids instead of hashing byte strings, and a probe's equivalent
-/// set intersects a segment's key list as two sorted `u32` slices.
+/// every [`LengthIndex`] of one [`SegmentIndex`]. Posting tables are then
+/// keyed by `u32` ids instead of byte strings, and a probe resolves each
+/// equivalent-set instance to its id once per index.
 ///
 /// The table survives [`SegmentIndex::evict_below`] — ids must stay
 /// stable for the lifetime of the index (a slight memory pessimism the
@@ -85,6 +106,21 @@ pub struct SegmentInterner {
 }
 
 impl SegmentInterner {
+    /// The id of `w`, interning it on first sight. Known instances are
+    /// looked up by borrowed key (the packed lane for ≤ 8 symbols), so
+    /// only a new entry allocates.
+    fn intern(&mut self, w: &[Symbol]) -> u32 {
+        let known = if w.len() <= 8 {
+            self.packed.get(&(pack_instance(w), w.len() as u8))
+        } else {
+            self.map.get(w)
+        };
+        match known {
+            Some(&id) => id,
+            None => self.intern_owned(w.to_vec()),
+        }
+    }
+
     fn intern_owned(&mut self, w: Vec<Symbol>) -> u32 {
         if let Some(&id) = self.map.get(&w) {
             return id;
@@ -153,8 +189,8 @@ impl SegmentInterner {
 
 /// An equivalent set resolved against one index's interner: entries with
 /// `p_r > 0` that have an interned id (anything else can match no posting
-/// of that index), sorted by id so posting lookups are a sorted-id
-/// intersection.
+/// of that index), sorted by id so every α sum adds its terms in one
+/// fixed order.
 #[derive(Debug, Clone)]
 struct ResolvedSet {
     keys: Vec<u32>,
@@ -201,91 +237,176 @@ pub type PostingList = Vec<(u32, Prob)>;
 
 /// Per-candidate segment match probabilities, one `α_x` per segment.
 ///
-/// Rows live in a single arena (`data`, stride = number of segments)
-/// instead of one heap `Vec` per candidate — the merge surfaces
-/// thousands of candidates per probe and the per-row boxes dominated it.
-#[derive(Debug, Clone)]
+/// Rows live in a single arena (`data`, stride = number of segments),
+/// addressed through a dense id → row table. The table spans the queried
+/// length's ids and only surfaced ids hold a row, so resetting it for the
+/// next query clears just those entries.
+#[derive(Debug, Clone, Default)]
 pub struct AlphaVectors {
     m: usize,
-    /// Candidate id → row index into `data`.
-    slots: HashMap<u32, u32, FastBuildHasher>,
+    /// Candidate id → its row number + 1 (0: not surfaced).
+    slots: Vec<u32>,
+    /// Surfaced ids in first-touch order; row `r` belongs to `ids[r]`.
+    ids: Vec<u32>,
     data: Vec<Prob>,
 }
 
 impl AlphaVectors {
-    fn new(m: usize) -> AlphaVectors {
-        AlphaVectors {
-            m,
-            slots: HashMap::default(),
-            data: Vec::new(),
+    /// Empties the rows for a query over `m` segments whose ids are all
+    /// below `id_bound`.
+    fn reset(&mut self, m: usize, id_bound: usize) {
+        for &id in &self.ids {
+            self.slots[id as usize] = 0;
+        }
+        self.ids.clear();
+        self.data.clear();
+        self.m = m;
+        if self.slots.len() < id_bound {
+            self.slots.resize(id_bound, 0);
         }
     }
 
     /// The α row for `id`, inserting a zero row on first touch.
     fn row_mut(&mut self, id: u32) -> &mut [Prob] {
-        let m = self.m;
-        let data = &mut self.data;
-        let slot = *self.slots.entry(id).or_insert_with(|| {
-            let slot = (data.len() / m.max(1)) as u32;
-            data.resize(data.len() + m, 0.0);
-            slot
-        });
-        &mut self.data[slot as usize * m..slot as usize * m + m]
+        let slot = &mut self.slots[id as usize];
+        if *slot == 0 {
+            self.ids.push(id);
+            *slot = self.ids.len() as u32;
+            self.data.resize(self.data.len() + self.m, 0.0);
+        }
+        let row = *slot as usize - 1;
+        &mut self.data[row * self.m..][..self.m]
     }
 
     /// The α row of candidate `id`, if it surfaced.
     pub fn get(&self, id: u32) -> Option<&[Prob]> {
-        let slot = *self.slots.get(&id)?;
-        Some(&self.data[slot as usize * self.m..slot as usize * self.m + self.m])
+        let row = (*self.slots.get(id as usize)? as usize).checked_sub(1)?;
+        Some(&self.data[row * self.m..][..self.m])
     }
 
     /// Number of surfaced candidates.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.ids.len()
     }
 
     /// `true` when no candidate surfaced.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.ids.is_empty()
     }
 
-    /// Iterates `(candidate id, α row)` in arbitrary (but, for one build
-    /// sequence, deterministic) order.
+    /// Iterates `(candidate id, α row)` in first-touch order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &[Prob])> + '_ {
-        self.slots
+        self.ids
             .iter()
-            .map(move |(&id, &slot)| (id, &self.data[slot as usize * self.m..][..self.m]))
+            .enumerate()
+            .map(move |(row, &id)| (id, &self.data[row * self.m..][..self.m]))
     }
 }
 
-/// Postings of one segment position, keyed by interned segment id:
-/// `keys` is strictly ascending and `lists[i]` belongs to `keys[i]`, so a
-/// probe's resolved equivalent set selects lists via a sorted-`u32`
-/// intersection instead of per-instance hash lookups.
-#[derive(Debug, Clone, Default)]
-struct SegmentPostings {
-    keys: Vec<u32>,
-    lists: Vec<PostingList>,
+/// `next` link that ends a run.
+const RUN_END: u32 = u32::MAX;
+
+/// One posting in a table's arena, linked to the next posting of the
+/// same key.
+#[derive(Debug, Clone, Copy)]
+struct Posting {
+    id: u32,
+    next: u32,
+    prob: Prob,
 }
 
-impl SegmentPostings {
-    fn push(&mut self, key: u32, id: u32, p: Prob, bytes: &mut usize) {
-        match self.keys.binary_search(&key) {
-            Ok(pos) => {
-                let list = &mut self.lists[pos];
-                debug_assert!(
-                    list.last().is_none_or(|&(last, _)| last < id),
-                    "ids must ascend"
-                );
-                list.push((id, p));
+/// Postings of one segment position as hash-addressed runs: `runs` maps
+/// an interned segment id to the `(head, tail)` arena indices of its run,
+/// and a run links its postings in insertion order, which is ascending id
+/// order because ids arrive ascending.
+#[derive(Debug, Clone, Default)]
+struct PostingTable {
+    runs: HashMap<u32, (u32, u32), FastBuildHasher>,
+    arena: Vec<Posting>,
+}
+
+impl PostingTable {
+    /// Appends `(id, prob)` to the run of `key`.
+    fn push(&mut self, key: u32, id: u32, prob: Prob) {
+        let at = self.arena.len() as u32;
+        debug_assert!(at < RUN_END, "posting arena overflow");
+        self.arena.push(Posting {
+            id,
+            next: RUN_END,
+            prob,
+        });
+        match self.runs.entry(key) {
+            Entry::Occupied(mut run) => {
+                let tail = &mut run.get_mut().1;
+                let last = &mut self.arena[*tail as usize];
+                debug_assert!(last.id < id, "ids must ascend");
+                last.next = at;
+                *tail = at;
             }
-            Err(pos) => {
-                self.keys.insert(pos, key);
-                self.lists.insert(pos, vec![(id, p)]);
-                *bytes += std::mem::size_of::<u32>() + 48; // key + list overhead
+            Entry::Vacant(run) => {
+                run.insert((at, at));
             }
         }
-        *bytes += std::mem::size_of::<(u32, Prob)>();
+    }
+
+    /// The run of `key` (empty for an unknown key), ascending by id.
+    fn run(&self, key: u32) -> impl Iterator<Item = &Posting> + '_ {
+        let mut at = self.runs.get(&key).map_or(RUN_END, |&(head, _)| head);
+        std::iter::from_fn(move || {
+            if at == RUN_END {
+                return None;
+            }
+            let posting = &self.arena[at as usize];
+            at = posting.next;
+            Some(posting)
+        })
+    }
+
+    /// Keys ascending, each with its run as a list: the snapshot and
+    /// digest form of the table.
+    fn lists(&self) -> (Vec<u32>, Vec<PostingList>) {
+        let mut keys: Vec<u32> = self.runs.keys().copied().collect();
+        keys.sort_unstable();
+        let lists = keys
+            .iter()
+            .map(|&key| self.run(key).map(|p| (p.id, p.prob)).collect())
+            .collect();
+        (keys, lists)
+    }
+
+    /// Builds a table from [`PostingTable::lists`] output in one pass:
+    /// each list becomes one contiguous run and the map is presized to
+    /// the key count. Fails on an empty list or a repeated key, neither
+    /// of which a table can produce.
+    fn from_lists(keys: Vec<u32>, lists: Vec<PostingList>) -> Result<PostingTable, String> {
+        let total = lists.iter().map(Vec::len).sum();
+        let mut table = PostingTable {
+            runs: HashMap::with_capacity_and_hasher(keys.len(), FastBuildHasher::default()),
+            arena: Vec::with_capacity(total),
+        };
+        for (key, list) in keys.into_iter().zip(lists) {
+            let head = table.arena.len() as u32;
+            let Some(last) = list.len().checked_sub(1) else {
+                return Err(format!("key {key} has no postings"));
+            };
+            let tail = head + last as u32;
+            let links = list.into_iter().zip(head + 1..);
+            table
+                .arena
+                .extend(links.map(|((id, prob), next)| Posting { id, next, prob }));
+            table.arena[tail as usize].next = RUN_END;
+            if table.runs.insert(key, (head, tail)).is_some() {
+                return Err(format!("key {key} appears twice"));
+            }
+        }
+        Ok(table)
+    }
+
+    /// Estimated heap bytes: per key one `(key, (head, tail))` map slot
+    /// plus the hash table's control byte, per posting one arena entry.
+    fn estimated_bytes(&self) -> usize {
+        let key = size_of::<(u32, (u32, u32))>() + 1;
+        self.runs.len() * key + self.arena.len() * size_of::<Posting>()
     }
 }
 
@@ -293,29 +414,26 @@ impl SegmentPostings {
 #[derive(Debug, Clone, Default)]
 pub struct LengthIndex {
     segments: Vec<Segment>,
-    /// One sorted posting table per segment index.
-    inverted: Vec<SegmentPostings>,
+    /// One posting table per segment index.
+    inverted: Vec<PostingTable>,
     /// All string ids inserted, ascending.
     ids: Vec<u32>,
     /// Segments for which at least one inserted string exceeded the
     /// instance cap (its postings are incomplete; the query path must
     /// treat the segment as conservatively matching).
     incomplete: Vec<bool>,
-    /// Estimated heap bytes (maintained incrementally).
-    bytes: usize,
 }
 
 impl LengthIndex {
     fn new(len: usize, config: &JoinConfig) -> Self {
         let segments = partition(len, config.q, config.k);
-        let inverted = vec![SegmentPostings::default(); segments.len()];
+        let inverted = vec![PostingTable::default(); segments.len()];
         let incomplete = vec![false; segments.len()];
         LengthIndex {
             segments,
             inverted,
             ids: Vec::new(),
             incomplete,
-            bytes: 0,
         }
     }
 
@@ -343,58 +461,60 @@ impl LengthIndex {
     ) {
         debug_assert_eq!(s.len(), self.segments.iter().map(|g| g.len).sum::<usize>());
         for (x, seg) in self.segments.iter().enumerate() {
-            let Some(instances) = segment_instances(s, seg, max_instances) else {
+            let worlds = s.positions()[seg.start..seg.start + seg.len]
+                .iter()
+                .try_fold(1usize, |n, p| n.checked_mul(p.num_alternatives()));
+            if worlds.is_none_or(|n| n > max_instances) {
                 // Over-cap segment: postings for it are incomplete from
                 // now on; the query path treats it as a conservative
                 // match for every candidate.
                 self.incomplete[x] = true;
                 continue;
-            };
-            for (w, p) in instances {
-                let key = interner.intern_owned(w);
-                self.inverted[x].push(key, id, p, &mut self.bytes);
             }
+            let table = &mut self.inverted[x];
+            s.visit_substring_worlds(seg.start, seg.len, |w, p| {
+                table.push(interner.intern(w), id, p);
+                true
+            });
         }
         self.ids.push(id);
     }
 
-    /// Merges the posting lists for a probe's equivalent sets: returns
-    /// per-candidate `α_x` vectors (length = number of segments) plus a
-    /// flag marking candidates that touched an over-cap segment.
+    /// Merges the posting lists for a probe's equivalent sets into
+    /// `alphas`: one `α_x` row (length = number of segments) per
+    /// candidate that touched a posting.
     ///
     /// `probe_sets[x] = None` means no window of the probe can align with
     /// segment x (α_x = 0 for every candidate).
     ///
-    /// Also returns the number of postings touched during the merge (the
+    /// Returns the number of postings touched during the merge (the
     /// quantity candidate-generation cost is proportional to).
-    fn query(&self, probe_sets: &[Option<&ResolvedSet>]) -> (AlphaVectors, u64) {
+    fn query(&self, probe_sets: &[Option<&ResolvedSet>], alphas: &mut AlphaVectors) -> u64 {
         let m = self.segments.len();
         debug_assert_eq!(probe_sets.len(), m);
-        let mut alphas = AlphaVectors::new(m);
+        alphas.reset(m, self.ids.last().map_or(0, |&id| id as usize + 1));
         let mut postings = 0u64;
-        let mut hits: Vec<(u32, u32)> = Vec::new();
         for (x, set) in probe_sets.iter().enumerate() {
             let Some(set) = set else { continue };
             let table = &self.inverted[x];
-            hits.clear();
-            usj_simd::intersect_sorted_ids(&set.keys, &table.keys, &mut hits);
-            for &(ia, ib) in &hits {
-                let p_r = set.probs[ia as usize];
-                let list = &table.lists[ib as usize];
-                postings += list.len() as u64;
-                for &(id, p_s) in list {
-                    alphas.row_mut(id)[x] += p_r * p_s;
+            for (&key, &p_r) in set.keys.iter().zip(&set.probs) {
+                for posting in table.run(key) {
+                    postings += 1;
+                    alphas.row_mut(posting.id)[x] += p_r * posting.prob;
                 }
             }
         }
         for a in alphas.data.iter_mut() {
             *a = a.clamp(0.0, 1.0);
         }
-        (alphas, postings)
+        postings
     }
 
     fn estimated_bytes(&self) -> usize {
-        self.bytes
+        self.inverted
+            .iter()
+            .map(PostingTable::estimated_bytes)
+            .sum()
     }
 
     /// Serializes everything `insert` accumulated. The partition itself
@@ -405,12 +525,8 @@ impl LengthIndex {
             len,
             ids: self.ids.clone(),
             incomplete: self.incomplete.clone(),
-            postings: self
-                .inverted
-                .iter()
-                .map(|t| (t.keys.clone(), t.lists.clone()))
-                .collect(),
-            bytes: self.bytes,
+            postings: self.inverted.iter().map(PostingTable::lists).collect(),
+            bytes: self.estimated_bytes(),
         }
     }
 
@@ -435,9 +551,9 @@ impl LengthIndex {
         li.inverted = dump
             .postings
             .into_iter()
-            .map(|(keys, lists)| SegmentPostings { keys, lists })
-            .collect();
-        li.bytes = dump.bytes;
+            .map(|(keys, lists)| PostingTable::from_lists(keys, lists))
+            .collect::<Result<_, _>>()
+            .map_err(|e| format!("band {}: {e}", dump.len))?;
         Ok(li)
     }
 }
@@ -455,7 +571,8 @@ pub(crate) struct BandDump {
     /// Per segment position: `(sorted interned keys, posting list per
     /// key)`.
     pub postings: Vec<(Vec<u32>, Vec<PostingList>)>,
-    /// The incrementally-maintained byte estimate at dump time.
+    /// The band's byte estimate at dump time. Informational: a restore
+    /// derives the estimate from the layout it builds.
     pub bytes: usize,
 }
 
@@ -580,20 +697,25 @@ impl SegmentIndex {
         config: &JoinConfig,
         rec: &mut R,
     ) -> Option<(AlphaVectors, Vec<bool>)> {
-        self.query_cached_recorded(probe, indexed_len, config, &mut EquivCache::new(), rec)
+        let mut cache = EquivCache::new();
+        let over_cap = self
+            .query_cached_recorded(probe, indexed_len, config, &mut cache, rec)?
+            .1;
+        Some((cache.alphas, over_cap))
     }
 
     /// [`SegmentIndex::query_recorded`] with the probe's equivalent sets
     /// memoised in `cache`, so repeated queries by one probe (against many
-    /// lengths, or many shards) build each `q(r, x)` once.
-    pub fn query_cached_recorded<R: Recorder>(
+    /// lengths, or many shards) build each `q(r, x)` once. The α rows are
+    /// the cache's own, valid until its next query.
+    pub fn query_cached_recorded<'c, R: Recorder>(
         &self,
         probe: &UncertainString,
         indexed_len: usize,
         config: &JoinConfig,
-        cache: &mut EquivCache,
+        cache: &'c mut EquivCache,
         rec: &mut R,
-    ) -> Option<(AlphaVectors, Vec<bool>)> {
+    ) -> Option<(&'c AlphaVectors, Vec<bool>)> {
         let index = self.by_length.get(&indexed_len)?;
         let mut over_cap = index.incomplete.clone();
         let salt = self.interner_salt;
@@ -638,7 +760,8 @@ impl SegmentIndex {
             .iter()
             .map(|rkey| rkey.as_ref().map(|rkey| &cache.resolved[rkey]))
             .collect();
-        let (mut alphas, postings) = index.query(&probe_sets);
+        let alphas = &mut cache.alphas;
+        let postings = index.query(&probe_sets, alphas);
         if over_cap.iter().any(|&b| b) {
             // Conservative fallback: an over-cap segment may hide matches,
             // so every indexed id of this length must surface as a
@@ -876,8 +999,9 @@ impl SegmentIndex {
                 h = fold(h, b as u64);
             }
             for t in &li.inverted {
-                h = fold(h, t.keys.len() as u64);
-                for (key, list) in t.keys.iter().zip(&t.lists) {
+                let (keys, lists) = t.lists();
+                h = fold(h, keys.len() as u64);
+                for (key, list) in keys.iter().zip(&lists) {
                     h = fold(h, *key as u64);
                     h = fold(h, list.len() as u64);
                     for &(id, p) in list {
@@ -996,9 +1120,10 @@ mod tests {
         }
         let li = index.length_index(6).unwrap();
         for table in &li.inverted {
-            assert!(table.keys.windows(2).all(|w| w[0] < w[1]));
-            assert_eq!(table.keys.len(), table.lists.len());
-            for list in &table.lists {
+            let (keys, lists) = table.lists();
+            assert!(keys.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(keys.len(), lists.len());
+            for list in &lists {
                 assert!(list.windows(2).all(|w| w[0].0 < w[1].0));
             }
         }
@@ -1139,6 +1264,29 @@ mod tests {
             .map(|&l| index.length_index(l).unwrap().segments().len())
             .sum();
         assert!(cache.len() <= total_segments);
+    }
+
+    /// Pinned digests of a seeded dblp-like index at q = 3 and at q = 6
+    /// (where segments over 8 symbols resolve through the slice lane
+    /// rather than the packed one). A layout change to the posting tables
+    /// must leave every interned key, posting and probability bit as it
+    /// was; re-record only for a change meant to alter index content.
+    #[test]
+    fn content_digest_is_pinned() {
+        use usj_datagen::{DatasetKind, DatasetSpec};
+        let ds = DatasetSpec::new(DatasetKind::Dblp, 300, 31).generate();
+        let mut order: Vec<usize> = (0..ds.strings.len()).collect();
+        order.sort_by_key(|&i| (ds.strings[i].len(), i));
+        let digest = |q: usize| {
+            let config = JoinConfig::new(2, 0.1).with_q(q);
+            let mut index = SegmentIndex::new();
+            for &i in &order {
+                index.insert(i as u32, &ds.strings[i], &config);
+            }
+            index.content_digest()
+        };
+        assert_eq!(digest(3), 16269050020789572080);
+        assert_eq!(digest(6), 11018953834508236680);
     }
 
     #[test]

@@ -201,6 +201,10 @@ impl SimilarityJoin {
         let mut profiles: Vec<Option<FreqProfile>> = vec![None; strings.len()];
 
         let mut pairs: Vec<SimilarPair> = Vec::new();
+        // Equivalent-set cache, cleared per probe: lengths with shared
+        // (window, segment length) combinations reuse `q(r, x)`, and the
+        // α rows are reused across probes.
+        let mut cache = EquivCache::new();
         let deadline = if enforce_deadline {
             config.deadline
         } else {
@@ -243,9 +247,7 @@ impl SimilarityJoin {
             let mut candidates: Vec<u32> = Vec::new();
             let mut scope = 0u64;
             if config.pipeline.uses_qgram() {
-                // One equivalent-set cache per probe: lengths with shared
-                // (window, segment length) combinations reuse `q(r, x)`.
-                let mut cache = EquivCache::new();
+                cache.clear();
                 for len in min_len..=probe.len() {
                     scope += index.collect_candidates_recorded(
                         probe,

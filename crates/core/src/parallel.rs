@@ -682,8 +682,10 @@ where
                     rec.count(Counter::FaultsInjected, 1);
                 }
             }
+            // One equivalent-set cache for the batch, cleared per probe.
+            let mut cache = EquivCache::new();
             for &id in ids {
-                probe_one(id, ctx, &mut pairs, &mut stats, &mut recorder);
+                probe_one(id, ctx, &mut cache, &mut pairs, &mut stats, &mut recorder);
             }
             (pairs, stats, recorder)
         }))
@@ -805,6 +807,7 @@ fn grab_batch(
 fn probe_one<R: Recorder>(
     probe_id: u32,
     ctx: &WaveCtx<'_>,
+    cache: &mut EquivCache,
     pairs: &mut Vec<SimilarPair>,
     stats: &mut JoinStats,
     recorder: &mut R,
@@ -820,9 +823,9 @@ fn probe_one<R: Recorder>(
     let mut candidates: Vec<u32> = Vec::new();
     let mut scope = 0u64;
     if config.pipeline.uses_qgram() {
-        // One equivalent-set cache per probe, reused across every shard
-        // (indexed length) the probe touches.
-        let mut cache = EquivCache::new();
+        // The probe's equivalent sets are reused across every shard
+        // (indexed length) it touches.
+        cache.clear();
         for len in min_len..=probe.len() {
             let admit_below = (len == probe.len()).then_some(probe_id);
             scope += ctx.index.collect_candidates_recorded(
@@ -830,7 +833,7 @@ fn probe_one<R: Recorder>(
                 len,
                 config,
                 admit_below,
-                &mut cache,
+                cache,
                 &mut candidates,
                 &mut rec,
             );

@@ -12,32 +12,10 @@
 //! is an exact union probability given correct `p_r(w)` (see
 //! [`crate::equivalent`]).
 
-use usj_model::{Prob, Symbol, UncertainString};
+use usj_model::{Prob, UncertainString};
 
 use crate::equivalent::EquivalentSet;
 use crate::partition::Segment;
-
-/// Enumerates all deterministic instances of `segment` of `indexed`
-/// together with their probabilities, or `None` if more than
-/// `max_instances` exist.
-///
-/// This is exactly what the join index stores per segment (§4: "we
-/// instantiate all possibilities of its segment and add them to the
-/// inverted index along with their probabilities").
-pub fn segment_instances(
-    indexed: &UncertainString,
-    segment: &Segment,
-    max_instances: usize,
-) -> Option<Vec<(Vec<Symbol>, Prob)>> {
-    let mut out = Vec::new();
-    for world in indexed.substring_worlds(segment.start, segment.len) {
-        if out.len() >= max_instances {
-            return None;
-        }
-        out.push((world.instance, world.prob));
-    }
-    Some(out)
-}
 
 /// Computes `α_x` for one segment by scanning the equivalent set against
 /// the uncertain segment directly (index-free path, used by
@@ -147,17 +125,6 @@ mod tests {
             }
         }
         assert!((alpha - exact).abs() < 1e-9, "alpha={alpha} exact={exact}");
-    }
-
-    #[test]
-    fn segment_instance_enumeration() {
-        let s = dna("A{(C,0.5),(G,0.5)}{(A,0.3),(T,0.7)}G");
-        let seg = Segment { start: 1, len: 2 };
-        let inst = segment_instances(&s, &seg, 100).unwrap();
-        assert_eq!(inst.len(), 4);
-        let total: f64 = inst.iter().map(|(_, p)| p).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-        assert!(segment_instances(&s, &seg, 3).is_none());
     }
 
     // Debug-only invariant layer: corrupted addends trip the check.

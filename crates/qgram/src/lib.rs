@@ -43,7 +43,7 @@ pub mod selection;
 pub mod soundness;
 pub mod tail;
 
-pub use alpha::{alpha_for_segment, segment_instances};
+pub use alpha::alpha_for_segment;
 pub use equivalent::{pack_instance, AlphaMode, EquivalentSet};
 pub use filter::{FilterVerdict, QGramFilter, QGramOutcome};
 pub use partition::{partition, Segment};

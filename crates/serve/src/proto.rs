@@ -102,19 +102,26 @@ impl ShardState {
     }
 }
 
-/// Splits the first whitespace-delimited token off `s` (which must be
-/// left-trimmed), returning `(token, rest)`.
+/// Splits the first whitespace-delimited token off `s` after skipping
+/// leading whitespace, returning `(token, rest)`: `rest` starts right
+/// after the one separator character that ended the token.
 fn split_token(s: &str) -> (&str, &str) {
-    match s.find(char::is_whitespace) {
-        Some(at) => (&s[..at], s[at..].trim_start()),
+    let s = s.trim_start();
+    match s.char_indices().find(|&(_, c)| c.is_whitespace()) {
+        Some((at, sep)) => (&s[..at], &s[at + sep.len_utf8()..]),
         None => (s, ""),
     }
 }
 
 /// Parses one request line. Errors are protocol-level messages sent back
 /// verbatim in an `ERR` response.
+///
+/// Only the line terminator is stripped: a `PROBE` operand is everything
+/// after the single separator that follows the last option, so a probe
+/// string may begin or end with spaces (legal symbols in some alphabets).
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let line = line.trim();
+    let line = line.strip_suffix('\n').unwrap_or(line);
+    let line = line.strip_suffix('\r').unwrap_or(line);
     let (verb, rest) = split_token(line);
     match verb {
         "PROBE" => {
@@ -502,6 +509,20 @@ mod tests {
                 text: "ACGT".to_string(),
             }
         );
+    }
+
+    #[test]
+    fn probe_operand_keeps_its_own_spaces() {
+        let text = |line: &str| match parse_request(line).unwrap() {
+            Request::Probe { text, .. } => text,
+            other => panic!("{line:?} parsed as {other:?}"),
+        };
+        // Everything after the single separator is the operand; only the
+        // line terminator is stripped.
+        assert_eq!(text("PROBE 2 0.1  ann lee \n"), " ann lee ");
+        assert_eq!(text("PROBE 2 0.1 deadline_ms=9  ann lee \r\n"), " ann lee ");
+        assert_eq!(text("PROBE 2 0.1 ann lee  "), "ann lee  ");
+        assert_eq!(text("  PROBE 2 0.1 ann"), "ann");
     }
 
     #[test]

@@ -20,8 +20,8 @@ use usj_core::{IndexedCollection, JoinConfig};
 use usj_fault::{shield, FaultAction, FaultPlan};
 use usj_model::{Alphabet, UncertainString};
 use usj_serve::{
-    coordinate, serve_shard, shard_partition, Client, ClientConfig, CoordConfig, CoordinatorHandle,
-    ProbeOutcome, ServeConfig, ServerHandle, ShardSpec, ShardState,
+    coordinate, serve, serve_shard, shard_partition, Client, ClientConfig, CoordConfig,
+    CoordinatorHandle, ProbeOutcome, ServeConfig, ServerHandle, ShardSpec, ShardState,
 };
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -214,6 +214,64 @@ fn fleets_of_one_and_three_match_the_single_node_answer_bit_identically() {
         );
         fleet.stop();
     }
+}
+
+/// Spaces are symbols of the names alphabet, so a probe that starts or
+/// ends with one must reach the index as sent: through one server and
+/// through a coordinator it gets exactly `IndexedCollection::search`'s
+/// answer for the untrimmed string.
+#[test]
+fn probes_with_leading_and_trailing_spaces_are_answered_as_sent() {
+    let _guard = lock();
+    let alpha = Alphabet::names();
+    let strings: Vec<UncertainString> = [
+        " ann lee",
+        "ann lee ",
+        " ann lee ",
+        "ann lee",
+        "an{(n,0.6),(m,0.4)} lee ",
+        " bob ray",
+    ]
+    .iter()
+    .map(|t| UncertainString::parse(t, &alpha).unwrap())
+    .collect();
+    let config = JoinConfig::new(K, TAU);
+    let coll = IndexedCollection::build(config.clone(), alpha.size(), strings.clone());
+    let server = serve(coll.clone(), alpha.clone(), ServeConfig::default()).expect("bind server");
+    let partition = shard_partition(&strings, 1);
+    let shard = serve_shard(
+        config.clone(),
+        alpha.clone(),
+        &strings,
+        &partition,
+        0,
+        ServeConfig::default(),
+    )
+    .expect("bind shard");
+    let specs = ShardSpec::from_partition(&partition, &[shard.addr().to_string()]).expect("specs");
+    let coord_cfg = CoordConfig {
+        k: K,
+        tau: TAU,
+        ..CoordConfig::default()
+    };
+    let coord = coordinate(specs, alpha.clone(), coord_cfg).expect("bind coordinator");
+    for text in [" ann lee ", " ann lee", "ann lee ", "  bob ray"] {
+        let probe = UncertainString::parse(text, &alpha).unwrap();
+        let expected: Vec<(u32, f64)> = coll
+            .search(&probe)
+            .into_iter()
+            .map(|h| (h.id, h.prob))
+            .collect();
+        assert!(!expected.is_empty(), "probe {text:?} must hit");
+        for (via, addr) in [("server", server.addr()), ("coordinator", coord.addr())] {
+            let mut client = Client::new(addr.to_string(), ClientConfig::default());
+            let outcome = client.probe(K, TAU, text).expect("probe");
+            assert_exact(outcome, &expected, &format!("{via} probe={text:?}"));
+        }
+    }
+    coord.shutdown();
+    shard.shutdown();
+    server.shutdown();
 }
 
 #[test]

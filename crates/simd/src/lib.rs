@@ -1,14 +1,13 @@
 //! `usj-simd` — runtime-dispatched SIMD kernels for the join's hot loops.
 //!
-//! Four kernels cover the inner loops the paper's filters spend their
-//! time in:
+//! Four kernels cover the three inner loops the paper's filters spend
+//! their time in:
 //!
 //! | kernel | hot loop |
 //! |--------|----------|
 //! | [`pb_row_update`] | Poisson-binomial segment-match DP rows (Theorem 2, `usj-qgram`) |
 //! | [`cdf_row_update`] | CDF-bound recurrence cells (Theorem 4, `usj-cdf`) |
 //! | [`common_prefix_len`] / [`common_suffix_len`] | banded edit-distance reduction (`usj-editdist`) |
-//! | [`intersect_sorted_ids`] | interned posting-list merge (`usj-core` segment index) |
 //!
 //! # Dispatch contract
 //!
@@ -259,42 +258,6 @@ pub fn common_suffix_len(a: &[u8], b: &[u8]) -> usize {
     }
 }
 
-/// Intersects two strictly-ascending `u32` key lists, pushing the
-/// position pair `(index in a, index in b)` of every common value onto
-/// `out`, ascending.
-///
-/// This is the interned posting-list merge: `a` is a probe's resolved
-/// equivalent-set keys, `b` one inverted index's key column. Both sides
-/// being strictly ascending makes the output independent of traversal
-/// strategy, so the accelerated paths are exactly comparable to scalar.
-#[inline]
-pub fn intersect_sorted_ids(a: &[u32], b: &[u32], out: &mut Vec<(u32, u32)>) {
-    debug_assert!(a.windows(2).all(|w| w[0] < w[1]), "a must strictly ascend");
-    debug_assert!(b.windows(2).all(|w| w[0] < w[1]), "b must strictly ascend");
-    // Strongly asymmetric inputs: binary-search the short side into the
-    // long one instead of scanning — `O(min · log max)` beats a linear
-    // merge at any vector width, and the output pairs are identical
-    // (matches are value determined).
-    if a.len() * 16 < b.len() {
-        return scalar::intersect_small_into_large(a, b, false, out);
-    }
-    if b.len() * 16 < a.len() {
-        return scalar::intersect_small_into_large(b, a, true, out);
-    }
-    match simd_level() {
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        // safety: Avx2 is only selected when the CPU reported avx2.
-        SimdLevel::Avx2 => unsafe { x86::intersect_sorted_ids_avx2(a, b, out) },
-        #[cfg(all(target_arch = "x86_64", not(miri)))]
-        // safety: SSE2 is unconditionally available on x86_64.
-        SimdLevel::Sse2 => unsafe { x86::intersect_sorted_ids_sse2(a, b, out) },
-        #[cfg(all(target_arch = "aarch64", not(miri)))]
-        // safety: NEON is unconditionally available on aarch64.
-        SimdLevel::Neon => unsafe { neon::intersect_sorted_ids_neon(a, b, out) },
-        _ => scalar::intersect_sorted_ids(a, b, out),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,9 +288,5 @@ mod tests {
 
         assert_eq!(common_prefix_len(b"banana", b"bandana"), 3);
         assert_eq!(common_suffix_len(b"banana", b"bandana"), 3);
-
-        let mut got = Vec::new();
-        intersect_sorted_ids(&[1, 4, 9, 33], &[0, 4, 8, 9, 34], &mut got);
-        assert_eq!(got, vec![(1, 1), (2, 3)]);
     }
 }

@@ -1,13 +1,11 @@
 //! aarch64 NEON backends (128-bit lanes, architecturally guaranteed).
 //!
 //! Float kernels use `vmulq`/`vaddq` (never `vfmaq`) so lane math equals
-//! the scalar kernels bit-for-bit; byte/id kernels reduce equality masks
-//! with `vminvq`/`vmaxvq` and fall back to scalar scans inside a block
-//! once a mismatch or hit is located.
+//! the scalar kernels bit-for-bit; the byte kernels reduce equality masks
+//! with `vminvq` and fall back to scalar scans inside a block once a
+//! mismatch is located.
 
 use std::arch::aarch64::*;
-
-use crate::scalar;
 
 /// NEON [`crate::pb_row_update`]: 2 lanes of `prev[j]·keep + prev[j−1]·step`.
 #[target_feature(enable = "neon")]
@@ -150,43 +148,4 @@ pub unsafe fn common_suffix_len_neon(a: &[u8], b: &[u8]) -> usize {
         i += 1;
     }
     i
-}
-
-/// NEON [`crate::intersect_sorted_ids`]: scalar block skips plus a 4-lane
-/// splat-equality probe of `a[i]` against `b[j..j+4]`.
-#[target_feature(enable = "neon")]
-pub unsafe fn intersect_sorted_ids_neon(a: &[u32], b: &[u32], out: &mut Vec<(u32, u32)>) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j + 4 <= b.len() {
-        let x = a[i];
-        if b[j + 3] < x {
-            j += 4;
-            continue;
-        }
-        if a.len() - i >= 4 && a[i + 3] < b[j] {
-            i += 4;
-            continue;
-        }
-        // safety: j+4 ≤ len(b), so the 4-lane load stays in bounds.
-        let any_eq = unsafe {
-            let vx = vdupq_n_u32(x);
-            let vb = vld1q_u32(b.as_ptr().add(j));
-            vmaxvq_u32(vceqq_u32(vx, vb)) != 0
-        };
-        if any_eq {
-            // Strict ascent means exactly one lane hit; locate it.
-            let mut pos = 0usize;
-            while b[j + pos] != x {
-                pos += 1;
-            }
-            out.push((i as u32, (j + pos) as u32));
-            i += 1;
-            j += pos + 1;
-        } else {
-            // x ≤ b[j+3] but equals none of b[j..j+4]; every later b is
-            // larger still, so a[i] matches nothing.
-            i += 1;
-        }
-    }
-    scalar::intersect_tail(a, b, i, j, out);
 }

@@ -67,74 +67,6 @@ pub fn common_suffix_len(a: &[u8], b: &[u8]) -> usize {
     i
 }
 
-/// Scalar [`crate::intersect_sorted_ids`]: two-pointer merge with block
-/// skips (the skips change nothing about the output — matches are value
-/// determined — they just avoid per-element compares across disjoint
-/// stretches).
-pub fn intersect_sorted_ids(a: &[u32], b: &[u32], out: &mut Vec<(u32, u32)>) {
-    intersect_tail(a, b, 0, 0, out);
-}
-
-/// Asymmetric intersection: binary-searches each element of `small`
-/// into the (strictly ascending) remainder of `large`. Produces exactly
-/// the pairs of [`intersect_sorted_ids`] — matches are value determined
-/// and both index streams still ascend — in `O(|small| · log |large|)`.
-/// `swapped` flips the pair order for callers whose `small` is the `b`
-/// side of the public contract.
-pub(crate) fn intersect_small_into_large(
-    small: &[u32],
-    large: &[u32],
-    swapped: bool,
-    out: &mut Vec<(u32, u32)>,
-) {
-    let mut lo = 0usize;
-    for (i, &v) in small.iter().enumerate() {
-        lo += large[lo..].partition_point(|&x| x < v);
-        if lo >= large.len() {
-            break;
-        }
-        if large[lo] == v {
-            if swapped {
-                out.push((lo as u32, i as u32));
-            } else {
-                out.push((i as u32, lo as u32));
-            }
-            lo += 1;
-        }
-    }
-}
-
-/// The merge continued from positions `(i, j)` — shared by the vector
-/// backends for their sub-vector-width tails.
-pub(crate) fn intersect_tail(
-    a: &[u32],
-    b: &[u32],
-    mut i: usize,
-    mut j: usize,
-    out: &mut Vec<(u32, u32)>,
-) {
-    while i < a.len() && j < b.len() {
-        if a.len() - i >= 8 && a[i + 7] < b[j] {
-            i += 8;
-            continue;
-        }
-        if b.len() - j >= 8 && b[j + 7] < a[i] {
-            j += 8;
-            continue;
-        }
-        let (x, y) = (a[i], b[j]);
-        if x == y {
-            out.push((i as u32, j as u32));
-            i += 1;
-            j += 1;
-        } else if x < y {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,29 +104,5 @@ mod tests {
         assert_eq!(common_suffix_len(b"", b"abc"), 0);
         assert_eq!(common_suffix_len(b"abc", b"abc"), 3);
         assert_eq!(common_suffix_len(b"xbcd", b"ybcd"), 3);
-    }
-
-    #[test]
-    fn intersect_block_skip_paths() {
-        // Long disjoint stretches exercise both 8-wide skips.
-        let a: Vec<u32> = (0..64).map(|i| i * 3).collect();
-        let b: Vec<u32> = (0..64).map(|i| 90 + i * 2).collect();
-        let mut got = Vec::new();
-        intersect_sorted_ids(&a, &b, &mut got);
-        let naive: Vec<(u32, u32)> = a
-            .iter()
-            .enumerate()
-            .filter_map(|(i, x)| b.iter().position(|y| y == x).map(|j| (i as u32, j as u32)))
-            .collect();
-        assert_eq!(got, naive);
-        assert!(!got.is_empty());
-    }
-
-    #[test]
-    fn intersect_empty_sides() {
-        let mut got = Vec::new();
-        intersect_sorted_ids(&[], &[1, 2], &mut got);
-        intersect_sorted_ids(&[1, 2], &[], &mut got);
-        assert!(got.is_empty());
     }
 }

@@ -10,8 +10,6 @@
 
 use std::arch::x86_64::*;
 
-use crate::scalar;
-
 /// AVX2 [`crate::pb_row_update`]: 4 lanes of `prev[j]·keep + prev[j−1]·step`.
 #[target_feature(enable = "avx2")]
 pub unsafe fn pb_row_update_avx2(prev: &[f64], cur: &mut [f64], keep: f64, step: f64) {
@@ -294,72 +292,4 @@ pub unsafe fn common_suffix_len_sse2(a: &[u8], b: &[u8]) -> usize {
         i += 1;
     }
     i
-}
-
-/// AVX2 [`crate::intersect_sorted_ids`]: scalar block skips plus an
-/// 8-lane splat-equality probe of `a[i]` against `b[j..j+8]`.
-#[target_feature(enable = "avx2")]
-pub unsafe fn intersect_sorted_ids_avx2(a: &[u32], b: &[u32], out: &mut Vec<(u32, u32)>) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j + 8 <= b.len() {
-        let x = a[i];
-        if b[j + 7] < x {
-            j += 8;
-            continue;
-        }
-        if a.len() - i >= 8 && a[i + 7] < b[j] {
-            i += 8;
-            continue;
-        }
-        // safety: j+8 ≤ len(b), so the 8-lane load stays in bounds.
-        let mask = unsafe {
-            let vx = _mm256_set1_epi32(x as i32);
-            let vb = _mm256_loadu_si256(b.as_ptr().add(j) as *const __m256i);
-            _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(vx, vb))) as u32
-        };
-        if mask != 0 {
-            let pos = mask.trailing_zeros() as usize;
-            out.push((i as u32, (j + pos) as u32));
-            i += 1;
-            j += pos + 1;
-        } else {
-            // x ≤ b[j+7] but equals none of b[j..j+8]; every later b is
-            // larger still, so a[i] matches nothing.
-            i += 1;
-        }
-    }
-    // Tails shorter than one vector: plain merge (block skips included).
-    scalar::intersect_tail(a, b, i, j, out);
-}
-
-/// SSE2 [`crate::intersect_sorted_ids`]: 4-lane splat-equality probe.
-#[target_feature(enable = "sse2")]
-pub unsafe fn intersect_sorted_ids_sse2(a: &[u32], b: &[u32], out: &mut Vec<(u32, u32)>) {
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j + 4 <= b.len() {
-        let x = a[i];
-        if b[j + 3] < x {
-            j += 4;
-            continue;
-        }
-        if a.len() - i >= 4 && a[i + 3] < b[j] {
-            i += 4;
-            continue;
-        }
-        // safety: j+4 ≤ len(b), so the 4-lane load stays in bounds.
-        let mask = unsafe {
-            let vx = _mm_set1_epi32(x as i32);
-            let vb = _mm_loadu_si128(b.as_ptr().add(j) as *const __m128i);
-            _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(vx, vb))) as u32
-        };
-        if mask != 0 {
-            let pos = mask.trailing_zeros() as usize;
-            out.push((i as u32, (j + pos) as u32));
-            i += 1;
-            j += pos + 1;
-        } else {
-            i += 1;
-        }
-    }
-    scalar::intersect_tail(a, b, i, j, out);
 }

@@ -28,8 +28,4 @@ fn env_override_forces_scalar_level() {
     b[97] = 9;
     assert_eq!(usj_simd::common_prefix_len(&a, &b), 97);
     assert_eq!(usj_simd::common_suffix_len(&a, &b), 2);
-
-    let mut out = Vec::new();
-    usj_simd::intersect_sorted_ids(&[2, 5, 8], &[1, 2, 3, 8], &mut out);
-    assert_eq!(out, vec![(0, 1), (2, 3)]);
 }

@@ -19,16 +19,6 @@ fn gen_probs(rng: &mut Rng, n: usize) -> Vec<f64> {
     (0..n).map(|_| gen_prob(rng)).collect()
 }
 
-fn gen_sorted_ids(rng: &mut Rng, n: usize, gap: usize) -> Vec<u32> {
-    let mut v = Vec::with_capacity(n);
-    let mut cur = 0u64;
-    for _ in 0..n {
-        cur += 1 + rng.below(gap) as u64;
-        v.push(cur as u32);
-    }
-    v
-}
-
 #[test]
 fn pb_row_update_matches_scalar_bitwise() {
     let mut rng = Rng::from_state(0x5349_4D44_0001);
@@ -108,26 +98,4 @@ fn prefix_suffix_match_scalar_on_random_pairs() {
     let long: Vec<u8> = (0..257).map(|i| (i % 7) as u8).collect();
     assert_eq!(usj_simd::common_prefix_len(&long, &long), 257);
     assert_eq!(usj_simd::common_suffix_len(&long, &long), 257);
-}
-
-#[test]
-fn intersect_matches_scalar_on_random_lists() {
-    let mut rng = Rng::from_state(0x5349_4D44_0004);
-    for _ in 0..200 {
-        let na = rng.below(200);
-        let nb = rng.below(200);
-        // Small gaps make dense overlap; large gaps exercise the skips.
-        let ga = 1 + rng.below(7);
-        let gb = 1 + rng.below(7);
-        let a = gen_sorted_ids(&mut rng, na, ga);
-        let b = gen_sorted_ids(&mut rng, nb, gb);
-        let mut got = Vec::new();
-        let mut want = Vec::new();
-        usj_simd::intersect_sorted_ids(&a, &b, &mut got);
-        scalar::intersect_sorted_ids(&a, &b, &mut want);
-        assert_eq!(got, want, "a={a:?} b={b:?}");
-        // Sanity: every reported pair is a true match, ascending in both.
-        assert!(got.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 < w[1].1));
-        assert!(got.iter().all(|&(i, j)| a[i as usize] == b[j as usize]));
-    }
 }
