@@ -136,7 +136,7 @@ fn main() {
         // its prune-attribution counters are the join-level counterpart
         // of the isolated passes above, so the figure and `usj join
         // --stats-json` report survivors from one instrumentation source.
-        let (_, _, rec) = run_join_recorded(JoinConfig::new(k, tau).with_q(q), &ds);
+        let (_, _, rec) = run_join_recorded(JoinConfig::new(k, tau).with_q(q), &ds, 1);
         write_obs_snapshot(&format!("fig2_pruning_{name}"), &rec);
     }
 

@@ -9,8 +9,7 @@
 //! tight CDF bounds.
 
 use usj_bench::{
-    dataset, default_config, ms, run_join_recorded, run_par_join_recorded, write_obs_snapshot,
-    write_result, Args, Table,
+    dataset, default_config, ms, run_join_recorded, write_obs_snapshot, write_result, Args, Table,
 };
 use usj_core::obs::Gauge;
 use usj_core::{IndexedCollection, Pipeline};
@@ -34,7 +33,7 @@ fn main() {
         let ds = dataset(DatasetKind::Dblp, n, 0.2);
         for pipeline in Pipeline::all() {
             let config = default_config(DatasetKind::Dblp).with_pipeline(pipeline);
-            let (result, total, rec) = run_join_recorded(config, &ds);
+            let (result, total, rec) = run_join_recorded(config, &ds, 1);
             let filtering = result.stats.timings.filtering();
             // Per-phase latency histograms for the largest size, one
             // snapshot per variant — the per-probe view behind this
@@ -84,7 +83,7 @@ fn main() {
         let config = default_config(DatasetKind::Dblp);
         let full = IndexedCollection::build(config.clone(), ds.alphabet.size(), ds.strings.clone())
             .index_bytes() as u64;
-        let (result, total, rec) = run_par_join_recorded(config, &ds, threads);
+        let (result, total, rec) = run_join_recorded(config, &ds, threads);
         let peak = rec.gauge_max(Gauge::PeakResidentBytes);
         if Some(&n) == sizes.last() {
             // The parallel snapshot carries the residency gauges that

@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use usj_core::obs::CollectingRecorder;
-use usj_core::{JoinConfig, JoinResult, SimilarityJoin};
+use usj_core::{JoinConfig, JoinResult, RunOptions, SimilarityJoin};
 use usj_datagen::{Dataset, DatasetKind, DatasetSpec};
 use usj_obs::json::JsonWriter;
 
@@ -81,37 +81,29 @@ pub fn run_join(config: JoinConfig, dataset: &Dataset) -> (JoinResult, Duration)
     (result, start.elapsed())
 }
 
-/// [`run_join`] with a [`CollectingRecorder`] attached, returning the
-/// snapshot next to the result. Recording costs a few array writes per
-/// probe, so the elapsed time stays comparable to the unrecorded run.
+/// [`run_join`] on `threads` worker threads with a [`CollectingRecorder`]
+/// per worker, merged into the snapshot returned next to the result. The
+/// snapshot carries the residency gauges (`resident_shards`,
+/// `peak_resident_bytes`). Recording costs a few array writes per probe,
+/// so the elapsed time stays comparable to the unrecorded run.
 pub fn run_join_recorded(
-    config: JoinConfig,
-    dataset: &Dataset,
-) -> (JoinResult, Duration, CollectingRecorder) {
-    let mut rec = CollectingRecorder::new();
-    let start = Instant::now();
-    let result = SimilarityJoin::new(config, dataset.alphabet.size())
-        .self_join_recorded(&dataset.strings, &mut rec);
-    (result, start.elapsed(), rec)
-}
-
-/// [`run_join_recorded`] for the length-banded sharded parallel driver
-/// (`usj_core::par_self_join_recorded`): per-worker collectors are merged
-/// into the returned snapshot, which carries the residency gauges
-/// (`resident_shards`, `peak_resident_bytes`) the sequential run lacks.
-pub fn run_par_join_recorded(
     config: JoinConfig,
     dataset: &Dataset,
     threads: usize,
 ) -> (JoinResult, Duration, CollectingRecorder) {
     let start = Instant::now();
-    let (result, rec) = usj_core::par_self_join_recorded(
+    let opts = RunOptions {
+        threads,
+        ..RunOptions::default()
+    };
+    let (result, _, rec) = usj_core::run_self_join(
         config,
         dataset.alphabet.size(),
         &dataset.strings,
-        threads,
+        &opts,
         CollectingRecorder::new,
-    );
+    )
+    .unwrap_or_else(|e| panic!("join without deadline or checkpoint failed: {e}"));
     (result, start.elapsed(), rec)
 }
 
@@ -297,7 +289,7 @@ mod tests {
             ds.strings.clone(),
         )
         .index_bytes() as u64;
-        let (par, _, rec) = run_par_join_recorded(config.clone(), &ds, 2);
+        let (par, _, rec) = run_join_recorded(config.clone(), &ds, 2);
         let peak = rec.gauge_max(Gauge::PeakResidentBytes);
         assert!(peak > 0);
         assert!(peak < full, "peak resident {peak} vs full index {full}");
@@ -308,7 +300,7 @@ mod tests {
     #[test]
     fn recorded_join_snapshot_is_valid_json() {
         let ds = dataset(DatasetKind::Dblp, 60, 0.2);
-        let (result, _, rec) = run_join_recorded(default_config(DatasetKind::Dblp), &ds);
+        let (result, _, rec) = run_join_recorded(default_config(DatasetKind::Dblp), &ds, 1);
         assert_eq!(rec.probes(), 60);
         let v = usj_obs::json::parse(&rec.to_json()).unwrap();
         assert_eq!(v["schema_version"].as_u64(), Some(1));

@@ -35,7 +35,7 @@ use std::fmt::Write as _;
 use usj_core::obs::bench::{compare_reports, BenchReport, BenchSpec};
 use usj_core::obs::json::JsonWriter;
 use usj_core::obs::{ChromeTraceRecorder, CollectingRecorder, TraceRecorder};
-use usj_core::{FaultReport, FtOptions, JoinConfig, JoinError, Pipeline, SimilarityJoin};
+use usj_core::{FaultReport, JoinConfig, JoinError, Pipeline, RunOptions};
 use usj_datagen::{Dataset, DatasetJson, DatasetKind, DatasetSpec};
 use usj_model::UncertainString;
 use usj_serve::{
@@ -293,102 +293,51 @@ fn cmd_join(flags: &Flags) -> Result<String, CliError> {
     if resume && checkpoint_dir.is_none() {
         return Err(err("--resume requires --checkpoint DIR"));
     }
-    let ft = FtOptions {
+    let opts = RunOptions {
+        threads,
         checkpoint_dir,
         resume,
     };
-    let ft_engaged = ft.checkpoint_dir.is_some() || ft.resume || config.deadline.is_some();
     let stats_json = flags.get("stats-json");
     let chrome_trace = flags.get("chrome-trace");
-    let (result, report) = if stats_json.is_none() && !trace && chrome_trace.is_none() {
-        if ft_engaged {
-            let (result, report, _recorder) = usj_core::par_self_join_ft(
-                config,
-                ds.alphabet.size(),
-                &ds.strings,
-                threads,
-                &ft,
-                || usj_core::obs::NoopRecorder,
-            )
-            .map_err(report_join_error)?;
-            (result, Some(report))
-        } else if threads == 1 {
-            (
-                SimilarityJoin::new(config, ds.alphabet.size()).self_join(&ds.strings),
-                None,
-            )
+    // One statically-known recorder shape for every run: the collector
+    // gathers the JSON snapshot, the tracer writes per-probe lines to
+    // stderr only under --trace, and the Chrome recorder buffers
+    // trace-event spans only under --chrome-trace (silent lanes cost a
+    // branch per event). Each worker gets its own tuple (lock-free hot
+    // loop); they are merged after the join.
+    let make = || {
+        let tracer = if trace {
+            TraceRecorder::stderr()
         } else {
-            (
-                usj_core::par_self_join(config, ds.alphabet.size(), &ds.strings, threads),
-                None,
-            )
-        }
-    } else {
-        // One statically-known recorder shape for every instrumented run:
-        // the collector always gathers the JSON snapshot, the tracer
-        // writes per-probe lines to stderr only under --trace, and the
-        // Chrome recorder buffers trace-event spans only under
-        // --chrome-trace (silent lanes cost a branch per event). In the
-        // parallel join each worker gets its own tuple (lock-free hot
-        // loop); they are merged after the join.
-        let make = || {
-            let tracer = if trace {
-                TraceRecorder::stderr()
-            } else {
-                TraceRecorder::silent()
-            };
-            let chrome = if chrome_trace.is_some() {
-                ChromeTraceRecorder::new()
-            } else {
-                ChromeTraceRecorder::silent()
-            };
-            (CollectingRecorder::new(), (tracer, chrome))
+            TraceRecorder::silent()
         };
-        let (result, report, recorder) = if ft_engaged {
-            let (result, report, recorder) = usj_core::par_self_join_ft(
-                config,
-                ds.alphabet.size(),
-                &ds.strings,
-                threads,
-                &ft,
-                make,
-            )
-            .map_err(report_join_error)?;
-            (result, Some(report), recorder)
-        } else if threads == 1 {
-            let mut recorder = make();
-            let result = SimilarityJoin::new(config, ds.alphabet.size())
-                .self_join_recorded(&ds.strings, &mut recorder);
-            (result, None, recorder)
+        let chrome = if chrome_trace.is_some() {
+            ChromeTraceRecorder::new()
         } else {
-            let (result, recorder) = usj_core::par_self_join_recorded(
-                config,
-                ds.alphabet.size(),
-                &ds.strings,
-                threads,
-                make,
-            );
-            (result, None, recorder)
+            ChromeTraceRecorder::silent()
         };
-        let (collected, (_tracer, chrome)) = recorder;
-        if let Some(path) = stats_json {
-            usj_core::durable_atomic_write(
-                std::path::Path::new(path),
-                &collected.to_json(),
-                "cli.write",
-            )
-            .map_err(|e| err(format!("cannot write {path}: {e}")))?;
-        }
-        if let Some(path) = chrome_trace {
-            // finish() is Some exactly when --chrome-trace enabled the lane.
-            let json = chrome
-                .finish()
-                .unwrap_or_else(|| "{\"traceEvents\":[]}".to_string());
-            usj_core::durable_atomic_write(std::path::Path::new(path), &json, "cli.write")
-                .map_err(|e| err(format!("cannot write {path}: {e}")))?;
-        }
-        (result, report)
+        (CollectingRecorder::new(), (tracer, chrome))
     };
+    let (result, report, (collected, (_tracer, chrome))) =
+        usj_core::run_self_join(config, ds.alphabet.size(), &ds.strings, &opts, make)
+            .map_err(report_join_error)?;
+    if let Some(path) = stats_json {
+        usj_core::durable_atomic_write(
+            std::path::Path::new(path),
+            &collected.to_json(),
+            "cli.write",
+        )
+        .map_err(|e| err(format!("cannot write {path}: {e}")))?;
+    }
+    if let Some(path) = chrome_trace {
+        // finish() is Some exactly when --chrome-trace enabled the lane.
+        let json = chrome
+            .finish()
+            .unwrap_or_else(|| "{\"traceEvents\":[]}".to_string());
+        usj_core::durable_atomic_write(std::path::Path::new(path), &json, "cli.write")
+            .map_err(|e| err(format!("cannot write {path}: {e}")))?;
+    }
     let mut out = String::new();
     for pair in &result.pairs {
         let _ = writeln!(
@@ -402,9 +351,7 @@ fn cmd_join(flags: &Flags) -> Result<String, CliError> {
         );
     }
     let _ = writeln!(out, "# {}", result.stats.summary());
-    if let Some(report) = &report {
-        append_fault_report(&mut out, report);
-    }
+    append_fault_report(&mut out, &report);
     if let Some(path) = flags.get("out") {
         let mut records = JsonWriter::new_array();
         for p in &result.pairs {

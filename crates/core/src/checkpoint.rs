@@ -1,6 +1,6 @@
-//! Wave-granular checkpointing for the fault-tolerant parallel self-join.
+//! Wave-granular checkpointing for the self-join.
 //!
-//! The sharded parallel driver processes length-band **waves** in a fixed,
+//! The self-join driver processes length-band **waves** in a fixed,
 //! deterministic order, and a wave's output depends only on the
 //! configuration and the input collection — never on scheduling. That
 //! makes the wave boundary a natural unit of recovery: after each
@@ -25,6 +25,7 @@ use std::path::{Path, PathBuf};
 
 use crate::join::SimilarPair;
 use crate::stats::JoinStats;
+use usj_obs::Counter;
 
 /// File name of the checkpoint inside its `--checkpoint` directory.
 pub const CHECKPOINT_FILE: &str = "join.ckpt";
@@ -172,45 +173,25 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// The funnel counters a checkpoint persists, in file order. Fault/obs
-/// bookkeeping (`faults_injected`, `batches_retried`, …) is deliberately
-/// absent: a resumed run must reproduce the *uninterrupted* run's funnel,
-/// and the uninterrupted run saw no faults.
-fn funnel(stats: &JoinStats) -> [(&'static str, u64); 12] {
-    [
-        ("pairs_in_scope", stats.pairs_in_scope),
-        ("qgram_survivors", stats.qgram_survivors),
-        ("qgram_pruned_count", stats.qgram_pruned_count),
-        ("qgram_pruned_bound", stats.qgram_pruned_bound),
-        ("freq_survivors", stats.freq_survivors),
-        ("freq_pruned_lower", stats.freq_pruned_lower),
-        ("freq_pruned_chebyshev", stats.freq_pruned_chebyshev),
-        ("cdf_accepted", stats.cdf_accepted),
-        ("cdf_rejected", stats.cdf_rejected),
-        ("cdf_undecided", stats.cdf_undecided),
-        ("verified_similar", stats.verified_similar),
-        ("verified_dissimilar", stats.verified_dissimilar),
-    ]
-}
-
-fn set_funnel(stats: &mut JoinStats, name: &str, value: u64) -> bool {
-    match name {
-        "pairs_in_scope" => stats.pairs_in_scope = value,
-        "qgram_survivors" => stats.qgram_survivors = value,
-        "qgram_pruned_count" => stats.qgram_pruned_count = value,
-        "qgram_pruned_bound" => stats.qgram_pruned_bound = value,
-        "freq_survivors" => stats.freq_survivors = value,
-        "freq_pruned_lower" => stats.freq_pruned_lower = value,
-        "freq_pruned_chebyshev" => stats.freq_pruned_chebyshev = value,
-        "cdf_accepted" => stats.cdf_accepted = value,
-        "cdf_rejected" => stats.cdf_rejected = value,
-        "cdf_undecided" => stats.cdf_undecided = value,
-        "verified_similar" => stats.verified_similar = value,
-        "verified_dissimilar" => stats.verified_dissimilar = value,
-        _ => return false,
-    }
-    true
-}
+/// The funnel counters a checkpoint persists, in file order, each under
+/// its [`Counter::name`]. Fault/obs bookkeeping (`faults_injected`,
+/// `batches_retried`, …) is deliberately absent: a resumed run must
+/// reproduce the *uninterrupted* run's funnel, and the uninterrupted run
+/// saw no faults.
+const FUNNEL: [Counter; 12] = [
+    Counter::PairsInScope,
+    Counter::QgramSurvivors,
+    Counter::QgramPrunedCount,
+    Counter::QgramPrunedBound,
+    Counter::FreqSurvivors,
+    Counter::FreqPrunedLower,
+    Counter::FreqPrunedChebyshev,
+    Counter::CdfAccepted,
+    Counter::CdfRejected,
+    Counter::CdfUndecided,
+    Counter::VerifiedSimilar,
+    Counter::VerifiedDissimilar,
+];
 
 /// A committed prefix of a self-join: everything produced by the first
 /// `completed_waves` length-band waves.
@@ -242,8 +223,10 @@ impl Checkpoint {
         body.push('\n');
         body.push_str(&format!("fingerprint {:016x}\n", self.fingerprint));
         body.push_str(&format!("waves {}\n", self.completed_waves));
-        for (name, value) in funnel(&self.funnel) {
-            body.push_str(&format!("counter {name} {value}\n"));
+        let mut funnel = self.funnel.clone();
+        for counter in FUNNEL {
+            let value = funnel.counter_mut(counter).map_or(0, |v| *v);
+            body.push_str(&format!("counter {} {value}\n", counter.name()));
         }
         for p in &self.pairs {
             // Probabilities round-trip through their bit pattern: the
@@ -351,9 +334,12 @@ impl Checkpoint {
                             "line {ln}: counter {name:?} value {v:?} is not a number"
                         ))
                     })?;
-                    if !set_funnel(&mut stats, name, v) {
-                        return Err(corrupt(format!("line {ln}: unknown counter {name:?}")));
-                    }
+                    let field = FUNNEL
+                        .iter()
+                        .find(|c| c.name() == name)
+                        .and_then(|&c| stats.counter_mut(c))
+                        .ok_or_else(|| corrupt(format!("line {ln}: unknown counter {name:?}")))?;
+                    *field = v;
                 }
                 Some("pair") => {
                     let mut field = || {

@@ -293,9 +293,9 @@ impl IndexedCollection {
 
     /// Like [`IndexedCollection::search_with_stats`] but restricted to
     /// candidate ids accepted by `admit`, applied *before* the expensive
-    /// CDF/verification stages. The parallel self-join uses this with
-    /// `id < probe_id` so each unordered pair is verified exactly once
-    /// (and a probe never verifies against itself).
+    /// CDF/verification stages. Probing a collection with its own
+    /// strings, `id < probe_id` verifies each unordered pair exactly once
+    /// (and a probe never against itself).
     pub fn search_filtered(
         &self,
         probe: &UncertainString,

@@ -97,7 +97,7 @@ pub struct JoinConfig {
     /// Cap on probe trie nodes; probes exceeding it fall back to the
     /// naive verifier.
     pub max_trie_nodes: usize,
-    /// Smallest work-stealing batch the parallel driver hands a worker
+    /// Smallest work-stealing batch the self-join driver hands a worker
     /// (reached near the tail, where per-probe cost is highest).
     pub batch_min: usize,
     /// Largest work-stealing batch (used while plenty of probes remain;
@@ -108,10 +108,9 @@ pub struct JoinConfig {
     /// worker; explicit values trade scheduling overhead (small bands)
     /// against peak resident index memory (large bands).
     pub shard_band: usize,
-    /// Wall-clock budget for the joining drivers with an error channel:
-    /// the fault-tolerant parallel driver checks it at batch granularity,
-    /// the sequential `try_self_join` drivers between probes. `None`
-    /// (the default) never times out; when exceeded, the run ends with a
+    /// Wall-clock budget for `run_self_join`, checked between waves and
+    /// before every work-stealing batch at any thread count. `None` (the
+    /// default) never times out; when exceeded, the run ends with a
     /// clean partial-result error (and a checkpoint, if checkpointing is
     /// on) instead of hanging on a pathological probe. The classic
     /// panicking APIs (`self_join`, `par_self_join`) ignore it.
@@ -178,7 +177,7 @@ impl JoinConfig {
         self
     }
 
-    /// Sets the parallel driver's work-stealing batch-size range.
+    /// Sets the self-join driver's work-stealing batch-size range.
     pub fn with_batch_range(mut self, min: usize, max: usize) -> Self {
         assert!(min >= 1, "batch_min must be at least 1");
         assert!(max >= min, "batch_max must be at least batch_min");
@@ -193,9 +192,8 @@ impl JoinConfig {
         self
     }
 
-    /// Sets the wall-clock deadline for the fault-tolerant parallel
-    /// driver and the sequential `try_self_join` drivers
-    /// (`None` = no limit).
+    /// Sets the wall-clock deadline for `run_self_join` (`None` = no
+    /// limit).
     pub fn with_deadline(mut self, deadline: Option<std::time::Duration>) -> Self {
         self.deadline = deadline;
         self

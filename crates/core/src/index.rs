@@ -42,8 +42,8 @@ use crate::record::Recording;
 /// A probe queries every indexed length in `[|R|−k, |R|+k]`, and the
 /// partitions of nearby lengths share many `(window, segment length)`
 /// combinations, so `q(r, x)` construction — the expensive part of a
-/// query — is reused across lengths (and, in the sharded parallel driver,
-/// across the shards a probe touches). Over-cap results (`None`) are
+/// query — is reused across lengths (and, in the self-join, across the
+/// shards a probe touches). Over-cap results (`None`) are
 /// cached too: re-deriving "too many instances" is as wasteful as
 /// re-deriving the set.
 ///
@@ -418,22 +418,26 @@ pub struct LengthIndex {
     inverted: Vec<PostingTable>,
     /// All string ids inserted, ascending.
     ids: Vec<u32>,
-    /// Segments for which at least one inserted string exceeded the
-    /// instance cap (its postings are incomplete; the query path must
-    /// treat the segment as conservatively matching).
-    incomplete: Vec<bool>,
+    /// Per segment, the first inserted id that exceeded the instance cap
+    /// ([`COMPLETE`] if none): the segment's postings are incomplete from
+    /// that id on, so a query admitting it must treat the segment as
+    /// conservatively matching.
+    incomplete_from: Vec<u32>,
 }
+
+/// [`LengthIndex::incomplete_from`] of a segment no string overflowed.
+const COMPLETE: u32 = u32::MAX;
 
 impl LengthIndex {
     fn new(len: usize, config: &JoinConfig) -> Self {
         let segments = partition(len, config.q, config.k);
         let inverted = vec![PostingTable::default(); segments.len()];
-        let incomplete = vec![false; segments.len()];
+        let incomplete_from = vec![COMPLETE; segments.len()];
         LengthIndex {
             segments,
             inverted,
             ids: Vec::new(),
-            incomplete,
+            incomplete_from,
         }
     }
 
@@ -466,9 +470,9 @@ impl LengthIndex {
                 .try_fold(1usize, |n, p| n.checked_mul(p.num_alternatives()));
             if worlds.is_none_or(|n| n > max_instances) {
                 // Over-cap segment: postings for it are incomplete from
-                // now on; the query path treats it as a conservative
-                // match for every candidate.
-                self.incomplete[x] = true;
+                // this id on; a query admitting the id treats it as a
+                // conservative match for every candidate.
+                self.incomplete_from[x] = self.incomplete_from[x].min(id);
                 continue;
             }
             let table = &mut self.inverted[x];
@@ -485,11 +489,18 @@ impl LengthIndex {
     /// candidate that touched a posting.
     ///
     /// `probe_sets[x] = None` means no window of the probe can align with
-    /// segment x (α_x = 0 for every candidate).
+    /// segment x (α_x = 0 for every candidate). Only ids below
+    /// `admit_below` are merged: runs ascend by id, so each walk stops at
+    /// the first id past the limit.
     ///
     /// Returns the number of postings touched during the merge (the
     /// quantity candidate-generation cost is proportional to).
-    fn query(&self, probe_sets: &[Option<&ResolvedSet>], alphas: &mut AlphaVectors) -> u64 {
+    fn query(
+        &self,
+        probe_sets: &[Option<&ResolvedSet>],
+        admit_below: u32,
+        alphas: &mut AlphaVectors,
+    ) -> u64 {
         let m = self.segments.len();
         debug_assert_eq!(probe_sets.len(), m);
         alphas.reset(m, self.ids.last().map_or(0, |&id| id as usize + 1));
@@ -498,7 +509,7 @@ impl LengthIndex {
             let Some(set) = set else { continue };
             let table = &self.inverted[x];
             for (&key, &p_r) in set.keys.iter().zip(&set.probs) {
-                for posting in table.run(key) {
+                for posting in table.run(key).take_while(|p| p.id < admit_below) {
                     postings += 1;
                     alphas.row_mut(posting.id)[x] += p_r * posting.prob;
                 }
@@ -524,7 +535,11 @@ impl LengthIndex {
         BandDump {
             len,
             ids: self.ids.clone(),
-            incomplete: self.incomplete.clone(),
+            incomplete: self
+                .incomplete_from
+                .iter()
+                .map(|&id| id != COMPLETE)
+                .collect(),
             postings: self.inverted.iter().map(PostingTable::lists).collect(),
             bytes: self.estimated_bytes(),
         }
@@ -547,7 +562,13 @@ impl LengthIndex {
             ));
         }
         li.ids = dump.ids;
-        li.incomplete = dump.incomplete;
+        // A dump keeps only the flag, so a restored segment counts as
+        // incomplete for every id (searches admit every id anyway).
+        li.incomplete_from = dump
+            .incomplete
+            .iter()
+            .map(|&flag| if flag { 0 } else { COMPLETE })
+            .collect();
         li.inverted = dump
             .postings
             .into_iter()
@@ -699,7 +720,7 @@ impl SegmentIndex {
     ) -> Option<(AlphaVectors, Vec<bool>)> {
         let mut cache = EquivCache::new();
         let over_cap = self
-            .query_cached_recorded(probe, indexed_len, config, &mut cache, rec)?
+            .query_cached_recorded(probe, indexed_len, config, None, &mut cache, rec)?
             .1;
         Some((cache.alphas, over_cap))
     }
@@ -708,16 +729,23 @@ impl SegmentIndex {
     /// memoised in `cache`, so repeated queries by one probe (against many
     /// lengths, or many shards) build each `q(r, x)` once. The α rows are
     /// the cache's own, valid until its next query.
+    ///
+    /// `admit_below = Some(limit)` surfaces only ids `< limit`, as if the
+    /// index held nothing from `limit` on: the self-join probes a
+    /// fully-built same-length shard but may only see visit-order-earlier
+    /// ids. `None` surfaces every indexed id.
     pub fn query_cached_recorded<'c, R: Recorder>(
         &self,
         probe: &UncertainString,
         indexed_len: usize,
         config: &JoinConfig,
+        admit_below: Option<u32>,
         cache: &'c mut EquivCache,
         rec: &mut R,
     ) -> Option<(&'c AlphaVectors, Vec<bool>)> {
         let index = self.by_length.get(&indexed_len)?;
-        let mut over_cap = index.incomplete.clone();
+        let limit = admit_below.unwrap_or(u32::MAX);
+        let mut over_cap: Vec<bool> = index.incomplete_from.iter().map(|&id| id < limit).collect();
         let salt = self.interner_salt;
         // Populate the caches first (one mutable pass — the warm path
         // touches only `resolved`), then collect shared references for
@@ -761,12 +789,12 @@ impl SegmentIndex {
             .map(|rkey| rkey.as_ref().map(|rkey| &cache.resolved[rkey]))
             .collect();
         let alphas = &mut cache.alphas;
-        let postings = index.query(&probe_sets, alphas);
+        let postings = index.query(&probe_sets, limit, alphas);
         if over_cap.iter().any(|&b| b) {
             // Conservative fallback: an over-cap segment may hide matches,
-            // so every indexed id of this length must surface as a
+            // so every admitted id of this length must surface as a
             // candidate (with zero α where no posting was found).
-            for &id in &index.ids {
+            for &id in index.ids.iter().take_while(|&&id| id < limit) {
                 alphas.row_mut(id);
             }
         }
@@ -776,15 +804,12 @@ impl SegmentIndex {
     }
 
     /// The q-gram candidate stage for one indexed length, shared by the
-    /// sequential, search, and sharded parallel drivers: query the length
-    /// index (through `cache`), apply the Lemma 5 count condition and the
-    /// sound Theorem 2 bound, and push survivors onto `candidates`.
+    /// self-join and search: query the length index (through `cache`),
+    /// apply the Lemma 5 count condition and the sound Theorem 2 bound,
+    /// and push survivors onto `candidates`.
     ///
-    /// `admit_below = Some(limit)` restricts scope to ids `< limit` — the
-    /// sharded parallel driver probes against a fully-built same-length
-    /// shard and must consider only visit-order-earlier ids to stay
-    /// byte-identical with the sequential driver. `None` admits every
-    /// indexed id (the sequential index only ever contains earlier ids).
+    /// `admit_below = Some(limit)` restricts scope to ids `< limit` (see
+    /// [`SegmentIndex::query_cached_recorded`]); search passes `None`.
     ///
     /// Returns the number of admitted pairs in scope at this length;
     /// prune-attribution counters ([`Counter::QgramPrunedCount`] /
@@ -804,11 +829,11 @@ impl SegmentIndex {
         let Some(li) = self.by_length.get(&indexed_len) else {
             return 0;
         };
-        let admit = |id: u32| admit_below.is_none_or(|limit| id < limit);
-        let in_scope = match admit_below {
-            None => li.ids.len() as u64,
-            Some(limit) => li.ids.partition_point(|&id| id < limit) as u64,
+        let admitted = match admit_below {
+            None => li.ids.len(),
+            Some(limit) => li.ids.partition_point(|&id| id < limit),
         };
+        let in_scope = admitted as u64;
         if in_scope == 0 {
             return 0;
         }
@@ -817,12 +842,17 @@ impl SegmentIndex {
         if required == 0 {
             // m ≤ k: Lemma 5 cannot prune anything at this length — every
             // admitted indexed string is a candidate.
-            candidates.extend(li.ids.iter().copied().filter(|&id| admit(id)));
+            candidates.extend_from_slice(&li.ids[..admitted]);
             return in_scope;
         }
-        let Some((alphas, over_cap)) =
-            self.query_cached_recorded(probe, indexed_len, config, cache, rec.recorder())
-        else {
+        let Some((alphas, over_cap)) = self.query_cached_recorded(
+            probe,
+            indexed_len,
+            config,
+            admit_below,
+            cache,
+            rec.recorder(),
+        ) else {
             return in_scope;
         };
         let capped = over_cap.iter().any(|&b| b);
@@ -838,13 +868,8 @@ impl SegmentIndex {
             })
             .collect();
         let bounder = TailBounder::new(&regions, probe);
-        let mut surfaced = 0u64;
         let mut alpha = vec![0.0; m];
         for (id, row) in alphas.iter() {
-            if !admit(id) {
-                continue;
-            }
-            surfaced += 1;
             alpha.copy_from_slice(row);
             // Over-cap segments count as matched with α = 1.
             for (a, &oc) in alpha.iter_mut().zip(&over_cap) {
@@ -870,7 +895,7 @@ impl SegmentIndex {
         }
         // Ids that never surfaced have zero matching segments and were
         // pruned by the count condition implicitly.
-        rec.count(Counter::QgramPrunedCount, in_scope - surfaced);
+        rec.count(Counter::QgramPrunedCount, in_scope - alphas.len() as u64);
         in_scope
     }
 
@@ -995,8 +1020,8 @@ impl SegmentIndex {
             for &id in &li.ids {
                 h = fold(h, id as u64);
             }
-            for &b in &li.incomplete {
-                h = fold(h, b as u64);
+            for &id in &li.incomplete_from {
+                h = fold(h, (id != COMPLETE) as u64);
             }
             for t in &li.inverted {
                 let (keys, lists) = t.lists();
@@ -1245,7 +1270,7 @@ mod tests {
         for len in [6usize, 7] {
             let plain = index.query(&probe, len, &config).unwrap();
             let cached = index
-                .query_cached_recorded(&probe, len, &config, &mut cache, &mut NoopRecorder)
+                .query_cached_recorded(&probe, len, &config, None, &mut cache, &mut NoopRecorder)
                 .unwrap();
             assert_eq!(plain.1, cached.1, "over-cap flags len={len}");
             assert_eq!(plain.0.len(), cached.0.len(), "candidates len={len}");

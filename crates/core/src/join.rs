@@ -1,18 +1,15 @@
-//! The self-join driver (paper §4's query algorithm).
+//! Join results and the classic join entry points: the cross-collection
+//! join and the one-thread self-join.
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
+use crate::collection::IndexedCollection;
 use crate::config::JoinConfig;
-use crate::index::{EquivCache, SegmentIndex};
-use crate::parallel::JoinError;
+use crate::parallel::par_self_join;
 use crate::record::Recording;
 use crate::stats::JoinStats;
-use crate::verifier::{decide_candidate, ProbeVerifier};
-use usj_cdf::CdfFilter;
-use usj_freq::{FreqFilter, FreqProfile};
 use usj_model::{Prob, UncertainString};
-use usj_obs::{Counter, Gauge, NoopRecorder, Phase, Recorder};
+use usj_obs::{Gauge, NoopRecorder};
 
 /// One reported pair: `Pr(ed(strings[left], strings[right]) ≤ k) > τ`.
 ///
@@ -70,48 +67,23 @@ impl SimilarityJoin {
     /// `SimilarPair::left` indexes into `left`, `SimilarPair::right` into
     /// `right`.
     pub fn join(&self, left: &[UncertainString], right: &[UncertainString]) -> JoinResult {
-        self.join_recorded(left, right, &mut NoopRecorder)
-    }
-
-    /// [`SimilarityJoin::join`] with every pipeline event forwarded to
-    /// `recorder` (probe boundaries per left string, phase spans,
-    /// counters, gauges).
-    pub fn join_recorded<R: Recorder>(
-        &self,
-        left: &[UncertainString],
-        right: &[UncertainString],
-        recorder: &mut R,
-    ) -> JoinResult {
         let total_start = Instant::now();
-        let collection = crate::collection::IndexedCollection::build_recorded(
-            self.config.clone(),
-            self.sigma,
-            right.to_vec(),
-            &mut *recorder,
-        );
+        let collection = IndexedCollection::build(self.config.clone(), self.sigma, right.to_vec());
         let mut pairs = Vec::new();
-        let mut stats = JoinStats {
-            num_strings: left.len() + right.len(),
-            ..Default::default()
-        };
+        let mut stats = JoinStats::default();
         for (i, probe) in left.iter().enumerate() {
-            let (hits, probe_stats) =
-                collection.search_filtered_recorded(i as u32, probe, |_| true, &mut *recorder);
-            for hit in hits {
-                pairs.push(SimilarPair {
-                    left: i as u32,
-                    right: hit.id,
-                    prob: hit.prob,
-                });
-            }
+            let (hits, probe_stats) = collection.search_with_stats(probe);
+            pairs.extend(hits.into_iter().map(|hit| SimilarPair {
+                left: i as u32,
+                right: hit.id,
+                prob: hit.prob,
+            }));
             stats.absorb(&probe_stats);
         }
         pairs.sort_unstable_by_key(|p| (p.left, p.right));
-        // The recorder already saw one OutputPairs event per probe (their
-        // sum is exactly this count); only the stats view needs the
-        // authoritative value.
         stats.output_pairs = pairs.len() as u64;
-        let mut rec = Recording::new(&mut stats, recorder);
+        let mut noop = NoopRecorder;
+        let mut rec = Recording::new(&mut stats, &mut noop);
         rec.gauge(Gauge::IndexBytes, collection.index_bytes() as u64);
         rec.gauge(Gauge::PeakIndexBytes, collection.index_bytes() as u64);
         rec.gauge(Gauge::NumStrings, (left.len() + right.len()) as u64);
@@ -120,219 +92,14 @@ impl SimilarityJoin {
     }
 
     /// Finds all pairs `(i, j)`, `i < j`, with
-    /// `Pr(ed(strings[i], strings[j]) ≤ k) > τ`.
-    pub fn self_join(&self, strings: &[UncertainString]) -> JoinResult {
-        self.self_join_recorded(strings, &mut NoopRecorder)
-    }
-
-    /// [`SimilarityJoin::self_join`] with every pipeline event forwarded
-    /// to `recorder`: one probe bracket per string (in visit order), phase
-    /// spans for q-gram/frequency/CDF/verify/index work, prune-attribution
-    /// counters, and index-memory gauges. The returned
-    /// [`JoinResult::stats`] is a view over the same event stream.
+    /// `Pr(ed(strings[i], strings[j]) ≤ k) > τ`: the self-join driver
+    /// ([`crate::parallel::run_self_join`]) on one thread.
     ///
-    /// This classic API has no error channel, so it ignores any
-    /// configured [`JoinConfig::deadline`] (mirroring
-    /// [`crate::parallel::par_self_join`]); use
-    /// [`SimilarityJoin::try_self_join_recorded`] to have the deadline
-    /// enforced.
-    pub fn self_join_recorded<R: Recorder>(
-        &self,
-        strings: &[UncertainString],
-        recorder: &mut R,
-    ) -> JoinResult {
-        match self.self_join_impl(strings, recorder, false) {
-            Ok(result) => result,
-            // With deadline enforcement off the impl cannot fail.
-            Err(e) => unreachable!("undeadlined sequential join failed: {e}"),
-        }
-    }
-
-    /// [`SimilarityJoin::self_join`] with [`JoinConfig::deadline`]
-    /// enforced: the wall clock is checked between probes and the run
-    /// aborts with [`JoinError::Deadline`] once it expires. The
-    /// sequential driver has no waves or checkpoints, so the error
-    /// reports `completed_waves: 0` and no checkpoint path — the same
-    /// shape [`crate::parallel::par_self_join_ft`] produces when the
-    /// deadline hits before any wave commits.
-    pub fn try_self_join(&self, strings: &[UncertainString]) -> Result<JoinResult, JoinError> {
-        self.try_self_join_recorded(strings, &mut NoopRecorder)
-    }
-
-    /// [`SimilarityJoin::try_self_join`] with recorded events, combining
-    /// deadline enforcement with the instrumentation of
-    /// [`SimilarityJoin::self_join_recorded`].
-    pub fn try_self_join_recorded<R: Recorder>(
-        &self,
-        strings: &[UncertainString],
-        recorder: &mut R,
-    ) -> Result<JoinResult, JoinError> {
-        self.self_join_impl(strings, recorder, true)
-    }
-
-    fn self_join_impl<R: Recorder>(
-        &self,
-        strings: &[UncertainString],
-        recorder: &mut R,
-        enforce_deadline: bool,
-    ) -> Result<JoinResult, JoinError> {
-        let config = &self.config;
-        let total_start = Instant::now();
-        let mut stats = JoinStats {
-            num_strings: strings.len(),
-            ..Default::default()
-        };
-        let mut rec = Recording::new(&mut stats, recorder);
-
-        // Visit order: ascending length, ties by id — guarantees that all
-        // visited strings are no longer than the probe and that posting
-        // ids ascend.
-        let mut order: Vec<u32> = (0..strings.len() as u32).collect();
-        order.sort_by_key(|&i| (strings[i as usize].len(), i));
-
-        let freq_filter = FreqFilter::new(config.k, config.tau, self.sigma);
-        let cdf_filter = CdfFilter::new(config.k, config.tau);
-
-        let mut index = SegmentIndex::new();
-        // Visited ids grouped by length (candidate pool for FCT and the
-        // scope counter).
-        let mut visited: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
-        // Frequency profiles, computed once per string at insert time.
-        let mut profiles: Vec<Option<FreqProfile>> = vec![None; strings.len()];
-
-        let mut pairs: Vec<SimilarPair> = Vec::new();
-        // Equivalent-set cache, cleared per probe: lengths with shared
-        // (window, segment length) combinations reuse `q(r, x)`, and the
-        // α rows are reused across probes.
-        let mut cache = EquivCache::new();
-        let deadline = if enforce_deadline {
-            config.deadline
-        } else {
-            None
-        };
-
-        for &probe_id in &order {
-            // Cooperative deadline: checked between probes, so one probe
-            // is the abort granularity (as one batch is for the
-            // fault-tolerant parallel driver). No partial result leaks:
-            // the whole join errors out.
-            if let Some(limit) = deadline {
-                let elapsed = total_start.elapsed();
-                if elapsed >= limit {
-                    return Err(JoinError::Deadline {
-                        elapsed,
-                        completed_waves: 0,
-                        checkpoint: None,
-                    });
-                }
-            }
-            let probe = &strings[probe_id as usize];
-            let min_len = probe.len().saturating_sub(config.k);
-            rec.probe_start(probe_id);
-
-            // Expire index state for lengths the scan has moved past.
-            if config.pipeline.uses_qgram() {
-                index.evict_below(min_len);
-            }
-            while let Some((&len, _)) = visited.first_key_value() {
-                if len < min_len {
-                    visited.pop_first();
-                } else {
-                    break;
-                }
-            }
-
-            // ---- Candidate generation -------------------------------
-            let qgram_span = rec.begin(Phase::Qgram);
-            let mut candidates: Vec<u32> = Vec::new();
-            let mut scope = 0u64;
-            if config.pipeline.uses_qgram() {
-                cache.clear();
-                for len in min_len..=probe.len() {
-                    scope += index.collect_candidates_recorded(
-                        probe,
-                        len,
-                        config,
-                        None,
-                        &mut cache,
-                        &mut candidates,
-                        &mut rec,
-                    );
-                }
-            } else {
-                for (_, ids) in visited.range(min_len..=probe.len()) {
-                    scope += ids.len() as u64;
-                    candidates.extend(ids.iter().copied());
-                }
-            }
-            rec.count(Counter::PairsInScope, scope);
-            rec.count(Counter::QgramSurvivors, candidates.len() as u64);
-            rec.end(qgram_span);
-            // Deterministic candidate order keeps runs reproducible.
-            candidates.sort_unstable();
-
-            // ---- Frequency-distance filtering -----------------------
-            let mut probe_profile: Option<FreqProfile> = None;
-            if config.pipeline.uses_freq() && !candidates.is_empty() {
-                let freq_span = rec.begin(Phase::Freq);
-                let rp = probe_profile.get_or_insert_with(|| freq_filter.profile(probe));
-                candidates.retain(|&id| {
-                    let sp = profiles[id as usize]
-                        .as_ref()
-                        .expect("visited strings have profiles");
-                    let out = freq_filter.evaluate(rp, sp);
-                    if !out.candidate {
-                        if out.fd_lower as usize > config.k {
-                            rec.count(Counter::FreqPrunedLower, 1);
-                        } else {
-                            rec.count(Counter::FreqPrunedChebyshev, 1);
-                        }
-                    }
-                    out.candidate
-                });
-                rec.end(freq_span);
-            }
-            rec.count(Counter::FreqSurvivors, candidates.len() as u64);
-
-            // ---- CDF bounds + verification --------------------------
-            let mut verifier: Option<ProbeVerifier> = None; // lazily built
-            for id in candidates {
-                let other = &strings[id as usize];
-                let Some((similar, prob)) =
-                    decide_candidate(probe, other, &cdf_filter, &mut verifier, config, &mut rec)
-                else {
-                    continue;
-                };
-                if similar {
-                    pairs.push(SimilarPair {
-                        left: probe_id.min(id),
-                        right: probe_id.max(id),
-                        prob,
-                    });
-                }
-            }
-
-            // ---- Insert the probe for later probes ------------------
-            let index_span = rec.begin(Phase::Index);
-            if config.pipeline.uses_qgram() {
-                index.insert_recorded(probe_id, probe, config, rec.recorder());
-            }
-            if config.pipeline.uses_freq() {
-                profiles[probe_id as usize] =
-                    Some(probe_profile.unwrap_or_else(|| freq_filter.profile(probe)));
-            }
-            visited.entry(probe.len()).or_default().push(probe_id);
-            rec.end(index_span);
-            rec.probe_end(probe_id);
-        }
-
-        pairs.sort_unstable_by_key(|p| (p.left, p.right));
-        rec.count(Counter::OutputPairs, pairs.len() as u64);
-        rec.gauge(Gauge::IndexBytes, index.estimated_bytes() as u64);
-        rec.gauge(Gauge::PeakIndexBytes, index.peak_bytes() as u64);
-        rec.gauge(Gauge::NumStrings, strings.len() as u64);
-        rec.set_total(total_start.elapsed());
-        Ok(JoinResult { pairs, stats })
+    /// Like [`crate::parallel::par_self_join`], this classic API has no
+    /// error channel: it ignores any configured [`JoinConfig::deadline`]
+    /// and panics rather than return an incomplete answer.
+    pub fn self_join(&self, strings: &[UncertainString]) -> JoinResult {
+        par_self_join(self.config.clone(), self.sigma, strings, 1)
     }
 }
 
@@ -340,7 +107,15 @@ impl SimilarityJoin {
 mod tests {
     use super::*;
     use crate::config::Pipeline;
+    use crate::parallel::{run_self_join, JoinError, RunOptions};
     use usj_model::Alphabet;
+
+    fn one_thread() -> RunOptions {
+        RunOptions {
+            threads: 1,
+            ..RunOptions::default()
+        }
+    }
 
     fn dna(text: &str) -> UncertainString {
         UncertainString::parse(text, &Alphabet::dna()).unwrap()
@@ -461,8 +236,8 @@ mod tests {
         assert!(s.peak_index_bytes >= s.index_bytes || s.index_bytes == 0);
     }
 
-    /// The recorded driver must leave the output untouched (NoopRecorder
-    /// and CollectingRecorder runs are interchangeable) and the collected
+    /// A recorder must leave the output untouched (NoopRecorder and
+    /// CollectingRecorder runs are interchangeable) and the collected
     /// event stream must mirror every `JoinStats` counter exactly —
     /// `JoinStats` is a view over the events, so any divergence here is a
     /// double-count or a dropped event.
@@ -474,8 +249,14 @@ mod tests {
         // (guarantees VerifierBuilds fires on this small collection).
         let join = SimilarityJoin::new(JoinConfig::new(2, 0.3).with_early_stop(false), 4);
         let plain = join.self_join(&strings);
-        let mut sink = CollectingRecorder::new();
-        let recorded = join.self_join_recorded(&strings, &mut sink);
+        let (recorded, _, sink) = run_self_join(
+            join.config().clone(),
+            4,
+            &strings,
+            &one_thread(),
+            CollectingRecorder::new,
+        )
+        .unwrap();
         assert_eq!(pair_set(&plain), pair_set(&recorded));
         let s = &recorded.stats;
         for (counter, field) in [
@@ -604,10 +385,9 @@ mod tests {
     }
 
     #[test]
-    fn try_self_join_enforces_deadline_between_probes() {
+    fn one_thread_run_enforces_deadline() {
         let config = JoinConfig::new(2, 0.3).with_deadline(Some(std::time::Duration::ZERO));
-        let join = SimilarityJoin::new(config, 4);
-        match join.try_self_join(&collection()) {
+        match run_self_join(config, 4, &collection(), &one_thread(), || NoopRecorder) {
             Err(JoinError::Deadline {
                 completed_waves,
                 checkpoint,
@@ -618,17 +398,6 @@ mod tests {
             }
             other => panic!("expected Deadline error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn try_self_join_without_deadline_matches_classic_driver() {
-        let strings = collection();
-        let join = SimilarityJoin::new(JoinConfig::new(2, 0.3), 4);
-        let classic = join.self_join(&strings);
-        let tried = join
-            .try_self_join(&strings)
-            .expect("no deadline configured");
-        assert_eq!(classic.pairs, tried.pairs);
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //!    trie verifier (§6.2), whose probe trie is built once per `R`.
 //! 4. `R`'s own segments are then inserted into the indices and the scan
 //!    moves on — each unordered pair is therefore examined exactly once.
+//!    The driver ([`parallel::run_self_join`], on any number of threads)
+//!    inserts a band of lengths ahead of its probes, and a probe admits
+//!    only strings visited before it, to the same effect.
 //!
 //! Four pipeline variants ([`config::Pipeline`]) reproduce the paper's
 //! algorithms **QFCT**, **QCT**, **QFT**, and **FCT** (each letter names a
@@ -53,9 +56,7 @@ pub use config::{JoinConfig, Pipeline, VerifierKind};
 pub use index::{EquivCache, SegmentIndex};
 pub use join::{JoinResult, SimilarPair, SimilarityJoin};
 pub use oracle::oracle_self_join;
-pub use parallel::{
-    par_self_join, par_self_join_ft, par_self_join_recorded, FaultReport, FtOptions, JoinError,
-};
+pub use parallel::{par_self_join, run_self_join, FaultReport, JoinError, RunOptions};
 pub use partition::{Partition, ShardSlice};
 pub use record::{PhaseSpan, Recording};
 pub use snapshot::{

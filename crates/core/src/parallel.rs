@@ -1,48 +1,48 @@
-//! Parallel self-join: the length-banded sharded driver.
+//! The self-join driver (paper §4's query algorithm), run as
+//! length-banded waves on any number of threads.
 //!
-//! The sequential driver ([`crate::SimilarityJoin::self_join`]) visits
-//! strings in ascending `(length, id)` order, probing the index of
-//! previously-visited strings and evicting lengths the sweep has moved
-//! past — its peak index memory is bounded by the `[l − k, l]` window, not
-//! the collection. This driver keeps that bound **across worker threads**:
+//! Strings are visited in ascending `(length, id)` order. A probe of
+//! length `l` queries the resident index of lengths `[l − k, l]` and
+//! admits only visit-order-earlier candidates (every shorter string, and
+//! ids below its own at equal length), so each unordered pair is decided
+//! exactly once, in one fixed probe→candidate direction. The output —
+//! pairs, probabilities and funnel counters — is therefore the same at
+//! every thread count; `threads = 1` is the classic sequential join.
 //!
 //! * Strings are grouped by length into *shards*; consecutive length
 //!   groups form a *wave* ([`JoinConfig::shard_band`] lengths per wave,
 //!   `0` = sized automatically so a wave feeds every worker).
 //! * Waves run in ascending length order. Before a wave for lengths
-//!   `[lo, hi]`, shards below `lo − k` are evicted (no remaining probe can
-//!   reach them — the sweep-line mirror of the sequential driver's
-//!   `evict_below`), then the wave's own shards are built. Only lengths in
-//!   `[lo − k, hi]` are ever resident, reported via
-//!   [`Gauge::ResidentShards`] and [`Gauge::PeakResidentBytes`].
+//!   `[lo, hi]`, shards below `lo − k` are evicted together with their
+//!   frequency profiles (no remaining probe can reach them), then the
+//!   wave's own shards are built. Only lengths in `[lo − k, hi]` are ever
+//!   resident, reported via [`Gauge::ResidentShards`] and
+//!   [`Gauge::PeakResidentBytes`].
 //! * Within a wave, workers claim probes in adaptive work-stealing
 //!   batches ([`JoinConfig::batch_min`]`..=`[`JoinConfig::batch_max`],
 //!   shrinking near the tail where self-join probes are most expensive),
-//!   counted by [`Counter::StealBatches`]. Each probe admits only
-//!   visit-order-earlier candidates (smaller length, or equal length and
-//!   smaller id), reusing its equivalent sets across every shard it
-//!   touches ([`crate::index::EquivCache`]).
-//!
-//! Because every pair is filtered and verified in the same probe→candidate
-//! direction as the sequential driver, output is **byte-identical** to it
-//! — pairs *and* probabilities — asserted by the differential tests below.
+//!   counted by [`Counter::StealBatches`]. The calling thread is one of
+//!   the workers, so a one-thread run spawns no thread. Each worker keeps
+//!   one [`EquivCache`] for all its batches.
+//! * A same-length probe walks each posting run only up to its own id
+//!   (runs are id-sorted), so it touches exactly the postings indexed
+//!   before it in visit order.
 //!
 //! # Fault tolerance
 //!
-//! [`par_self_join_ft`] wraps the same wave machinery in a recovery
-//! layer. Each work-stealing batch runs against **fresh scratch** (pairs,
-//! stats, recorder) inside `catch_unwind`: a panicking batch discards its
+//! Each work-stealing batch runs against **fresh scratch** (pairs, stats,
+//! recorder) inside `catch_unwind`: a panicking batch discards its
 //! scratch wholesale — no half-counted funnel counters — and is retried
 //! probe-by-probe; a probe that panics even in isolation is
 //! **quarantined** ([`Counter::ProbesQuarantined`]) and the run continues
 //! without its pairs. A wall-clock [`JoinConfig::deadline`] is checked at
 //! batch granularity through a cooperative cancel flag, ending a stuck
 //! run with a clean [`JoinError::Deadline`]. With a checkpoint directory
-//! ([`FtOptions::checkpoint_dir`]), every completed wave atomically
+//! ([`RunOptions::checkpoint_dir`]), every completed wave atomically
 //! commits a [`Checkpoint`] (pairs, funnel counters, config/input
-//! fingerprint), and [`FtOptions::resume`] replays index construction for
-//! committed waves while skipping their probes — the resumed output is
-//! bit-identical to an uninterrupted run. Failpoints (`parallel.evict`,
+//! fingerprint), and [`RunOptions::resume`] replays index construction
+//! for committed waves while skipping their probes — the resumed output
+//! is bit-identical to an uninterrupted run. Failpoints (`parallel.evict`,
 //! `parallel.batch`, `parallel.isolate`, `parallel.verify`,
 //! `index.build`, `checkpoint.write`) let tests inject each failure
 //! deterministically (see `usj-fault`).
@@ -51,10 +51,9 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use usj_cdf::CdfFilter;
@@ -66,14 +65,18 @@ use usj_obs::{Counter, Gauge, MergeRecorder, NoopRecorder, Phase, Recorder};
 use crate::checkpoint::{fnv1a_fold, Checkpoint, CheckpointError, FNV_SEED};
 use crate::config::JoinConfig;
 use crate::index::{EquivCache, SegmentIndex};
-use crate::join::{JoinResult, SimilarPair, SimilarityJoin};
+use crate::join::{JoinResult, SimilarPair};
 use crate::record::Recording;
 use crate::stats::JoinStats;
 use crate::verifier::{decide_candidate, ProbeVerifier};
 
-/// Fault-tolerance options for [`par_self_join_ft`].
+/// How [`run_self_join`] runs; the deadline is
+/// [`JoinConfig::deadline`].
 #[derive(Debug, Clone, Default)]
-pub struct FtOptions {
+pub struct RunOptions {
+    /// Worker threads, the calling thread included (0 = one per
+    /// available core).
+    pub threads: usize,
     /// Directory to commit a checkpoint into after every completed wave
     /// (created if absent). `None` disables checkpointing.
     pub checkpoint_dir: Option<PathBuf>,
@@ -99,7 +102,7 @@ pub struct FaultReport {
     pub checkpoint: Option<PathBuf>,
 }
 
-/// Why a fault-tolerant join ended without a complete result.
+/// Why a self-join ended without a complete result.
 #[derive(Debug)]
 pub enum JoinError {
     /// The wall-clock deadline expired. Committed waves (and their
@@ -175,78 +178,53 @@ impl std::error::Error for JoinError {
     }
 }
 
-/// Runs the self-join with `threads` worker threads (0 = one per
-/// available core). Returns exactly the pairs of the sequential driver.
+/// Runs the self-join on `threads` worker threads (0 = one per available
+/// core). Pairs, probabilities and funnel counters are the same at every
+/// thread count.
+///
+/// This classic API has no error channel: it never checkpoints, ignores
+/// any configured deadline, and never returns an incomplete answer. An
+/// unrecovered driver-level panic is re-raised as the panic it was, and
+/// a probe quarantined by batch-level recovery (it panicked even when
+/// retried alone, so its pairs are missing) panics naming the probe ids.
 pub fn par_self_join(
     config: JoinConfig,
     sigma: usize,
     strings: &[UncertainString],
     threads: usize,
 ) -> JoinResult {
-    par_self_join_recorded(config, sigma, strings, threads, || NoopRecorder).0
-}
-
-/// [`par_self_join`] with per-worker instrumentation. `make_recorder`
-/// builds one recorder per worker per wave (plus one per batch of
-/// scratch), so the hot probe loop stays lock-free — no shared sink, no
-/// atomics. After each wave's scope joins, the worker recorders are
-/// folded into one via [`MergeRecorder::absorb`] and returned next to the
-/// result; driver-level events (shard builds, residency gauges,
-/// wall-clock total) land on the merged recorder.
-///
-/// This classic API has no error channel: it never checkpoints, ignores
-/// any configured deadline, and benefits from batch-level panic recovery
-/// — the only error the fault-tolerant core can still surface is an
-/// unrecovered driver-level panic, which is re-raised as the panic it
-/// was.
-pub fn par_self_join_recorded<R, F>(
-    config: JoinConfig,
-    sigma: usize,
-    strings: &[UncertainString],
-    threads: usize,
-    make_recorder: F,
-) -> (JoinResult, R)
-where
-    R: MergeRecorder + Send,
-    F: Fn() -> R + Sync,
-{
     let mut config = config;
     config.deadline = None;
-    match par_self_join_ft(
-        config,
-        sigma,
-        strings,
+    let opts = RunOptions {
         threads,
-        &FtOptions::default(),
-        make_recorder,
-    ) {
-        Ok((result, _report, recorder)) => (result, recorder),
+        ..RunOptions::default()
+    };
+    match run_self_join(config, sigma, strings, &opts, || NoopRecorder) {
+        Ok((result, report, _)) if report.quarantined.is_empty() => result,
+        Ok((_, report, _)) => panic!(
+            "self-join incomplete: probe(s) {:?} panicked even when retried alone",
+            report.quarantined
+        ),
         Err(e) => panic!("{e}"),
     }
 }
 
-/// Shared read-only state a wave's probes run against.
-struct WaveCtx<'a> {
-    strings: &'a [UncertainString],
-    config: &'a JoinConfig,
-    index: &'a SegmentIndex,
-    visited: &'a BTreeMap<usize, Vec<u32>>,
-    profiles: &'a [Option<FreqProfile>],
-    freq_filter: &'a FreqFilter,
-    cdf_filter: &'a CdfFilter,
-}
-
-/// The fault-tolerant self-join (see the module docs' *Fault tolerance*
-/// section). On success returns the result (bit-identical to the plain
-/// driver whenever nothing was quarantined), the [`FaultReport`], and the
-/// merged recorder; on deadline/fault/checkpoint failure returns a
-/// structured [`JoinError`] that names what survives.
-pub fn par_self_join_ft<R, F>(
+/// The self-join (see the module docs). `make_recorder` builds one
+/// recorder per worker per wave (plus one per batch of scratch), so the
+/// hot probe loop stays lock-free — no shared sink, no atomics. Worker
+/// recorders are folded into one via [`MergeRecorder::absorb`] and
+/// returned next to the result; driver-level events (shard builds,
+/// residency gauges, wall-clock total) land on the merged recorder.
+///
+/// On success returns the result (the same at every thread count
+/// whenever nothing was quarantined), the [`FaultReport`], and the merged
+/// recorder; on deadline/fault/checkpoint failure returns a structured
+/// [`JoinError`] that names what survives.
+pub fn run_self_join<R, F>(
     config: JoinConfig,
     sigma: usize,
     strings: &[UncertainString],
-    threads: usize,
-    opts: &FtOptions,
+    opts: &RunOptions,
     make_recorder: F,
 ) -> Result<(JoinResult, FaultReport, R), JoinError>
 where
@@ -255,19 +233,8 @@ where
 {
     assert!(sigma >= 1, "alphabet must be non-empty");
     let total_start = Instant::now();
-    let threads = resolve_threads(threads, strings.len());
+    let threads = resolve_threads(opts.threads, strings.len());
     let mut merged = make_recorder();
-
-    // Fast path: an empty or single-string collection has no pairs to
-    // find, and one worker is just the sequential driver with extra
-    // steps — run it directly, spawning no threads and building no waves.
-    // Only when no fault-tolerance feature is engaged: deadlines and
-    // checkpoints always take the wave machinery.
-    let plain = opts.checkpoint_dir.is_none() && !opts.resume && config.deadline.is_none();
-    if plain && (strings.len() <= 1 || threads <= 1) {
-        let result = SimilarityJoin::new(config, sigma).self_join_recorded(strings, &mut merged);
-        return Ok((result, FaultReport::default(), merged));
-    }
     if opts.resume && opts.checkpoint_dir.is_none() {
         return Err(JoinError::Checkpoint(CheckpointError::Io(
             "resume requires a checkpoint directory".to_string(),
@@ -276,47 +243,18 @@ where
 
     let batch_min = config.batch_min.max(1);
     let batch_max = config.batch_max.max(batch_min);
-
-    // Visit order: ascending (length, id) — identical to the sequential
-    // driver, so admission below reproduces its probe→candidate direction.
-    let mut order: Vec<u32> = (0..strings.len() as u32).collect();
-    order.sort_by_key(|&i| (strings[i as usize].len(), i));
-
-    // Length groups (shards-to-be): runs of equal length within `order`.
-    // A group is never split across waves, so a probe's same-length shard
-    // is always fully resident when the probe runs.
-    let mut groups: Vec<(usize, Range<usize>)> = Vec::new();
-    let mut start = 0usize;
-    for i in 1..=order.len() {
-        if i == order.len()
-            || strings[order[i] as usize].len() != strings[order[start] as usize].len()
-        {
-            groups.push((strings[order[start] as usize].len(), start..i));
-            start = i;
-        }
-    }
-
-    // Wave plan: `shard_band` length groups per wave; 0 = grow each wave
-    // until it holds enough probes to hand every worker a full batch.
-    let auto_target = threads * batch_max;
-    let mut waves: Vec<Range<usize>> = Vec::new();
-    let mut g = 0usize;
-    while g < groups.len() {
-        let mut end = g + 1;
-        if config.shard_band == 0 {
-            let mut probes = groups[g].1.len();
-            while end < groups.len() && probes < auto_target {
-                probes += groups[end].1.len();
-                end += 1;
-            }
-        } else {
-            end = (g + config.shard_band).min(groups.len());
-        }
-        waves.push(g..end);
-        g = end;
-    }
-
-    let run_fp = run_fingerprint(&config, sigma, strings, &order, &groups, &waves);
+    let plan = plan_waves(strings, &config, threads);
+    let WavePlan {
+        order,
+        groups,
+        waves,
+    } = &plan;
+    // Only checkpoints carry the fingerprint, and it hashes every input
+    // probability, so runs without one skip it.
+    let run_fp = match opts.checkpoint_dir {
+        Some(_) => run_fingerprint(&config, sigma, strings, &plan),
+        None => 0,
+    };
 
     let freq_filter = FreqFilter::new(config.k, config.tau, sigma);
     let cdf_filter = CdfFilter::new(config.k, config.tau);
@@ -331,6 +269,8 @@ where
     let mut index = SegmentIndex::new();
     let mut visited: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
     let mut profiles: Vec<Option<FreqProfile>> = vec![None; strings.len()];
+    // One equivalent-set cache per worker, kept across batches and waves.
+    let mut caches: Vec<EquivCache> = (0..threads).map(|_| EquivCache::new()).collect();
 
     // ---- Resume: adopt the committed prefix ---------------------------
     let mut resumed_waves = 0usize;
@@ -440,9 +380,7 @@ where
         }
 
         // ---- Probe the wave with adaptive work-stealing batches -------
-        let wave_order = &order[probe_range];
-        let wave_len = wave_order.len();
-        let wave_workers = threads.min(wave_len).max(1);
+        let probes = &order[probe_range];
         let next = AtomicUsize::new(0);
         let cancel = AtomicBool::new(false);
         let ctx = WaveCtx {
@@ -453,107 +391,33 @@ where
             profiles: &profiles,
             freq_filter: &freq_filter,
             cdf_filter: &cdf_filter,
+            probes,
+            workers: threads.min(probes.len()).max(1),
+            batch_min,
+            batch_max,
+            next: &next,
+            cancel: &cancel,
+            started: total_start,
         };
-        let results: Mutex<(Vec<SimilarPair>, JoinStats, Vec<u32>)> =
-            Mutex::new((Vec::new(), JoinStats::default(), Vec::new()));
-        let recorders: Mutex<Vec<R>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..wave_workers {
-                scope.spawn(|| {
-                    let mut local_pairs = Vec::new();
-                    let mut local_stats = JoinStats::default();
-                    let mut local_rec = make_recorder();
-                    let mut local_quarantine: Vec<u32> = Vec::new();
-                    loop {
-                        // ordering: Relaxed — the cancel flag is advisory
-                        // (a worker that misses it merely finishes one more
-                        // batch); result publication synchronises through
-                        // the mutexes and the scope join, not this flag.
-                        if cancel.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        if let Some(deadline) = ctx.config.deadline {
-                            if total_start.elapsed() > deadline {
-                                // ordering: Relaxed — same advisory-flag
-                                // argument as the load above.
-                                cancel.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                        let Some(batch) =
-                            grab_batch(&next, wave_len, wave_workers, batch_min, batch_max)
-                        else {
-                            break;
-                        };
-                        local_rec.counter(Counter::StealBatches, 1);
-                        let ids = &wave_order[batch];
-                        match run_batch_caught(ids, false, &ctx, &make_recorder) {
-                            Ok((mut bp, bs, br)) => {
-                                local_pairs.append(&mut bp);
-                                local_stats.absorb(&bs);
-                                local_rec.absorb(br);
-                            }
-                            Err(payload) => {
-                                {
-                                    let mut rec = Recording::new(&mut local_stats, &mut local_rec);
-                                    rec.count(Counter::BatchesRetried, 1);
-                                    if payload.downcast_ref::<InjectedFault>().is_some() {
-                                        rec.count(Counter::FaultsInjected, 1);
-                                    }
-                                }
-                                // The batch's scratch is gone; replay it
-                                // probe-by-probe so one poisonous probe
-                                // cannot take its batchmates down with it.
-                                for &id in ids {
-                                    match run_batch_caught(&[id], true, &ctx, &make_recorder) {
-                                        Ok((mut pp, ps, pr)) => {
-                                            local_pairs.append(&mut pp);
-                                            local_stats.absorb(&ps);
-                                            local_rec.absorb(pr);
-                                        }
-                                        Err(p2) => {
-                                            let mut rec =
-                                                Recording::new(&mut local_stats, &mut local_rec);
-                                            rec.count(Counter::ProbesQuarantined, 1);
-                                            if p2.downcast_ref::<InjectedFault>().is_some() {
-                                                rec.count(Counter::FaultsInjected, 1);
-                                            }
-                                            local_quarantine.push(id);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    // A poisoned lock only means another worker panicked
-                    // mid-push; the data under it is a plain Vec append,
-                    // always consistent — so recover instead of
-                    // double-panicking here.
-                    let mut guard = results.lock().unwrap_or_else(PoisonError::into_inner);
-                    guard.0.append(&mut local_pairs);
-                    guard.1.absorb(&local_stats);
-                    guard.2.append(&mut local_quarantine);
-                    drop(guard);
-                    recorders
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push(local_rec);
-                });
+        let (own, helpers) = caches.split_at_mut(1);
+        let outs: Vec<WorkerOut<R>> = std::thread::scope(|scope| {
+            let (ctx, make_recorder) = (&ctx, &make_recorder);
+            let spawned: Vec<_> = helpers[..ctx.workers - 1]
+                .iter_mut()
+                .map(|cache| scope.spawn(move || run_worker(ctx, cache, make_recorder)))
+                .collect();
+            let mut outs = vec![run_worker(ctx, &mut own[0], make_recorder)];
+            for handle in spawned {
+                outs.push(
+                    handle
+                        .join()
+                        .unwrap_or_else(|payload| resume_unwind(payload)),
+                );
             }
+            outs
         });
-        // Workers can no longer hold the locks (the scope joined them), so
-        // poison recovery is sound: the protected values were fully
-        // written or never touched.
-        for worker_rec in recorders
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-        {
-            merged.absorb(worker_rec);
-        }
-        let (mut wave_pairs, wave_stats, mut wave_quar) =
-            results.into_inner().unwrap_or_else(PoisonError::into_inner);
-        // ordering: Relaxed — workers finished; this is a plain read of
-        // whether anyone tripped the deadline.
+        // ordering: Relaxed — the workers were joined above; this is a
+        // plain read of whether anyone tripped the deadline.
         if cancel.load(Ordering::Relaxed) {
             // The wave is incomplete; its partial results are discarded —
             // a resume re-runs the whole wave from the last checkpoint.
@@ -563,9 +427,12 @@ where
                 checkpoint: last_checkpoint,
             });
         }
-        pairs.append(&mut wave_pairs);
-        stats.absorb(&wave_stats);
-        quarantined.append(&mut wave_quar);
+        for out in outs {
+            pairs.extend(out.pairs);
+            stats.absorb(&out.stats);
+            quarantined.extend(out.quarantined);
+            merged.absorb(out.recorder);
+        }
         completed_waves = wave_idx + 1;
 
         // ---- Commit the completed prefix ------------------------------
@@ -622,6 +489,169 @@ where
     Ok((JoinResult { pairs, stats }, report, merged))
 }
 
+/// The order a self-join visits strings in and how it cuts them into
+/// waves.
+struct WavePlan {
+    /// String ids in ascending `(length, id)` order.
+    order: Vec<u32>,
+    /// Length groups (shards-to-be): `(length, range of order)` for each
+    /// run of equal length. A group is never split across waves, so a
+    /// probe's same-length shard is always fully resident when it runs.
+    groups: Vec<(usize, Range<usize>)>,
+    /// Each wave as a range of `groups`.
+    waves: Vec<Range<usize>>,
+}
+
+/// Plans the waves: [`JoinConfig::shard_band`] length groups per wave;
+/// 0 = grow each wave until it holds enough probes to hand each of
+/// `threads` workers a full batch.
+fn plan_waves(strings: &[UncertainString], config: &JoinConfig, threads: usize) -> WavePlan {
+    let mut order: Vec<u32> = (0..strings.len() as u32).collect();
+    order.sort_by_key(|&i| (strings[i as usize].len(), i));
+    let len_at = |i: usize| strings[order[i] as usize].len();
+    let mut groups: Vec<(usize, Range<usize>)> = Vec::new();
+    let mut start = 0usize;
+    for i in 1..=order.len() {
+        if i == order.len() || len_at(i) != len_at(start) {
+            groups.push((len_at(start), start..i));
+            start = i;
+        }
+    }
+
+    let auto_target = threads * config.batch_max.max(config.batch_min).max(1);
+    let mut waves: Vec<Range<usize>> = Vec::new();
+    let mut g = 0usize;
+    while g < groups.len() {
+        let mut end = g + 1;
+        if config.shard_band == 0 {
+            let mut probes = groups[g].1.len();
+            while end < groups.len() && probes < auto_target {
+                probes += groups[end].1.len();
+                end += 1;
+            }
+        } else {
+            end = (g + config.shard_band).min(groups.len());
+        }
+        waves.push(g..end);
+        g = end;
+    }
+    WavePlan {
+        order,
+        groups,
+        waves,
+    }
+}
+
+/// One wave's shared state: the read-only shards its probes run against
+/// and the work-stealing cursor its workers share.
+struct WaveCtx<'a> {
+    strings: &'a [UncertainString],
+    config: &'a JoinConfig,
+    index: &'a SegmentIndex,
+    visited: &'a BTreeMap<usize, Vec<u32>>,
+    profiles: &'a [Option<FreqProfile>],
+    freq_filter: &'a FreqFilter,
+    cdf_filter: &'a CdfFilter,
+    /// The wave's probe ids in visit order.
+    probes: &'a [u32],
+    workers: usize,
+    batch_min: usize,
+    batch_max: usize,
+    next: &'a AtomicUsize,
+    cancel: &'a AtomicBool,
+    started: Instant,
+}
+
+/// What one worker produced in one wave.
+struct WorkerOut<R> {
+    pairs: Vec<SimilarPair>,
+    stats: JoinStats,
+    quarantined: Vec<u32>,
+    recorder: R,
+}
+
+impl<R: MergeRecorder> WorkerOut<R> {
+    /// Adopts the scratch of a batch that completed.
+    fn absorb(&mut self, (mut pairs, stats, recorder): (Vec<SimilarPair>, JoinStats, R)) {
+        self.pairs.append(&mut pairs);
+        self.stats.absorb(&stats);
+        self.recorder.absorb(recorder);
+    }
+
+    /// Counts a caught panic under `counter`, and as a survived fault when
+    /// a failpoint injected it.
+    fn count_panic(&mut self, counter: Counter, payload: &(dyn Any + Send)) {
+        let mut rec = Recording::new(&mut self.stats, &mut self.recorder);
+        rec.count(counter, 1);
+        if payload.downcast_ref::<InjectedFault>().is_some() {
+            rec.count(Counter::FaultsInjected, 1);
+        }
+    }
+}
+
+/// One wave worker: claims batches off the shared cursor until the wave
+/// is drained or the deadline trips. A batch that panics is replayed
+/// probe by probe so one poisonous probe cannot take its batchmates down
+/// with it; a probe that panics alone is quarantined. A caught panic may
+/// leave `cache` half-written, so each one replaces it.
+fn run_worker<R, F>(ctx: &WaveCtx<'_>, cache: &mut EquivCache, make_recorder: &F) -> WorkerOut<R>
+where
+    R: MergeRecorder + Send,
+    F: Fn() -> R + Sync,
+{
+    let mut out = WorkerOut {
+        pairs: Vec::new(),
+        stats: JoinStats::default(),
+        quarantined: Vec::new(),
+        recorder: make_recorder(),
+    };
+    loop {
+        // ordering: Relaxed — the cancel flag is advisory (a worker that
+        // misses it merely finishes one more batch); results are
+        // published through the thread join, not this flag.
+        if ctx.cancel.load(Ordering::Relaxed) {
+            break;
+        }
+        if let Some(deadline) = ctx.config.deadline {
+            if ctx.started.elapsed() > deadline {
+                // ordering: Relaxed — same advisory-flag argument as the
+                // load above.
+                ctx.cancel.store(true, Ordering::Relaxed);
+                break;
+            }
+        }
+        let Some(batch) = grab_batch(
+            ctx.next,
+            ctx.probes.len(),
+            ctx.workers,
+            ctx.batch_min,
+            ctx.batch_max,
+        ) else {
+            break;
+        };
+        out.recorder.counter(Counter::StealBatches, 1);
+        let ids = &ctx.probes[batch];
+        match run_batch_caught(ids, false, ctx, cache, make_recorder) {
+            Ok(scratch) => out.absorb(scratch),
+            Err(payload) => {
+                *cache = EquivCache::new();
+                out.count_panic(Counter::BatchesRetried, &*payload);
+                for &id in ids {
+                    match run_batch_caught(&[id], true, ctx, cache, make_recorder) {
+                        Ok(scratch) => out.absorb(scratch),
+                        Err(payload) => {
+                            *cache = EquivCache::new();
+                            out.count_panic(Counter::ProbesQuarantined, &*payload);
+                            out.quarantined.push(id);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
 /// Runs `f` with panics caught (hook-silenced via the fault shield) and
 /// converted to their message — the driver-level recovery primitive for
 /// sections that cannot be isolated per probe.
@@ -649,11 +679,13 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// the batch the scratch is discarded wholesale — no half-counted funnel
 /// counters, no partial pairs — and the payload is returned for the
 /// caller to triage (retry, quarantine, count injected faults).
-/// `isolated` marks the probe-by-probe retry of a failed batch.
+/// `isolated` marks the probe-by-probe retry of a failed batch. `cache`
+/// is the worker's, cleared per probe.
 fn run_batch_caught<R, F>(
     ids: &[u32],
     isolated: bool,
     ctx: &WaveCtx<'_>,
+    cache: &mut EquivCache,
     make_recorder: &F,
 ) -> Result<(Vec<SimilarPair>, JoinStats, R), Box<dyn Any + Send>>
 where
@@ -661,7 +693,8 @@ where
     F: Fn() -> R + Sync,
 {
     // AssertUnwindSafe: the closure only reads the shared wave state and
-    // writes the scratch it returns; a panic drops the scratch entirely.
+    // writes the scratch it returns and the cache; a panic drops the
+    // scratch entirely and the caller replaces the cache.
     shield::shielded(|| {
         catch_unwind(AssertUnwindSafe(|| {
             let mut pairs = Vec::new();
@@ -682,10 +715,8 @@ where
                     rec.count(Counter::FaultsInjected, 1);
                 }
             }
-            // One equivalent-set cache for the batch, cleared per probe.
-            let mut cache = EquivCache::new();
             for &id in ids {
-                probe_one(id, ctx, &mut cache, &mut pairs, &mut stats, &mut recorder);
+                probe_one(id, ctx, cache, &mut pairs, &mut stats, &mut recorder);
             }
             (pairs, stats, recorder)
         }))
@@ -702,9 +733,7 @@ fn run_fingerprint(
     config: &JoinConfig,
     sigma: usize,
     strings: &[UncertainString],
-    order: &[u32],
-    groups: &[(usize, Range<usize>)],
-    waves: &[Range<usize>],
+    plan: &WavePlan,
 ) -> u64 {
     fn fold(h: u64, v: u64) -> u64 {
         fnv1a_fold(h, &v.to_le_bytes())
@@ -726,7 +755,7 @@ fn run_fingerprint(
     h = fold(h, config.max_trie_nodes as u64);
     h = fold(h, sigma as u64);
     h = fold(h, strings.len() as u64);
-    for &id in order {
+    for &id in &plan.order {
         let s = &strings[id as usize];
         h = fold(h, id as u64);
         h = fold(h, s.len() as u64);
@@ -738,10 +767,10 @@ fn run_fingerprint(
             }
         }
     }
-    h = fold(h, waves.len() as u64);
-    for w in waves {
-        h = fold(h, groups[w.start].1.start as u64);
-        h = fold(h, groups[w.end - 1].1.end as u64);
+    h = fold(h, plan.waves.len() as u64);
+    for w in &plan.waves {
+        h = fold(h, plan.groups[w.start].1.start as u64);
+        h = fold(h, plan.groups[w.end - 1].1.end as u64);
     }
     h
 }
@@ -799,11 +828,10 @@ fn grab_batch(
     }
 }
 
-/// One probe against the resident shards: the same qgram → freq → CDF →
-/// verify pipeline as the sequential driver, restricted to visit-order-
-/// earlier candidates (all of a smaller length, ids `< probe_id` at equal
-/// length) so each unordered pair is decided exactly once and in the same
-/// probe→candidate direction as the sequential driver.
+/// One probe against the resident shards: the qgram → freq → CDF →
+/// verify pipeline, restricted to visit-order-earlier candidates (all of
+/// a smaller length, ids `< probe_id` at equal length) so each unordered
+/// pair is decided exactly once, in one fixed probe→candidate direction.
 fn probe_one<R: Recorder>(
     probe_id: u32,
     ctx: &WaveCtx<'_>,
@@ -919,9 +947,29 @@ mod tests {
     use super::*;
     use crate::collection::IndexedCollection;
     use crate::config::Pipeline;
+    use crate::join::SimilarityJoin;
     use crate::oracle::oracle_self_join;
     use usj_model::Alphabet;
     use usj_obs::CollectingRecorder;
+
+    /// A checkpoint-free run on `threads` threads with its merged recorder.
+    fn run<R, F>(
+        config: &JoinConfig,
+        strings: &[UncertainString],
+        threads: usize,
+        make: F,
+    ) -> (JoinResult, R)
+    where
+        R: MergeRecorder + Send,
+        F: Fn() -> R + Sync,
+    {
+        let opts = RunOptions {
+            threads,
+            ..RunOptions::default()
+        };
+        let (result, _, recorder) = run_self_join(config.clone(), 4, strings, &opts, make).unwrap();
+        (result, recorder)
+    }
 
     fn dna(text: &str) -> UncertainString {
         UncertainString::parse(text, &Alphabet::dna()).unwrap()
@@ -940,8 +988,8 @@ mod tests {
         ]
     }
 
-    /// Pairs *and* probabilities must agree to the last bit — the sharded
-    /// driver's output contract with the sequential driver.
+    /// Pairs *and* probabilities must agree to the last bit — the driver's
+    /// output contract across thread counts.
     fn assert_bit_identical(a: &JoinResult, b: &JoinResult) {
         let key = |r: &JoinResult| {
             r.pairs
@@ -996,20 +1044,20 @@ mod tests {
     }
 
     #[test]
-    fn fast_paths_empty_single_and_one_thread() {
+    fn empty_single_and_one_thread_runs() {
         let config = JoinConfig::new(1, 0.4);
-        let (res, _rec) =
-            par_self_join_recorded(config.clone(), 4, &[], 4, CollectingRecorder::new);
+        let (res, rec) = run(&config, &[], 4, CollectingRecorder::new);
         assert!(res.pairs.is_empty());
         assert_eq!(res.stats.num_strings, 0);
+        assert_eq!(rec.probes(), 0);
 
         let single = vec![dna("ACGT")];
         let res = par_self_join(config.clone(), 4, &single, 4);
         assert!(res.pairs.is_empty());
         assert_eq!(res.stats.num_strings, 1);
 
-        // One worker takes the sequential driver verbatim: identical
-        // output *and* identical counters.
+        // The one-thread classic wrapper and a one-thread run agree on
+        // output *and* counters.
         let strings = collection();
         let seq = SimilarityJoin::new(config.clone(), 4).self_join(&strings);
         let par = par_self_join(config.clone(), 4, &strings, 1);
@@ -1100,7 +1148,7 @@ mod tests {
             .with_batch_range(1, 2)
             .with_shard_band(1);
         let seq = SimilarityJoin::new(config.clone(), 4).self_join(&strings);
-        let (par, log) = par_self_join_recorded(config, 4, &strings, threads, WorkerLog::default);
+        let (par, log) = run(&config, &strings, threads, WorkerLog::default);
         assert_bit_identical(&par, &seq);
 
         // Every probe ran exactly once, across all workers combined.
@@ -1133,8 +1181,7 @@ mod tests {
         }
         let config = JoinConfig::new(1, 0.3).with_shard_band(1);
         let full = IndexedCollection::build(config.clone(), 4, strings.clone()).index_bytes();
-        let (par, sink) =
-            par_self_join_recorded(config.clone(), 4, &strings, 2, CollectingRecorder::new);
+        let (par, sink) = run(&config, &strings, 2, CollectingRecorder::new);
         let peak = sink.gauge_max(Gauge::PeakResidentBytes) as usize;
         assert!(peak > 0);
         assert!(
@@ -1144,8 +1191,8 @@ mod tests {
         // A band of one length plus its k-reach keeps at most 2 shards.
         assert!(sink.gauge_max(Gauge::ResidentShards) <= 2);
 
-        // With shard_band = 1 the eviction points coincide with the
-        // sequential driver's, so the peaks agree exactly.
+        // With shard_band = 1 the wave plan, and so every eviction point,
+        // is the same at one thread, so the peaks agree exactly.
         let seq = SimilarityJoin::new(config, 4).self_join(&strings);
         assert_bit_identical(&par, &seq);
         assert_eq!(par.stats.peak_index_bytes, seq.stats.peak_index_bytes);
@@ -1187,28 +1234,7 @@ mod tests {
     fn fingerprint_separates_config_input_and_plan() {
         let strings = collection();
         let fp = |config: &JoinConfig, strings: &[UncertainString], threads: usize| {
-            let mut order: Vec<u32> = (0..strings.len() as u32).collect();
-            order.sort_by_key(|&i| (strings[i as usize].len(), i));
-            let mut groups: Vec<(usize, Range<usize>)> = Vec::new();
-            let mut start = 0usize;
-            for i in 1..=order.len() {
-                if i == order.len()
-                    || strings[order[i] as usize].len() != strings[order[start] as usize].len()
-                {
-                    groups.push((strings[order[start] as usize].len(), start..i));
-                    start = i;
-                }
-            }
-            let band = config.shard_band.max(1);
-            let mut waves = Vec::new();
-            let mut g = 0usize;
-            while g < groups.len() {
-                let end = (g + band).min(groups.len());
-                waves.push(g..end);
-                g = end;
-            }
-            let _ = threads;
-            run_fingerprint(config, 4, strings, &order, &groups, &waves)
+            run_fingerprint(config, 4, strings, &plan_waves(strings, config, threads))
         };
         let base = JoinConfig::new(2, 0.5).with_shard_band(1);
         let a = fp(&base, &strings, 2);
@@ -1236,6 +1262,29 @@ mod tests {
                 2
             )
         );
+    }
+
+    /// A later same-length string that overflows the instance cap must
+    /// not mark the segment incomplete for earlier probes: TTTTTT shares
+    /// no segment with ACGTAC, so the count condition prunes it.
+    #[test]
+    fn later_over_cap_string_does_not_widen_earlier_probes() {
+        let strings = vec![
+            dna("TTTTTT"),
+            dna("ACGTAC"),
+            dna("{(A,0.3),(C,0.3),(G,0.4)}{(A,0.5),(C,0.5)}GTAC"),
+        ];
+        let mut config = JoinConfig::new(1, 0.3);
+        config.max_segment_instances = 2;
+        for threads in [1, 2, 3] {
+            let (res, _) = run(&config, &strings, threads, || NoopRecorder);
+            let s = &res.stats;
+            assert_eq!(
+                [s.pairs_in_scope, s.qgram_survivors, s.qgram_pruned_count],
+                [3, 2, 1],
+                "threads={threads}"
+            );
+        }
     }
 
     #[test]
@@ -1274,8 +1323,7 @@ mod tests {
                         assert_bit_identical(&par, &seq);
                         seen.push(counters(&par.stats));
                     }
-                    // Funnel counters are thread-count invariant and match
-                    // the sequential driver's.
+                    // Funnel counters are thread-count invariant.
                     assert_eq!(seen[0], seen[1]);
                     assert_eq!(seen[0], counters(&seq.stats));
                 }

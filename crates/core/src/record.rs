@@ -5,7 +5,7 @@
 //! gauge, and phase span goes through a [`Recording`], which applies the
 //! event to the stats struct **and** forwards it to the recorder. That
 //! makes `JoinStats` a view over the recorded event stream — one source of
-//! truth, no way for the sequential and parallel drivers to drift — while
+//! truth, no way for the self-join and search paths to drift — while
 //! a [`usj_obs::NoopRecorder`] monomorphises the forwarding away entirely.
 
 use std::time::{Duration, Instant};

@@ -11,7 +11,7 @@
 //! this struct ([`JoinStats::apply_counter`], [`JoinStats::apply_gauge`],
 //! [`PhaseTimings::add`]) and forwards it to the attached
 //! [`usj_obs::Recorder`]. Nothing updates these fields directly anymore,
-//! so the sequential and parallel drivers cannot drift apart in their
+//! so the self-join and search paths cannot drift apart in their
 //! bookkeeping.
 
 use std::time::Duration;
@@ -137,24 +137,31 @@ impl JoinStats {
     /// Counters outside the `JoinStats` vocabulary (index/verifier
     /// internals tracked only by richer recorders) are ignored.
     pub fn apply_counter(&mut self, counter: Counter, delta: u64) {
-        match counter {
-            Counter::PairsInScope => self.pairs_in_scope += delta,
-            Counter::QgramSurvivors => self.qgram_survivors += delta,
-            Counter::QgramPrunedCount => self.qgram_pruned_count += delta,
-            Counter::QgramPrunedBound => self.qgram_pruned_bound += delta,
-            Counter::FreqSurvivors => self.freq_survivors += delta,
-            Counter::FreqPrunedLower => self.freq_pruned_lower += delta,
-            Counter::FreqPrunedChebyshev => self.freq_pruned_chebyshev += delta,
-            Counter::CdfAccepted => self.cdf_accepted += delta,
-            Counter::CdfRejected => self.cdf_rejected += delta,
-            Counter::CdfUndecided => self.cdf_undecided += delta,
-            Counter::VerifiedSimilar => self.verified_similar += delta,
-            Counter::VerifiedDissimilar => self.verified_dissimilar += delta,
-            Counter::OutputPairs => self.output_pairs += delta,
-            Counter::FaultsInjected => self.faults_injected += delta,
-            Counter::BatchesRetried => self.batches_retried += delta,
-            Counter::ProbesQuarantined => self.probes_quarantined += delta,
-            Counter::WavesResumed => self.waves_resumed += delta,
+        if let Some(field) = self.counter_mut(counter) {
+            *field += delta;
+        }
+    }
+
+    /// The field `counter` events land in, if `JoinStats` tracks it.
+    pub(crate) fn counter_mut(&mut self, counter: Counter) -> Option<&mut u64> {
+        Some(match counter {
+            Counter::PairsInScope => &mut self.pairs_in_scope,
+            Counter::QgramSurvivors => &mut self.qgram_survivors,
+            Counter::QgramPrunedCount => &mut self.qgram_pruned_count,
+            Counter::QgramPrunedBound => &mut self.qgram_pruned_bound,
+            Counter::FreqSurvivors => &mut self.freq_survivors,
+            Counter::FreqPrunedLower => &mut self.freq_pruned_lower,
+            Counter::FreqPrunedChebyshev => &mut self.freq_pruned_chebyshev,
+            Counter::CdfAccepted => &mut self.cdf_accepted,
+            Counter::CdfRejected => &mut self.cdf_rejected,
+            Counter::CdfUndecided => &mut self.cdf_undecided,
+            Counter::VerifiedSimilar => &mut self.verified_similar,
+            Counter::VerifiedDissimilar => &mut self.verified_dissimilar,
+            Counter::OutputPairs => &mut self.output_pairs,
+            Counter::FaultsInjected => &mut self.faults_injected,
+            Counter::BatchesRetried => &mut self.batches_retried,
+            Counter::ProbesQuarantined => &mut self.probes_quarantined,
+            Counter::WavesResumed => &mut self.waves_resumed,
             Counter::IndexInsertions
             | Counter::IndexPostingsScanned
             | Counter::IndexCandidatesSurfaced
@@ -173,8 +180,8 @@ impl JoinStats {
             | Counter::SnapshotBandsSalvaged
             | Counter::SnapshotBandsRebuilt
             | Counter::SnapshotCorruptionsDetected
-            | Counter::WarmRestarts => {}
-        }
+            | Counter::WarmRestarts => return None,
+        })
     }
 
     /// Applies one gauge event (the [`crate::record::Recording`] hook).

@@ -19,8 +19,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use usj_core::obs::NoopRecorder;
 use usj_core::snapshot::{self, LoadRung, SalvageMode};
 use usj_core::{
-    par_self_join_ft, Checkpoint, CheckpointError, FtOptions, IndexedCollection, JoinConfig,
-    JoinStats, SimilarPair,
+    run_self_join, Checkpoint, CheckpointError, IndexedCollection, JoinConfig, JoinStats,
+    RunOptions, SimilarPair,
 };
 use usj_fault::shield;
 use usj_model::{Alphabet, UncertainString};
@@ -224,12 +224,12 @@ fn corrupted_file_on_disk_fails_resume_loudly() {
         .with_batch_range(1, 2);
     let dir = std::env::temp_dir().join(format!("usj-ckpt-corrupt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let opts = FtOptions {
+    let opts = RunOptions {
+        threads: 2,
         checkpoint_dir: Some(dir.clone()),
         resume: false,
     };
-    par_self_join_ft(config.clone(), 4, &strings, 2, &opts, || NoopRecorder)
-        .expect("clean run commits");
+    run_self_join(config.clone(), 4, &strings, &opts, || NoopRecorder).expect("clean run commits");
     let path = Checkpoint::path_in(&dir);
     let text = std::fs::read_to_string(&path).expect("checkpoint written");
 
@@ -247,11 +247,12 @@ fn corrupted_file_on_disk_fails_resume_loudly() {
     let pos = digest_at + "digest ".len();
     bytes[pos] = if bytes[pos] == b'0' { b'1' } else { b'0' };
     std::fs::write(&path, &bytes).expect("rewrite");
-    let resume = FtOptions {
+    let resume = RunOptions {
+        threads: 2,
         checkpoint_dir: Some(dir.clone()),
         resume: true,
     };
-    let err = par_self_join_ft(config, 4, &strings, 2, &resume, || NoopRecorder)
+    let err = run_self_join(config, 4, &strings, &resume, || NoopRecorder)
         .expect_err("resume over a corrupt checkpoint must fail");
     let msg = err.to_string();
     assert!(msg.contains("digest mismatch"), "{msg}");

@@ -57,7 +57,7 @@ fn query_key(
     let mut cache = EquivCache::default();
     let mut rec = CollectingRecorder::new();
     index
-        .query_cached_recorded(probe, indexed_len, config, &mut cache, &mut rec)
+        .query_cached_recorded(probe, indexed_len, config, None, &mut cache, &mut rec)
         .map(|(alphas, over_cap)| {
             let alphas: BTreeMap<u32, Vec<u64>> = alphas
                 .iter()

@@ -1,15 +1,15 @@
-//! Differential tests: the length-banded sharded parallel driver against
-//! the sequential driver against the brute-force oracle.
+//! Differential tests: the self-join driver on several threads against
+//! the same driver on one thread (`SimilarityJoin::self_join`) against the
+//! brute-force oracle.
 //!
 //! The in-src tests in `parallel.rs` cover the same contract on small
-//! deterministic inputs (they also run under the offline gate, which
-//! strips dev-dependencies); this suite drives the generated datasets at
+//! deterministic inputs; this suite drives the generated datasets at
 //! larger scale with auto wave sizing and several thread counts.
 
 use usj_core::obs::{CollectingRecorder, Counter, Gauge};
 use usj_core::{
-    oracle_self_join, par_self_join, par_self_join_recorded, IndexedCollection, JoinConfig,
-    JoinResult, Pipeline, SimilarityJoin,
+    oracle_self_join, par_self_join, run_self_join, IndexedCollection, JoinConfig, JoinResult,
+    Pipeline, RunOptions, SimilarityJoin,
 };
 use usj_datagen::{DatasetKind, DatasetSpec};
 
@@ -50,7 +50,7 @@ fn generated_datasets_all_pipelines_and_thread_counts() {
         for pipeline in Pipeline::all() {
             let config = JoinConfig::new(k, tau).with_pipeline(pipeline);
             let seq = SimilarityJoin::new(config.clone(), sigma).self_join(&ds.strings);
-            for threads in [2, 3, 4] {
+            for threads in [2, 3, 8] {
                 let par = par_self_join(config.clone(), sigma, &ds.strings, threads);
                 assert_eq!(
                     pair_key(&par),
@@ -92,7 +92,7 @@ fn over_cap_path_agrees_with_oracle() {
             for (s, o) in seq.pairs.iter().zip(&oracle) {
                 assert!((s.prob - o.prob).abs() < 1e-9);
             }
-            for threads in [2, 4] {
+            for threads in [2, 3, 8] {
                 let par = par_self_join(config.clone(), sigma, &ds.strings, threads);
                 assert_eq!(pair_key(&par), pair_key(&seq));
                 assert_eq!(funnel(&par), funnel(&seq));
@@ -111,13 +111,18 @@ fn resident_memory_stays_below_full_index_on_generated_data() {
     let config = JoinConfig::new(2, 0.1).with_shard_band(1);
     let full =
         IndexedCollection::build(config.clone(), sigma, ds.strings.clone()).index_bytes() as u64;
-    let (par, rec) = par_self_join_recorded(
+    let opts = RunOptions {
+        threads: 3,
+        ..RunOptions::default()
+    };
+    let (par, _, rec) = run_self_join(
         config.clone(),
         sigma,
         &ds.strings,
-        3,
+        &opts,
         CollectingRecorder::new,
-    );
+    )
+    .unwrap();
     let peak = rec.gauge_max(Gauge::PeakResidentBytes);
     assert!(peak > 0);
     assert!(peak < full, "peak resident {peak} vs full index {full}");
@@ -128,7 +133,8 @@ fn resident_memory_stays_below_full_index_on_generated_data() {
         par.stats.output_pairs
     );
 
-    // shard_band = 1 reproduces the sequential eviction points exactly.
+    // shard_band = 1 fixes the wave plan, so one thread evicts at the same
+    // points and peaks at the same bytes.
     let seq = SimilarityJoin::new(config, sigma).self_join(&ds.strings);
     assert_eq!(par.stats.peak_index_bytes, seq.stats.peak_index_bytes);
 }

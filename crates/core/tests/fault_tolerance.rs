@@ -1,5 +1,5 @@
-//! Fault-injection differential suite for the fault-tolerant parallel
-//! driver: every registered failpoint is killed deterministically, and
+//! Fault-injection differential suite for the self-join driver: every
+//! registered failpoint is killed deterministically, and
 //! the join must either complete bit-identically (recovered) or fail
 //! cleanly with a checkpoint from which `resume` reproduces the
 //! uninterrupted run — pairs *and* funnel counters.
@@ -8,14 +8,15 @@
 //! process-global, so a concurrently running test would consume another
 //! plan's scheduled hits.
 
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use usj_core::obs::NoopRecorder;
 use usj_core::{
-    par_self_join, par_self_join_ft, Checkpoint, CheckpointError, FaultReport, FtOptions,
-    JoinConfig, JoinError, JoinResult,
+    par_self_join, run_self_join, Checkpoint, CheckpointError, FaultReport, JoinConfig, JoinError,
+    JoinResult, RunOptions, SimilarityJoin,
 };
 use usj_fault::{shield, FaultAction, FaultPlan};
 use usj_model::{Alphabet, UncertainString};
@@ -55,12 +56,25 @@ fn config() -> JoinConfig {
         .with_batch_range(1, 2)
 }
 
+/// Thread counts the recovery paths are checked at.
+const THREADS: [usize; 4] = [1, 2, 3, 8];
+
+/// Run options on `threads` workers, checkpointing into `dir` (if any)
+/// and resuming from it when `resume`.
+fn opts_on(threads: usize, dir: Option<&PathBuf>, resume: bool) -> RunOptions {
+    RunOptions {
+        threads,
+        checkpoint_dir: dir.cloned(),
+        resume,
+    }
+}
+
 fn run_ft(
     config: &JoinConfig,
     strings: &[UncertainString],
-    opts: &FtOptions,
+    opts: &RunOptions,
 ) -> Result<(JoinResult, FaultReport, NoopRecorder), JoinError> {
-    par_self_join_ft(config.clone(), 4, strings, 3, opts, || NoopRecorder)
+    run_self_join(config.clone(), 4, strings, opts, || NoopRecorder)
 }
 
 fn pairs_key(r: &JoinResult) -> Vec<(u32, u32, u64)> {
@@ -114,44 +128,43 @@ fn error_checkpoint(e: &JoinError) -> Option<PathBuf> {
 fn ft_without_faults_matches_classic_driver_and_commits_checkpoints() {
     let _g = lock();
     let strings = collection();
-    let baseline = par_self_join(config(), 4, &strings, 3);
+    let baseline = SimilarityJoin::new(config(), 4).self_join(&strings);
     assert!(
         !baseline.pairs.is_empty(),
         "test collection must produce pairs"
     );
 
-    let dir = ckdir("clean");
-    let opts = FtOptions {
-        checkpoint_dir: Some(dir.clone()),
-        resume: false,
-    };
-    let (result, report, _rec) = run_ft(&config(), &strings, &opts).unwrap();
-    assert_eq!(pairs_key(&result), pairs_key(&baseline));
-    assert_eq!(funnel(&result), funnel(&baseline));
-    assert_eq!(report.quarantined, Vec::<u32>::new());
-    assert_eq!(report.batches_retried, 0);
-    assert_eq!(report.faults_injected, 0);
-    assert_eq!(report.waves_resumed, 0);
+    for (i, threads) in THREADS.into_iter().enumerate() {
+        let dir = ckdir("clean");
+        let opts = opts_on(threads, Some(&dir), false);
+        let (result, report, _rec) = run_ft(&config(), &strings, &opts).unwrap();
+        assert_eq!(
+            pairs_key(&result),
+            pairs_key(&baseline),
+            "threads={threads}"
+        );
+        assert_eq!(funnel(&result), funnel(&baseline), "threads={threads}");
+        assert_eq!(report.quarantined, Vec::<u32>::new());
+        assert_eq!(report.batches_retried, 0);
+        assert_eq!(report.faults_injected, 0);
+        assert_eq!(report.waves_resumed, 0);
 
-    // The final checkpoint covers the whole run.
-    let ck = Checkpoint::load(&dir).unwrap();
-    assert_eq!(report.checkpoint, Some(Checkpoint::path_in(&dir)));
-    assert_eq!(ck.pairs.len(), result.pairs.len());
+        // The final checkpoint covers the whole run.
+        let ck = Checkpoint::load(&dir).unwrap();
+        assert_eq!(report.checkpoint, Some(Checkpoint::path_in(&dir)));
+        assert_eq!(ck.pairs.len(), result.pairs.len());
 
-    // Resuming a *finished* run replays nothing and probes nothing new.
-    let resumed = run_ft(
-        &config(),
-        &strings,
-        &FtOptions {
-            checkpoint_dir: Some(dir.clone()),
-            resume: true,
-        },
-    );
-    let (res2, rep2, _) = resumed.unwrap();
-    assert_eq!(pairs_key(&res2), pairs_key(&baseline));
-    assert_eq!(funnel(&res2), funnel(&baseline));
-    assert!(rep2.waves_resumed > 0);
-    let _ = std::fs::remove_dir_all(&dir);
+        // Resuming a *finished* run replays nothing and probes nothing
+        // new, on any thread count: an explicit shard band fixes the
+        // wave plan.
+        let other = THREADS[(i + 1) % THREADS.len()];
+        let resumed = run_ft(&config(), &strings, &opts_on(other, Some(&dir), true));
+        let (res2, rep2, _) = resumed.unwrap();
+        assert_eq!(pairs_key(&res2), pairs_key(&baseline));
+        assert_eq!(funnel(&res2), funnel(&baseline));
+        assert!(rep2.waves_resumed > 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
@@ -161,19 +174,21 @@ fn deadlines_fail_cleanly_at_batch_granularity() {
 
     // An already-expired deadline dies before wave 0 with no partial junk.
     let cfg = config().with_deadline(Some(Duration::ZERO));
-    let err = run_ft(&cfg, &strings, &FtOptions::default()).unwrap_err();
-    match &err {
-        JoinError::Deadline {
-            completed_waves,
-            checkpoint,
-            ..
-        } => {
-            assert_eq!(*completed_waves, 0);
-            assert_eq!(*checkpoint, None);
+    for threads in THREADS {
+        let err = run_ft(&cfg, &strings, &opts_on(threads, None, false)).unwrap_err();
+        match &err {
+            JoinError::Deadline {
+                completed_waves,
+                checkpoint,
+                ..
+            } => {
+                assert_eq!(*completed_waves, 0);
+                assert_eq!(*checkpoint, None);
+            }
+            other => panic!("expected Deadline, got {other}"),
         }
-        other => panic!("expected Deadline, got {other}"),
+        assert!(err.to_string().contains("deadline exceeded"));
     }
-    assert!(err.to_string().contains("deadline exceeded"));
 
     // A delay fault longer than the deadline trips the in-wave check.
     let cfg = config().with_deadline(Some(Duration::from_millis(10)));
@@ -184,7 +199,7 @@ fn deadlines_fail_cleanly_at_batch_granularity() {
             FaultAction::Delay(Duration::from_millis(100)),
         )
         .arm();
-    let err = run_ft(&cfg, &strings, &FtOptions::default()).unwrap_err();
+    let err = run_ft(&cfg, &strings, &opts_on(3, None, false)).unwrap_err();
     assert!(
         matches!(
             err,
@@ -203,14 +218,11 @@ fn tight_deadline_aborts_sequential_and_parallel_drivers_identically() {
     let strings = collection();
     let cfg = config().with_deadline(Some(Duration::ZERO));
 
-    // Same deadline, both drivers: the sequential `try_self_join` and the
-    // fault-tolerant parallel driver must refuse with the same error
-    // shape — a Deadline with zero committed waves and no checkpoint —
-    // and the same leading error text.
-    let seq_err = usj_core::SimilarityJoin::new(cfg.clone(), 4)
-        .try_self_join(&strings)
-        .unwrap_err();
-    let par_err = run_ft(&cfg, &strings, &FtOptions::default()).unwrap_err();
+    // Same deadline, one thread and three: both must refuse with the same
+    // error shape — a Deadline with zero committed waves and no
+    // checkpoint — and the same leading error text.
+    let seq_err = run_ft(&cfg, &strings, &opts_on(1, None, false)).unwrap_err();
+    let par_err = run_ft(&cfg, &strings, &opts_on(3, None, false)).unwrap_err();
     for err in [&seq_err, &par_err] {
         match err {
             JoinError::Deadline {
@@ -234,17 +246,24 @@ fn recovered_batch_panic_is_bit_identical() {
     let strings = collection();
     let baseline = par_self_join(config(), 4, &strings, 3);
 
-    let armed = FaultPlan::one_shot_panic("parallel.batch").arm();
-    let (result, report, _rec) = run_ft(&config(), &strings, &FtOptions::default()).unwrap();
-    drop(armed);
+    for threads in THREADS {
+        let armed = FaultPlan::one_shot_panic("parallel.batch").arm();
+        let (result, report, _rec) =
+            run_ft(&config(), &strings, &opts_on(threads, None, false)).unwrap();
+        drop(armed);
 
-    assert_eq!(pairs_key(&result), pairs_key(&baseline));
-    assert_eq!(funnel(&result), funnel(&baseline));
-    assert_eq!(report.batches_retried, 1);
-    assert_eq!(report.faults_injected, 1);
-    assert!(report.quarantined.is_empty());
-    assert_eq!(result.stats.batches_retried, 1);
-    assert_eq!(result.stats.probes_quarantined, 0);
+        assert_eq!(
+            pairs_key(&result),
+            pairs_key(&baseline),
+            "threads={threads}"
+        );
+        assert_eq!(funnel(&result), funnel(&baseline), "threads={threads}");
+        assert_eq!(report.batches_retried, 1);
+        assert_eq!(report.faults_injected, 1);
+        assert!(report.quarantined.is_empty());
+        assert_eq!(result.stats.batches_retried, 1);
+        assert_eq!(result.stats.probes_quarantined, 0);
+    }
 }
 
 #[test]
@@ -264,7 +283,7 @@ fn persistent_probe_panic_is_quarantined_not_fatal() {
         .fail_at("parallel.verify", 0, FaultAction::Panic)
         .fail_at("parallel.isolate", 0, FaultAction::Panic)
         .arm();
-    let (result, report, _rec) = run_ft(&cfg, &strings, &FtOptions::default()).unwrap();
+    let (result, report, _rec) = run_ft(&cfg, &strings, &opts_on(3, None, false)).unwrap();
     drop(armed);
 
     assert_eq!(report.quarantined.len(), 1);
@@ -285,6 +304,42 @@ fn persistent_probe_panic_is_quarantined_not_fatal() {
     );
 }
 
+/// The classic wrappers have no fault report to carry a quarantine, so
+/// they must refuse to return the incomplete answer: both panic, naming
+/// the quarantined probe.
+#[test]
+fn classic_wrappers_panic_rather_than_drop_a_quarantined_probe() {
+    let _g = lock();
+    let strings = collection();
+    let cfg = config().with_batch_range(1, 1);
+    let wrappers: [(&str, &dyn Fn() -> JoinResult); 2] = [
+        ("par_self_join", &|| {
+            par_self_join(cfg.clone(), 4, &strings, 3)
+        }),
+        ("self_join", &|| {
+            SimilarityJoin::new(cfg.clone(), 4).self_join(&strings)
+        }),
+    ];
+    for (name, wrapper) in wrappers {
+        // The persistent plan of the quarantine test above.
+        let armed = FaultPlan::new()
+            .fail_at("parallel.verify", 0, FaultAction::Panic)
+            .fail_at("parallel.isolate", 0, FaultAction::Panic)
+            .arm();
+        let outcome = shield::shielded(|| std::panic::catch_unwind(AssertUnwindSafe(wrapper)));
+        drop(armed);
+        let payload = outcome.expect_err(name);
+        let message = payload
+            .downcast_ref::<String>()
+            .unwrap_or_else(|| panic!("{name}: panic payload is not a message"));
+        assert!(message.contains("probe(s) ["), "{name}: {message}");
+        assert!(
+            message.contains("panicked even when retried alone"),
+            "{name}: {message}"
+        );
+    }
+}
+
 #[test]
 fn delay_faults_are_survived_and_counted() {
     let _g = lock();
@@ -299,7 +354,7 @@ fn delay_faults_are_survived_and_counted() {
         // comment in index.rs): the total below must stay 2.
         .fail_at("index.build", 0, FaultAction::Delay(tick))
         .arm();
-    let (result, report, _rec) = run_ft(&config(), &strings, &FtOptions::default()).unwrap();
+    let (result, report, _rec) = run_ft(&config(), &strings, &opts_on(3, None, false)).unwrap();
     drop(armed);
 
     assert_eq!(pairs_key(&result), pairs_key(&baseline));
@@ -322,62 +377,62 @@ fn kill_at_every_failpoint_completes_or_resumes_bit_identically() {
         "index.build",
         "checkpoint.write",
     ];
-    for point in points {
-        for nth in [0u64, 1, 2] {
-            let dir = ckdir("sweep");
-            let opts = FtOptions {
-                checkpoint_dir: Some(dir.clone()),
-                resume: false,
-            };
-            let armed = FaultPlan::new()
-                .fail_at(point, nth, FaultAction::Panic)
-                .arm();
-            let outcome = run_ft(&config(), &strings, &opts);
-            drop(armed);
+    for threads in THREADS {
+        for point in points {
+            for nth in [0u64, 1, 2] {
+                let dir = ckdir("sweep");
+                let opts = opts_on(threads, Some(&dir), false);
+                let armed = FaultPlan::new()
+                    .fail_at(point, nth, FaultAction::Panic)
+                    .arm();
+                let outcome = run_ft(&config(), &strings, &opts);
+                drop(armed);
 
-            let final_result = match outcome {
-                // Recovered in-run (batch retry absorbed the panic).
-                Ok((result, _report, _rec)) => result,
-                Err(e) => {
-                    // Fatal: must be a structured error, and resume (or a
-                    // fresh run, if the fault struck before any wave
-                    // committed) must reproduce the uninterrupted output.
-                    let resume_from = error_checkpoint(&e);
-                    match &e {
-                        JoinError::Faulted { message, .. } => {
-                            assert!(
-                                message.contains(point),
-                                "{point}#{nth}: fault message {message:?} should name the failpoint"
-                            );
+                let final_result = match outcome {
+                    // Recovered in-run (batch retry absorbed the panic).
+                    Ok((result, _report, _rec)) => result,
+                    Err(e) => {
+                        // Fatal: must be a structured error, and resume (or a
+                        // fresh run, if the fault struck before any wave
+                        // committed) must reproduce the uninterrupted output.
+                        let resume_from = error_checkpoint(&e);
+                        match &e {
+                            JoinError::Faulted { message, .. } => {
+                                assert!(
+                                    message.contains(point),
+                                    "{point}#{nth} threads={threads}: fault message {message:?} should name the failpoint"
+                                );
+                            }
+                            JoinError::Checkpoint(CheckpointError::Io(_)) => {
+                                assert_eq!(point, "checkpoint.write");
+                            }
+                            other => {
+                                panic!("{point}#{nth} threads={threads}: unexpected error {other}")
+                            }
                         }
-                        JoinError::Checkpoint(CheckpointError::Io(_)) => {
-                            assert_eq!(point, "checkpoint.write");
+                        let opts = opts_on(threads, Some(&dir), resume_from.is_some());
+                        let (result, report, _rec) = run_ft(&config(), &strings, &opts)
+                            .unwrap_or_else(|e| {
+                                panic!("{point}#{nth} threads={threads}: resume failed: {e}")
+                            });
+                        if resume_from.is_some() {
+                            assert!(report.waves_resumed > 0, "{point}#{nth} threads={threads}");
                         }
-                        other => panic!("{point}#{nth}: unexpected error {other}"),
+                        result
                     }
-                    let opts = FtOptions {
-                        checkpoint_dir: Some(dir.clone()),
-                        resume: resume_from.is_some(),
-                    };
-                    let (result, report, _rec) = run_ft(&config(), &strings, &opts)
-                        .unwrap_or_else(|e| panic!("{point}#{nth}: resume failed: {e}"));
-                    if resume_from.is_some() {
-                        assert!(report.waves_resumed > 0, "{point}#{nth}");
-                    }
-                    result
-                }
-            };
-            assert_eq!(
-                pairs_key(&final_result),
-                pairs_key(&baseline),
-                "{point}#{nth}: pairs must match the uninterrupted run"
-            );
-            assert_eq!(
-                funnel(&final_result),
-                funnel(&baseline),
-                "{point}#{nth}: funnel counters must match the uninterrupted run"
-            );
-            let _ = std::fs::remove_dir_all(&dir);
+                };
+                assert_eq!(
+                    pairs_key(&final_result),
+                    pairs_key(&baseline),
+                    "{point}#{nth} threads={threads}: pairs must match the uninterrupted run"
+                );
+                assert_eq!(
+                    funnel(&final_result),
+                    funnel(&baseline),
+                    "{point}#{nth} threads={threads}: funnel counters must match the uninterrupted run"
+                );
+                let _ = std::fs::remove_dir_all(&dir);
+            }
         }
     }
 }
@@ -388,10 +443,7 @@ fn resume_after_fatal_mid_join_fault_reproduces_everything() {
     let strings = collection();
     let baseline = par_self_join(config(), 4, &strings, 3);
     let dir = ckdir("resume");
-    let opts = FtOptions {
-        checkpoint_dir: Some(dir.clone()),
-        resume: false,
-    };
+    let opts = opts_on(3, Some(&dir), false);
 
     // Kill the build of wave 2: waves 0 and 1 are committed.
     let armed = FaultPlan::new()
@@ -416,15 +468,8 @@ fn resume_after_fatal_mid_join_fault_reproduces_everything() {
     };
     assert!(ck_path.exists());
 
-    let (result, report, _rec) = run_ft(
-        &config(),
-        &strings,
-        &FtOptions {
-            checkpoint_dir: Some(dir.clone()),
-            resume: true,
-        },
-    )
-    .unwrap();
+    let (result, report, _rec) =
+        run_ft(&config(), &strings, &opts_on(3, Some(&dir), true)).unwrap();
     assert_eq!(report.waves_resumed, 2);
     assert_eq!(result.stats.waves_resumed, 2);
     assert_eq!(pairs_key(&result), pairs_key(&baseline));
@@ -437,10 +482,7 @@ fn checkpoint_defects_are_rejected_cleanly() {
     let _g = lock();
     let strings = collection();
     let dir = ckdir("defects");
-    let opts = FtOptions {
-        checkpoint_dir: Some(dir.clone()),
-        resume: false,
-    };
+    let opts = opts_on(3, Some(&dir), false);
 
     // Manufacture a valid one-wave checkpoint via a fatal wave-1 fault.
     let armed = FaultPlan::new()
@@ -449,10 +491,7 @@ fn checkpoint_defects_are_rejected_cleanly() {
     let err = run_ft(&config(), &strings, &opts).unwrap_err();
     drop(armed);
     let ck_path = error_checkpoint(&err).expect("wave 0 committed a checkpoint");
-    let resume = FtOptions {
-        checkpoint_dir: Some(dir.clone()),
-        resume: true,
-    };
+    let resume = opts_on(3, Some(&dir), true);
 
     // A different config (tau) is a fingerprint mismatch.
     let other_cfg = JoinConfig::new(1, 0.5)
@@ -502,15 +541,7 @@ fn checkpoint_defects_are_rejected_cleanly() {
         matches!(err, JoinError::Checkpoint(CheckpointError::Missing(_))),
         "{err}"
     );
-    let err = run_ft(
-        &config(),
-        &strings,
-        &FtOptions {
-            checkpoint_dir: None,
-            resume: true,
-        },
-    )
-    .unwrap_err();
+    let err = run_ft(&config(), &strings, &opts_on(3, None, true)).unwrap_err();
     assert!(
         matches!(err, JoinError::Checkpoint(CheckpointError::Io(_))),
         "{err}"

@@ -6,7 +6,9 @@
 //! insertion order), then postings by ascending string id. Every α row
 //! therefore has to agree bit for bit, as do the over-cap flags and the
 //! candidate set, over q ∈ 2..=6 and with a tiny instance cap that
-//! drives both the index-side and the probe-side over-cap paths.
+//! drives both the index-side and the probe-side over-cap paths. A query
+//! admitting only ids below a limit must agree with the reference built
+//! from those ids alone.
 
 use std::collections::BTreeMap;
 
@@ -26,8 +28,9 @@ struct Reference {
     postings: BTreeMap<(usize, usize, u32), Vec<(u32, Prob)>>,
     /// Length → ids, ascending.
     ids: BTreeMap<usize, Vec<u32>>,
-    /// `(length, segment)` pairs some string exceeded the cap on.
-    incomplete: BTreeMap<(usize, usize), bool>,
+    /// `(length, segment)` → the first string id that exceeded the cap
+    /// on it.
+    incomplete: BTreeMap<(usize, usize), u32>,
 }
 
 impl Reference {
@@ -36,7 +39,7 @@ impl Reference {
         for (x, seg) in partition(len, config.q, config.k).iter().enumerate() {
             let worlds: Vec<_> = s.substring_worlds(seg.start, seg.len).collect();
             if worlds.len() > config.max_segment_instances {
-                self.incomplete.insert((len, x), true);
+                self.incomplete.entry((len, x)).or_insert(id);
                 continue;
             }
             for w in worlds {
@@ -51,18 +54,21 @@ impl Reference {
         self.ids.entry(len).or_default().push(id);
     }
 
+    /// The α rows and over-cap flags of the reference holding only the
+    /// ids below `limit`.
     fn query(
         &self,
         probe: &UncertainString,
         len: usize,
         config: &JoinConfig,
+        limit: u32,
     ) -> Option<(Rows, Vec<bool>)> {
         let ids = self.ids.get(&len)?;
         let segments = partition(len, config.q, config.k);
         let m = segments.len();
         let mut rows: BTreeMap<u32, Vec<Prob>> = BTreeMap::new();
         let mut over_cap: Vec<bool> = (0..m)
-            .map(|x| self.incomplete.contains_key(&(len, x)))
+            .map(|x| self.incomplete.get(&(len, x)).is_some_and(|&id| id < limit))
             .collect();
         for (x, seg) in segments.iter().enumerate() {
             let Some(range) = window_range(config.policy, probe.len(), len, config.k, seg) else {
@@ -85,13 +91,14 @@ impl Reference {
                 .collect();
             keyed.sort_by_key(|&(key, _)| key);
             for (key, p_r) in keyed {
-                for &(id, p_s) in self.postings.get(&(len, x, key)).into_iter().flatten() {
+                let postings = self.postings.get(&(len, x, key)).into_iter().flatten();
+                for &(id, p_s) in postings.filter(|&&(id, _)| id < limit) {
                     rows.entry(id).or_insert_with(|| vec![0.0; m])[x] += p_r * p_s;
                 }
             }
         }
         if over_cap.iter().any(|&b| b) {
-            for &id in ids {
+            for &id in ids.iter().filter(|&&id| id < limit) {
                 rows.entry(id).or_insert_with(|| vec![0.0; m]);
             }
         }
@@ -126,9 +133,14 @@ fn collection(rng: &mut Rng) -> Vec<UncertainString> {
     strings
 }
 
-#[test]
-fn alpha_rows_match_a_naive_reference_index() {
-    check_seeds(12, |rng| {
+/// Builds the index and the reference over seeded collections under
+/// every (q, k, cap) combination and hands each to `check` with the
+/// probes to query.
+fn for_each_index(
+    seeds: u64,
+    mut check: impl FnMut(&SegmentIndex, &Reference, &JoinConfig, &[UncertainString]),
+) {
+    check_seeds(seeds, |rng| {
         let strings = collection(rng);
         let mut order: Vec<usize> = (0..strings.len()).collect();
         order.sort_by_key(|&i| (strings[i].len(), i));
@@ -152,28 +164,66 @@ fn alpha_rows_match_a_naive_reference_index() {
                         index.insert(i as u32, &strings[i], &config);
                         reference.insert(i as u32, &strings[i], &config);
                     }
-                    for probe in &probes {
-                        // One cache per probe, shared across its lengths.
-                        let mut cache = EquivCache::new();
-                        let mut rec = CollectingRecorder::new();
-                        let lo = probe.len().saturating_sub(k);
-                        for len in lo..=probe.len() + k {
-                            let got = index
-                                .query_cached_recorded(probe, len, &config, &mut cache, &mut rec)
-                                .map(|(alphas, over_cap)| {
-                                    let rows: Rows = alphas
-                                        .iter()
-                                        .map(|(id, row)| {
-                                            (id, row.iter().map(|a| a.to_bits()).collect())
-                                        })
-                                        .collect();
-                                    (rows, over_cap)
-                                });
-                            let want = reference.query(probe, len, &config);
-                            assert_eq!(got, want, "q={q} k={k} cap={cap} len={len}");
-                        }
-                    }
+                    check(&index, &reference, &config, &probes);
                 }
+            }
+        }
+    });
+}
+
+/// One query's α rows (as bits) and over-cap flags.
+fn query_rows(
+    index: &SegmentIndex,
+    probe: &UncertainString,
+    len: usize,
+    config: &JoinConfig,
+    admit_below: Option<u32>,
+    cache: &mut EquivCache,
+) -> Option<(Rows, Vec<bool>)> {
+    let mut rec = CollectingRecorder::new();
+    index
+        .query_cached_recorded(probe, len, config, admit_below, cache, &mut rec)
+        .map(|(alphas, over_cap)| {
+            let rows: Rows = alphas
+                .iter()
+                .map(|(id, row)| (id, row.iter().map(|a| a.to_bits()).collect()))
+                .collect();
+            (rows, over_cap)
+        })
+}
+
+#[test]
+fn alpha_rows_match_a_naive_reference_index() {
+    for_each_index(12, |index, reference, config, probes| {
+        for probe in probes {
+            // One cache per probe, shared across its lengths.
+            let mut cache = EquivCache::new();
+            let lo = probe.len().saturating_sub(config.k);
+            for len in lo..=probe.len() + config.k {
+                let got = query_rows(index, probe, len, config, None, &mut cache);
+                let want = reference.query(probe, len, config, u32::MAX);
+                assert_eq!(got, want, "q={} k={} len={len}", config.q, config.k);
+            }
+        }
+    });
+}
+
+/// The self-join's admission limit: a same-length probe may see only ids
+/// visited before it, including in the over-cap flags and the
+/// conservative fallback.
+#[test]
+fn admit_below_matches_the_reference_filtered_to_earlier_ids() {
+    for_each_index(6, |index, reference, config, probes| {
+        for probe in probes {
+            let mut cache = EquivCache::new();
+            let len = probe.len();
+            let Some(ids) = reference.ids.get(&len) else {
+                continue;
+            };
+            for limit in ids.iter().copied().chain([ids[ids.len() - 1] + 1]) {
+                let got = query_rows(index, probe, len, config, Some(limit), &mut cache);
+                let want = reference.query(probe, len, config, limit);
+                assert_eq!(got, want, "q={} k={} limit={limit}", config.q, config.k);
             }
         }
     });

@@ -2,11 +2,16 @@
 //! seeded collections. A digest covers every pair's ids and the exact bits
 //! of its probability, so a verifier rewrite that changes the summation
 //! order of a single leaf mass fails here even when the pair set does not
-//! change. When a change is meant to alter outputs, re-record the
-//! constants and say why in the change description.
+//! change. The funnel goldens pin the 13 filter-funnel counters and the
+//! postings the q-gram stage scanned on the same collections. When a
+//! change is meant to alter outputs, re-record the constants and say why
+//! in the change description.
 
 use uncertain_join::datagen::{DatasetKind, DatasetSpec};
-use uncertain_join::join::{JoinConfig, Pipeline, SimilarityJoin, VerifierKind};
+use uncertain_join::join::{
+    run_self_join, JoinConfig, Pipeline, RunOptions, SimilarityJoin, VerifierKind,
+};
+use uncertain_join::obs::{CollectingRecorder, Counter};
 
 /// FNV-1a over `(left, right, prob bits)` of every output pair, in the
 /// join's output order, plus the pair count.
@@ -50,6 +55,83 @@ fn protein_qft_join_digest() {
     assert_eq!(got, PROTEIN_QFT);
 }
 
+/// The 13 funnel counters of a self-join on `threads` threads, followed
+/// by the [`Counter::IndexPostingsScanned`] total.
+fn funnel(kind: DatasetKind, n: usize, seed: u64, config: JoinConfig, threads: usize) -> [u64; 14] {
+    let ds = DatasetSpec::new(kind, n, seed).generate();
+    let opts = RunOptions {
+        threads,
+        ..RunOptions::default()
+    };
+    let (result, _, sink) = run_self_join(
+        config,
+        ds.alphabet.size(),
+        &ds.strings,
+        &opts,
+        CollectingRecorder::new,
+    )
+    .expect("no deadline or checkpoint to fail on");
+    let s = &result.stats;
+    [
+        s.pairs_in_scope,
+        s.qgram_survivors,
+        s.qgram_pruned_count,
+        s.qgram_pruned_bound,
+        s.freq_survivors,
+        s.freq_pruned_lower,
+        s.freq_pruned_chebyshev,
+        s.cdf_accepted,
+        s.cdf_rejected,
+        s.cdf_undecided,
+        s.verified_similar,
+        s.verified_dissimilar,
+        s.output_pairs,
+        sink.counter_total(Counter::IndexPostingsScanned),
+    ]
+}
+
+/// The default dblp funnel. A probe walks only the postings of ids
+/// visited before it, so the postings total is the same on two threads.
+#[test]
+fn dblp_join_funnel() {
+    for threads in [1, 2] {
+        let got = funnel(DatasetKind::Dblp, 600, 21, JoinConfig::new(2, 0.1), threads);
+        assert_eq!(got, DBLP_FUNNEL, "threads={threads}");
+    }
+}
+
+#[test]
+fn dblp_join_funnel_eager_trie() {
+    let config = JoinConfig::new(2, 0.1).with_verifier(VerifierKind::Trie);
+    assert_eq!(funnel(DatasetKind::Dblp, 600, 21, config, 1), DBLP_FUNNEL);
+}
+
+#[test]
+fn protein_qft_join_funnel() {
+    let config = JoinConfig::new(4, 0.01).with_pipeline(Pipeline::Qft);
+    let got = funnel(DatasetKind::Protein, 200, 22, config, 1);
+    assert_eq!(got, PROTEIN_QFT_FUNNEL);
+}
+
+/// FCT skips the q-gram stage: every length-compatible pair reaches the
+/// frequency filter and no posting is scanned.
+#[test]
+fn dblp_fct_join_funnel() {
+    let config = JoinConfig::new(2, 0.1).with_pipeline(Pipeline::Fct);
+    assert_eq!(
+        funnel(DatasetKind::Dblp, 600, 21, config, 1),
+        DBLP_FCT_FUNNEL
+    );
+}
+
 const DBLP_LAZY: (usize, u64) = (66, 697634732925268091);
 const DBLP_EAGER: (usize, u64) = (66, 4537929133365087358);
 const PROTEIN_QFT: (usize, u64) = (83, 140315662595665512);
+
+const DBLP_FUNNEL: [u64; 14] = [
+    49230, 187, 49033, 10, 183, 4, 0, 27, 113, 43, 39, 4, 66, 4143,
+];
+const PROTEIN_QFT_FUNNEL: [u64; 14] = [6000, 114, 5886, 0, 112, 2, 0, 0, 0, 112, 83, 29, 83, 2110];
+const DBLP_FCT_FUNNEL: [u64; 14] = [
+    49230, 49230, 0, 0, 3317, 45913, 0, 27, 3247, 43, 39, 4, 66, 0,
+];
