@@ -118,7 +118,8 @@ impl IndexedCollection {
     }
 
     /// [`IndexedCollection::build`] with the construction instrumented on
-    /// `rec`: one [`Phase::Index`] span for the whole build, an insertion
+    /// `rec`: one [`Phase::Index`] span for the segment-index inserts, one
+    /// [`Phase::Freq`] span for the frequency profiles, an insertion
     /// counter per string, and the resulting index-memory gauges.
     pub fn build_recorded<R: Recorder>(
         config: JoinConfig,
@@ -129,15 +130,17 @@ impl IndexedCollection {
         assert!(sigma >= 1, "alphabet must be non-empty");
         let mut index = SegmentIndex::new();
         let freq = FreqFilter::new(config.k, config.tau, sigma);
-        let mut profiles = Vec::with_capacity(strings.len());
         {
             // RAII span: exits Phase::Index on every path out of the block.
             let mut span = PhaseGuard::enter(rec, Phase::Index);
             for (i, s) in strings.iter().enumerate() {
                 index.insert_recorded(i as u32, s, &config, span.rec());
-                profiles.push(freq.profile(s));
             }
         }
+        let profiles = {
+            let _span = PhaseGuard::enter(rec, Phase::Freq);
+            strings.iter().map(|s| freq.profile(s)).collect()
+        };
         rec.gauge(Gauge::IndexBytes, index.estimated_bytes() as u64);
         rec.gauge(Gauge::PeakIndexBytes, index.peak_bytes() as u64);
         IndexedCollection {
@@ -237,7 +240,7 @@ impl IndexedCollection {
         let qgram_span = rec.begin(Phase::Qgram);
         let mut candidates: Vec<u32> = Vec::new();
         if config.pipeline.uses_qgram() {
-            // One equivalent-set cache per probe, shared across lengths.
+            // One window table per probe, shared across lengths.
             let mut cache = EquivCache::new();
             let mut scope = 0u64;
             for len in min_len..=max_len {

@@ -13,12 +13,13 @@
 //! plus one arena push, and finding a list is one hash probe, so neither
 //! cost grows with the table.
 //!
-//! A probe `R` queries one `LengthIndex` by building its equivalent sets
-//! `q(r, x)` and walking the matching runs, accumulating
+//! A probe `R` queries one `LengthIndex` by assembling its equivalent
+//! sets `q(r, x)` from the probe's [`EquivCache`] window table and walking
+//! the matching runs, accumulating
 //! `α_x(i) = Σ_w p_r(w) · Pr(w = S_i^x)` per candidate id into dense α
-//! rows owned by the probe's [`EquivCache`] — all candidate
-//! generation work is proportional to the postings touched, never to the
-//! collection size.
+//! rows owned by the same cache — all candidate generation work is
+//! proportional to the windows enumerated and the postings touched, never
+//! to the collection size.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -26,70 +27,264 @@ use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use usj_model::hash::FastBuildHasher;
-use usj_model::{Prob, Symbol, UncertainString};
+use usj_model::{Position, Prob, Symbol, UncertainString};
 use usj_obs::{Counter, NoopRecorder, Recorder};
 use usj_qgram::{
-    pack_instance, partition, window_range, window_region, EquivalentSet, Region, Segment,
+    combine_occurrences, pack_instance, partition, window_range, window_region, Region, Segment,
     TailBounder,
 };
 
 use crate::config::JoinConfig;
 use crate::record::Recording;
 
-/// Per-probe cache of equivalent sets, keyed by
-/// `(window start, window end, segment length)`.
+/// Per-probe window table: the probe's q-gram windows, each enumerated and
+/// resolved once, and the equivalent sets `q(r, x)` assembled from them.
 ///
-/// A probe queries every indexed length in `[|R|−k, |R|+k]`, and the
-/// partitions of nearby lengths share many `(window, segment length)`
-/// combinations, so `q(r, x)` construction — the expensive part of a
-/// query — is reused across lengths (and, in the self-join, across the
-/// shards a probe touches). Over-cap results (`None`) are
-/// cached too: re-deriving "too many instances" is as wasteful as
-/// re-deriving the set.
+/// A probe queries every indexed length in its length window, and the
+/// position-aware window ranges of neighbouring segments and lengths
+/// overlap, so one `(start, width)` window serves many sets. Each window a
+/// query needs is keyed by `(interner salt, start, width)`: its worlds are
+/// enumerated once, each resolved once through the interner, and worlds
+/// the interner has never seen are dropped (they can match no posting).
+/// The survivors land in one arena. A set for starts `lo..=hi` is then
+/// the windows' worlds sorted by `(id, start)` with duplicate instances
+/// combined by [`combine_occurrences`], kept where `p_r > 0`, and stored
+/// id-ascending in a second arena. The salt keeps resolutions against
+/// different indices (each with its own interner) apart.
 ///
-/// The cache also owns the α rows a query fills, so the queries of one
-/// probe reuse them instead of building a fresh table per length.
+/// The cache also owns every buffer one `(probe, length)` query fills —
+/// over-cap flags, set references, tail regions and family, the α rows —
+/// so a warm cache serves the next probe without allocating.
 #[derive(Debug, Default)]
 pub struct EquivCache {
-    map: HashMap<(usize, usize, usize), Option<EquivalentSet>, FastBuildHasher>,
-    /// Equivalent sets resolved against a specific index's interner,
-    /// keyed by `(interner salt, window start, window end, seg len)`.
-    /// The salt keeps resolutions from different indices (the sharded
-    /// driver probes several, each with its own interner) apart.
-    resolved: HashMap<(u64, usize, usize, usize), ResolvedSet, FastBuildHasher>,
+    windows: WindowTable,
+    scratch: LengthScratch,
     /// The last query's α rows.
     alphas: AlphaVectors,
 }
 
 impl EquivCache {
-    /// An empty cache; scope it to one probe (entries are probe-specific).
+    /// An empty cache; scope its contents to one probe ([`EquivCache::clear`]
+    /// between probes).
     pub fn new() -> Self {
         EquivCache::default()
     }
 
-    /// Forgets every cached set so the cache can serve the next probe,
+    /// Forgets every window and set so the cache can serve the next probe,
     /// keeping its allocations (the α rows included).
-    pub(crate) fn clear(&mut self) {
-        self.map.clear();
-        self.resolved.clear();
+    pub fn clear(&mut self) {
+        self.windows.clear();
+    }
+}
+
+/// One resolved world of a probe window: the interned id of its instance,
+/// the window start, the offset of its symbols in
+/// [`WindowTable::symbols`], and its probability.
+#[derive(Debug, Clone, Copy)]
+struct WindowWorld {
+    id: u32,
+    start: u32,
+    sym: u32,
+    prob: Prob,
+}
+
+/// A half-open run `[first, end)` of one arena.
+type Run = (u32, u32);
+
+/// The arenas behind [`EquivCache`].
+#[derive(Debug, Default)]
+struct WindowTable {
+    /// `(interner salt, start, width)` → the window's run of `worlds`.
+    windows: HashMap<(u64, u32, u32), Run, FastBuildHasher>,
+    /// Resolved worlds of every enumerated window, window by window.
+    worlds: Vec<WindowWorld>,
+    /// Instance symbols of `worlds`.
+    symbols: Vec<Symbol>,
+    /// `(interner salt, lo, hi, width)` → the set's run of `set_ids` /
+    /// `set_probs`, or `None` when the set is over the instance cap.
+    sets: HashMap<(u64, u32, u32, u32), Option<Run>, FastBuildHasher>,
+    /// Set entries: interned ids, ascending within each set.
+    set_ids: Vec<u32>,
+    /// `p_r(w)` per set entry, parallel to `set_ids`.
+    set_probs: Vec<Prob>,
+    /// Assembly scratch: one set's worlds, sorted by `(id, start)`.
+    gather: Vec<WindowWorld>,
+    /// Assembly scratch: one instance's `(start, prob)` occurrences.
+    occs: Vec<(usize, Prob)>,
+    /// Worlds enumerated since the last [`WindowTable::take_tally`].
+    enumerated: u64,
+    /// Of those, the worlds that resolved to an interned id.
+    resolved: u64,
+}
+
+impl WindowTable {
+    fn clear(&mut self) {
+        self.windows.clear();
+        self.worlds.clear();
+        self.symbols.clear();
+        self.sets.clear();
+        self.set_ids.clear();
+        self.set_probs.clear();
     }
 
-    /// Cached equivalent sets (including negative over-cap entries).
-    pub fn len(&self) -> usize {
-        self.map.len()
+    /// `(worlds enumerated, instances resolved)` since the last call.
+    fn take_tally(&mut self) -> (u64, u64) {
+        (
+            std::mem::take(&mut self.enumerated),
+            std::mem::take(&mut self.resolved),
+        )
     }
 
-    /// `true` when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+    /// The run of resolved worlds of window `(start, width)`, enumerating
+    /// it on first use.
+    fn window(
+        &mut self,
+        salt: u64,
+        probe: &UncertainString,
+        start: usize,
+        width: usize,
+        interner: &SegmentInterner,
+    ) -> Run {
+        let WindowTable {
+            windows,
+            worlds,
+            symbols,
+            enumerated,
+            resolved,
+            ..
+        } = self;
+        *windows
+            .entry((salt, start as u32, width as u32))
+            .or_insert_with(|| {
+                let first = worlds.len() as u32;
+                probe.visit_substring_worlds(start, width, |inst, prob| {
+                    *enumerated += 1;
+                    let id = if width <= 8 {
+                        interner.resolve_packed(pack_instance(inst), width)
+                    } else {
+                        interner.resolve(inst)
+                    };
+                    if let Some(id) = id {
+                        *resolved += 1;
+                        worlds.push(WindowWorld {
+                            id,
+                            start: start as u32,
+                            sym: symbols.len() as u32,
+                            prob,
+                        });
+                        symbols.extend_from_slice(inst);
+                    }
+                    true
+                });
+                (first, worlds.len() as u32)
+            })
     }
+
+    /// The set `q(r, x)` for window starts `starts` and width `width`
+    /// (`None` when over the instance cap), assembling it on first use.
+    fn set(
+        &mut self,
+        salt: u64,
+        probe: &UncertainString,
+        starts: (usize, usize),
+        width: usize,
+        config: &JoinConfig,
+        interner: &SegmentInterner,
+    ) -> Option<Run> {
+        let key = (salt, starts.0 as u32, starts.1 as u32, width as u32);
+        if let Some(&set) = self.sets.get(&key) {
+            return set;
+        }
+        let set = self.assemble(salt, probe, starts, width, config, interner);
+        self.sets.insert(key, set);
+        set
+    }
+
+    fn assemble(
+        &mut self,
+        salt: u64,
+        probe: &UncertainString,
+        (lo, hi): (usize, usize),
+        width: usize,
+        config: &JoinConfig,
+        interner: &SegmentInterner,
+    ) -> Option<Run> {
+        // Over cap iff the windows' world counts sum past the cap — the
+        // rule `EquivalentSet::build` applies, decided before any window
+        // is enumerated.
+        let mut total = 0usize;
+        for start in lo..=hi {
+            total = total.checked_add(world_count(&probe.positions()[start..start + width])?)?;
+            if total > config.max_segment_instances {
+                return None;
+            }
+        }
+        self.gather.clear();
+        for start in lo..=hi {
+            let (first, end) = self.window(salt, probe, start, width, interner);
+            self.gather
+                .extend_from_slice(&self.worlds[first as usize..end as usize]);
+        }
+        // Instance-major, start-ascending: each instance's occurrences are
+        // one run sorted by start, as `combine_occurrences` requires.
+        self.gather
+            .sort_unstable_by_key(|w| u64::from(w.id) << 32 | u64::from(w.start));
+        let first = self.set_ids.len() as u32;
+        let mut i = 0;
+        while i < self.gather.len() {
+            let id = self.gather[i].id;
+            let group = self.gather[i..].iter().take_while(|w| w.id == id).count();
+            self.occs.clear();
+            self.occs.extend(
+                self.gather[i..i + group]
+                    .iter()
+                    .map(|w| (w.start as usize, w.prob)),
+            );
+            let sym = self.gather[i].sym as usize;
+            let w = &self.symbols[sym..sym + width];
+            let p_r = combine_occurrences(w, &self.occs, probe, config.alpha_mode);
+            if p_r > 0.0 {
+                self.set_ids.push(id);
+                self.set_probs.push(p_r);
+            }
+            i += group;
+        }
+        Some((first, self.set_ids.len() as u32))
+    }
+
+    /// The `(ids, p_r)` entries of an assembled set.
+    fn entries(&self, (first, end): Run) -> (&[u32], &[Prob]) {
+        let run = first as usize..end as usize;
+        (&self.set_ids[run.clone()], &self.set_probs[run])
+    }
+}
+
+/// Buffers one `(probe, length)` query fills, indexed by segment.
+#[derive(Debug, Default)]
+struct LengthScratch {
+    /// Segments that must count as conservatively matching.
+    over_cap: Vec<bool>,
+    /// Each segment's set, `None` when no window aligns or over cap.
+    sets: Vec<Option<Run>>,
+    /// Each segment's window region, for the tail bound.
+    regions: Vec<Option<Region>>,
+    bounder: TailBounder,
+    /// One candidate's α row with over-cap segments forced to 1.
+    alpha: Vec<Prob>,
+}
+
+/// Number of worlds of `positions`, `None` past `usize`.
+fn world_count(positions: &[Position]) -> Option<usize> {
+    positions
+        .iter()
+        .try_fold(1usize, |n, p| n.checked_mul(p.num_alternatives()))
 }
 
 /// Global intern table for instantiated q-gram segments: segment bytes →
 /// dense `u32` ids, assigned first-seen at index-build time and shared by
 /// every [`LengthIndex`] of one [`SegmentIndex`]. Posting tables are then
 /// keyed by `u32` ids instead of byte strings, and a probe resolves each
-/// equivalent-set instance to its id once per index.
+/// world of each of its windows to its id once per index.
 ///
 /// The table survives [`SegmentIndex::evict_below`] — ids must stay
 /// stable for the lifetime of the index (a slight memory pessimism the
@@ -98,9 +293,9 @@ impl EquivCache {
 pub struct SegmentInterner {
     map: HashMap<Vec<Symbol>, u32, FastBuildHasher>,
     /// Secondary lookup for short instances (≤ 8 symbols): their
-    /// [`pack_instance`] key plus length → the same id as `map`. Probe
-    /// resolution hits this lane with the keys an [`EquivalentSet`]
-    /// already carries, skipping the symbol-slice hashing entirely.
+    /// [`pack_instance`] key plus length → the same id as `map`. Window
+    /// worlds this short resolve through it as integers, skipping the
+    /// symbol-slice hashing entirely.
     packed: HashMap<(u64, u8), u32, FastBuildHasher>,
     bytes: usize,
 }
@@ -184,51 +379,6 @@ impl SegmentInterner {
 
     fn estimated_bytes(&self) -> usize {
         self.bytes
-    }
-}
-
-/// An equivalent set resolved against one index's interner: entries with
-/// `p_r > 0` that have an interned id (anything else can match no posting
-/// of that index), sorted by id so every α sum adds its terms in one
-/// fixed order.
-#[derive(Debug, Clone)]
-struct ResolvedSet {
-    keys: Vec<u32>,
-    probs: Vec<Prob>,
-}
-
-impl ResolvedSet {
-    fn build(set: &EquivalentSet, interner: &SegmentInterner) -> ResolvedSet {
-        let mut pairs: Vec<(u32, Prob)> = Vec::with_capacity(set.len());
-        match set.packed_keys() {
-            Some(keys) => {
-                for (&key, &p_r) in keys.iter().zip(set.probs()) {
-                    if p_r > 0.0 {
-                        if let Some(id) = interner.resolve_packed(key, set.window_len()) {
-                            pairs.push((id, p_r));
-                        }
-                    }
-                }
-            }
-            None => {
-                for (w, p_r) in set.iter() {
-                    if p_r > 0.0 {
-                        if let Some(id) = interner.resolve(w) {
-                            pairs.push((id, p_r));
-                        }
-                    }
-                }
-            }
-        }
-        pairs.sort_unstable_by_key(|&(id, _)| id);
-        debug_assert!(
-            pairs.windows(2).all(|w| w[0].0 < w[1].0),
-            "equivalent-set instances must be distinct"
-        );
-        ResolvedSet {
-            keys: pairs.iter().map(|&(id, _)| id).collect(),
-            probs: pairs.iter().map(|&(_, p)| p).collect(),
-        }
     }
 }
 
@@ -465,9 +615,7 @@ impl LengthIndex {
     ) {
         debug_assert_eq!(s.len(), self.segments.iter().map(|g| g.len).sum::<usize>());
         for (x, seg) in self.segments.iter().enumerate() {
-            let worlds = s.positions()[seg.start..seg.start + seg.len]
-                .iter()
-                .try_fold(1usize, |n, p| n.checked_mul(p.num_alternatives()));
+            let worlds = world_count(&s.positions()[seg.start..seg.start + seg.len]);
             if worlds.is_none_or(|n| n > max_instances) {
                 // Over-cap segment: postings for it are incomplete from
                 // this id on; a query admitting the id treats it as a
@@ -484,32 +632,35 @@ impl LengthIndex {
         self.ids.push(id);
     }
 
-    /// Merges the posting lists for a probe's equivalent sets into
-    /// `alphas`: one `α_x` row (length = number of segments) per
-    /// candidate that touched a posting.
+    /// Merges the posting runs of each segment's set (a run of `table`'s
+    /// set arena) into `alphas`: one `α_x` row (length = number of
+    /// segments) per candidate that touched a posting.
     ///
-    /// `probe_sets[x] = None` means no window of the probe can align with
-    /// segment x (α_x = 0 for every candidate). Only ids below
-    /// `admit_below` are merged: runs ascend by id, so each walk stops at
-    /// the first id past the limit.
+    /// `sets[x] = None` means no window of the probe can align with
+    /// segment x, or its set is over the cap (α_x = 0 for every
+    /// candidate). Only ids below `admit_below` are merged: runs ascend by
+    /// id, so each walk stops at the first id past the limit. Per segment
+    /// the sum adds resolved ids ascending, then postings by id.
     ///
-    /// Returns the number of postings touched during the merge (the
-    /// quantity candidate-generation cost is proportional to).
+    /// Returns `(postings touched, runs looked up)`.
     fn query(
         &self,
-        probe_sets: &[Option<&ResolvedSet>],
+        sets: &[Option<Run>],
+        table: &WindowTable,
         admit_below: u32,
         alphas: &mut AlphaVectors,
-    ) -> u64 {
+    ) -> (u64, u64) {
         let m = self.segments.len();
-        debug_assert_eq!(probe_sets.len(), m);
+        debug_assert_eq!(sets.len(), m);
         alphas.reset(m, self.ids.last().map_or(0, |&id| id as usize + 1));
-        let mut postings = 0u64;
-        for (x, set) in probe_sets.iter().enumerate() {
-            let Some(set) = set else { continue };
-            let table = &self.inverted[x];
-            for (&key, &p_r) in set.keys.iter().zip(&set.probs) {
-                for posting in table.run(key).take_while(|p| p.id < admit_below) {
+        let (mut postings, mut lookups) = (0u64, 0u64);
+        for (x, set) in sets.iter().enumerate() {
+            let Some(set) = *set else { continue };
+            let postings_x = &self.inverted[x];
+            let (ids, probs) = table.entries(set);
+            lookups += ids.len() as u64;
+            for (&key, &p_r) in ids.iter().zip(probs) {
+                for posting in postings_x.run(key).take_while(|p| p.id < admit_below) {
                     postings += 1;
                     alphas.row_mut(posting.id)[x] += p_r * posting.prob;
                 }
@@ -518,7 +669,7 @@ impl LengthIndex {
         for a in alphas.data.iter_mut() {
             *a = a.clamp(0.0, 1.0);
         }
-        postings
+        (postings, lookups)
     }
 
     fn estimated_bytes(&self) -> usize {
@@ -597,8 +748,8 @@ pub(crate) struct BandDump {
     pub bytes: usize,
 }
 
-/// Source of per-index interner salts: resolved-set cache entries are
-/// keyed by salt, so two indices must never share one.
+/// Source of per-index interner salts: [`EquivCache`] windows and sets
+/// are keyed by salt, so two indices must never share one.
 static NEXT_INTERNER_SALT: AtomicU64 = AtomicU64::new(0);
 
 /// All per-length indices of the visited part of a collection.
@@ -607,8 +758,8 @@ pub struct SegmentIndex {
     by_length: HashMap<usize, LengthIndex, FastBuildHasher>,
     /// Shared intern table for every length's segment instances.
     interner: SegmentInterner,
-    /// Unique per index (fresh on clone): scopes [`EquivCache`] resolved
-    /// sets to the interner that produced their ids.
+    /// Unique per index (fresh on clone): scopes [`EquivCache`] windows
+    /// and sets to the interner that produced their ids.
     interner_salt: u64,
     peak_bytes: usize,
 }
@@ -632,7 +783,7 @@ impl Clone for SegmentIndex {
             by_length: self.by_length.clone(),
             interner: self.interner.clone(),
             // A clone may diverge from the original, so it gets a fresh
-            // salt — cached resolved sets must never cross interners.
+            // salt — cached windows and sets must never cross interners.
             // ordering: relaxed — uniqueness only, as above.
             interner_salt: NEXT_INTERNER_SALT.fetch_add(1, Ordering::Relaxed),
             peak_bytes: self.peak_bytes,
@@ -691,8 +842,8 @@ impl SegmentIndex {
         rec.counter(Counter::IndexInsertions, 1);
     }
 
-    /// Queries candidates of length `indexed_len` for `probe`: builds the
-    /// equivalent sets `q(r, x)` against that length's partition and
+    /// Queries candidates of length `indexed_len` for `probe`: assembles
+    /// the equivalent sets `q(r, x)` against that length's partition and
     /// merges posting lists.
     ///
     /// Returns `(per-candidate α vectors, per-segment over-cap flags)`;
@@ -707,10 +858,8 @@ impl SegmentIndex {
         self.query_recorded(probe, indexed_len, config, &mut NoopRecorder)
     }
 
-    /// [`SegmentIndex::query`] plus [`Counter::IndexPostingsScanned`] and
-    /// [`Counter::IndexCandidatesSurfaced`] events on `rec` (how much
-    /// posting-list work the merge did and how many α-vectors it
-    /// produced, including conservative over-cap fallbacks).
+    /// [`SegmentIndex::query`] plus the events of
+    /// [`SegmentIndex::query_cached_recorded`] on `rec`.
     pub fn query_recorded<R: Recorder>(
         &self,
         probe: &UncertainString,
@@ -719,21 +868,26 @@ impl SegmentIndex {
         rec: &mut R,
     ) -> Option<(AlphaVectors, Vec<bool>)> {
         let mut cache = EquivCache::new();
-        let over_cap = self
-            .query_cached_recorded(probe, indexed_len, config, None, &mut cache, rec)?
-            .1;
-        Some((cache.alphas, over_cap))
+        self.query_cached_recorded(probe, indexed_len, config, None, &mut cache, rec)?;
+        Some((cache.alphas, cache.scratch.over_cap))
     }
 
-    /// [`SegmentIndex::query_recorded`] with the probe's equivalent sets
-    /// memoised in `cache`, so repeated queries by one probe (against many
-    /// lengths, or many shards) build each `q(r, x)` once. The α rows are
-    /// the cache's own, valid until its next query.
+    /// [`SegmentIndex::query`] through the probe's window table `cache`,
+    /// so repeated queries by one probe (against many lengths, or many
+    /// shards) enumerate and resolve each window once. The α rows and
+    /// over-cap flags are the cache's own, valid until its next query.
     ///
     /// `admit_below = Some(limit)` surfaces only ids `< limit`, as if the
     /// index held nothing from `limit` on: the self-join probes a
     /// fully-built same-length shard but may only see visit-order-earlier
     /// ids. `None` surfaces every indexed id.
+    ///
+    /// Emits once on `rec`: [`Counter::QgramWindowWorlds`] and
+    /// [`Counter::QgramInstancesResolved`] (window worlds this query
+    /// enumerated, and those the interner knew), [`Counter::IndexRunLookups`],
+    /// [`Counter::IndexPostingsScanned`] and
+    /// [`Counter::IndexCandidatesSurfaced`] (α rows produced, conservative
+    /// over-cap fallbacks included).
     pub fn query_cached_recorded<'c, R: Recorder>(
         &self,
         probe: &UncertainString,
@@ -742,71 +896,85 @@ impl SegmentIndex {
         admit_below: Option<u32>,
         cache: &'c mut EquivCache,
         rec: &mut R,
-    ) -> Option<(&'c AlphaVectors, Vec<bool>)> {
-        let index = self.by_length.get(&indexed_len)?;
-        let limit = admit_below.unwrap_or(u32::MAX);
-        let mut over_cap: Vec<bool> = index.incomplete_from.iter().map(|&id| id < limit).collect();
-        let salt = self.interner_salt;
-        // Populate the caches first (one mutable pass — the warm path
-        // touches only `resolved`), then collect shared references for
-        // the merge (immutable pass).
-        let rkeys: Vec<Option<(u64, usize, usize, usize)>> = index
-            .segments
-            .iter()
-            .enumerate()
-            .map(|(x, seg)| {
-                let range = window_range(config.policy, probe.len(), indexed_len, config.k, seg)?;
-                let rkey = (salt, range.0, range.1, seg.len);
-                if !cache.resolved.contains_key(&rkey) {
-                    let set = cache
-                        .map
-                        .entry((range.0, range.1, seg.len))
-                        .or_insert_with(|| {
-                            EquivalentSet::build(
-                                probe,
-                                range,
-                                seg.len,
-                                config.alpha_mode,
-                                config.max_segment_instances,
-                            )
-                        });
-                    match set {
-                        Some(set) => {
-                            let rs = ResolvedSet::build(set, &self.interner);
-                            cache.resolved.insert(rkey, rs);
-                        }
-                        None => {
-                            over_cap[x] = true;
-                            return None;
-                        }
-                    }
-                }
-                Some(rkey)
-            })
-            .collect();
-        let probe_sets: Vec<Option<&ResolvedSet>> = rkeys
-            .iter()
-            .map(|rkey| rkey.as_ref().map(|rkey| &cache.resolved[rkey]))
-            .collect();
-        let alphas = &mut cache.alphas;
-        let postings = index.query(&probe_sets, limit, alphas);
-        if over_cap.iter().any(|&b| b) {
+    ) -> Option<(&'c AlphaVectors, &'c [bool])> {
+        let li = self.by_length.get(&indexed_len)?;
+        self.fill(
+            li,
+            probe,
+            config,
+            admit_below.unwrap_or(u32::MAX),
+            cache,
+            rec,
+        );
+        Some((&cache.alphas, &cache.scratch.over_cap))
+    }
+
+    /// The body of [`SegmentIndex::query_cached_recorded`] for length
+    /// index `li`: fills the cache's over-cap flags, sets, regions and α
+    /// rows.
+    fn fill<R: Recorder>(
+        &self,
+        li: &LengthIndex,
+        probe: &UncertainString,
+        config: &JoinConfig,
+        limit: u32,
+        cache: &mut EquivCache,
+        rec: &mut R,
+    ) {
+        let EquivCache {
+            windows,
+            scratch,
+            alphas,
+        } = cache;
+        // The partition covers the whole indexed length.
+        let indexed_len = li.segments.iter().map(|g| g.len).sum();
+        scratch.over_cap.clear();
+        scratch
+            .over_cap
+            .extend(li.incomplete_from.iter().map(|&id| id < limit));
+        scratch.sets.clear();
+        scratch.regions.clear();
+        for (x, seg) in li.segments.iter().enumerate() {
+            let range = window_range(config.policy, probe.len(), indexed_len, config.k, seg);
+            scratch
+                .regions
+                .push(range.map(|r| window_region(r, seg.len)));
+            let set = range.and_then(|r| {
+                let set = windows.set(
+                    self.interner_salt,
+                    probe,
+                    r,
+                    seg.len,
+                    config,
+                    &self.interner,
+                );
+                scratch.over_cap[x] |= set.is_none();
+                set
+            });
+            scratch.sets.push(set);
+        }
+        let (postings, lookups) = li.query(&scratch.sets, windows, limit, alphas);
+        if scratch.over_cap.iter().any(|&b| b) {
             // Conservative fallback: an over-cap segment may hide matches,
             // so every admitted id of this length must surface as a
             // candidate (with zero α where no posting was found).
-            for &id in index.ids.iter().take_while(|&&id| id < limit) {
+            for &id in li.ids.iter().take_while(|&&id| id < limit) {
                 alphas.row_mut(id);
             }
         }
+        let (enumerated, resolved) = windows.take_tally();
+        rec.counter(Counter::QgramWindowWorlds, enumerated);
+        rec.counter(Counter::QgramInstancesResolved, resolved);
+        rec.counter(Counter::IndexRunLookups, lookups);
         rec.counter(Counter::IndexPostingsScanned, postings);
         rec.counter(Counter::IndexCandidatesSurfaced, alphas.len() as u64);
-        Some((alphas, over_cap))
     }
 
     /// The q-gram candidate stage for one indexed length, shared by the
     /// self-join and search: query the length index (through `cache`),
     /// apply the Lemma 5 count condition and the sound Theorem 2 bound,
-    /// and push survivors onto `candidates`.
+    /// and push survivors onto `candidates`. With a warm `cache` and
+    /// enough room in `candidates`, the stage allocates nothing.
     ///
     /// `admit_below = Some(limit)` restricts scope to ids `< limit` (see
     /// [`SegmentIndex::query_cached_recorded`]); search passes `None`.
@@ -816,7 +984,7 @@ impl SegmentIndex {
     /// [`Counter::QgramPrunedBound`]) are emitted on `rec`, survivor
     /// counting is left to the caller.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn collect_candidates_recorded<R: Recorder>(
+    pub fn collect_candidates_recorded<R: Recorder>(
         &self,
         probe: &UncertainString,
         indexed_len: usize,
@@ -829,10 +997,8 @@ impl SegmentIndex {
         let Some(li) = self.by_length.get(&indexed_len) else {
             return 0;
         };
-        let admitted = match admit_below {
-            None => li.ids.len(),
-            Some(limit) => li.ids.partition_point(|&id| id < limit),
-        };
+        let limit = admit_below.unwrap_or(u32::MAX);
+        let admitted = li.ids.partition_point(|&id| id < limit);
         let in_scope = admitted as u64;
         if in_scope == 0 {
             return 0;
@@ -845,34 +1011,30 @@ impl SegmentIndex {
             candidates.extend_from_slice(&li.ids[..admitted]);
             return in_scope;
         }
-        let Some((alphas, over_cap)) = self.query_cached_recorded(
-            probe,
-            indexed_len,
-            config,
-            admit_below,
-            cache,
-            rec.recorder(),
-        ) else {
-            return in_scope;
-        };
+        self.fill(li, probe, config, limit, cache, rec.recorder());
+        let EquivCache {
+            scratch, alphas, ..
+        } = cache;
+        let LengthScratch {
+            over_cap,
+            regions,
+            bounder,
+            alpha,
+            ..
+        } = scratch;
         let capped = over_cap.iter().any(|&b| b);
-        // Independence structure of this (probe, length): shared once
-        // across all candidates (see usj_qgram::soundness for why the
-        // plain Theorem 2 tail would be unsound here).
-        let regions: Vec<Option<Region>> = li
-            .segments
-            .iter()
-            .map(|seg| {
-                window_range(config.policy, probe.len(), indexed_len, config.k, seg)
-                    .map(|r| window_region(r, seg.len))
-            })
-            .collect();
-        let bounder = TailBounder::new(&regions, probe);
-        let mut alpha = vec![0.0; m];
+        if !capped && !alphas.is_empty() {
+            // Independence structure of this (probe, length): shared
+            // across all candidates (see usj_qgram::soundness for why the
+            // plain Theorem 2 tail would be unsound here).
+            bounder.reset(regions, probe);
+        }
+        alpha.clear();
+        alpha.resize(m, 0.0);
         for (id, row) in alphas.iter() {
             alpha.copy_from_slice(row);
             // Over-cap segments count as matched with α = 1.
-            for (a, &oc) in alpha.iter_mut().zip(&over_cap) {
+            for (a, &oc) in alpha.iter_mut().zip(over_cap.iter()) {
                 if oc {
                     *a = 1.0;
                 }
@@ -885,7 +1047,7 @@ impl SegmentIndex {
             let bound = if capped {
                 1.0
             } else {
-                bounder.bound(&alpha, required)
+                bounder.bound(alpha, required)
             };
             if bound <= config.tau {
                 rec.count(Counter::QgramPrunedBound, 1);
@@ -952,7 +1114,7 @@ impl SegmentIndex {
 
     /// Reassembles an index from snapshot parts. The restored index
     /// carries a fresh interner salt (it is a distinct index as far as
-    /// resolved-set caches are concerned) and a peak-bytes watermark
+    /// window tables are concerned) and a peak-bytes watermark
     /// equal to its current footprint — a cold build without eviction
     /// peaks at full size too, so warm and cold stats agree.
     pub(crate) fn from_parts(
@@ -1044,7 +1206,7 @@ impl SegmentIndex {
 mod tests {
     use super::*;
     use usj_model::Alphabet;
-    use usj_qgram::{alpha_for_segment, QGramFilter};
+    use usj_qgram::{alpha_for_segment, EquivalentSet, QGramFilter};
 
     fn dna(text: &str) -> UncertainString {
         UncertainString::parse(text, &Alphabet::dna()).unwrap()
@@ -1174,7 +1336,7 @@ mod tests {
         assert!(ac.unwrap() < interner.len() as u32);
         assert_eq!(interner.resolve(&[u8::MAX, u8::MAX]), None);
         // A clone resolves identically but carries a fresh salt, so
-        // cached resolved sets cannot leak across the pair.
+        // cached windows and sets cannot leak across the pair.
         let clone = index.clone();
         assert_eq!(clone.interner().resolve(seg0), ac);
         assert_ne!(clone.interner_salt, index.interner_salt);
@@ -1249,8 +1411,14 @@ mod tests {
         assert_eq!(candidates, vec![0, 1]);
     }
 
+    /// One window table shared across a probe's lengths answers each
+    /// query bit for bit as a fresh table does, yet enumerates each
+    /// `(start, width)` window once: the lengths' window ranges overlap,
+    /// so the shared table holds fewer windows and enumerates fewer worlds
+    /// than one table per length, while the sets walked stay the same.
     #[test]
     fn cached_query_matches_uncached() {
+        use usj_obs::CollectingRecorder;
         let config = config();
         let mut index = SegmentIndex::new();
         for (i, s) in [
@@ -1264,31 +1432,45 @@ mod tests {
         {
             index.insert(i as u32, s, &config);
         }
-        let probe = dna("ACGTACG");
-        // One cache shared across both lengths the probe reaches.
+        let probe = dna("AC{(G,0.6),(T,0.4)}TACG");
+        let bits = |(alphas, over_cap): (&AlphaVectors, &[bool])| {
+            let mut rows: Vec<(u32, Vec<u64>)> = alphas
+                .iter()
+                .map(|(id, row)| (id, row.iter().map(|a| a.to_bits()).collect()))
+                .collect();
+            rows.sort_unstable();
+            (rows, over_cap.to_vec())
+        };
         let mut cache = EquivCache::new();
+        let mut shared = CollectingRecorder::new();
+        let mut fresh = CollectingRecorder::new();
+        let mut fresh_windows = 0;
         for len in [6usize, 7] {
-            let plain = index.query(&probe, len, &config).unwrap();
+            let mut own = EquivCache::new();
+            let plain = index
+                .query_cached_recorded(&probe, len, &config, None, &mut own, &mut fresh)
+                .map(bits);
+            fresh_windows += own.windows.windows.len();
             let cached = index
-                .query_cached_recorded(&probe, len, &config, None, &mut cache, &mut NoopRecorder)
-                .unwrap();
-            assert_eq!(plain.1, cached.1, "over-cap flags len={len}");
-            assert_eq!(plain.0.len(), cached.0.len(), "candidates len={len}");
-            for (id, alpha) in plain.0.iter() {
-                let got = cached.0.get(id).unwrap();
-                for (a, b) in alpha.iter().zip(got) {
-                    assert!((a - b).abs() < 1e-12, "len={len} id={id}");
-                }
-            }
+                .query_cached_recorded(&probe, len, &config, None, &mut cache, &mut shared)
+                .map(bits);
+            assert!(plain.is_some());
+            assert_eq!(plain, cached, "len={len}");
         }
-        assert!(!cache.is_empty());
-        // The cache held entries across lengths: fewer distinct keys than
-        // total (length × segment) combinations means reuse happened.
-        let total_segments: usize = [6usize, 7]
-            .iter()
-            .map(|&l| index.length_index(l).unwrap().segments().len())
-            .sum();
-        assert!(cache.len() <= total_segments);
+        assert!(cache.windows.windows.len() < fresh_windows);
+        let total = |rec: &CollectingRecorder, c| rec.counter_total(c);
+        assert!(
+            total(&shared, Counter::QgramWindowWorlds) < total(&fresh, Counter::QgramWindowWorlds)
+        );
+        assert!(
+            total(&shared, Counter::QgramInstancesResolved)
+                <= total(&shared, Counter::QgramWindowWorlds)
+        );
+        for c in [Counter::IndexRunLookups, Counter::IndexPostingsScanned] {
+            assert_eq!(total(&shared, c), total(&fresh, c), "{c:?}");
+        }
+        cache.clear();
+        assert_eq!(cache.windows.windows.len(), 0);
     }
 
     /// Pinned digests of a seeded dblp-like index at q = 3 and at q = 6

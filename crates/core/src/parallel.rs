@@ -269,7 +269,7 @@ where
     let mut index = SegmentIndex::new();
     let mut visited: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
     let mut profiles: Vec<Option<FreqProfile>> = vec![None; strings.len()];
-    // One equivalent-set cache per worker, kept across batches and waves.
+    // One window table per worker, kept across batches and waves.
     let mut caches: Vec<EquivCache> = (0..threads).map(|_| EquivCache::new()).collect();
 
     // ---- Resume: adopt the committed prefix ---------------------------
@@ -346,19 +346,24 @@ where
                 }
             }
             for (len, range) in wave_groups {
-                for idx in range.clone() {
-                    let id = order[idx];
-                    let s = &strings[id as usize];
+                for &id in &order[range.clone()] {
                     if config.pipeline.uses_qgram() {
-                        index.insert_recorded(id, s, &config, rec.recorder());
-                    }
-                    if config.pipeline.uses_freq() {
-                        profiles[id as usize] = Some(freq_filter.profile(s));
+                        index.insert_recorded(id, &strings[id as usize], &config, rec.recorder());
                     }
                     visited.entry(*len).or_default().push(id);
                 }
             }
             rec.end(index_span);
+            if config.pipeline.uses_freq() {
+                rec.time(Phase::Freq, |_| {
+                    for (_, range) in wave_groups {
+                        for &id in &order[range.clone()] {
+                            let profile = freq_filter.profile(&strings[id as usize]);
+                            profiles[id as usize] = Some(profile);
+                        }
+                    }
+                });
+            }
             rec.gauge(Gauge::ResidentShards, index.lengths().len() as u64);
             rec.gauge(Gauge::IndexBytes, index.estimated_bytes() as u64);
             rec.gauge(Gauge::PeakIndexBytes, index.peak_bytes() as u64);
@@ -851,8 +856,8 @@ fn probe_one<R: Recorder>(
     let mut candidates: Vec<u32> = Vec::new();
     let mut scope = 0u64;
     if config.pipeline.uses_qgram() {
-        // The probe's equivalent sets are reused across every shard
-        // (indexed length) it touches.
+        // The probe's windows are enumerated once and reused across
+        // every shard (indexed length) it touches.
         cache.clear();
         for len in min_len..=probe.len() {
             let admit_below = (len == probe.len()).then_some(probe_id);

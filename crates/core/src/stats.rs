@@ -21,15 +21,19 @@ use usj_obs::{Counter, Gauge, Phase};
 /// Wall-clock time spent in each phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
-    /// Building/querying the segment inverted indices + Theorem 2 bound.
+    /// Querying the segment inverted indices (window enumeration, set
+    /// assembly, posting walks) + the Lemma 5 count and Theorem 2 bound.
+    /// Building the indices is `index`.
     pub qgram: Duration,
-    /// Frequency-distance filtering (profiles + Lemma 6 + Theorem 3).
+    /// Frequency-distance filtering: building the frequency profiles,
+    /// then Lemma 6 + Theorem 3 per candidate.
     pub freq: Duration,
     /// CDF-bound DP.
     pub cdf: Duration,
     /// Exact verification.
     pub verify: Duration,
-    /// Inserting probes into the index (part of filtering overhead).
+    /// Inserting strings into the segment index and evicting the bands
+    /// no later probe reaches (part of filtering overhead).
     pub index: Duration,
     /// Whole join. For a single driver run this is wall-clock; when stats
     /// are merged ([`JoinStats::absorb`]) it is the *sum* of the parts'
@@ -165,6 +169,9 @@ impl JoinStats {
             Counter::IndexInsertions
             | Counter::IndexPostingsScanned
             | Counter::IndexCandidatesSurfaced
+            | Counter::QgramWindowWorlds
+            | Counter::QgramInstancesResolved
+            | Counter::IndexRunLookups
             | Counter::VerifierBuilds
             | Counter::StealBatches
             | Counter::ServeAccepted

@@ -63,7 +63,7 @@ fn query_key(
                 .iter()
                 .map(|(id, v)| (id, v.iter().map(|p| p.to_bits()).collect()))
                 .collect();
-            (alphas, over_cap)
+            (alphas, over_cap.to_vec())
         })
 }
 

@@ -1,22 +1,25 @@
 //! The segment index against a naive reference index.
 //!
-//! The reference keeps one `BTreeMap` entry per `(length, segment, key)`
-//! and sums α in the order the index documents: per segment, resolved
-//! keys by ascending interned id (ids are handed out first-seen, in
-//! insertion order), then postings by ascending string id. Every α row
-//! therefore has to agree bit for bit, as do the over-cap flags and the
-//! candidate set, over q ∈ 2..=6 and with a tiny instance cap that
-//! drives both the index-side and the probe-side over-cap paths. A query
+//! The reference keeps one `BTreeMap` entry per `(length, segment, key)`,
+//! builds each probe set with `EquivalentSet::build`, and sums α in the
+//! order the index documents: per segment, resolved keys by ascending
+//! interned id (ids are handed out first-seen, in insertion order), then
+//! postings by ascending string id. Every α row therefore has to agree bit
+//! for bit, as do the over-cap flags and the candidate set, over q ∈
+//! 2..=6, in every `AlphaMode`, and with a tiny instance cap that drives
+//! both the index-side and the probe-side over-cap paths. A query
 //! admitting only ids below a limit must agree with the reference built
-//! from those ids alone.
+//! from those ids alone. A low-entropy binary collection of periodic
+//! strings makes the same instance recur within one set's windows, so the
+//! duplicate-combining path is compared too.
 
 use std::collections::BTreeMap;
 
 use usj_core::obs::CollectingRecorder;
 use usj_core::{EquivCache, JoinConfig, SegmentIndex};
 use usj_model::rng::{check_seeds, random_position, random_string, Rng};
-use usj_model::{Prob, Symbol, UncertainString};
-use usj_qgram::{partition, window_range, EquivalentSet};
+use usj_model::{Position, Prob, Symbol, UncertainString};
+use usj_qgram::{partition, window_range, AlphaMode, EquivalentSet};
 
 type Rows = BTreeMap<u32, Vec<u64>>;
 
@@ -52,6 +55,40 @@ impl Reference {
             }
         }
         self.ids.entry(len).or_default().push(id);
+    }
+
+    /// `(instances, of those wider than 8 symbols)` that are interned and
+    /// occur at two or more window starts of one segment's within-cap
+    /// set at length `len`.
+    fn duplicate_groups(
+        &self,
+        probe: &UncertainString,
+        len: usize,
+        config: &JoinConfig,
+    ) -> (usize, usize) {
+        let (mut duplicates, mut wide) = (0, 0);
+        for seg in partition(len, config.q, config.k) {
+            let Some((lo, hi)) = window_range(config.policy, probe.len(), len, config.k, &seg)
+            else {
+                continue;
+            };
+            let mut starts: BTreeMap<Vec<Symbol>, usize> = BTreeMap::new();
+            for start in lo..=hi {
+                for w in probe.substring_worlds(start, seg.len) {
+                    *starts.entry(w.instance).or_default() += 1;
+                }
+            }
+            if starts.values().sum::<usize>() > config.max_segment_instances {
+                continue;
+            }
+            for (w, n) in starts {
+                if n > 1 && self.interned.contains_key(&w) {
+                    duplicates += 1;
+                    wide += usize::from(w.len() > 8);
+                }
+            }
+        }
+        (duplicates, wide)
     }
 
     /// The α rows and over-cap flags of the reference holding only the
@@ -133,41 +170,93 @@ fn collection(rng: &mut Rng) -> Vec<UncertainString> {
     strings
 }
 
-/// Builds the index and the reference over seeded collections under
-/// every (q, k, cap) combination and hands each to `check` with the
-/// probes to query.
-fn for_each_index(
-    seeds: u64,
-    mut check: impl FnMut(&SegmentIndex, &Reference, &JoinConfig, &[UncertainString]),
-) {
-    check_seeds(seeds, |rng| {
-        let strings = collection(rng);
-        let mut order: Vec<usize> = (0..strings.len()).collect();
-        order.sort_by_key(|&i| (strings[i].len(), i));
-        let probes: Vec<UncertainString> = (0..6)
-            .map(|i| {
-                if i % 2 == 0 {
-                    strings[rng.below(strings.len())].clone()
+/// A binary string of length `len` repeating a period of 1–3 symbols
+/// (1 half the time), with about a quarter of the positions uncertain:
+/// the same instance recurs at several starts of one window range.
+fn periodic_string(rng: &mut Rng, len: usize) -> UncertainString {
+    let period_len = if rng.chance(0.5) { 1 } else { rng.range(2..4) };
+    let period: Vec<Symbol> = (0..period_len).map(|_| rng.below(2) as Symbol).collect();
+    UncertainString::new(
+        (0..len)
+            .map(|j| {
+                if rng.chance(0.25) {
+                    random_position(rng, 2, 2)
                 } else {
-                    random_string(rng, 4, 6..21, 2)
+                    Position::certain(period[j % period.len()])
                 }
             })
-            .collect();
-        for q in 2..=6 {
-            for k in [1usize, 2] {
-                for cap in [2usize, 1 << 14] {
+            .collect(),
+    )
+}
+
+/// Periodic strings of lengths 6..=20, half of them 16..=18 long: q = 6
+/// and k = 1 split length 17 into segments of 8 and 9 symbols, and a
+/// length-18 probe gives the 9-symbol one two window starts, so
+/// duplicates also occur past the 8-symbol packed lane.
+fn periodic_length(rng: &mut Rng) -> usize {
+    if rng.chance(0.5) {
+        rng.range(16..19)
+    } else {
+        rng.range(6..21)
+    }
+}
+
+/// Six probes: collection members and fresh strings, alternating.
+fn probes_for(
+    rng: &mut Rng,
+    strings: &[UncertainString],
+    fresh: impl Fn(&mut Rng) -> UncertainString,
+) -> Vec<UncertainString> {
+    (0..6)
+        .map(|i| {
+            if i % 2 == 0 {
+                strings[rng.below(strings.len())].clone()
+            } else {
+                fresh(rng)
+            }
+        })
+        .collect()
+}
+
+/// Builds the index and the reference over `strings` under every
+/// (q, k, cap, mode) combination and hands each to `check` with the
+/// probes to query.
+fn for_each_config(
+    strings: &[UncertainString],
+    probes: &[UncertainString],
+    check: &mut impl FnMut(&SegmentIndex, &Reference, &JoinConfig, &[UncertainString]),
+) {
+    let mut order: Vec<usize> = (0..strings.len()).collect();
+    order.sort_by_key(|&i| (strings[i].len(), i));
+    for q in 2..=6 {
+        for k in [1usize, 2] {
+            for cap in [2usize, 1 << 14] {
+                for mode in [AlphaMode::Naive, AlphaMode::Grouped, AlphaMode::Exact] {
                     let mut config = JoinConfig::new(k, 0.1).with_q(q);
                     config.max_segment_instances = cap;
+                    config.alpha_mode = mode;
                     let mut index = SegmentIndex::new();
                     let mut reference = Reference::default();
                     for &i in &order {
                         index.insert(i as u32, &strings[i], &config);
                         reference.insert(i as u32, &strings[i], &config);
                     }
-                    check(&index, &reference, &config, &probes);
+                    check(&index, &reference, &config, probes);
                 }
             }
         }
+    }
+}
+
+/// [`for_each_config`] over seeded DNA collections.
+fn for_each_index(
+    seeds: u64,
+    mut check: impl FnMut(&SegmentIndex, &Reference, &JoinConfig, &[UncertainString]),
+) {
+    check_seeds(seeds, |rng| {
+        let strings = collection(rng);
+        let probes = probes_for(rng, &strings, |rng| random_string(rng, 4, 6..21, 2));
+        for_each_config(&strings, &probes, &mut check);
     });
 }
 
@@ -188,7 +277,7 @@ fn query_rows(
                 .iter()
                 .map(|(id, row)| (id, row.iter().map(|a| a.to_bits()).collect()))
                 .collect();
-            (rows, over_cap)
+            (rows, over_cap.to_vec())
         })
 }
 
@@ -202,7 +291,7 @@ fn alpha_rows_match_a_naive_reference_index() {
             for len in lo..=probe.len() + config.k {
                 let got = query_rows(index, probe, len, config, None, &mut cache);
                 let want = reference.query(probe, len, config, u32::MAX);
-                assert_eq!(got, want, "q={} k={} len={len}", config.q, config.k);
+                assert_eq!(got, want, "{config:?} len={len}");
             }
         }
     });
@@ -223,8 +312,45 @@ fn admit_below_matches_the_reference_filtered_to_earlier_ids() {
             for limit in ids.iter().copied().chain([ids[ids.len() - 1] + 1]) {
                 let got = query_rows(index, probe, len, config, Some(limit), &mut cache);
                 let want = reference.query(probe, len, config, limit);
-                assert_eq!(got, want, "q={} k={} limit={limit}", config.q, config.k);
+                assert_eq!(got, want, "{config:?} limit={limit}");
             }
         }
     });
+}
+
+/// Periodic binary probes: the sets combine duplicate instances (in
+/// every mode, at widths on both sides of the 8-symbol packed lane), and
+/// the α rows still agree with the reference bit for bit.
+#[test]
+fn periodic_binary_probes_combine_duplicates_like_the_reference() {
+    let (mut duplicates, mut wide) = (0usize, 0usize);
+    check_seeds(4, |rng| {
+        let strings: Vec<UncertainString> = (0..24)
+            .map(|_| {
+                let len = periodic_length(rng);
+                periodic_string(rng, len)
+            })
+            .collect();
+        let probes = probes_for(rng, &strings, |rng| periodic_string(rng, 18));
+        for_each_config(
+            &strings,
+            &probes,
+            &mut |index, reference, config, probes| {
+                for probe in probes {
+                    let mut cache = EquivCache::new();
+                    let lo = probe.len().saturating_sub(config.k);
+                    for len in lo..=probe.len() + config.k {
+                        let got = query_rows(index, probe, len, config, None, &mut cache);
+                        let want = reference.query(probe, len, config, u32::MAX);
+                        assert_eq!(got, want, "{config:?} len={len}");
+                        let (d, w) = reference.duplicate_groups(probe, len, config);
+                        duplicates += d;
+                        wide += w;
+                    }
+                }
+            },
+        );
+    });
+    assert!(duplicates > 0, "no set combined a duplicate instance");
+    assert!(wide > 0, "no duplicate instance wider than 8 symbols");
 }

@@ -367,6 +367,9 @@ mod tests {
     "index_insertions": 0,
     "index_postings_scanned": 0,
     "index_candidates_surfaced": 0,
+    "qgram_window_worlds": 0,
+    "qgram_instances_resolved": 0,
+    "index_run_lookups": 0,
     "verifier_builds": 0,
     "steal_batches": 0,
     "faults_injected": 0,
@@ -570,6 +573,30 @@ mod tests {
       "max": 0
     },
     "index_candidates_surfaced": {
+      "probes": 0,
+      "sum": 0,
+      "p50": 0,
+      "p90": 0,
+      "p99": 0,
+      "max": 0
+    },
+    "qgram_window_worlds": {
+      "probes": 0,
+      "sum": 0,
+      "p50": 0,
+      "p90": 0,
+      "p99": 0,
+      "max": 0
+    },
+    "qgram_instances_resolved": {
+      "probes": 0,
+      "sum": 0,
+      "p50": 0,
+      "p90": 0,
+      "p99": 0,
+      "max": 0
+    },
+    "index_run_lookups": {
       "probes": 0,
       "sum": 0,
       "p50": 0,

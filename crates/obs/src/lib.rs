@@ -164,6 +164,14 @@ pub enum Counter {
     IndexPostingsScanned,
     /// Candidate α-vectors surfaced by posting-list merges.
     IndexCandidatesSurfaced,
+    /// Probe-side q-gram window worlds enumerated (each window once per
+    /// probe and index).
+    QgramWindowWorlds,
+    /// Enumerated window worlds whose instance had an interned id (the
+    /// rest can match no posting and are dropped).
+    QgramInstancesResolved,
+    /// Posting-run lookups by the merge, hits and misses.
+    IndexRunLookups,
     /// Per-probe verifier constructions.
     VerifierBuilds,
     /// Work-stealing batches grabbed by parallel workers (one per
@@ -225,7 +233,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in serialisation order.
-    pub const ALL: [Counter; 36] = [
+    pub const ALL: [Counter; 39] = [
         Counter::PairsInScope,
         Counter::QgramSurvivors,
         Counter::QgramPrunedCount,
@@ -242,6 +250,9 @@ impl Counter {
         Counter::IndexInsertions,
         Counter::IndexPostingsScanned,
         Counter::IndexCandidatesSurfaced,
+        Counter::QgramWindowWorlds,
+        Counter::QgramInstancesResolved,
+        Counter::IndexRunLookups,
         Counter::VerifierBuilds,
         Counter::StealBatches,
         Counter::FaultsInjected,
@@ -288,6 +299,9 @@ impl Counter {
             Counter::IndexInsertions => "index_insertions",
             Counter::IndexPostingsScanned => "index_postings_scanned",
             Counter::IndexCandidatesSurfaced => "index_candidates_surfaced",
+            Counter::QgramWindowWorlds => "qgram_window_worlds",
+            Counter::QgramInstancesResolved => "qgram_instances_resolved",
+            Counter::IndexRunLookups => "index_run_lookups",
             Counter::VerifierBuilds => "verifier_builds",
             Counter::StealBatches => "steal_batches",
             Counter::FaultsInjected => "faults_injected",

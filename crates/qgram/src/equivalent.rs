@@ -61,11 +61,10 @@ pub enum AlphaMode {
 /// with their occurrence probabilities `p_r(w)`.
 ///
 /// Instances are stored in one flat symbol buffer (stride =
-/// [`EquivalentSet::window_len`]) rather than one `Vec` per instance —
-/// sets are rebuilt per probe window at high rates, and per-instance heap
-/// boxes dominated construction. Short instances additionally carry their
-/// big-endian packed [`pack_instance`] key so index resolution can look
-/// them up as integers.
+/// [`EquivalentSet::window_len`]) rather than one `Vec` per instance.
+/// The filter and the tests build sets this way; the join's index path
+/// assembles the same sets from a per-probe window table instead, through
+/// the same [`combine_occurrences`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EquivalentSet {
     /// Instance symbols: instance `i` is `flat[i*wl..(i+1)*wl]`, in
@@ -74,9 +73,6 @@ pub struct EquivalentSet {
     /// `p_r(w)` per instance, parallel to the instances in `flat`.
     probs: Vec<Prob>,
     window_len: usize,
-    /// Packed instance keys (ascending), parallel to `probs`; filled only
-    /// when `window_len ≤ 8`.
-    keys: Vec<u64>,
 }
 
 /// Packs a short instance (≤ 8 symbols) big-endian into a `u64`, so that
@@ -152,7 +148,6 @@ impl EquivalentSet {
             flat: Vec::with_capacity(meta.len() * wl),
             probs: Vec::with_capacity(meta.len()),
             window_len: wl,
-            keys: Vec::new(),
         };
         let mut occs: Vec<(usize, Prob)> = Vec::new();
         let mut i = 0;
@@ -162,19 +157,9 @@ impl EquivalentSet {
             while j < order.len() && window(order[j]) == w {
                 j += 1;
             }
-            let p = if j == i + 1 {
-                // Single occurrence (the common case): every mode
-                // reduces to its own probability.
-                meta[order[i] as usize].1
-            } else {
-                occs.clear();
-                occs.extend(order[i..j].iter().map(|&o| meta[o as usize]));
-                match mode {
-                    AlphaMode::Naive => occs.iter().map(|&(_, p)| p).sum(),
-                    AlphaMode::Grouped => grouped_probability(w, &occs, probe),
-                    AlphaMode::Exact => exact_probability(w, &occs, probe),
-                }
-            };
+            occs.clear();
+            occs.extend(order[i..j].iter().map(|&o| meta[o as usize]));
+            let p = combine_occurrences(w, &occs, probe, mode);
             set.flat.extend_from_slice(w);
             set.probs.push(p);
             i = j;
@@ -195,22 +180,6 @@ impl EquivalentSet {
     /// Length every instance in this set shares.
     pub fn window_len(&self) -> usize {
         self.window_len
-    }
-
-    /// `p_r(w)` per instance, parallel to [`EquivalentSet::packed_keys`].
-    pub fn probs(&self) -> &[Prob] {
-        &self.probs
-    }
-
-    /// The ascending [`pack_instance`] keys of the instances, available
-    /// when the window is short enough to pack (`window_len ≤ 8` — every
-    /// q-gram partition the join produces qualifies).
-    pub fn packed_keys(&self) -> Option<&[u64]> {
-        if self.window_len <= 8 {
-            Some(&self.keys)
-        } else {
-            None
-        }
     }
 
     /// Number of distinct instances.
@@ -286,7 +255,6 @@ fn build_packed(
         flat: Vec::with_capacity(occ.len() * wl),
         probs: Vec::with_capacity(occ.len()),
         window_len: wl,
-        keys: Vec::with_capacity(occ.len()),
     };
     let mut occs: Vec<(usize, Prob)> = Vec::new();
     let mut wbuf = [0u8; 8];
@@ -301,25 +269,39 @@ fn build_packed(
             *b = (key >> (8 * (wl - 1 - t))) as u8;
         }
         let w = &wbuf[..wl];
-        let p = if j == i + 1 {
-            // Single occurrence (the common case): every mode reduces
-            // to its own probability.
-            occ[i].2
-        } else {
-            occs.clear();
-            occs.extend(occ[i..j].iter().map(|&(_, s, p)| (s as usize, p)));
-            match mode {
-                AlphaMode::Naive => occs.iter().map(|&(_, p)| p).sum(),
-                AlphaMode::Grouped => grouped_probability(w, &occs, probe),
-                AlphaMode::Exact => exact_probability(w, &occs, probe),
-            }
-        };
+        occs.clear();
+        occs.extend(occ[i..j].iter().map(|&(_, s, p)| (s as usize, p)));
+        let p = combine_occurrences(w, &occs, probe, mode);
         set.flat.extend_from_slice(w);
         set.probs.push(p);
-        set.keys.push(key);
         i = j;
     }
     Some(set)
+}
+
+/// `p_r(w)`: the probability that instance `w` occurs at one of its
+/// occurrences `occs` — `(start, Pr(window at start = w))`, ascending by
+/// start, at least one — in `probe`, combined per `mode`.
+///
+/// A single occurrence is its own probability in every mode (the common
+/// case, returned as is). Every equivalent-set construction combines
+/// duplicates here, so all of them agree bit for bit.
+pub fn combine_occurrences(
+    w: &[Symbol],
+    occs: &[(usize, Prob)],
+    probe: &UncertainString,
+    mode: AlphaMode,
+) -> Prob {
+    debug_assert!(!occs.is_empty());
+    debug_assert!(occs.windows(2).all(|o| o[0].0 < o[1].0));
+    if let [(_, p)] = occs {
+        return *p;
+    }
+    match mode {
+        AlphaMode::Naive => occs.iter().map(|&(_, p)| p).sum(),
+        AlphaMode::Grouped => grouped_probability(w, occs, probe),
+        AlphaMode::Exact => exact_probability(w, occs, probe),
+    }
 }
 
 /// Paper §3.2 Step 1 + Step 2: group overlapping occurrences and combine.

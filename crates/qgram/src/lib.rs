@@ -44,7 +44,7 @@ pub mod soundness;
 pub mod tail;
 
 pub use alpha::alpha_for_segment;
-pub use equivalent::{pack_instance, AlphaMode, EquivalentSet};
+pub use equivalent::{combine_occurrences, pack_instance, AlphaMode, EquivalentSet};
 pub use filter::{FilterVerdict, QGramFilter, QGramOutcome};
 pub use partition::{partition, Segment};
 pub use selection::{window_range, SelectionPolicy};

@@ -53,14 +53,28 @@ pub fn window_region(starts: (usize, usize), len: usize) -> Region {
 /// selection optimal we shrink each region to its uncertain-position
 /// span: certain positions can never cause a conflict.
 pub fn independent_family(regions: &[Option<Region>], probe: &UncertainString) -> Vec<usize> {
-    // Uncertain span per segment: the smallest interval containing the
-    // uncertain positions inside the region (None = no uncertain
-    // positions, conflicts impossible for this segment).
-    let mut items: Vec<(usize, Option<Region>)> = Vec::new();
+    let mut selected = Vec::new();
+    select_family(regions, probe, &mut selected, &mut Vec::new());
+    selected
+}
+
+/// [`independent_family`] into `selected`, with `spans` as scratch; both
+/// are cleared first and keep their allocations.
+fn select_family(
+    regions: &[Option<Region>],
+    probe: &UncertainString,
+    selected: &mut Vec<usize>,
+    spans: &mut Vec<(usize, Region)>,
+) {
+    selected.clear();
+    spans.clear();
     for (x, region) in regions.iter().enumerate() {
         let Some(&(a, b)) = region.as_ref() else {
             continue;
         };
+        // Uncertain span: the smallest interval containing the uncertain
+        // positions inside the region (None = no uncertain positions,
+        // conflicts impossible for this segment).
         let mut span: Option<Region> = None;
         for pos in a..=b.min(probe.len().saturating_sub(1)) {
             if !probe.position(pos).is_certain() {
@@ -70,52 +84,53 @@ pub fn independent_family(regions: &[Option<Region>], probe: &UncertainString) -
                 });
             }
         }
-        items.push((x, span));
+        match span {
+            // Segments with no uncertain span never conflict: always
+            // selected.
+            None => selected.push(x),
+            Some(span) => spans.push((x, span)),
+        }
     }
-    // Segments with no uncertain span never conflict: always selected.
-    let mut selected: Vec<usize> = items
-        .iter()
-        .filter(|(_, span)| span.is_none())
-        .map(|&(x, _)| x)
-        .collect();
     // Interval scheduling on the uncertain spans (sorted by span end).
-    let mut spans: Vec<(usize, Region)> = items
-        .iter()
-        .filter_map(|&(x, span)| span.map(|s| (x, s)))
-        .collect();
     spans.sort_unstable_by_key(|&(_, (_, end))| end);
     let mut last_end: Option<usize> = None;
-    for (x, (start, end)) in spans {
+    for &(x, (start, end)) in spans.iter() {
         if last_end.is_none_or(|le| start > le) {
             selected.push(x);
             last_end = Some(end);
         }
     }
     selected.sort_unstable();
-    selected
 }
 
 /// Precomputed independence structure for one (probe, indexed-length)
 /// combination — build once, bound many candidates.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TailBounder {
     /// Independent family (indices into the segment list).
     selected: Vec<usize>,
     /// Segments with a window range at all.
     possible: Vec<usize>,
+    /// [`select_family`] scratch.
+    spans: Vec<(usize, Region)>,
 }
 
 impl TailBounder {
     /// Builds the bounder from the per-segment window regions of a probe.
     pub fn new(regions: &[Option<Region>], probe: &UncertainString) -> TailBounder {
-        TailBounder {
-            selected: independent_family(regions, probe),
-            possible: (0..regions.len())
-                .filter(|&x| regions[x].is_some())
-                .collect(),
-        }
+        let mut bounder = TailBounder::default();
+        bounder.reset(regions, probe);
+        bounder
     }
 
+    /// Rebuilds the bounder in place for new regions, reusing its
+    /// buffers: a warm bounder allocates nothing.
+    pub fn reset(&mut self, regions: &[Option<Region>], probe: &UncertainString) {
+        select_family(regions, probe, &mut self.selected, &mut self.spans);
+        self.possible.clear();
+        self.possible
+            .extend((0..regions.len()).filter(|&x| regions[x].is_some()));
+    }
     /// The independent family chosen.
     pub fn selected(&self) -> &[usize] {
         &self.selected

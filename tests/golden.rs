@@ -3,7 +3,8 @@
 //! of its probability, so a verifier rewrite that changes the summation
 //! order of a single leaf mass fails here even when the pair set does not
 //! change. The funnel goldens pin the 13 filter-funnel counters and the
-//! postings the q-gram stage scanned on the same collections. When a
+//! postings the q-gram stage scanned on the same collections, and the
+//! q-gram work counters pin its window and run-lookup totals. When a
 //! change is meant to alter outputs, re-record the constants and say why
 //! in the change description.
 
@@ -113,6 +114,39 @@ fn protein_qft_join_funnel() {
     assert_eq!(got, PROTEIN_QFT_FUNNEL);
 }
 
+/// The q-gram stage's work counters on the default dblp collection:
+/// window worlds enumerated, of those the instances the interner knew,
+/// and posting-run lookups. Each probe enumerates its own windows, so the
+/// world total is the same on two threads. The other two are not: the
+/// driver indexes a band of lengths ahead of its probes, and the bands
+/// depend on the thread count, so a probe's interner may already know
+/// instances of strings it does not admit.
+#[test]
+fn dblp_join_qgram_work() {
+    for (threads, want) in [(1, DBLP_QGRAM_WORK_1), (2, DBLP_QGRAM_WORK_2)] {
+        let ds = DatasetSpec::new(DatasetKind::Dblp, 600, 21).generate();
+        let opts = RunOptions {
+            threads,
+            ..RunOptions::default()
+        };
+        let (_, _, sink) = run_self_join(
+            JoinConfig::new(2, 0.1),
+            ds.alphabet.size(),
+            &ds.strings,
+            &opts,
+            CollectingRecorder::new,
+        )
+        .expect("no deadline or checkpoint to fail on");
+        let got = [
+            Counter::QgramWindowWorlds,
+            Counter::QgramInstancesResolved,
+            Counter::IndexRunLookups,
+        ]
+        .map(|c| sink.counter_total(c));
+        assert_eq!(got, want, "threads={threads}");
+    }
+}
+
 /// FCT skips the q-gram stage: every length-compatible pair reaches the
 /// frequency filter and no posting is scanned.
 #[test]
@@ -135,3 +169,5 @@ const PROTEIN_QFT_FUNNEL: [u64; 14] = [6000, 114, 5886, 0, 112, 2, 0, 0, 0, 112,
 const DBLP_FCT_FUNNEL: [u64; 14] = [
     49230, 49230, 0, 0, 3317, 45913, 0, 27, 3247, 43, 39, 4, 66, 0,
 ];
+const DBLP_QGRAM_WORK_1: [u64; 3] = [101703, 52674, 116386];
+const DBLP_QGRAM_WORK_2: [u64; 3] = [101703, 54014, 118930];
