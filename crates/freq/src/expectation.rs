@@ -15,7 +15,7 @@ use crate::profile::{CharProfile, FreqProfile};
 
 /// `E[(f_S − f_R)^+]` for one character, iterating R's pmf (cost
 /// `O(f^u_R)`; each summand reads S's `S3` array in `O(1)`).
-fn expected_excess_iter_left(r: &CharProfile, s: &CharProfile) -> f64 {
+fn expected_excess_iter_left(r: CharProfile<'_>, s: CharProfile<'_>) -> f64 {
     let rc = r.certain() as i64;
     let mut acc = 0.0;
     for x in 0..=r.uncertain() {
@@ -29,7 +29,7 @@ fn expected_excess_iter_left(r: &CharProfile, s: &CharProfile) -> f64 {
 }
 
 /// `E[(f_S − f_R)^+]` for one character in `O(min(f^u_R, f^u_S))`.
-pub fn expected_nd_char(r: &CharProfile, s: &CharProfile) -> f64 {
+pub fn expected_nd_char(r: CharProfile<'_>, s: CharProfile<'_>) -> f64 {
     if r.uncertain() <= s.uncertain() {
         expected_excess_iter_left(r, s)
     } else {
@@ -40,7 +40,7 @@ pub fn expected_nd_char(r: &CharProfile, s: &CharProfile) -> f64 {
 }
 
 /// `E[(f_R − f_S)^+]` for one character.
-pub fn expected_pd_char(r: &CharProfile, s: &CharProfile) -> f64 {
+pub fn expected_pd_char(r: CharProfile<'_>, s: CharProfile<'_>) -> f64 {
     expected_nd_char(s, r)
 }
 
@@ -60,9 +60,8 @@ pub fn expected_distances(r: &FreqProfile, s: &FreqProfile) -> (f64, f64) {
 }
 
 /// Naive `O(f^u_R · f^u_S)` double-sum for `E[nD_i]`; retained as the
-/// reference implementation for tests and the efficiency ablation
-/// (bench `freq.rs`).
-pub fn expected_nd_naive(r: &CharProfile, s: &CharProfile) -> f64 {
+/// reference implementation for tests.
+pub fn expected_nd_naive(r: CharProfile<'_>, s: CharProfile<'_>) -> f64 {
     let mut acc = 0.0;
     for x in 0..=r.uncertain() {
         let px = r.s1()[x as usize];
@@ -79,7 +78,7 @@ pub fn expected_nd_naive(r: &CharProfile, s: &CharProfile) -> f64 {
 }
 
 /// Naive counterpart of [`expected_pd_char`].
-pub fn expected_pd_naive(r: &CharProfile, s: &CharProfile) -> f64 {
+pub fn expected_pd_naive(r: CharProfile<'_>, s: CharProfile<'_>) -> f64 {
     expected_nd_naive(s, r)
 }
 
@@ -94,29 +93,29 @@ mod tests {
 
     #[test]
     fn fast_matches_naive_per_char() {
+        // Per pair, character 0 of each string: (f^c, f^u) of (0, 2) vs
+        // (1, 1), (2, 0) vs (0, 3), (1, 1) vs (1, 1), (0, 0) vs (3, 0) and
+        // (5, 4) vs (0, 1).
         let cases = [
+            ("{(A,0.5),(C,0.5)}{(A,0.3),(G,0.7)}", "A{(A,0.9),(T,0.1)}"),
+            ("AA", "{(A,0.1),(C,0.9)}{(A,0.2),(G,0.8)}{(A,0.3),(T,0.7)}"),
+            ("A{(A,0.5),(C,0.5)}", "A{(A,0.5),(G,0.5)}"),
+            ("CG", "AAA"),
             (
-                CharProfile::new(0, &[0.5, 0.3]),
-                CharProfile::new(1, &[0.9]),
-            ),
-            (
-                CharProfile::new(2, &[]),
-                CharProfile::new(0, &[0.1, 0.2, 0.3]),
-            ),
-            (CharProfile::new(1, &[0.5]), CharProfile::new(1, &[0.5])),
-            (CharProfile::new(0, &[]), CharProfile::new(3, &[])),
-            (
-                CharProfile::new(5, &[0.2, 0.4, 0.6, 0.8]),
-                CharProfile::new(0, &[0.5]),
+                "AAAAA{(A,0.2),(C,0.8)}{(A,0.4),(G,0.6)}{(A,0.6),(T,0.4)}{(A,0.8),(C,0.2)}",
+                "{(A,0.5),(T,0.5)}",
             ),
         ];
-        for (r, s) in &cases {
-            let fast = expected_nd_char(r, s);
-            let naive = expected_nd_naive(r, s);
-            assert!((fast - naive).abs() < 1e-12, "fast={fast} naive={naive}");
-            let fast_pd = expected_pd_char(r, s);
-            let naive_pd = expected_pd_naive(r, s);
-            assert!((fast_pd - naive_pd).abs() < 1e-12);
+        for (rt, st) in cases {
+            let (rp, sp) = (FreqProfile::new(&dna(rt), 4), FreqProfile::new(&dna(st), 4));
+            for (r, s) in rp.char_profiles().zip(sp.char_profiles()) {
+                let fast = expected_nd_char(r, s);
+                let naive = expected_nd_naive(r, s);
+                assert!((fast - naive).abs() < 1e-12, "fast={fast} naive={naive}");
+                let fast_pd = expected_pd_char(r, s);
+                let naive_pd = expected_pd_naive(r, s);
+                assert!((fast_pd - naive_pd).abs() < 1e-12);
+            }
         }
     }
 

@@ -13,10 +13,15 @@
 //!   distances `E[pD]`, `E[nD]` via the one-sided Chebyshev inequality.
 //!
 //! The per-character occurrence count `f_{S,i}` is a Poisson-binomial
-//! random variable over the uncertain positions mentioning character `i`;
-//! [`profile::CharProfile`] precomputes its distribution together with the
-//! paper's `S1..S4` scaled-summation arrays so that each expectation
-//! `E[(f_S − f_R)^+]` costs `O(min(f^u_R, f^u_S))` ([`expectation`]).
+//! random variable over the uncertain positions mentioning character `i`.
+//! A [`profile::FreqProfile`] precomputes, per string, every character's
+//! distribution (the paper's `S1`) and its scaled upper tail `S3` in one
+//! slot table and one `f64` buffer, so that each expectation
+//! `E[(f_S − f_R)^+]` costs `O(min(f^u_R, f^u_S))` ([`expectation`]). The
+//! paper's `S2` is only a running sum while `S3` is built, and `S4` is not
+//! needed: the side with fewer uncertain positions is always the one
+//! iterated, through `E[X] − E[Y] + E[(Y − X)^+]`. A
+//! [`profile::CharProfile`] is a borrowed view of one character.
 //!
 //! [`filter::FreqFilter`] combines both bounds into a pruning decision.
 
@@ -42,8 +47,8 @@ pub fn lemma6_lower_bound(r: &FreqProfile, s: &FreqProfile) -> u32 {
     assert_eq!(r.sigma(), s.sigma(), "alphabet size mismatch");
     let (mut pd, mut nd) = (0u32, 0u32);
     for i in 0..r.sigma() {
-        let (rc, rt) = (r.char_profile(i).certain(), r.char_profile(i).total());
-        let (sc, st) = (s.char_profile(i).certain(), s.char_profile(i).total());
+        let (rc, rt) = r.bounds(i);
+        let (sc, st) = s.bounds(i);
         if st < rc {
             pd += rc - st;
         }

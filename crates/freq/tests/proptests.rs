@@ -3,7 +3,7 @@
 
 use usj_freq::{
     expected_distances, expected_nd_char, expected_nd_naive, lemma6_lower_bound,
-    theorem3_upper_bound, CharProfile, FreqFilter, FreqProfile,
+    theorem3_upper_bound, FreqFilter, FreqProfile,
 };
 use usj_model::rng::{check_seeds, random_string, Rng};
 use usj_model::UncertainString;
@@ -14,12 +14,10 @@ fn string(rng: &mut Rng) -> UncertainString {
     random_string(rng, 3, 2..6, 2)
 }
 
-fn random_char_profile(rng: &mut Rng) -> CharProfile {
-    let certain = rng.below(4) as u32;
-    let probs: Vec<f64> = (0..rng.below(5))
-        .map(|_| rng.range(1..100) as f64 / 101.0)
-        .collect();
-    CharProfile::new(certain, &probs)
+/// A profile over two symbols whose characters take every mix of certain
+/// and uncertain counts up to 8.
+fn random_profile(rng: &mut Rng) -> FreqProfile {
+    FreqProfile::new(&random_string(rng, 2, 0..9, 3), 2)
 }
 
 /// Lemma 6 lower-bounds the frequency distance of every world pair.
@@ -68,10 +66,12 @@ fn expectations_match_worlds() {
 #[test]
 fn fast_expectation_equals_naive() {
     check_seeds(CASES, |rng| {
-        let (a, b) = (random_char_profile(rng), random_char_profile(rng));
-        let fast = expected_nd_char(&a, &b);
-        let naive = expected_nd_naive(&a, &b);
-        assert!((fast - naive).abs() < 1e-9, "fast={fast} naive={naive}");
+        let (r, s) = (random_profile(rng), random_profile(rng));
+        for (a, b) in r.char_profiles().zip(s.char_profiles()) {
+            let fast = expected_nd_char(a, b);
+            let naive = expected_nd_naive(a, b);
+            assert!((fast - naive).abs() < 1e-9, "fast={fast} naive={naive}");
+        }
     });
 }
 
