@@ -38,10 +38,7 @@ fn main() {
     let config = default_config(kind);
 
     // 1. Index sizes.
-    let mut disjoint = SegmentIndex::new();
-    for (i, s) in ds.strings.iter().enumerate() {
-        disjoint.insert(i as u32, s, &config);
-    }
+    let disjoint = SegmentIndex::build((0u32..).zip(&ds.strings), &config);
     let mut overlapping = OverlappingQGramIndex::new(defaults.q);
     for (i, s) in ds.strings.iter().enumerate() {
         overlapping.insert(i as u32, s, 1 << 14);

@@ -118,7 +118,7 @@ impl IndexedCollection {
     }
 
     /// [`IndexedCollection::build`] with the construction instrumented on
-    /// `rec`: one [`Phase::Index`] span for the segment-index inserts, one
+    /// `rec`: one [`Phase::Index`] span for the segment-index build, one
     /// [`Phase::Freq`] span for the frequency profiles, an insertion
     /// counter per string, and the resulting index-memory gauges.
     pub fn build_recorded<R: Recorder>(
@@ -133,9 +133,7 @@ impl IndexedCollection {
         {
             // RAII span: exits Phase::Index on every path out of the block.
             let mut span = PhaseGuard::enter(rec, Phase::Index);
-            for (i, s) in strings.iter().enumerate() {
-                index.insert_recorded(i as u32, s, &config, span.rec());
-            }
+            index.build_bands((0u32..).zip(&strings), &config, span.rec());
         }
         let profiles = {
             let _span = PhaseGuard::enter(rec, Phase::Freq);

@@ -7,11 +7,13 @@
 //! A string id appears at most once per list and in as many lists of
 //! `L^x_l` as its segment has instances.
 //!
-//! Each `(length, segment)` table stores its lists as hash-addressed
-//! runs: a map from interned segment id to the head and tail of a linked
-//! run in one per-table posting arena. Appending a posting is one lookup
-//! plus one arena push, and finding a list is one hash probe, so neither
-//! cost grows with the table.
+//! A band (one length) is built once, by one call, and then sealed. Its
+//! postings are staged per segment as `(interned id, string id, prob)`,
+//! sorted once by `(interned id, string id)`, and written out as
+//! contiguous runs: each `(length, segment)` table holds exact-sized
+//! parallel `ids` / `probs` arrays plus one map from interned segment id
+//! to its run's `[start, end)`. Finding a list is one hash probe and
+//! walking it reads consecutive memory.
 //!
 //! A probe `R` queries one `LengthIndex` by assembling its equivalent
 //! sets `q(r, x)` from the probe's [`EquivCache`] window table and walking
@@ -21,8 +23,7 @@
 //! proportional to the windows enumerated and the postings touched, never
 //! to the collection size.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -88,7 +89,7 @@ struct WindowWorld {
     prob: Prob,
 }
 
-/// A half-open run `[first, end)` of one arena.
+/// A half-open run `[first, end)` of one arena or array.
 type Run = (u32, u32);
 
 /// The arenas behind [`EquivCache`].
@@ -280,83 +281,111 @@ fn world_count(positions: &[Position]) -> Option<usize> {
         .try_fold(1usize, |n, p| n.checked_mul(p.num_alternatives()))
 }
 
-/// Global intern table for instantiated q-gram segments: segment bytes →
-/// dense `u32` ids, assigned first-seen at index-build time and shared by
-/// every [`LengthIndex`] of one [`SegmentIndex`]. Posting tables are then
-/// keyed by `u32` ids instead of byte strings, and a probe resolves each
-/// world of each of its windows to its id once per index.
+/// Heap bytes of a `std` hash table holding `T` entries with room for
+/// `capacity` of them: the bucket array, padded to the control-byte
+/// group, one control byte per bucket and one trailing group. Buckets
+/// are a power of two, and a table of 8 or more buckets fills 7/8 of
+/// them before it grows.
+fn table_bytes<T>(capacity: usize) -> usize {
+    const GROUP: usize = 16;
+    if capacity == 0 {
+        return 0;
+    }
+    let buckets = if capacity < 8 {
+        capacity + 1
+    } else {
+        (capacity / 7 * 8).next_power_of_two()
+    };
+    (buckets * size_of::<T>()).next_multiple_of(GROUP) + buckets + GROUP
+}
+
+/// Longest instance [`SegmentInterner`] keeps as a packed integer.
+const PACKED_MAX: usize = 8;
+
+/// Global intern table for instantiated q-gram segments: segment symbols
+/// → dense `u32` ids, assigned first-seen at index-build time and shared
+/// by every [`LengthIndex`] of one [`SegmentIndex`]. Posting tables are
+/// then keyed by `u32` ids instead of byte strings, and a probe resolves
+/// each world of each of its windows to its id once per index.
+///
+/// Every instance has exactly one entry. One of up to 8 symbols is a
+/// [`pack_instance`] integer in the table for its length, so interning a
+/// new one allocates only when that table grows; a longer instance is a
+/// boxed slice in one further table.
 ///
 /// The table survives [`SegmentIndex::evict_below`] — ids must stay
-/// stable for the lifetime of the index (a slight memory pessimism the
-/// byte estimate reports honestly).
+/// stable for the lifetime of the index, so an evicted band's instances
+/// stay counted in the byte estimate.
 #[derive(Debug, Clone, Default)]
 pub struct SegmentInterner {
-    map: HashMap<Vec<Symbol>, u32, FastBuildHasher>,
-    /// Secondary lookup for short instances (≤ 8 symbols): their
-    /// [`pack_instance`] key plus length → the same id as `map`. Window
-    /// worlds this short resolve through it as integers, skipping the
-    /// symbol-slice hashing entirely.
-    packed: HashMap<(u64, u8), u32, FastBuildHasher>,
-    bytes: usize,
+    /// `packed[len]`: [`pack_instance`] key → id, for instances of
+    /// `len ≤ 8` symbols (the length disambiguates keys that collide
+    /// across lengths).
+    packed: [HashMap<u64, u32, FastBuildHasher>; PACKED_MAX + 1],
+    /// Instances longer than 8 symbols → id.
+    long: HashMap<Box<[Symbol]>, u32, FastBuildHasher>,
+    /// Symbols held by `long`'s keys.
+    long_symbols: usize,
+    /// Number of interned instances, which is the next id.
+    len: usize,
 }
 
 impl SegmentInterner {
-    /// The id of `w`, interning it on first sight. Known instances are
-    /// looked up by borrowed key (the packed lane for ≤ 8 symbols), so
-    /// only a new entry allocates.
+    /// The id of `w`, interning it on first sight.
     fn intern(&mut self, w: &[Symbol]) -> u32 {
-        let known = if w.len() <= 8 {
-            self.packed.get(&(pack_instance(w), w.len() as u8))
+        debug_assert!(self.len < u32::MAX as usize, "interner id overflow");
+        let next = self.len as u32;
+        let id = if w.len() <= PACKED_MAX {
+            *self.packed[w.len()].entry(pack_instance(w)).or_insert(next)
+        } else if let Some(&id) = self.long.get(w) {
+            id
         } else {
-            self.map.get(w)
+            self.long.insert(w.into(), next);
+            self.long_symbols += w.len();
+            next
         };
-        match known {
-            Some(&id) => id,
-            None => self.intern_owned(w.to_vec()),
+        if id == next {
+            self.len += 1;
         }
-    }
-
-    fn intern_owned(&mut self, w: Vec<Symbol>) -> u32 {
-        if let Some(&id) = self.map.get(&w) {
-            return id;
-        }
-        let id = self.map.len() as u32;
-        debug_assert!(self.map.len() < u32::MAX as usize, "interner id overflow");
-        self.bytes += w.len() + 52; // key bytes + map entry estimate
-        if w.len() <= 8 {
-            self.packed.insert((pack_instance(&w), w.len() as u8), id);
-            self.bytes += 24; // packed entry estimate
-        }
-        self.map.insert(w, id);
         id
     }
 
     /// The id of `w`, if any string's segment instance produced it.
     pub fn resolve(&self, w: &[Symbol]) -> Option<u32> {
-        self.map.get(w).copied()
+        if w.len() <= PACKED_MAX {
+            self.resolve_packed(pack_instance(w), w.len())
+        } else {
+            self.long.get(w).copied()
+        }
     }
 
     /// [`SegmentInterner::resolve`] by [`pack_instance`] key for short
-    /// instances (`len ≤ 8`); the length disambiguates packed keys that
-    /// collide across instance lengths.
+    /// instances (`len ≤ 8`).
     pub fn resolve_packed(&self, key: u64, len: usize) -> Option<u32> {
-        debug_assert!(len <= 8);
-        self.packed.get(&(key, len as u8)).copied()
+        self.packed[len].get(&key).copied()
     }
 
     /// Number of distinct interned segment instances.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// Entries in dense id order (`entry[i]` holds the symbols of id
     /// `i`): ids are assigned first-seen, so replaying the returned
     /// sequence through [`SegmentInterner::restore`] reproduces the
-    /// table — packed lane and byte estimate included — exactly.
+    /// table exactly.
     pub(crate) fn dump(&self) -> Vec<Vec<Symbol>> {
-        let mut entries = vec![Vec::new(); self.map.len()];
-        for (w, &id) in &self.map {
-            entries[id as usize] = w.clone();
+        let mut entries = vec![Vec::new(); self.len];
+        for (len, table) in self.packed.iter().enumerate() {
+            for (&key, &id) in table {
+                entries[id as usize] = (0..len)
+                    .rev()
+                    .map(|shift| (key >> (8 * shift)) as Symbol)
+                    .collect();
+            }
+        }
+        for (w, &id) in &self.long {
+            entries[id as usize] = w.to_vec();
         }
         entries
     }
@@ -366,19 +395,25 @@ impl SegmentInterner {
     /// first-seen ids.
     pub(crate) fn restore(entries: Vec<Vec<Symbol>>) -> SegmentInterner {
         let mut interner = SegmentInterner::default();
-        for w in entries {
-            interner.intern_owned(w);
+        for w in &entries {
+            interner.intern(w);
         }
         interner
     }
 
     /// `true` when nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
+    /// Heap bytes: every table's allocation plus the long keys.
     fn estimated_bytes(&self) -> usize {
-        self.bytes
+        let packed: usize = self
+            .packed
+            .iter()
+            .map(|t| table_bytes::<(u64, u32)>(t.capacity()))
+            .sum();
+        packed + table_bytes::<(Box<[Symbol]>, u32)>(self.long.capacity()) + self.long_symbols
     }
 }
 
@@ -453,63 +488,81 @@ impl AlphaVectors {
     }
 }
 
-/// `next` link that ends a run.
-const RUN_END: u32 = u32::MAX;
-
-/// One posting in a table's arena, linked to the next posting of the
-/// same key.
+/// One posting staged while a band is built.
 #[derive(Debug, Clone, Copy)]
-struct Posting {
+struct Staged {
+    key: u32,
     id: u32,
-    next: u32,
     prob: Prob,
 }
 
-/// Postings of one segment position as hash-addressed runs: `runs` maps
-/// an interned segment id to the `(head, tail)` arena indices of its run,
-/// and a run links its postings in insertion order, which is ascending id
-/// order because ids arrive ascending.
-#[derive(Debug, Clone, Default)]
+/// Postings of one segment position, sealed: `runs` maps an interned
+/// segment id to the half-open range `[start, end)` of its run in the
+/// parallel `ids` / `probs` arrays, and a run lists its postings by
+/// ascending string id. Runs are laid out by ascending key, and both the
+/// map and the arrays are sized exactly when the table is built.
+#[derive(Debug, Clone)]
 struct PostingTable {
-    runs: HashMap<u32, (u32, u32), FastBuildHasher>,
-    arena: Vec<Posting>,
+    runs: HashMap<u32, Run, FastBuildHasher>,
+    ids: Vec<u32>,
+    probs: Vec<Prob>,
 }
 
 impl PostingTable {
-    /// Appends `(id, prob)` to the run of `key`.
-    fn push(&mut self, key: u32, id: u32, prob: Prob) {
-        let at = self.arena.len() as u32;
-        debug_assert!(at < RUN_END, "posting arena overflow");
-        self.arena.push(Posting {
-            id,
-            next: RUN_END,
-            prob,
-        });
-        match self.runs.entry(key) {
-            Entry::Occupied(mut run) => {
-                let tail = &mut run.get_mut().1;
-                let last = &mut self.arena[*tail as usize];
-                debug_assert!(last.id < id, "ids must ascend");
-                last.next = at;
-                *tail = at;
-            }
-            Entry::Vacant(run) => {
-                run.insert((at, at));
-            }
+    /// An empty table with room for `runs` runs of `postings` postings.
+    fn with_capacity(runs: usize, postings: usize) -> PostingTable {
+        PostingTable {
+            runs: HashMap::with_capacity_and_hasher(runs, FastBuildHasher::default()),
+            ids: Vec::with_capacity(postings),
+            probs: Vec::with_capacity(postings),
         }
     }
 
-    /// The run of `key` (empty for an unknown key), ascending by id.
-    fn run(&self, key: u32) -> impl Iterator<Item = &Posting> + '_ {
-        let mut at = self.runs.get(&key).map_or(RUN_END, |&(head, _)| head);
-        std::iter::from_fn(move || {
-            if at == RUN_END {
-                return None;
-            }
-            let posting = &self.arena[at as usize];
-            at = posting.next;
-            Some(posting)
-        })
+    /// Seals one segment's staged postings: one sort by `(key, id)`, then
+    /// each key's postings become one run.
+    fn seal(mut staged: Vec<Staged>) -> PostingTable {
+        staged.sort_unstable_by_key(|p| u64::from(p.key) << 32 | u64::from(p.id));
+        let runs = staged.chunk_by(|a, b| a.key == b.key);
+        let mut table = PostingTable::with_capacity(runs.clone().count(), staged.len());
+        for run in runs {
+            debug_assert!(
+                run.windows(2).all(|w| w[0].id < w[1].id),
+                "one posting per id"
+            );
+            let pushed = table.push_run(run[0].key, run.iter().map(|p| (p.id, p.prob)));
+            debug_assert!(pushed.is_ok());
+        }
+        table
+    }
+
+    /// Appends the run of `key`. Fails on an empty run or a repeated
+    /// key, neither of which a sealed table holds.
+    fn push_run(
+        &mut self,
+        key: u32,
+        postings: impl IntoIterator<Item = (u32, Prob)>,
+    ) -> Result<(), String> {
+        let start = self.ids.len() as u32;
+        for (id, prob) in postings {
+            self.ids.push(id);
+            self.probs.push(prob);
+        }
+        let end = self.ids.len() as u32;
+        if start == end {
+            return Err(format!("key {key} has no postings"));
+        }
+        if self.runs.insert(key, (start, end)).is_some() {
+            return Err(format!("key {key} appears twice"));
+        }
+        Ok(())
+    }
+
+    /// The run of `key` (empty for an unknown key): ids ascending and
+    /// their probabilities.
+    fn run(&self, key: u32) -> (&[u32], &[Prob]) {
+        let (start, end) = self.runs.get(&key).copied().unwrap_or_default();
+        let run = start as usize..end as usize;
+        (&self.ids[run.clone()], &self.probs[run])
     }
 
     /// Keys ascending, each with its run as a list: the snapshot and
@@ -519,44 +572,30 @@ impl PostingTable {
         keys.sort_unstable();
         let lists = keys
             .iter()
-            .map(|&key| self.run(key).map(|p| (p.id, p.prob)).collect())
+            .map(|&key| {
+                let (ids, probs) = self.run(key);
+                ids.iter().copied().zip(probs.iter().copied()).collect()
+            })
             .collect();
         (keys, lists)
     }
 
-    /// Builds a table from [`PostingTable::lists`] output in one pass:
-    /// each list becomes one contiguous run and the map is presized to
-    /// the key count. Fails on an empty list or a repeated key, neither
-    /// of which a table can produce.
+    /// Builds a table from [`PostingTable::lists`] output: the lists
+    /// arrive sorted, so each becomes its run as it is read.
     fn from_lists(keys: Vec<u32>, lists: Vec<PostingList>) -> Result<PostingTable, String> {
         let total = lists.iter().map(Vec::len).sum();
-        let mut table = PostingTable {
-            runs: HashMap::with_capacity_and_hasher(keys.len(), FastBuildHasher::default()),
-            arena: Vec::with_capacity(total),
-        };
+        let mut table = PostingTable::with_capacity(keys.len(), total);
         for (key, list) in keys.into_iter().zip(lists) {
-            let head = table.arena.len() as u32;
-            let Some(last) = list.len().checked_sub(1) else {
-                return Err(format!("key {key} has no postings"));
-            };
-            let tail = head + last as u32;
-            let links = list.into_iter().zip(head + 1..);
-            table
-                .arena
-                .extend(links.map(|((id, prob), next)| Posting { id, next, prob }));
-            table.arena[tail as usize].next = RUN_END;
-            if table.runs.insert(key, (head, tail)).is_some() {
-                return Err(format!("key {key} appears twice"));
-            }
+            table.push_run(key, list)?;
         }
         Ok(table)
     }
 
-    /// Estimated heap bytes: per key one `(key, (head, tail))` map slot
-    /// plus the hash table's control byte, per posting one arena entry.
+    /// Heap bytes: the run map's allocation plus both arrays.
     fn estimated_bytes(&self) -> usize {
-        let key = size_of::<(u32, (u32, u32))>() + 1;
-        self.runs.len() * key + self.arena.len() * size_of::<Posting>()
+        table_bytes::<(u32, Run)>(self.runs.capacity())
+            + self.ids.capacity() * size_of::<u32>()
+            + self.probs.capacity() * size_of::<Prob>()
     }
 }
 
@@ -579,13 +618,14 @@ pub struct LengthIndex {
 const COMPLETE: u32 = u32::MAX;
 
 impl LengthIndex {
+    /// An index of no strings and, until sealed or restored, no posting
+    /// tables.
     fn new(len: usize, config: &JoinConfig) -> Self {
         let segments = partition(len, config.q, config.k);
-        let inverted = vec![PostingTable::default(); segments.len()];
         let incomplete_from = vec![COMPLETE; segments.len()];
         LengthIndex {
             segments,
-            inverted,
+            inverted: Vec::new(),
             ids: Vec::new(),
             incomplete_from,
         }
@@ -604,32 +644,6 @@ impl LengthIndex {
     /// All inserted string ids, ascending.
     pub fn ids(&self) -> &[u32] {
         &self.ids
-    }
-
-    fn insert(
-        &mut self,
-        id: u32,
-        s: &UncertainString,
-        max_instances: usize,
-        interner: &mut SegmentInterner,
-    ) {
-        debug_assert_eq!(s.len(), self.segments.iter().map(|g| g.len).sum::<usize>());
-        for (x, seg) in self.segments.iter().enumerate() {
-            let worlds = world_count(&s.positions()[seg.start..seg.start + seg.len]);
-            if worlds.is_none_or(|n| n > max_instances) {
-                // Over-cap segment: postings for it are incomplete from
-                // this id on; a query admitting the id treats it as a
-                // conservative match for every candidate.
-                self.incomplete_from[x] = self.incomplete_from[x].min(id);
-                continue;
-            }
-            let table = &mut self.inverted[x];
-            s.visit_substring_worlds(seg.start, seg.len, |w, p| {
-                table.push(interner.intern(w), id, p);
-                true
-            });
-        }
-        self.ids.push(id);
     }
 
     /// Merges the posting runs of each segment's set (a run of `table`'s
@@ -660,9 +674,14 @@ impl LengthIndex {
             let (ids, probs) = table.entries(set);
             lookups += ids.len() as u64;
             for (&key, &p_r) in ids.iter().zip(probs) {
-                for posting in postings_x.run(key).take_while(|p| p.id < admit_below) {
+                let (run_ids, run_probs) = postings_x.run(key);
+                for (&id, &prob) in run_ids
+                    .iter()
+                    .zip(run_probs)
+                    .take_while(|&(&id, _)| id < admit_below)
+                {
                     postings += 1;
-                    alphas.row_mut(posting.id)[x] += p_r * posting.prob;
+                    alphas.row_mut(id)[x] += p_r * prob;
                 }
             }
         }
@@ -672,14 +691,22 @@ impl LengthIndex {
         (postings, lookups)
     }
 
+    /// Heap bytes: the posting tables plus the partition, id and flag
+    /// arrays.
     fn estimated_bytes(&self) -> usize {
-        self.inverted
+        let tables: usize = self
+            .inverted
             .iter()
             .map(PostingTable::estimated_bytes)
-            .sum()
+            .sum();
+        tables
+            + self.segments.capacity() * size_of::<Segment>()
+            + self.inverted.capacity() * size_of::<PostingTable>()
+            + self.ids.capacity() * size_of::<u32>()
+            + self.incomplete_from.capacity() * size_of::<u32>()
     }
 
-    /// Serializes everything `insert` accumulated. The partition itself
+    /// Serializes everything a band build accumulated. The partition itself
     /// is excluded — [`LengthIndex::restore`] recomputes it from the
     /// config, which the snapshot fingerprint pins.
     pub(crate) fn dump(&self, len: usize) -> BandDump {
@@ -727,6 +754,76 @@ impl LengthIndex {
             .collect::<Result<_, _>>()
             .map_err(|e| format!("band {}: {e}", dump.len))?;
         Ok(li)
+    }
+}
+
+/// A length band being built: its index without posting tables, plus
+/// each segment's staged postings.
+#[derive(Debug)]
+struct BandStage {
+    li: LengthIndex,
+    staged: Vec<Vec<Staged>>,
+}
+
+impl BandStage {
+    fn new(len: usize, config: &JoinConfig) -> Self {
+        let li = LengthIndex::new(len, config);
+        let staged = vec![Vec::new(); li.segments.len()];
+        BandStage { li, staged }
+    }
+
+    /// Stages string `id`'s postings, interning its segment instances
+    /// segment by segment, then world by world.
+    fn add(
+        &mut self,
+        id: u32,
+        s: &UncertainString,
+        max_instances: usize,
+        interner: &mut SegmentInterner,
+    ) {
+        let li = &mut self.li;
+        debug_assert_eq!(s.len(), li.segments.iter().map(|g| g.len).sum::<usize>());
+        debug_assert!(
+            li.ids.last().is_none_or(|&last| last < id),
+            "ids must ascend within a band"
+        );
+        for (x, seg) in li.segments.iter().enumerate() {
+            let worlds = world_count(&s.positions()[seg.start..seg.start + seg.len]);
+            if worlds.is_none_or(|n| n > max_instances) {
+                // Over-cap segment: postings for it are incomplete from
+                // this id on; a query admitting the id treats it as a
+                // conservative match for every candidate.
+                li.incomplete_from[x] = li.incomplete_from[x].min(id);
+                continue;
+            }
+            let staged = &mut self.staged[x];
+            s.visit_substring_worlds(seg.start, seg.len, |w, prob| {
+                staged.push(Staged {
+                    key: interner.intern(w),
+                    id,
+                    prob,
+                });
+                true
+            });
+        }
+        li.ids.push(id);
+    }
+
+    /// Heap bytes of the staged postings.
+    fn staged_bytes(&self) -> usize {
+        self.staged
+            .iter()
+            .map(|v| v.capacity() * size_of::<Staged>())
+            .sum()
+    }
+
+    /// The band's index, each segment's staging sealed into its posting
+    /// table (and freed) in turn.
+    fn seal(self) -> LengthIndex {
+        let BandStage { mut li, staged } = self;
+        li.inverted = staged.into_iter().map(PostingTable::seal).collect();
+        li.ids.shrink_to_fit();
+        li
     }
 }
 
@@ -802,16 +899,25 @@ impl SegmentIndex {
         &self.interner
     }
 
-    /// Inserts string `id`, partitioning it per `config`.
-    ///
-    /// Ids must be inserted in ascending order per length (the join driver
-    /// visits strings sorted by `(length, id)`, which guarantees this).
-    pub fn insert(&mut self, id: u32, s: &UncertainString, config: &JoinConfig) {
-        self.insert_recorded(id, s, config, &mut NoopRecorder);
+    /// An index of `members` (see [`SegmentIndex::build_bands`]).
+    pub fn build<'s>(
+        members: impl IntoIterator<Item = (u32, &'s UncertainString)>,
+        config: &JoinConfig,
+    ) -> Self {
+        let mut index = SegmentIndex::new();
+        index.build_bands(members, config, &mut NoopRecorder);
+        index
     }
 
-    /// [`SegmentIndex::insert`] plus an [`Counter::IndexInsertions`] event
-    /// on `rec` for each string indexed.
+    /// Builds the length bands of `members`, each partitioned per
+    /// `config`, and emits one [`Counter::IndexInsertions`] event per
+    /// member on `rec`.
+    ///
+    /// Members are interned in the order given, string by string, then
+    /// segment by segment, then world by world. Their ids must ascend
+    /// within each length, and no member's length may already be indexed:
+    /// a band is built once, by one call. Each band's postings are staged,
+    /// sorted once per segment and sealed into contiguous runs.
     ///
     /// Length-0 strings are indexed too (as a segment-less
     /// [`LengthIndex`]): their partition has no segments, so Lemma 5 can
@@ -819,27 +925,53 @@ impl SegmentIndex {
     /// candidate — which is exactly right, since two empty strings match
     /// with probability 1 and must not be silently dropped by the q-gram
     /// pipelines.
-    pub fn insert_recorded<R: Recorder>(
+    pub fn build_bands<'s, R: Recorder>(
         &mut self,
-        id: u32,
-        s: &UncertainString,
+        members: impl IntoIterator<Item = (u32, &'s UncertainString)>,
         config: &JoinConfig,
         rec: &mut R,
     ) {
-        // Failpoint: a crash while building a shard. A delay action here
-        // is an uncounted sleep (this entry point only sees the recorder
-        // half of a `Recording`, and counting on one side would let stats
-        // and recorder views diverge); panic/error actions abort the build
-        // and surface through the driver's `Faulted` path.
-        usj_fault::fail_point!("index.build");
-        let interner = &mut self.interner;
-        self.by_length
-            .entry(s.len())
-            .or_insert_with(|| LengthIndex::new(s.len(), config))
-            .insert(id, s, config.max_segment_instances, interner);
-        let bytes = self.estimated_bytes();
-        self.peak_bytes = self.peak_bytes.max(bytes);
-        rec.counter(Counter::IndexInsertions, 1);
+        self.build_with(members, config, || {
+            // Failpoint: a crash while building a shard, once per member.
+            // A delay action here is an uncounted sleep (this entry point
+            // only sees the recorder half of a `Recording`, and counting
+            // on one side would let stats and recorder views diverge);
+            // panic/error actions abort the build and surface through the
+            // driver's `Faulted` path.
+            usj_fault::fail_point!("index.build");
+            rec.counter(Counter::IndexInsertions, 1);
+        });
+    }
+
+    /// [`SegmentIndex::build_bands`] with `each` run before every member
+    /// is staged. The peak watermark counts the staged postings beside
+    /// the bands built so far.
+    fn build_with<'s>(
+        &mut self,
+        members: impl IntoIterator<Item = (u32, &'s UncertainString)>,
+        config: &JoinConfig,
+        mut each: impl FnMut(),
+    ) {
+        let mut stages: BTreeMap<usize, BandStage> = BTreeMap::new();
+        for (id, s) in members {
+            each();
+            let stage = stages.entry(s.len()).or_insert_with(|| {
+                debug_assert!(
+                    !self.by_length.contains_key(&s.len()),
+                    "band {} is already built",
+                    s.len()
+                );
+                BandStage::new(s.len(), config)
+            });
+            stage.add(id, s, config.max_segment_instances, &mut self.interner);
+        }
+        let mut staged: usize = stages.values().map(BandStage::staged_bytes).sum();
+        self.peak_bytes = self.peak_bytes.max(self.estimated_bytes() + staged);
+        for (len, stage) in stages {
+            staged -= stage.staged_bytes();
+            self.by_length.insert(len, stage.seal());
+            self.peak_bytes = self.peak_bytes.max(self.estimated_bytes() + staged);
+        }
     }
 
     /// Queries candidates of length `indexed_len` for `probe`: assembles
@@ -1081,18 +1213,22 @@ impl SegmentIndex {
         self.by_length.retain(|&len, _| len >= min_len);
     }
 
-    /// Estimated heap footprint of all posting lists plus the shared
-    /// intern table, in bytes.
+    /// Heap footprint in bytes, derived from container capacities: the
+    /// shared intern table, the band map, and every band's posting tables
+    /// and arrays.
     pub fn estimated_bytes(&self) -> usize {
+        let bands: usize = self
+            .by_length
+            .values()
+            .map(LengthIndex::estimated_bytes)
+            .sum();
         self.interner.estimated_bytes()
-            + self
-                .by_length
-                .values()
-                .map(LengthIndex::estimated_bytes)
-                .sum::<usize>()
+            + table_bytes::<(usize, LengthIndex)>(self.by_length.capacity())
+            + bands
     }
 
-    /// Largest estimated footprint observed since construction.
+    /// Largest footprint observed since construction, staged postings of
+    /// a band being built included.
     pub fn peak_bytes(&self) -> usize {
         self.peak_bytes
     }
@@ -1135,30 +1271,20 @@ impl SegmentIndex {
         Ok(index)
     }
 
-    /// Rebuilds the posting tables of one length band from the source
-    /// strings, resolving segment instances through the shared interner.
-    /// When the interner is intact (it holds every instance the original
-    /// build interned), re-insertion replays the cold build's per-band
-    /// sequence and the result is bit-identical to it.
+    /// Rebuilds one length band from the source strings, resolving
+    /// segment instances through the shared interner. When the interner
+    /// is intact (it holds every instance the original build interned),
+    /// the rebuild interns nothing and the band is bit-identical to the
+    /// cold build's. Fires no failpoint and counts no insertions.
     pub(crate) fn rebuild_band(
         &mut self,
         len: usize,
         strings: &[UncertainString],
         config: &JoinConfig,
     ) {
-        let mut li = LengthIndex::new(len, config);
-        for (id, s) in strings.iter().enumerate() {
-            if s.len() == len {
-                li.insert(
-                    id as u32,
-                    s,
-                    config.max_segment_instances,
-                    &mut self.interner,
-                );
-            }
-        }
-        self.by_length.insert(len, li);
-        self.peak_bytes = self.peak_bytes.max(self.estimated_bytes());
+        self.by_length.remove(&len);
+        let members = (0u32..).zip(strings).filter(|(_, s)| s.len() == len);
+        self.build_with(members, config, || {});
     }
 
     /// Deterministic digest over everything the query path reads:
@@ -1216,14 +1342,16 @@ mod tests {
         JoinConfig::new(1, 0.1).with_q(2)
     }
 
+    /// An index of `strings`, string `i` under id `i`.
+    fn build(strings: &[UncertainString], config: &JoinConfig) -> SegmentIndex {
+        SegmentIndex::build((0u32..).zip(strings), config)
+    }
+
     #[test]
     fn insert_and_query_roundtrip() {
         let config = config();
-        let mut index = SegmentIndex::new();
         let strings = [dna("ACGTAC"), dna("AC{(G,0.6),(T,0.4)}TAC"), dna("TTTTTT")];
-        for (i, s) in strings.iter().enumerate() {
-            index.insert(i as u32, s, &config);
-        }
+        let index = build(&strings, &config);
         let probe = dna("ACGTAC");
         let (alphas, over_cap) = index.query(&probe, 6, &config).unwrap();
         assert!(over_cap.iter().all(|&b| !b));
@@ -1243,15 +1371,12 @@ mod tests {
     #[test]
     fn index_alphas_equal_direct_computation() {
         let config = config();
-        let mut index = SegmentIndex::new();
         let strings = [
             dna("G{(A,0.8),(G,0.2)}CT{(A,0.8),(C,0.1),(T,0.1)}C"),
             dna("{(G,0.8),(T,0.2)}GA{(C,0.3),(G,0.2),(T,0.5)}CT"),
             dna("AA{(G,0.9),(T,0.1)}G{(C,0.3),(G,0.2),(T,0.5)}C"),
         ];
-        for (i, s) in strings.iter().enumerate() {
-            index.insert(i as u32, s, &config);
-        }
+        let index = build(&strings, &config);
         let probe = dna("GGAT{(C,0.7),(G,0.3)}C");
         let (alphas, _) = index.query(&probe, 6, &config).unwrap();
         let filter = QGramFilter::new(config.k, config.tau, config.q);
@@ -1287,9 +1412,7 @@ mod tests {
     #[test]
     fn eviction_frees_memory_and_tracks_peak() {
         let config = config();
-        let mut index = SegmentIndex::new();
-        index.insert(0, &dna("ACGTAC"), &config);
-        index.insert(1, &dna("ACGTACG"), &config);
+        let mut index = build(&[dna("ACGTAC"), dna("ACGTACG")], &config);
         let full = index.estimated_bytes();
         assert!(full > 0);
         index.evict_below(7);
@@ -1301,10 +1424,7 @@ mod tests {
     #[test]
     fn postings_sorted_by_id() {
         let config = config();
-        let mut index = SegmentIndex::new();
-        for i in 0..20u32 {
-            index.insert(i, &dna("AC{(G,0.5),(T,0.5)}TAC"), &config);
-        }
+        let index = build(&vec![dna("AC{(G,0.5),(T,0.5)}TAC"); 20], &config);
         let li = index.length_index(6).unwrap();
         for table in &li.inverted {
             let (keys, lists) = table.lists();
@@ -1320,13 +1440,11 @@ mod tests {
     #[test]
     fn interner_shares_ids_across_lengths() {
         let config = config();
-        let mut index = SegmentIndex::new();
         // Both lengths start with the segment instance "AC" (in alphabet
         // encoding); the interner must hand out one id for it, not one
         // per length.
         let six = dna("ACGTAC");
-        index.insert(0, &six, &config);
-        index.insert(1, &dna("ACGTACG"), &config);
+        let index = build(&[six.clone(), dna("ACGTACG")], &config);
         let interner = index.interner();
         assert!(!interner.is_empty());
         let seg0 = &six.most_probable_world().instance[..2];
@@ -1349,15 +1467,12 @@ mod tests {
         // so no match can be missed.
         let mut config = config();
         config.max_segment_instances = 2;
-        let mut index = SegmentIndex::new();
         let strings = [
             dna("ACGTAC"),
             dna("{(A,0.5),(C,0.5)}{(A,0.5),(G,0.5)}GTAC"), // 4 instances in segment 1
             dna("TTTTTT"),
         ];
-        for (i, s) in strings.iter().enumerate() {
-            index.insert(i as u32, s, &config);
-        }
+        let index = build(&strings, &config);
         let (alphas, over_cap) = index.query(&dna("ACGTAC"), 6, &config).unwrap();
         assert!(over_cap.iter().any(|&b| b), "cap must have been hit");
         // Every id surfaces, even TTTTTT with zero posting hits.
@@ -1371,8 +1486,7 @@ mod tests {
         // The cap can also be hit on the probe side (q(R,x) too large).
         let mut config = config();
         config.max_segment_instances = 2;
-        let mut index = SegmentIndex::new();
-        index.insert(0, &dna("ACGTAC"), &config);
+        let index = build(&[dna("ACGTAC")], &config);
         let probe = dna("{(A,0.5),(C,0.5)}{(A,0.5),(G,0.5)}GTAC");
         let (alphas, over_cap) = index.query(&probe, 6, &config).unwrap();
         assert!(over_cap.iter().any(|&b| b));
@@ -1385,9 +1499,10 @@ mod tests {
         // q-gram pipelines miss (empty, empty) pairs the oracle reports.
         // They are now indexed under a segment-less partition.
         let config = config();
-        let mut index = SegmentIndex::new();
-        index.insert(0, &UncertainString::empty(), &config);
-        index.insert(1, &UncertainString::empty(), &config);
+        let index = build(
+            &[UncertainString::empty(), UncertainString::empty()],
+            &config,
+        );
         assert_eq!(index.num_strings(), 2);
         let li = index.length_index(0).unwrap();
         assert!(li.segments().is_empty());
@@ -1420,18 +1535,15 @@ mod tests {
     fn cached_query_matches_uncached() {
         use usj_obs::CollectingRecorder;
         let config = config();
-        let mut index = SegmentIndex::new();
-        for (i, s) in [
-            dna("ACGTAC"),
-            dna("AC{(G,0.6),(T,0.4)}TAC"),
-            dna("ACGTACG"),
-            dna("TTTTTTT"),
-        ]
-        .iter()
-        .enumerate()
-        {
-            index.insert(i as u32, s, &config);
-        }
+        let index = build(
+            &[
+                dna("ACGTAC"),
+                dna("AC{(G,0.6),(T,0.4)}TAC"),
+                dna("ACGTACG"),
+                dna("TTTTTTT"),
+            ],
+            &config,
+        );
         let probe = dna("AC{(G,0.6),(T,0.4)}TACG");
         let bits = |(alphas, over_cap): (&AlphaVectors, &[bool])| {
             let mut rows: Vec<(u32, Vec<u64>)> = alphas
@@ -1486,11 +1598,8 @@ mod tests {
         order.sort_by_key(|&i| (ds.strings[i].len(), i));
         let digest = |q: usize| {
             let config = JoinConfig::new(2, 0.1).with_q(q);
-            let mut index = SegmentIndex::new();
-            for &i in &order {
-                index.insert(i as u32, &ds.strings[i], &config);
-            }
-            index.content_digest()
+            let members = order.iter().map(|&i| (i as u32, &ds.strings[i]));
+            SegmentIndex::build(members, &config).content_digest()
         };
         assert_eq!(digest(3), 16269050020789572080);
         assert_eq!(digest(6), 11018953834508236680);
@@ -1499,10 +1608,7 @@ mod tests {
     #[test]
     fn admit_below_limits_scope_and_candidates() {
         let config = config();
-        let mut index = SegmentIndex::new();
-        for i in 0..6u32 {
-            index.insert(i, &dna("ACGTAC"), &config);
-        }
+        let index = build(&vec![dna("ACGTAC"); 6], &config);
         let probe = dna("ACGTAC");
         let mut stats = crate::stats::JoinStats::default();
         let mut noop = NoopRecorder;

@@ -345,13 +345,20 @@ where
                     profiles[id as usize] = None;
                 }
             }
+            if config.pipeline.uses_qgram() {
+                // The wave's lengths are all new: every resident band is
+                // shorter (waves ascend by length and never repeat one).
+                let members = wave_groups
+                    .iter()
+                    .flat_map(|(_, range)| &order[range.clone()])
+                    .map(|&id| (id, &strings[id as usize]));
+                index.build_bands(members, &config, rec.recorder());
+            }
             for (len, range) in wave_groups {
-                for &id in &order[range.clone()] {
-                    if config.pipeline.uses_qgram() {
-                        index.insert_recorded(id, &strings[id as usize], &config, rec.recorder());
-                    }
-                    visited.entry(*len).or_default().push(id);
-                }
+                visited
+                    .entry(*len)
+                    .or_default()
+                    .extend_from_slice(&order[range.clone()]);
             }
             rec.end(index_span);
             if config.pipeline.uses_freq() {

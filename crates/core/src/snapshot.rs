@@ -35,7 +35,7 @@
 //!    intact bands are admitted as-is and only the damaged ones are
 //!    rebuilt from the source records ([`LoadRung::Salvaged`]). Because
 //!    the intact interner holds every instance the original build
-//!    interned, re-inserting a band replays the cold build exactly.
+//!    interned, rebuilding a band replays the cold build exactly.
 //!    Under [`SalvageMode::Degraded`], a band that fails salvage is left
 //!    out and reported instead — the server answers for it in `DEGRADED`
 //!    superset mode while a background rebuild readmits it.

@@ -59,10 +59,7 @@ fn warm_candidate_stage_allocates_nothing() {
     let ds = DatasetSpec::new(DatasetKind::Dblp, 400, 5).generate();
     let mut order: Vec<usize> = (0..ds.strings.len()).collect();
     order.sort_by_key(|&i| (ds.strings[i].len(), i));
-    let mut index = SegmentIndex::new();
-    for &i in &order {
-        index.insert(i as u32, &ds.strings[i], &config);
-    }
+    let index = SegmentIndex::build(order.iter().map(|&i| (i as u32, &ds.strings[i])), &config);
     // The longest string with an uncertain position: its k + 1 lengths
     // below are densely populated, and its windows have several worlds.
     let probe = order

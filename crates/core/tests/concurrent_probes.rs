@@ -71,13 +71,10 @@ fn query_key(
 fn concurrent_index_queries_are_bit_identical_to_sequential() {
     let cfg = config();
     let strings = strings();
-    let mut index = SegmentIndex::new();
-    // The join driver inserts sorted by (length, id); mirror that.
+    // The join driver interns sorted by (length, id); mirror that.
     let mut order: Vec<usize> = (0..strings.len()).collect();
     order.sort_by_key(|&i| (strings[i].len(), i));
-    for i in order {
-        index.insert(i as u32, &strings[i], &cfg);
-    }
+    let index = SegmentIndex::build(order.iter().map(|&i| (i as u32, &strings[i])), &cfg);
     let lengths: Vec<usize> = {
         let mut ls: Vec<usize> = strings.iter().map(UncertainString::len).collect();
         ls.sort_unstable();
@@ -124,10 +121,7 @@ fn concurrent_interner_resolves_while_probing() {
     // under TSan as the interner data-race check).
     let cfg = config();
     let strings = strings();
-    let mut index = SegmentIndex::new();
-    for (i, s) in strings.iter().enumerate() {
-        index.insert(i as u32, s, &cfg);
-    }
+    let index = SegmentIndex::build((0u32..).zip(&strings), &cfg);
     let worlds: Vec<Vec<u8>> = strings
         .iter()
         .map(|s| s.most_probable_world().instance)

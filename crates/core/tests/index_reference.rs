@@ -235,10 +235,10 @@ fn for_each_config(
                     let mut config = JoinConfig::new(k, 0.1).with_q(q);
                     config.max_segment_instances = cap;
                     config.alpha_mode = mode;
-                    let mut index = SegmentIndex::new();
+                    let members = order.iter().map(|&i| (i as u32, &strings[i]));
+                    let index = SegmentIndex::build(members, &config);
                     let mut reference = Reference::default();
                     for &i in &order {
-                        index.insert(i as u32, &strings[i], &config);
                         reference.insert(i as u32, &strings[i], &config);
                     }
                     check(&index, &reference, &config, probes);

@@ -295,8 +295,8 @@ mod tests {
         // The same strings indexed both ways: overlapping q-grams produce
         // strictly more postings (the §7.9 storage argument — asymptotic,
         // so the corpus must be large enough that posting volume, not
-        // per-distinct-instance fixed costs such as the segment
-        // interner's lookup tables, dominates both estimates).
+        // fixed costs such as each table's minimum hash allocation and
+        // the interner's tables, dominates both estimates).
         let base = [
             dna("ACGTAC{(G,0.5),(T,0.5)}TAACGTACGTAC"),
             dna("TTACG{(C,0.3),(A,0.7)}ACGGTTACACGT"),
@@ -309,10 +309,7 @@ mod tests {
             overlapping.insert(i as u32, s, 10_000);
         }
         let config = usj_core::JoinConfig::new(2, 0.1);
-        let mut disjoint = usj_core::SegmentIndex::new();
-        for (i, s) in strings.iter().enumerate() {
-            disjoint.insert(i as u32, s, &config);
-        }
+        let disjoint = usj_core::SegmentIndex::build((0u32..).zip(&strings), &config);
         assert!(
             overlapping.estimated_bytes() > disjoint.estimated_bytes(),
             "overlapping {} vs disjoint {}",
