@@ -200,12 +200,7 @@ impl Client {
                     backoff_hint = retry_after_ms;
                 }
                 Ok((_, Response::Err(msg))) => return Err(ClientError::Server(msg)),
-                Ok((_, other)) => {
-                    return Err(ClientError::Protocol(format!(
-                        "unexpected response {:?}",
-                        other.encode()
-                    )))
-                }
+                Ok((_, other)) => return Err(unexpected(&other)),
                 Err(RetryableError::Fatal(e)) => return Err(e),
                 Err(RetryableError::Transport(e)) => {
                     if attempts > self.cfg.max_retries {
@@ -238,78 +233,67 @@ impl Client {
     /// One `HEALTH` round-trip with every reported field, including the
     /// warm-restart markers a snapshot-booted server adds.
     pub fn health_report(&mut self) -> Result<HealthReport, ClientError> {
-        match self.attempt_line("HEALTH", None) {
-            Ok(Response::Health {
+        self.exchange("HEALTH", |response| match response {
+            Response::Health {
                 level,
                 queue,
                 inflight,
                 warm,
                 snapshot_age_s,
-            }) => Ok(HealthReport {
+            } => Ok(HealthReport {
                 level,
                 queue,
                 inflight,
                 warm,
                 snapshot_age_s,
             }),
-            Ok(other) => Err(ClientError::Protocol(format!(
-                "unexpected response {:?}",
-                other.encode()
-            ))),
-            Err(RetryableError::Fatal(e)) => Err(e),
-            Err(RetryableError::Transport(e)) => Err(ClientError::Io(e)),
-        }
+            other => Err(other),
+        })
     }
 
     /// One `STATS` round-trip: the server's one-line obs JSON snapshot.
     pub fn stats(&mut self) -> Result<String, ClientError> {
-        match self.attempt_line("STATS", None) {
-            Ok(Response::Stats(json)) => Ok(json),
-            Ok(other) => Err(ClientError::Protocol(format!(
-                "unexpected response {:?}",
-                other.encode()
-            ))),
-            Err(RetryableError::Fatal(e)) => Err(e),
-            Err(RetryableError::Transport(e)) => Err(ClientError::Io(e)),
-        }
+        self.exchange("STATS", |response| match response {
+            Response::Stats(json) => Ok(json),
+            other => Err(other),
+        })
     }
 
     /// One `METRICS` round-trip: the server's live Prometheus text
     /// exposition (unescaped, multi-line).
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        match self.attempt_line("METRICS", None) {
-            Ok(Response::Metrics(text)) => Ok(text),
-            Ok(other) => Err(ClientError::Protocol(format!(
-                "unexpected response {:?}",
-                other.encode()
-            ))),
-            Err(RetryableError::Fatal(e)) => Err(e),
-            Err(RetryableError::Transport(e)) => Err(ClientError::Io(e)),
-        }
+        self.exchange("METRICS", |response| match response {
+            Response::Metrics(text) => Ok(text),
+            other => Err(other),
+        })
     }
 
     /// One `SHARDS` round-trip: per-shard health states from a
     /// coordinator (a plain single-node server answers an empty list).
     pub fn shards(&mut self) -> Result<Vec<crate::proto::ShardState>, ClientError> {
-        match self.attempt_line("SHARDS", None) {
-            Ok(Response::Shards(states)) => Ok(states),
-            Ok(other) => Err(ClientError::Protocol(format!(
-                "unexpected response {:?}",
-                other.encode()
-            ))),
-            Err(RetryableError::Fatal(e)) => Err(e),
-            Err(RetryableError::Transport(e)) => Err(ClientError::Io(e)),
-        }
+        self.exchange("SHARDS", |response| match response {
+            Response::Shards(states) => Ok(states),
+            other => Err(other),
+        })
     }
 
     /// Asks the server to drain gracefully (`SHUTDOWN` → `BYE`).
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        match self.attempt_line("SHUTDOWN", None) {
-            Ok(Response::Bye) => Ok(()),
-            Ok(other) => Err(ClientError::Protocol(format!(
-                "unexpected response {:?}",
-                other.encode()
-            ))),
+        self.exchange("SHUTDOWN", |response| match response {
+            Response::Bye => Ok(()),
+            other => Err(other),
+        })
+    }
+
+    /// One connection, one request line, and the reply `expect`
+    /// extracts; any other reply is a protocol error. Never retried.
+    fn exchange<T>(
+        &mut self,
+        line: &str,
+        expect: impl FnOnce(Response) -> Result<T, Response>,
+    ) -> Result<T, ClientError> {
+        match self.attempt_request(line, None) {
+            Ok((_, response)) => expect(response).map_err(|other| unexpected(&other)),
             Err(RetryableError::Fatal(e)) => Err(e),
             Err(RetryableError::Transport(e)) => Err(ClientError::Io(e)),
         }
@@ -349,16 +333,6 @@ impl Client {
         line.push(' ');
         line.push_str(text);
         self.attempt_request(&line, remaining)
-    }
-
-    /// One connection, one request line, one response line.
-    fn attempt_line(
-        &mut self,
-        line: &str,
-        remaining: Option<Duration>,
-    ) -> Result<Response, RetryableError> {
-        self.attempt_request(line, remaining)
-            .map(|(_, response)| response)
     }
 
     /// One connection, one request line, and the response — preceded by
@@ -405,37 +379,28 @@ impl Client {
             .and_then(|()| writer.write_all(b"\n"))
             .and_then(|()| writer.flush())
             .map_err(RetryableError::Transport)?;
-        let mut reply = String::new();
         let mut reader = BufReader::new(stream);
-        let n = reader
-            .read_line(&mut reply)
-            .map_err(RetryableError::Transport)?;
-        if n == 0 {
-            // The server dropped the connection without answering (e.g.
-            // an admission-path fault) — retryable.
-            return Err(RetryableError::Transport(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed before a response",
-            )));
-        }
-        let first = Response::parse(&reply)
-            .map_err(|msg| RetryableError::Fatal(ClientError::Protocol(msg)))?;
+        // A dropped connection is retryable: the server closed without
+        // answering (e.g. an admission-path fault).
+        let mut read_response = |closed: &str| {
+            let mut reply = String::new();
+            let n = reader
+                .read_line(&mut reply)
+                .map_err(RetryableError::Transport)?;
+            if n == 0 {
+                return Err(RetryableError::Transport(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    format!("connection closed {closed}"),
+                )));
+            }
+            Response::parse(&reply).map_err(|msg| RetryableError::Fatal(ClientError::Protocol(msg)))
+        };
+        let first = read_response("before a response")?;
         let Response::Trace { trace_id, json } = first else {
             return Ok((None, first));
         };
         // A TRACE line always precedes the traced probe's real answer.
-        let mut second = String::new();
-        let n = reader
-            .read_line(&mut second)
-            .map_err(RetryableError::Transport)?;
-        if n == 0 {
-            return Err(RetryableError::Transport(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed after TRACE, before the answer",
-            )));
-        }
-        let response = Response::parse(&second)
-            .map_err(|msg| RetryableError::Fatal(ClientError::Protocol(msg)))?;
+        let response = read_response("after TRACE, before the answer")?;
         Ok((Some(ProbeTrace { trace_id, json }), response))
     }
 
@@ -460,6 +425,11 @@ impl Client {
         // just shed us. base_backoff is the client's own minimum pause.
         jittered.max(self.cfg.base_backoff)
     }
+}
+
+/// The protocol error for a reply of the wrong kind.
+fn unexpected(response: &Response) -> ClientError {
+    ClientError::Protocol(format!("unexpected response {:?}", response.encode()))
 }
 
 enum RetryableError {

@@ -27,38 +27,33 @@
 //!   `DEGRADED shards=<ok>/<total>` (a sound superset of what the
 //!   surviving shards hold; never a silently truncated `OK`).
 //!
-//! Failure containment mirrors the single server: every request line is
-//! handled inside the `usj-fault` shield + `catch_unwind` perimeter, so
-//! a panic injected at `coord.dispatch` / `coord.gather` / `coord.hedge`
-//! poisons one request (`ERR internal panic: …`) and never the
-//! listener. Coordinator admission is deliberately panic-free plain
-//! queueing — it carries no failpoint and needs no perimeter.
+//! The coordinator is a front of the same service frame as the single
+//! server (`frame.rs`): one accept, admission, worker and connection
+//! loop. It sheds at admission on queue depth only. Admission and every
+//! request line run inside the frame's `usj-fault` shield +
+//! `catch_unwind` perimeter, so a panic injected at `coord.dispatch` /
+//! `coord.gather` / `coord.hedge` poisons one request (`ERR internal
+//! panic: …`) and never the listener.
 //!
 //! Merging is bit-exact: shards own disjoint id sets and answer hits as
 //! collection-global `(id, prob-bits)` pairs, so concatenating exact
 //! answers and sorting by id reproduces the single-node server's answer
 //! bit for bit (proven by the N-shard differential suite).
 
-use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::io;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use usj_core::Partition;
-use usj_fault::shield;
 use usj_model::{Alphabet, UncertainString};
-use usj_obs::{
-    band_of, CollectingRecorder, Counter, Gauge, MergeRecorder, MetricsRegistry, Recorder,
-};
+use usj_obs::{band_of, CollectingRecorder, Counter, Gauge, MergeRecorder, Recorder};
 
-use crate::client::{Client, ClientConfig, ClientError, ProbeOutcome};
-use crate::proto::{parse_request, Request, Response, ShardState};
-use crate::server::{linger_close, panic_message};
+use crate::client::{Client, ClientConfig, ProbeOutcome};
+use crate::degrade::LatencyRing;
+use crate::frame::{self, Frame, Front, Handle, Limits, Reply};
+use crate::proto::{Response, ShardState};
 
 /// One shard as the coordinator sees it: where to reach it and which
 /// length band it owns.
@@ -186,68 +181,22 @@ impl ShardHealth {
     }
 }
 
-/// Sliding window of shard response latencies for the p99 hedge delay
-/// (same nearest-rank scheme as the degradation ladder's ring).
-struct LatencyRing {
-    samples: Vec<Duration>,
-    next: usize,
-    cap: usize,
-}
-
-impl LatencyRing {
-    fn new(cap: usize) -> LatencyRing {
-        LatencyRing {
-            samples: Vec::with_capacity(cap),
-            next: 0,
-            cap,
-        }
-    }
-
-    fn push(&mut self, sample: Duration) {
-        if self.samples.len() < self.cap {
-            self.samples.push(sample);
-        } else {
-            self.samples[self.next] = sample;
-            self.next = (self.next + 1) % self.cap;
-        }
-    }
-
-    /// Nearest-rank p99 of the window; `None` until any sample lands.
-    fn p99(&self) -> Option<Duration> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let rank = (sorted.len() * 99).div_ceil(100).max(1);
-        Some(sorted[rank - 1])
-    }
-}
-
-/// State shared by the accept thread, the workers, and the handle.
-struct Shared {
+/// The scatter-gather front of the service frame: the fleet, its health
+/// table and the hedge-delay window. Callers reach it only through
+/// [`CoordinatorHandle`].
+pub struct Coordinator {
     cfg: CoordConfig,
     alphabet: Alphabet,
     shards: Vec<ShardSpec>,
-    addr: SocketAddr,
-    queue: Mutex<VecDeque<TcpStream>>,
-    queue_cv: Condvar,
-    stop: AtomicBool,
-    inflight: AtomicUsize,
     probe_seq: AtomicUsize,
     health: Mutex<Vec<ShardHealth>>,
     latencies: Mutex<LatencyRing>,
-    recorder: Mutex<CollectingRecorder>,
-    registry: MetricsRegistry,
 }
 
-/// Handle to a running coordinator (same contract as
-/// [`crate::server::ServerHandle`]).
-pub struct CoordinatorHandle {
-    shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-}
+/// Handle to a running coordinator. Dropping it does *not* stop the
+/// coordinator; call `shutdown` (or send `SHUTDOWN` on the wire and
+/// `wait`) for a graceful drain.
+pub type CoordinatorHandle = Handle<Coordinator>;
 
 /// Binds the coordinator, spawns its accept thread and worker pool, and
 /// returns immediately. `shards` is the fleet (addresses + length
@@ -263,131 +212,34 @@ pub fn coordinate(
             "a coordinator needs at least one shard",
         ));
     }
-    let listener = TcpListener::bind(&cfg.addr)?;
-    let addr = listener.local_addr()?;
-    let workers = cfg.workers.max(1);
-    let shared = Arc::new(Shared {
+    let limits = Limits {
+        addr: cfg.addr.clone(),
+        workers: cfg.workers,
+        queue_cap: cfg.queue_cap,
+        io_timeout: cfg.io_timeout,
+        retry_after_ms: cfg.retry_after_ms,
+    };
+    let coordinator = Coordinator {
         health: Mutex::new(vec![ShardHealth::default(); shards.len()]),
         latencies: Mutex::new(LatencyRing::new(64)),
         cfg,
         alphabet,
         shards,
-        addr,
-        queue: Mutex::new(VecDeque::new()),
-        queue_cv: Condvar::new(),
-        stop: AtomicBool::new(false),
-        inflight: AtomicUsize::new(0),
         probe_seq: AtomicUsize::new(0),
-        recorder: Mutex::new(CollectingRecorder::new()),
-        registry: MetricsRegistry::default(),
-    });
-    let accept = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("usj-coord-accept".to_string())
-            .spawn(move || accept_loop(&shared, listener))?
     };
-    let worker_threads = (0..workers)
-        .map(|i| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("usj-coord-worker-{i}"))
-                .spawn(move || worker_loop(&shared))
-        })
-        .collect::<io::Result<Vec<_>>>()?;
-    Ok(CoordinatorHandle {
-        shared,
-        accept: Some(accept),
-        workers: worker_threads,
-    })
+    frame::start(coordinator, limits, "coord")
 }
 
 impl CoordinatorHandle {
-    /// The bound address (useful with port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
-    }
-
-    /// The live Prometheus exposition: the golden-schema registry plus
-    /// one `usj_shard_up{shard="<i>"}` series per shard (1 healthy or
-    /// half-open, 0 quarantined).
-    pub fn metrics_text(&self) -> String {
-        self.shared.metrics_text()
-    }
-
     /// Each shard's current health-machine state.
     pub fn shard_states(&self) -> Vec<ShardState> {
-        self.shared.shard_states(Instant::now())
-    }
-
-    /// A live observability snapshot (pretty JSON, golden schema).
-    pub fn stats_json(&self) -> String {
-        self.shared
-            .recorder
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .to_json()
-    }
-
-    /// Graceful drain of the coordinator itself (shards keep running;
-    /// they are their own processes with their own drains).
-    pub fn shutdown(mut self) -> String {
-        self.shared.begin_drain();
-        self.join_all();
-        self.stats_json()
-    }
-
-    /// Blocks until a wire-level `SHUTDOWN` drains the coordinator.
-    pub fn wait(mut self) -> String {
-        self.join_all();
-        self.stats_json()
-    }
-
-    fn join_all(&mut self) {
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        for t in self.workers.drain(..) {
-            let _ = t.join();
-        }
+        self.frame.front.shard_states()
     }
 }
 
-impl Shared {
-    fn record<T>(&self, f: impl FnOnce(&mut CollectingRecorder) -> T) -> T {
-        let mut r = self.recorder.lock().unwrap_or_else(PoisonError::into_inner);
-        f(&mut r)
-    }
-
-    fn queue_depth(&self) -> usize {
-        self.queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
-    fn draining(&self) -> bool {
-        // ordering: Acquire — pairs with the Release store in
-        // `begin_drain`, so a thread observing the flag also observes
-        // everything the draining thread wrote before raising it.
-        self.stop.load(Ordering::Acquire)
-    }
-
-    fn begin_drain(&self) {
-        // ordering: Release — pairs with the Acquire loads in
-        // `draining()` on the accept and worker threads.
-        self.stop.store(true, Ordering::Release);
-        self.queue_cv.notify_all();
-        let _ = TcpStream::connect(self.addr);
-    }
-
-    fn shard_states(&self, now: Instant) -> Vec<ShardState> {
-        let health = self.health.lock().unwrap_or_else(PoisonError::into_inner);
-        health.iter().map(|h| h.state(now)).collect()
-    }
-
-    fn healthy_count(&self, now: Instant) -> usize {
-        self.shard_states(now)
+impl Coordinator {
+    fn healthy_count(&self) -> usize {
+        self.shard_states()
             .iter()
             .filter(|s| !matches!(s, ShardState::Quarantined))
             .count()
@@ -424,10 +276,8 @@ impl Shared {
                 .unwrap_or_else(PoisonError::into_inner);
             ring.p99()
         };
-        match p99 {
-            Some(p99) => p99.max(self.cfg.hedge_after),
-            None => self.cfg.hedge_after,
-        }
+        // An empty window falls back to the configured floor.
+        p99.map_or(self.cfg.hedge_after, |p99| p99.max(self.cfg.hedge_after))
     }
 
     fn note_latency(&self, sample: Duration) {
@@ -437,190 +287,104 @@ impl Shared {
             .unwrap_or_else(PoisonError::into_inner);
         ring.push(sample);
     }
+}
 
-    fn metrics_text(&self) -> String {
-        let mut text = self.registry.render_prometheus();
+impl Front for Coordinator {
+    fn fire_request(&self) -> bool {
+        // `coord.dispatch` fires before fan-out, so an injected panic
+        // proves the perimeter isolates the whole scatter-gather path.
+        usj_fault::fire("coord.dispatch")
+    }
+
+    fn health(&self, frame: &Frame<Self>) -> Response {
+        // The coordinator's ladder level is fleet coverage: 0 all
+        // shards reachable, 1 some quarantined, 2 none left.
+        let healthy = self.healthy_count();
+        let level = if healthy == self.shards.len() {
+            0
+        } else if healthy > 0 {
+            1
+        } else {
+            2
+        };
+        Response::Health {
+            level,
+            queue: frame.queue_depth(),
+            inflight: frame.inflight(),
+            // The coordinator holds no index, so it is never warm
+            // itself; per-shard warmth is visible via each shard's
+            // own HEALTH endpoint.
+            warm: Some(false),
+            snapshot_age_s: None,
+        }
+    }
+
+    /// The golden-schema registry plus one `usj_shard_up{shard="<i>"}`
+    /// series per shard (1 healthy or half-open, 0 quarantined).
+    fn metrics_text(&self, frame: &Frame<Self>) -> String {
+        let mut text = frame.registry.render_prometheus();
         // Live per-shard health as a labeled series, appended after the
         // schema-stable golden exposition (which stays byte-identical to
         // a single server's — dashboards work unchanged).
         text.push_str("# TYPE usj_shard_up gauge\n");
-        for (idx, state) in self.shard_states(Instant::now()).iter().enumerate() {
+        for (idx, state) in self.shard_states().iter().enumerate() {
             let up = u8::from(!matches!(state, ShardState::Quarantined));
             text.push_str(&format!("usj_shard_up{{shard=\"{idx}\"}} {up}\n"));
         }
         text
     }
-}
 
-fn accept_loop(shared: &Shared, listener: TcpListener) {
-    for stream in listener.incoming() {
-        if shared.draining() {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        // Plain bounded queueing, deliberately panic-free (no failpoint,
-        // no catch_unwind perimeter needed): shed or push, nothing else.
-        admit(shared, stream);
+    fn shard_states(&self) -> Vec<ShardState> {
+        let now = Instant::now();
+        let health = self.health.lock().unwrap_or_else(PoisonError::into_inner);
+        health.iter().map(|h| h.state(now)).collect()
     }
-}
 
-fn admit(shared: &Shared, stream: TcpStream) {
-    let depth = shared.queue_depth();
-    if depth >= shared.cfg.queue_cap {
-        shared.record(|r| r.counter(Counter::ServeShed, 1));
-        let mut stream = stream;
-        let _ = stream.set_write_timeout(Some(shared.cfg.io_timeout));
-        let busy = Response::Busy {
-            retry_after_ms: shared.cfg.retry_after_ms,
+    /// Trace ids are a single-server feature: a scatter-gather has no
+    /// one server-side trace to forward, so the option is accepted and
+    /// ignored (the client tolerates a missing `TRACE` line).
+    fn probe(
+        &self,
+        frame: &Frame<Self>,
+        k: usize,
+        tau: f64,
+        deadline_ms: Option<u64>,
+        _trace_id: Option<u64>,
+        text: &str,
+    ) -> Reply {
+        let started = Instant::now();
+        if k != self.cfg.k || (tau - self.cfg.tau).abs() > 1e-9 {
+            return Response::Err(format!(
+                "this fleet is indexed for k={} tau={} (got k={k} tau={tau})",
+                self.cfg.k, self.cfg.tau
+            ))
+            .into();
+        }
+        // Parse locally only to learn the probe's length (for band
+        // pruning) and to reject garbage before burning fleet capacity;
+        // shards parse the forwarded text themselves.
+        let probe = match UncertainString::parse(text, &self.alphabet) {
+            Ok(probe) => probe,
+            Err(e) => return Response::Err(format!("bad probe: {e}")).into(),
         };
-        let _ = stream.write_all(busy.encode().as_bytes());
-        let _ = stream.write_all(b"\n");
-        linger_close(stream);
-        return;
-    }
-    let depth = {
-        let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
-        queue.push_back(stream);
-        queue.len()
-    };
-    shared.record(|r| {
-        r.counter(Counter::ServeAccepted, 1);
-        r.gauge(Gauge::ServeQueueDepth, depth as u64);
-    });
-    shared.queue_cv.notify_one();
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let stream = {
-            let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if let Some(stream) = queue.pop_front() {
-                    break stream;
-                }
-                if shared.draining() {
-                    return;
-                }
-                let (guard, _) = shared
-                    .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(50))
-                    .unwrap_or_else(PoisonError::into_inner);
-                queue = guard;
-            }
-        };
-        // ordering: Relaxed — inflight is reported in HEALTH only; no
-        // other memory depends on it.
-        shared.inflight.fetch_add(1, Ordering::Relaxed);
-        handle_conn(shared, stream);
-        shared.inflight.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Serves one client connection: line in, line out, until EOF, timeout,
-/// `BYE`, or drain. Each line runs inside the panic perimeter.
-fn handle_conn(shared: &Shared, stream: TcpStream) {
-    if stream
-        .set_read_timeout(Some(shared.cfg.io_timeout))
-        .is_err()
-    {
-        return;
-    }
-    let _ = stream.set_write_timeout(Some(shared.cfg.io_timeout));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(_) => return,
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let outcome =
-            shield::shielded(|| catch_unwind(AssertUnwindSafe(|| handle_line(shared, &line))));
-        let response = outcome.unwrap_or_else(|payload| {
-            // A panic (injected at coord.dispatch/gather/hedge or
-            // otherwise) poisons one request; the worker and the
-            // listener survive.
-            shared.record(|r| r.counter(Counter::ServePanics, 1));
-            Response::Err(format!("internal panic: {}", panic_message(&*payload)))
-        });
-        let done = matches!(response, Response::Bye);
-        if writer.write_all(response.encode().as_bytes()).is_err() {
-            return;
-        }
-        if writer.write_all(b"\n").is_err() {
-            return;
-        }
-        let _ = writer.flush();
-        if done || shared.draining() {
-            return;
-        }
-    }
-}
-
-/// Handles one request line. The `coord.dispatch` failpoint fires here —
-/// before fan-out — so an injected panic proves the perimeter isolates
-/// the whole scatter-gather path.
-fn handle_line(shared: &Shared, line: &str) -> Response {
-    if usj_fault::fire("coord.dispatch") {
-        shared.record(|r| r.counter(Counter::FaultsInjected, 1));
-    }
-    let request = match parse_request(line) {
-        Ok(request) => request,
-        Err(msg) => return Response::Err(msg),
-    };
-    match request {
-        Request::Health => {
-            // The coordinator's ladder level is fleet coverage: 0 all
-            // shards reachable, 1 some quarantined, 2 none left.
-            let healthy = shared.healthy_count(Instant::now());
-            let level = if healthy == shared.shards.len() {
-                0
-            } else if healthy > 0 {
-                1
-            } else {
-                2
-            };
-            Response::Health {
-                level,
-                queue: shared.queue_depth(),
-                // ordering: Relaxed — monitoring read, see worker_loop.
-                inflight: shared.inflight.load(Ordering::Relaxed),
-                // The coordinator holds no index, so it is never warm
-                // itself; per-shard warmth is visible via each shard's
-                // own HEALTH endpoint.
-                warm: Some(false),
-                snapshot_age_s: None,
-            }
-        }
-        Request::Stats => {
-            let json = shared.record(|r| r.to_json());
-            Response::Stats(json.lines().map(str::trim_start).collect())
-        }
-        Request::Metrics => Response::Metrics(shared.metrics_text()),
-        Request::Shards => Response::Shards(shared.shard_states(Instant::now())),
-        Request::Shutdown => {
-            shared.begin_drain();
-            Response::Bye
-        }
-        Request::Probe {
-            k,
-            tau,
-            deadline_ms,
-            // Trace ids are a single-server feature: a scatter-gather
-            // has no one server-side trace to forward, so the option is
-            // accepted and ignored (the client tolerates a missing
-            // TRACE line).
-            trace_id: _,
-            text,
-        } => handle_probe(shared, k, tau, deadline_ms, &text),
+        let deadline = deadline_ms
+            .map(Duration::from_millis)
+            .or(self.cfg.default_deadline);
+        let (relevant, skipped) = select_shards(self, probe.len(), k);
+        let total = (relevant.len() + skipped) as u32;
+        // ordering: Relaxed — the sequence only labels per-probe
+        // histogram buckets; no other memory depends on it.
+        let probe_id = self.probe_seq.fetch_add(1, Ordering::Relaxed) as u32;
+        let mut local = CollectingRecorder::new();
+        local.probe_start(probe_id);
+        let response = gather(
+            self, &relevant, total, k, tau, text, started, deadline, &mut local,
+        );
+        local.probe_end(probe_id);
+        local.gauge(Gauge::ShardHealthy, self.healthy_count() as u64);
+        frame.registry.fold(Some(band_of(probe.len())), &local);
+        frame.record(|r| r.absorb(local));
+        response.into()
     }
 }
 
@@ -629,7 +393,8 @@ struct ShardAnswer {
     shard: usize,
     hedge: bool,
     elapsed: Duration,
-    result: Result<ProbeOutcome, String>,
+    /// `None` when the attempt failed (the client already retried).
+    outcome: Option<ProbeOutcome>,
 }
 
 /// Book-keeping for one relevant shard during a gather.
@@ -641,64 +406,17 @@ struct Pending {
     failures: u32,
     hedged: bool,
     outcome: Option<ProbeOutcome>,
-    /// Did the winning answer come from the hedge?
-    won_by_hedge: bool,
-}
-
-fn handle_probe(
-    shared: &Shared,
-    k: usize,
-    tau: f64,
-    deadline_ms: Option<u64>,
-    text: &str,
-) -> Response {
-    let started = Instant::now();
-    if k != shared.cfg.k || (tau - shared.cfg.tau).abs() > 1e-9 {
-        return Response::Err(format!(
-            "this fleet is indexed for k={} tau={} (got k={k} tau={tau})",
-            shared.cfg.k, shared.cfg.tau
-        ));
-    }
-    // Parse locally only to learn the probe's length (for band pruning)
-    // and to reject garbage before burning fleet capacity; shards parse
-    // the forwarded text themselves.
-    let probe = match UncertainString::parse(text, &shared.alphabet) {
-        Ok(probe) => probe,
-        Err(e) => return Response::Err(format!("bad probe: {e}")),
-    };
-    let deadline = deadline_ms
-        .map(Duration::from_millis)
-        .or(shared.cfg.default_deadline);
-    let (relevant, skipped) = select_shards(shared, probe.len(), k);
-    let total = (relevant.len() + skipped) as u32;
-    // ordering: Relaxed — the sequence only labels per-probe histogram
-    // buckets; no other memory depends on it.
-    let probe_id = shared.probe_seq.fetch_add(1, Ordering::Relaxed) as u32;
-    let mut local = CollectingRecorder::new();
-    local.probe_start(probe_id);
-    let response = gather(
-        shared, &relevant, total, k, tau, text, started, deadline, &mut local,
-    );
-    local.probe_end(probe_id);
-    local.gauge(
-        Gauge::ShardHealthy,
-        shared.healthy_count(Instant::now()) as u64,
-    );
-    shared.registry.fold(Some(band_of(probe.len())), &local);
-    shared.record(|r| r.absorb(local));
-    response
 }
 
 /// The scatter set for a probe of length `probe_len`: shard indices to
 /// dial, plus how many relevant shards are benched in quarantine (they
 /// still count toward the total so a partial answer is visibly
 /// partial). A half-open shard is dialed — that is its recovery trial.
-fn select_shards(shared: &Shared, probe_len: usize, k: usize) -> (Vec<usize>, usize) {
-    let now = Instant::now();
-    let states = shared.shard_states(now);
+fn select_shards(coord: &Coordinator, probe_len: usize, k: usize) -> (Vec<usize>, usize) {
+    let states = coord.shard_states();
     let mut relevant = Vec::new();
     let mut skipped = 0usize;
-    for (idx, spec) in shared.shards.iter().enumerate() {
+    for (idx, spec) in coord.shards.iter().enumerate() {
         if !spec.relevant(probe_len, k) {
             continue;
         }
@@ -715,7 +433,7 @@ fn select_shards(shared: &Shared, probe_len: usize, k: usize) -> (Vec<usize>, us
 /// thread; the result comes back over `tx`.
 #[allow(clippy::too_many_arguments)]
 fn dispatch(
-    shared: &Shared,
+    coord: &Coordinator,
     shard: usize,
     hedge: bool,
     k: usize,
@@ -732,15 +450,15 @@ fn dispatch(
         deadline: remaining,
         // Deterministic per-(shard, hedge) schedule derived from the
         // template seed, so soak runs replay identically.
-        jitter_seed: shared
+        jitter_seed: coord
             .cfg
             .client
             .jitter_seed
             .wrapping_add((shard as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15))
             .wrapping_add(u64::from(hedge)),
-        ..shared.cfg.client.clone()
+        ..coord.cfg.client.clone()
     };
-    let addr = shared.shards[shard].addr.clone();
+    let addr = coord.shards[shard].addr.clone();
     let text = text.to_string();
     let tx = tx.clone();
     let dispatched = Instant::now();
@@ -752,26 +470,14 @@ fn dispatch(
         .name(format!("usj-coord-dispatch-{shard}"))
         .spawn(move || {
             let mut client = Client::new(addr, cfg);
-            let result = client.probe(k, tau, &text).map_err(|e| classify(&e));
+            let outcome = client.probe(k, tau, &text).ok();
             let _ = tx.send(ShardAnswer {
                 shard,
                 hedge,
                 elapsed: dispatched.elapsed(),
-                result,
+                outcome,
             });
         });
-}
-
-/// Collapses a client error to the short form the coordinator reports
-/// and counts (the full error already surfaced in the client's retries).
-fn classify(e: &ClientError) -> String {
-    match e {
-        ClientError::Busy { .. } => "busy".to_string(),
-        ClientError::Deadline => "deadline".to_string(),
-        ClientError::Io(_) => "io".to_string(),
-        ClientError::Protocol(msg) => format!("protocol: {msg}"),
-        ClientError::Server(msg) => format!("server: {msg}"),
-    }
 }
 
 /// The gather loop: collects per-shard answers, hedges silent shards
@@ -779,7 +485,7 @@ fn classify(e: &ClientError) -> String {
 /// under the partial-result policy.
 #[allow(clippy::too_many_arguments)]
 fn gather(
-    shared: &Shared,
+    coord: &Coordinator,
     relevant: &[usize],
     total: u32,
     k: usize,
@@ -802,28 +508,25 @@ fn gather(
     let mut pending: Vec<Pending> = relevant
         .iter()
         .map(|&shard| {
-            dispatch(shared, shard, false, k, tau, text, started, deadline, &tx);
+            dispatch(coord, shard, false, k, tau, text, started, deadline, &tx);
             Pending {
                 shard,
                 outstanding: 1,
                 failures: 0,
                 hedged: false,
                 outcome: None,
-                won_by_hedge: false,
             }
         })
         .collect();
-    let hedge_delay = shared.hedge_delay();
+    let hedge_delay = coord.hedge_delay();
     let hedge_at = started + hedge_delay;
     loop {
-        let unanswered = pending
+        // Done once every shard has answered or failed every dispatch
+        // it was sent.
+        if !pending
             .iter()
-            .filter(|p| p.outcome.is_none() && p.failures < p.outstanding.max(1))
-            .count();
-        let still_running = pending
-            .iter()
-            .any(|p| p.outcome.is_none() && p.failures < p.outstanding);
-        if unanswered == 0 && !still_running {
+            .any(|p| p.outcome.is_none() && p.failures < p.outstanding)
+        {
             break;
         }
         let now = Instant::now();
@@ -852,19 +555,16 @@ fn gather(
                 if p.outcome.is_some() {
                     continue; // the twin already won
                 }
-                match answer.result {
-                    Ok(outcome) => {
-                        shared.note_latency(answer.elapsed);
-                        shared.on_shard_success(answer.shard);
+                match answer.outcome {
+                    Some(outcome) => {
+                        coord.note_latency(answer.elapsed);
+                        coord.on_shard_success(answer.shard);
                         p.outcome = Some(outcome);
-                        p.won_by_hedge = answer.hedge;
                         if answer.hedge {
                             local.counter(Counter::HedgesWon, 1);
                         }
                     }
-                    Err(_) => {
-                        p.failures += 1;
-                    }
+                    None => p.failures += 1,
                 }
             }
             Err(RecvTimeoutError::Timeout) => {}
@@ -880,30 +580,32 @@ fn gather(
                 if usj_fault::fire("coord.hedge") {
                     local.counter(Counter::FaultsInjected, 1);
                 }
-                dispatch(shared, p.shard, true, k, tau, text, started, deadline, &tx);
+                dispatch(coord, p.shard, true, k, tau, text, started, deadline, &tx);
                 p.hedged = true;
                 p.outstanding += 1;
                 local.counter(Counter::HedgesSent, 1);
             }
         }
     }
-    drop(rx); // any straggler dispatch thread now exits on send
-              // Health bookkeeping for shards that never answered.
+    // Any straggler dispatch thread now exits on send.
+    drop(rx);
+    // Health bookkeeping for shards that never answered.
     let now = Instant::now();
     for p in &pending {
-        if p.outcome.is_none() && shared.on_shard_failure(p.shard, now) {
+        if p.outcome.is_none() && coord.on_shard_failure(p.shard, now) {
             local.counter(Counter::ShardsQuarantined, 1);
         }
     }
-    combine(shared, &pending, total, started, local)
+    combine(coord, &pending, total, started, deadline, local)
 }
 
 /// Merges per-shard answers under the partial-result policy.
 fn combine(
-    shared: &Shared,
+    coord: &Coordinator,
     pending: &[Pending],
     total: u32,
     started: Instant,
+    deadline: Option<Duration>,
     local: &mut CollectingRecorder,
 ) -> Response {
     let answered = pending.iter().filter(|p| p.outcome.is_some()).count() as u32;
@@ -924,9 +626,10 @@ fn combine(
         local.counter(Counter::ServeFull, 1);
         return Response::Ok(hits);
     }
-    if answered < total && shared.cfg.strict {
-        // Strict mode: a partial answer is worse than no answer.
-        if started.elapsed() >= shared.cfg.default_deadline.unwrap_or(Duration::MAX) {
+    if answered < total && coord.cfg.strict {
+        // Strict mode: a partial answer is worse than no answer. A
+        // request whose own budget ran out is answered DEADLINE.
+        if started.elapsed() >= deadline.unwrap_or(Duration::MAX) {
             local.counter(Counter::ServeDeadline, 1);
             return Response::Deadline {
                 elapsed_ms: started.elapsed().as_millis().min(u64::MAX as u128) as u64,
@@ -963,23 +666,6 @@ fn combine(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn latency_ring_p99_is_nearest_rank_and_windowed() {
-        let mut ring = LatencyRing::new(4);
-        assert_eq!(ring.p99(), None);
-        for ms in [10u64, 20, 30, 40] {
-            ring.push(Duration::from_millis(ms));
-        }
-        assert_eq!(ring.p99(), Some(Duration::from_millis(40)));
-        // Overwrites evict the oldest sample.
-        ring.push(Duration::from_millis(5));
-        assert_eq!(ring.p99(), Some(Duration::from_millis(40)));
-        ring.push(Duration::from_millis(6));
-        ring.push(Duration::from_millis(7));
-        ring.push(Duration::from_millis(8));
-        assert_eq!(ring.p99(), Some(Duration::from_millis(8)));
-    }
 
     #[test]
     fn shard_spec_relevance_uses_the_length_filter() {

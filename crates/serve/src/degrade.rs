@@ -73,27 +73,62 @@ pub struct Controller {
     cfg: DegradeConfig,
     /// Current level as `u8`.
     level: AtomicU8,
-    /// Ring of recent service latencies (nanoseconds).
+    /// Recent service latencies.
     window: Mutex<LatencyRing>,
 }
 
+/// A sliding window of the most recent latencies with a nearest-rank
+/// p99: the ladder's service-latency window and the coordinator's
+/// hedge-delay window.
 #[derive(Debug)]
-struct LatencyRing {
-    samples: Vec<u64>,
+pub(crate) struct LatencyRing {
+    samples: Vec<Duration>,
     next: usize,
+    cap: usize,
+}
+
+impl LatencyRing {
+    /// An empty window holding at most `cap` samples (at least one).
+    pub(crate) fn new(cap: usize) -> LatencyRing {
+        let cap = cap.max(1);
+        LatencyRing {
+            samples: Vec::with_capacity(cap),
+            next: 0,
+            cap,
+        }
+    }
+
+    /// Adds a sample, evicting the oldest once the window is full.
+    pub(crate) fn push(&mut self, sample: Duration) {
+        if self.samples.len() < self.cap {
+            self.samples.push(sample);
+        } else {
+            self.samples[self.next] = sample;
+            self.next = (self.next + 1) % self.cap;
+        }
+    }
+
+    /// Nearest-rank p99 of the window (exact; the window is tiny);
+    /// `None` until any sample lands.
+    pub(crate) fn p99(&self) -> Option<Duration> {
+        if self.samples.is_empty() {
+            return None;
+        }
+        let mut sorted = self.samples.clone();
+        sorted.sort_unstable();
+        let rank = (sorted.len() * 99).div_ceil(100).max(1);
+        Some(sorted[rank - 1])
+    }
 }
 
 impl Controller {
     /// A controller starting at [`Level::Full`].
     pub fn new(cfg: DegradeConfig) -> Controller {
-        let cap = cfg.window.max(1);
+        let window = Mutex::new(LatencyRing::new(cfg.window));
         Controller {
             cfg,
             level: AtomicU8::new(Level::Full as u8),
-            window: Mutex::new(LatencyRing {
-                samples: Vec::with_capacity(cap),
-                next: 0,
-            }),
+            window,
         }
     }
 
@@ -108,19 +143,12 @@ impl Controller {
     /// Records a completed request's service latency and re-evaluates
     /// the ladder against the current queue depth. Returns the new level.
     pub fn observe(&self, latency: Duration, queue_depth: usize) -> Level {
-        let ns = latency.as_nanos().min(u64::MAX as u128) as u64;
         let p99 = {
             // A poisoned lock only means another worker panicked while
             // recording a sample; the ring stays usable.
             let mut ring = self.window.lock().unwrap_or_else(PoisonError::into_inner);
-            if ring.samples.len() < self.cfg.window.max(1) {
-                ring.samples.push(ns);
-            } else {
-                let at = ring.next;
-                ring.samples[at] = ns;
-                ring.next = (at + 1) % ring.samples.len();
-            }
-            percentile_99(&ring.samples)
+            ring.push(latency);
+            ring.p99()
         };
         self.reassess(queue_depth, p99)
     }
@@ -130,13 +158,14 @@ impl Controller {
     pub fn note_queue(&self, queue_depth: usize) -> Level {
         let p99 = {
             let ring = self.window.lock().unwrap_or_else(PoisonError::into_inner);
-            percentile_99(&ring.samples)
+            ring.p99()
         };
         self.reassess(queue_depth, p99)
     }
 
-    fn reassess(&self, queue_depth: usize, p99_ns: u64) -> Level {
-        let p99 = Duration::from_nanos(p99_ns);
+    /// An empty window reads as a p99 of zero.
+    fn reassess(&self, queue_depth: usize, p99: Option<Duration>) -> Level {
+        let p99 = p99.unwrap_or_default();
         let level = if queue_depth >= self.cfg.queue_shed || p99 >= self.cfg.p99_shed {
             Level::Shed
         } else if queue_depth >= self.cfg.queue_degrade || p99 >= self.cfg.p99_degrade {
@@ -149,17 +178,6 @@ impl Controller {
         self.level.store(level as u8, Ordering::Relaxed);
         level
     }
-}
-
-/// p99 over a small sample set (exact nearest-rank; the window is tiny).
-fn percentile_99(samples: &[u64]) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((sorted.len() as f64) * 0.99).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 #[cfg(test)]
@@ -208,11 +226,31 @@ mod tests {
         assert_eq!(c.level(), Level::Full);
     }
 
+    fn ring_of(ms: impl IntoIterator<Item = u64>, cap: usize) -> LatencyRing {
+        let mut ring = LatencyRing::new(cap);
+        for ms in ms {
+            ring.push(Duration::from_millis(ms));
+        }
+        ring
+    }
+
     #[test]
     fn percentile_is_nearest_rank() {
-        assert_eq!(percentile_99(&[]), 0);
-        assert_eq!(percentile_99(&[7]), 7);
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_99(&v), 99);
+        assert_eq!(LatencyRing::new(8).p99(), None);
+        assert_eq!(ring_of([7], 8).p99(), Some(Duration::from_millis(7)));
+        assert_eq!(ring_of(1..=100, 100).p99(), Some(Duration::from_millis(99)));
+    }
+
+    #[test]
+    fn latency_ring_p99_is_nearest_rank_and_windowed() {
+        let mut ring = ring_of([10, 20, 30, 40], 4);
+        assert_eq!(ring.p99(), Some(Duration::from_millis(40)));
+        // Overwrites evict the oldest sample.
+        ring.push(Duration::from_millis(5));
+        assert_eq!(ring.p99(), Some(Duration::from_millis(40)));
+        ring.push(Duration::from_millis(6));
+        ring.push(Duration::from_millis(7));
+        ring.push(Duration::from_millis(8));
+        assert_eq!(ring.p99(), Some(Duration::from_millis(8)));
     }
 }

@@ -23,10 +23,14 @@
 //!   poisoned request answers `ERR internal panic: ..` and the listener
 //!   survives. Failpoints `serve.accept`, `serve.parse` and
 //!   `serve.probe` let the fault suite drive this path deliberately.
-//! - **Graceful drain** — `SHUTDOWN` (or
-//!   [`server::ServerHandle::shutdown`]) stops admission, lets queued
-//!   and in-flight requests finish, and flushes the final stats
-//!   snapshot.
+//! - **Graceful drain** — `SHUTDOWN` (or `ServerHandle::shutdown`)
+//!   stops admission, lets queued and in-flight requests finish, and
+//!   flushes the final stats snapshot.
+//!
+//! Admission, the worker pool, the panic perimeter and the drain are
+//! one service frame (`frame.rs`) shared by the server and the
+//! coordinator; each supplies only its admission decision, its answers
+//! to `HEALTH`, `METRICS`, `SHARDS` and `PROBE`, and any extra threads.
 //!
 //! - **Live observability** — a `METRICS` request renders the shared
 //!   [`usj_obs::MetricsRegistry`] (every golden-schema counter/gauge,
@@ -66,6 +70,7 @@
 pub mod client;
 pub mod coordinator;
 pub mod degrade;
+mod frame;
 pub mod proto;
 pub mod server;
 pub mod shard;

@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use usj_core::{IndexedCollection, JoinConfig, Partition, ShardSlice, SnapshotReport};
 use usj_model::{Alphabet, UncertainString};
 
-use crate::server::{serve_snapshot_with_map, serve_with_map, ServeConfig, ServerHandle};
+use crate::server::{serve_boot, serve_snapshot_with_map, ServeConfig, ServerHandle};
 
 /// The deterministic length-band partition for `strings`: both `usj
 /// shard` and `usj coord` invocations recompute it from the same input
@@ -48,7 +48,7 @@ pub fn serve_shard(
 ) -> io::Result<ServerHandle> {
     let (slice, subset) = shard_subset(strings, partition, shard_idx)?;
     let coll = IndexedCollection::build(config, alphabet.size(), subset);
-    serve_with_map(coll, alphabet, cfg, Some(slice.ids.clone()))
+    serve_boot(coll, alphabet, cfg, Some(slice.ids.clone()), None)
 }
 
 /// [`serve_shard`] booting from this shard's own snapshot file (see

@@ -12,6 +12,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -668,4 +669,134 @@ fn killing_a_shard_mid_soak_degrades_quarantines_and_readmits() {
     for shard in shards {
         shard.shutdown();
     }
+}
+
+// ---------------------------------------------------------------------
+// A shard that accepts connections and never replies: the coordinator's
+// dispatch stalls until the request's budget runs out.
+// ---------------------------------------------------------------------
+
+struct SilentShard {
+    addr: SocketAddr,
+    /// One message per connection the shard accepted (and holds open).
+    accepted: mpsc::Receiver<()>,
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl SilentShard {
+    fn start() -> SilentShard {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind silent shard");
+        let addr = listener.local_addr().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop2 = Arc::clone(&stop);
+        let (tx, accepted) = mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            let mut held = Vec::new();
+            for conn in listener.incoming() {
+                // ordering: SeqCst — test-only control flag.
+                if stop2.load(Ordering::SeqCst) {
+                    break;
+                }
+                if let Ok(conn) = conn {
+                    held.push(conn);
+                    let _ = tx.send(());
+                }
+            }
+        });
+        SilentShard {
+            addr,
+            accepted,
+            stop,
+            thread: Some(thread),
+        }
+    }
+
+    /// A one-shard fleet whose band holds every probe this suite sends.
+    fn specs(&self) -> Vec<ShardSpec> {
+        vec![ShardSpec {
+            addr: self.addr.to_string(),
+            band: Some((1, 64)),
+        }]
+    }
+}
+
+impl Drop for SilentShard {
+    fn drop(&mut self) {
+        // ordering: SeqCst — test-only control flag.
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
+    }
+}
+
+#[test]
+fn a_strict_probe_whose_own_budget_runs_out_answers_deadline() {
+    let _guard = lock();
+    let shard = SilentShard::start();
+    // The default budget is far longer than the probe's own: the probe's
+    // `deadline_ms` is the one that runs out.
+    let coord = coordinate(
+        shard.specs(),
+        Alphabet::dna(),
+        CoordConfig {
+            k: K,
+            tau: TAU,
+            strict: true,
+            default_deadline: Some(Duration::from_secs(3)),
+            ..CoordConfig::default()
+        },
+    )
+    .expect("bind coordinator");
+    let reply = raw_roundtrip(&coord, &format!("PROBE {K} {TAU} deadline_ms=200 ACGT"));
+    assert!(reply.starts_with("DEADLINE elapsed_ms="), "{reply}");
+    let stats = coord.stats_json();
+    assert_eq!(stat_u64(&stats, "serve_deadline"), 1, "{stats}");
+    coord.shutdown();
+}
+
+#[test]
+fn a_coordinator_with_a_full_queue_sheds_with_busy() {
+    let _guard = lock();
+    let shard = SilentShard::start();
+    let coord = coordinate(
+        shard.specs(),
+        Alphabet::dna(),
+        CoordConfig {
+            k: K,
+            tau: TAU,
+            workers: 1,
+            queue_cap: 1,
+            default_deadline: Some(Duration::from_secs(2)),
+            ..CoordConfig::default()
+        },
+    )
+    .expect("bind coordinator");
+    // The one worker takes the first connection and stalls in the
+    // gather: the silent shard has accepted its dispatch.
+    let mut stalled = TcpStream::connect(coord.addr()).expect("connect");
+    stalled
+        .write_all(format!("PROBE {K} {TAU} ACGT\n").as_bytes())
+        .unwrap();
+    shard
+        .accepted
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the probe reached the shard");
+    // The second connection fills the queue; the third is shed.
+    let queued = TcpStream::connect(coord.addr()).expect("connect");
+    let shed = TcpStream::connect(coord.addr()).expect("connect");
+    shed.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reply = String::new();
+    BufReader::new(&shed).read_line(&mut reply).expect("read");
+    assert!(reply.starts_with("BUSY retry_after_ms="), "{reply}");
+    let stats = coord.stats_json();
+    assert_eq!(stat_u64(&stats, "serve_shed"), 1, "{stats}");
+    assert_eq!(stat_u64(&stats, "serve_accepted"), 2, "{stats}");
+    drop((queued, shed));
+    // The drain answers the stalled probe once its budget runs out.
+    coord.shutdown();
+    drop(stalled);
 }

@@ -33,8 +33,8 @@
 # blocks; `serve` runs the single-node usj-serve TSan block; `coord`
 # runs the coordinator/shard-fleet TSan block; and `persist` runs Miri
 # and TSan over the snapshot / recovery-ladder suites. The sanitize,
-# serve, coordinator, and persist CI jobs use their matching targets so
-# no suite is instrumented twice.
+# serve (both `serve` and `coord`), and persist CI jobs use their
+# matching targets so no suite is instrumented twice.
 
 set -uo pipefail
 cd "$(dirname "$0")/.."
