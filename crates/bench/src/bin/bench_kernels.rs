@@ -6,7 +6,6 @@
 //! ```text
 //! bench_kernels run [--label L] [--n N] [--seed S] [--iters I] [--warmup W] [--out FILE]
 //! bench_kernels compare <baseline.json> <new.json> [--threshold PCT]
-//! bench_kernels level
 //! ```
 //!
 //! `run` executes the fixed-seed kernel suite ([`usj_core::bench`]) and
@@ -24,7 +23,6 @@ const USAGE: &str = "bench_kernels — fixed-seed kernel benchmarks
 USAGE:
   bench_kernels run [--label L] [--n N] [--seed S] [--iters I] [--warmup W] [--out FILE]
   bench_kernels compare <baseline.json> <new.json> [--threshold PCT]
-  bench_kernels level   # print the SIMD dispatch level this host selects
 ";
 
 fn main() -> ExitCode {
@@ -32,7 +30,6 @@ fn main() -> ExitCode {
     let result = match args.split_first() {
         Some((mode, rest)) if mode == "run" => cmd_run(rest),
         Some((mode, rest)) if mode == "compare" => cmd_compare(rest),
-        Some((mode, _)) if mode == "level" => Ok(format!("{:?}\n", usj_core::simd::simd_level())),
         _ => Err(USAGE.to_string()),
     };
     match result {

@@ -91,8 +91,8 @@ pub fn cdf_bounds(r: &UncertainString, s: &UncertainString, k: usize) -> CdfBoun
     }
 
     // Four flat planes of contiguous (k+1)-wide rows over y = 0..=m —
-    // L and U kept separate so each cell update is a dense row scan the
-    // SIMD row kernel can vectorise. Out-of-band cells read as zero.
+    // L and U kept separate so each cell update is one dense row scan
+    // ([`cdf_row_update`]). Out-of-band cells read as zero.
     let cells = m + 1;
     let mut prev_l = vec![0.0; cells * width]; // row x−1
     let mut prev_u = vec![0.0; cells * width];
@@ -188,7 +188,7 @@ pub fn cdf_bounds(r: &UncertainString, s: &UncertainString, k: usize) -> CdfBoun
             let u_d2 = &head_u[(y - 1) * width..y * width];
             let out_u = &mut tail_u[..width];
 
-            usj_simd::cdf_row_update(p1, p2, l_d1, l_best, u_d1, u_d2, u_d3, out_l, out_u);
+            cdf_row_update(p1, p2, l_d1, l_best, u_d1, u_d2, u_d3, out_l, out_u);
         }
         std::mem::swap(&mut prev_l, &mut cur_l);
         std::mem::swap(&mut prev_u, &mut cur_u);
@@ -199,6 +199,48 @@ pub fn cdf_bounds(r: &UncertainString, s: &UncertainString, k: usize) -> CdfBoun
     let bounds = CdfBounds { lower, upper };
     debug_check_bounds(&bounds, k);
     bounds
+}
+
+/// One CDF-bound DP cell (Theorem 4), all `j = 0..width` at once:
+///
+/// ```text
+/// out_l[j] = clamp(max(p1·l_d1[j], p2·l_best[j−1]))
+/// out_u[j] = clamp(min(1, p1·u_d1[j] + p2·u_d1[j−1] + u_d2[j−1] + u_d3[j−1]))
+/// ```
+///
+/// `j−1 < 0` reads as zero; `clamp` is to `[0, 1]`. All slices share
+/// `out_l.len()`. Rows are `k + 1` cells wide, too narrow for vector
+/// lanes to pay for their setup.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn cdf_row_update(
+    p1: f64,
+    p2: f64,
+    l_d1: &[f64],
+    l_best: &[f64],
+    u_d1: &[f64],
+    u_d2: &[f64],
+    u_d3: &[f64],
+    out_l: &mut [f64],
+    out_u: &mut [f64],
+) {
+    debug_assert!(
+        [l_d1, l_best, u_d1, u_d2, u_d3, out_u]
+            .iter()
+            .all(|row| row.len() == out_l.len()),
+        "cdf cell slices must share one width"
+    );
+    for j in 0..out_l.len() {
+        let (lb, u1, u2, u3) = if j > 0 {
+            (l_best[j - 1], u_d1[j - 1], u_d2[j - 1], u_d3[j - 1])
+        } else {
+            (0.0, 0.0, 0.0, 0.0)
+        };
+        let l = (p1 * l_d1[j]).max(p2 * lb);
+        let u = (p1 * u_d1[j] + p2 * u1 + u2 + u3).min(1.0);
+        out_l[j] = l.clamp(0.0, 1.0);
+        out_u[j] = u.clamp(0.0, 1.0);
+    }
 }
 
 /// Debug-build well-formedness check on a DP result: `k + 1` entries per
@@ -493,5 +535,22 @@ mod tests {
             },
             0,
         );
+    }
+
+    #[test]
+    fn cdf_row_j0_reads_zero_neighbours() {
+        let l_d1 = [0.8, 1.0];
+        let l_best = [0.5, 0.9];
+        let u_d1 = [0.9, 1.0];
+        let u_d2 = [0.3, 0.4];
+        let u_d3 = [0.2, 0.1];
+        let (mut ol, mut ou) = ([0.0; 2], [0.0; 2]);
+        cdf_row_update(
+            0.5, 0.5, &l_d1, &l_best, &u_d1, &u_d2, &u_d3, &mut ol, &mut ou,
+        );
+        assert_eq!(ol[0], 0.5 * 0.8);
+        assert_eq!(ou[0], 0.5 * 0.9);
+        assert_eq!(ol[1], (0.5f64 * 1.0).max(0.5 * 0.5));
+        assert_eq!(ou[1], 1.0); // 0.5·1.0 + 0.5·0.9 + 0.3 + 0.2 clamps at 1
     }
 }

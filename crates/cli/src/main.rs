@@ -9,18 +9,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Best-effort extraction of a panic payload's human-readable message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(fault) = payload.downcast_ref::<usj_fault::InjectedFault>() {
-        fault.to_string()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
-}
+use usj_fault::panic_message;
 
 fn main() {
     // Deterministic fault injection: a plan in USJ_FAULT_PLAN stays armed

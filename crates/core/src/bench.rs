@@ -1,7 +1,7 @@
 //! Fixed-seed micro/meso benchmarks over the pipeline's hot kernels.
 //!
 //! This is the suite behind `usj bench` and the `bench_kernels` binary:
-//! nine benches spanning the cost hierarchy of the paper's join —
+//! six benches spanning the cost hierarchy of the paper's join —
 //!
 //! | bench                        | kernel                                   |
 //! |------------------------------|------------------------------------------|
@@ -10,9 +10,6 @@
 //! | `cdf_bound_recurrence`       | Theorem 4 CDF-bound DP (`usj-cdf`)       |
 //! | `posting_list_merge`         | segment-index probe funnel (`filter_candidates`) |
 //! | `join_end_to_end`            | full `SimilarityJoin::self_join`         |
-//! | `simd_pb_row_update`         | dispatched PB row kernel (`usj-simd`)    |
-//! | `simd_cdf_row_update`        | dispatched CDF row kernel (`usj-simd`)   |
-//! | `simd_prefix_strip`          | dispatched affix scans (`usj-simd`)      |
 //! | `snapshot_load_vs_rebuild`   | warm-restart decode (`snapshot::load`, rung Verified) |
 //!
 //! Inputs are generated from a caller-supplied xorshift seed, so two runs
@@ -43,15 +40,12 @@ pub const BENCH_SIGMA: usize = 4;
 
 /// Stable bench names, in run order (pinned by tests and the committed
 /// `BENCH_baseline.json`).
-pub const BENCH_NAMES: [&str; 9] = [
+pub const BENCH_NAMES: [&str; 6] = [
     "edit_distance_banded",
     "poisson_binomial_segment_dp",
     "cdf_bound_recurrence",
     "posting_list_merge",
     "join_end_to_end",
-    "simd_pb_row_update",
-    "simd_cdf_row_update",
-    "simd_prefix_strip",
     "snapshot_load_vs_rebuild",
 ];
 
@@ -157,59 +151,6 @@ pub fn kernel_suite(label: &str, n: usize, seed: u64, spec: BenchSpec) -> BenchR
         black_box(result.pairs.len());
     }));
 
-    // Micro: the dispatched usj-simd kernels in isolation (whatever
-    // level the host selected — `USJ_NO_SIMD=1` times the scalar
-    // fallbacks). Inputs are generated after the suite above so the
-    // earlier benches see the exact same seeded streams as before.
-    let pb_rows: Vec<Vec<f64>> = (0..256)
-        .map(|_| (0..64).map(|_| rng.below(1000) as f64 / 1000.0).collect())
-        .collect();
-    let mut pb_out = vec![0.0f64; 64];
-    report.benches.push(run(BENCH_NAMES[5], spec, || {
-        for prev in &pb_rows {
-            usj_simd::pb_row_update(prev, &mut pb_out, 0.625, 0.375);
-            black_box(pb_out[63]);
-        }
-    }));
-
-    let cdf_rows: Vec<Vec<f64>> = (0..256)
-        .map(|_| {
-            (0..5 * 64)
-                .map(|_| rng.below(1000) as f64 / 1000.0)
-                .collect()
-        })
-        .collect();
-    let mut cdf_l = vec![0.0f64; 64];
-    let mut cdf_u = vec![0.0f64; 64];
-    report.benches.push(run(BENCH_NAMES[6], spec, || {
-        for row in &cdf_rows {
-            let (d1, rest) = row.split_at(64);
-            let (best, rest) = rest.split_at(64);
-            let (u1, rest) = rest.split_at(64);
-            let (u2, u3) = rest.split_at(64);
-            usj_simd::cdf_row_update(0.75, 0.25, d1, best, u1, u2, u3, &mut cdf_l, &mut cdf_u);
-            black_box((cdf_l[63], cdf_u[63]));
-        }
-    }));
-
-    let affix_pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..256)
-        .map(|_| {
-            let a = gen_bytes(&mut rng, 256);
-            let mut b = a.clone();
-            // One mismatch somewhere in the middle half keeps both the
-            // prefix and the suffix scan honest.
-            let i = 64 + rng.below(128);
-            b[i] = b[i].wrapping_add(1);
-            (a, b)
-        })
-        .collect();
-    report.benches.push(run(BENCH_NAMES[7], spec, || {
-        for (a, b) in &affix_pairs {
-            black_box(usj_simd::common_prefix_len(a, b));
-            black_box(usj_simd::common_suffix_len(a, b));
-        }
-    }));
-
     // Meso: the warm-restart decode path — a committed snapshot of the
     // same n-string collection, loaded back through the recovery ladder
     // with every checksum verified (rung Verified). Its median against
@@ -226,7 +167,7 @@ pub fn kernel_suite(label: &str, n: usize, seed: u64, spec: BenchSpec) -> BenchR
     let snap_path = snap_dir.join(format!("{label}.snap"));
     snapshot::write(&snap_path, &collection).expect("bench snapshot commits");
     let snap_config = bench_config();
-    report.benches.push(run(BENCH_NAMES[8], spec, || {
+    report.benches.push(run(BENCH_NAMES[5], spec, || {
         let loaded = snapshot::load(
             &snap_path,
             &snap_config,

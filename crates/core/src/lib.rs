@@ -48,7 +48,6 @@ pub mod verifier;
 /// The observability substrate (re-exported so downstream crates can name
 /// recorders without depending on `usj-obs` directly).
 pub use usj_obs as obs;
-pub use usj_simd as simd;
 
 pub use checkpoint::{durable_atomic_write, Checkpoint, CheckpointError};
 pub use collection::{IndexedCollection, ProbeBudget, SearchAbort, SearchHit};

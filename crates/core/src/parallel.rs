@@ -57,7 +57,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use usj_cdf::CdfFilter;
-use usj_fault::{shield, InjectedFault};
+use usj_fault::{panic_message, shield, InjectedFault};
 use usj_freq::{FreqFilter, FreqProfile};
 use usj_model::UncertainString;
 use usj_obs::{Counter, Gauge, MergeRecorder, NoopRecorder, Phase, Recorder};
@@ -671,19 +671,6 @@ fn catching<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     // AssertUnwindSafe: every caller aborts the run (or discards the
     // scratch wholesale) on Err, so no broken invariant is ever reused.
     shield::shielded(|| catch_unwind(AssertUnwindSafe(f))).map_err(|p| panic_message(&*p))
-}
-
-/// Best-effort extraction of a panic payload's human-readable message.
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(fault) = payload.downcast_ref::<InjectedFault>() {
-        fault.to_string()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
 }
 
 /// Runs one batch of probes against **fresh scratch** (pairs, stats,

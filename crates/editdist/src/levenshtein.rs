@@ -46,11 +46,11 @@ pub fn edit_distance_bounded(r: &[u8], s: &[u8], k: usize) -> Option<usize> {
     if long.len() - short.len() > k {
         return None;
     }
-    // Matching affixes never change the distance; strip them (vectorised
-    // block compares) so the banded DP only runs on the differing core.
-    let p = usj_simd::common_prefix_len(short, long);
+    // Matching affixes never change the distance; strip them so the
+    // banded DP only runs on the differing core.
+    let p = common_prefix_len(short, long);
     let (short, long) = (&short[p..], &long[p..]);
-    let q = usj_simd::common_suffix_len(short, long);
+    let q = common_suffix_len(short, long);
     let (short, long) = (&short[..short.len() - q], &long[..long.len() - q]);
     let (n, m) = (short.len(), long.len());
     if n == 0 {
@@ -104,6 +104,26 @@ pub fn within_k(r: &[u8], s: &[u8], k: usize) -> bool {
         return false;
     }
     edit_distance_bounded(r, s, k).is_some()
+}
+
+/// Length of the longest common prefix of `a` and `b`.
+fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let mut i = 0;
+    while i < n && a[i] == b[i] {
+        i += 1;
+    }
+    i
+}
+
+/// Length of the longest common suffix of `a` and `b`.
+fn common_suffix_len(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let mut i = 0;
+    while i < n && a[a.len() - 1 - i] == b[b.len() - 1 - i] {
+        i += 1;
+    }
+    i
 }
 
 #[cfg(test)]
@@ -206,5 +226,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn prefix_suffix_edges() {
+        assert_eq!(common_prefix_len(b"", b"abc"), 0);
+        assert_eq!(common_prefix_len(b"abc", b"abc"), 3);
+        assert_eq!(common_prefix_len(b"abcd", b"abxd"), 2);
+        assert_eq!(common_suffix_len(b"", b"abc"), 0);
+        assert_eq!(common_suffix_len(b"abc", b"abc"), 3);
+        assert_eq!(common_suffix_len(b"xbcd", b"ybcd"), 3);
     }
 }

@@ -213,6 +213,21 @@ impl std::fmt::Display for InjectedFault {
     }
 }
 
+/// Best-effort extraction of a panic payload's human-readable message:
+/// an [`InjectedFault`] reads as its `Display` form, a `&str` or
+/// `String` payload as itself, anything else as a fixed placeholder.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(fault) = payload.downcast_ref::<InjectedFault>() {
+        fault.to_string()
+    } else if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with non-string payload".to_string()
+    }
+}
+
 struct PlanState {
     entries: Vec<Entry>,
     hits: HashMap<String, u64>,
@@ -365,6 +380,18 @@ mod tests {
         }))
         .unwrap_err();
         assert!(payload.downcast_ref::<InjectedFault>().is_some());
+    }
+
+    #[test]
+    fn panic_message_reads_every_payload_kind() {
+        let fault = InjectedFault {
+            point: "t.msg".to_string(),
+            hit: 3,
+        };
+        assert_eq!(panic_message(&fault), "injected fault at t.msg#3");
+        assert_eq!(panic_message(&"static text"), "static text");
+        assert_eq!(panic_message(&"owned text".to_string()), "owned text");
+        assert_eq!(panic_message(&42u32), "panic with non-string payload");
     }
 
     #[test]

@@ -380,7 +380,7 @@ mod tests {
         let base = report();
         let mut new = report();
         new.benches.push(BenchResult {
-            name: "simd_pb_row_update".into(),
+            name: "fresh_kernel".into(),
             warmup: 3,
             iters: 30,
             mean_ns: 50,
@@ -392,7 +392,7 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert!(lines.iter().all(|l| !l.regressed));
         let added = &lines[2];
-        assert_eq!(added.name, "simd_pb_row_update");
+        assert_eq!(added.name, "fresh_kernel");
         assert!(added.rendered.contains("new bench"));
         // And the reverse asymmetry still gates (deleted bench).
         let lines = compare_reports(&new, &base, 0.15);

@@ -20,8 +20,8 @@ use usj_model::Prob;
 /// `dist[y] = Pr(exactly y of the events happen)`, `len = m+1`. `O(m²)`.
 pub fn poisson_binomial(alphas: &[Prob]) -> Vec<Prob> {
     let m = alphas.len();
-    // Double-buffered rows so the update is a forward scan the SIMD
-    // row kernel can vectorise; entries past the active prefix are
+    // Double-buffered rows so the update is one forward scan per event
+    // ([`pb_row_update`]); entries past the active prefix are
     // still zero from init (each buffer is only ever written on a
     // prefix that grows by one per event), so reading prev[i+1] = 0
     // reproduces the in-place downward recurrence bit-for-bit. The
@@ -32,10 +32,33 @@ pub fn poisson_binomial(alphas: &[Prob]) -> Vec<Prob> {
     let (mut prev, mut cur) = buf.rows();
     prev[0] = 1.0;
     for (i, &a) in alphas.iter().enumerate() {
-        usj_simd::pb_row_update(&prev[..i + 2], &mut cur[..i + 2], 1.0 - a, a);
+        pb_row_update(&prev[..i + 2], &mut cur[..i + 2], 1.0 - a, a);
         std::mem::swap(&mut prev, &mut cur);
     }
     prev[..m + 1].to_vec()
+}
+
+/// One Poisson-binomial DP row transition:
+///
+/// ```text
+/// cur[0] = prev[0] · keep
+/// cur[j] = prev[j] · keep + prev[j−1] · step      (j ≥ 1)
+/// ```
+///
+/// The shared shape of all three DP loops above (full distribution:
+/// `keep = 1−α, step = α`; failure-count form: `keep = α, step = 1−α`).
+/// Each product is rounded before the sum (no FMA), which keeps every
+/// tail bound bit-identical across targets.
+#[inline]
+fn pb_row_update(prev: &[f64], cur: &mut [f64], keep: f64, step: f64) {
+    debug_assert_eq!(prev.len(), cur.len(), "row buffers must match");
+    if cur.is_empty() || prev.is_empty() {
+        return;
+    }
+    cur[0] = prev[0] * keep;
+    for j in 1..cur.len().min(prev.len()) {
+        cur[j] = prev[j] * keep + prev[j - 1] * step;
+    }
 }
 
 /// Double-buffer scratch for the DP rows: a fixed stack array for the
@@ -103,7 +126,7 @@ pub fn at_least(alphas: &[Prob], need: usize) -> Prob {
         let (mut prev, mut cur) = buf.rows();
         prev[0] = 1.0;
         for &a in alphas {
-            usj_simd::pb_row_update(&prev[..width], &mut cur[..width], a, 1.0 - a);
+            pb_row_update(&prev[..width], &mut cur[..width], a, 1.0 - a);
             std::mem::swap(&mut prev, &mut cur);
         }
         prev[..width].iter().sum::<f64>().clamp(0.0, 1.0)
@@ -115,7 +138,7 @@ pub fn at_least(alphas: &[Prob], need: usize) -> Prob {
         let mut overflow = 0.0; // mass that crossed the `need` boundary
         for &a in alphas {
             overflow += prev[need - 1] * a;
-            usj_simd::pb_row_update(&prev[..need], &mut cur[..need], 1.0 - a, a);
+            pb_row_update(&prev[..need], &mut cur[..need], 1.0 - a, a);
             std::mem::swap(&mut prev, &mut cur);
         }
         overflow.clamp(0.0, 1.0)
@@ -244,5 +267,13 @@ mod tests {
         assert_eq!(at_least(&[1.0, 1.0, 1.0], 3), 1.0);
         assert_eq!(at_least(&[1.0, 1.0, 0.0], 3), 0.0);
         assert!((at_least(&[1.0, 1.0, 0.0], 2) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pb_row_matches_hand_computation() {
+        let prev = [1.0, 0.0, 0.0];
+        let mut cur = [0.0; 3];
+        pb_row_update(&prev, &mut cur, 0.6, 0.4);
+        assert_eq!(cur, [0.6, 0.4, 0.0]);
     }
 }

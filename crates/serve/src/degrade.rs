@@ -73,8 +73,17 @@ pub struct Controller {
     cfg: DegradeConfig,
     /// Current level as `u8`.
     level: AtomicU8,
-    /// Recent service latencies.
-    window: Mutex<LatencyRing>,
+    /// Recent service latencies and their p99 as of the last sample.
+    window: Mutex<LatencyWindow>,
+}
+
+/// The ladder's latency window. The ring only changes in
+/// [`Controller::observe`], so the p99 is computed there once and
+/// admission reads the cached value instead of re-sorting the ring.
+#[derive(Debug)]
+struct LatencyWindow {
+    ring: LatencyRing,
+    p99: Option<Duration>,
 }
 
 /// A sliding window of the most recent latencies with a nearest-rank
@@ -124,7 +133,10 @@ impl LatencyRing {
 impl Controller {
     /// A controller starting at [`Level::Full`].
     pub fn new(cfg: DegradeConfig) -> Controller {
-        let window = Mutex::new(LatencyRing::new(cfg.window));
+        let window = Mutex::new(LatencyWindow {
+            ring: LatencyRing::new(cfg.window),
+            p99: None,
+        });
         Controller {
             cfg,
             level: AtomicU8::new(Level::Full as u8),
@@ -146,20 +158,23 @@ impl Controller {
         let p99 = {
             // A poisoned lock only means another worker panicked while
             // recording a sample; the ring stays usable.
-            let mut ring = self.window.lock().unwrap_or_else(PoisonError::into_inner);
-            ring.push(latency);
-            ring.p99()
+            let mut window = self.window.lock().unwrap_or_else(PoisonError::into_inner);
+            window.ring.push(latency);
+            window.p99 = window.ring.p99();
+            window.p99
         };
         self.reassess(queue_depth, p99)
     }
 
     /// Re-evaluates the ladder from the queue depth alone (used at
-    /// admission, where no latency sample is available yet).
+    /// admission, where no latency sample is available yet), against the
+    /// p99 the last [`Controller::observe`] computed.
     pub fn note_queue(&self, queue_depth: usize) -> Level {
-        let p99 = {
-            let ring = self.window.lock().unwrap_or_else(PoisonError::into_inner);
-            ring.p99()
-        };
+        let p99 = self
+            .window
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .p99;
         self.reassess(queue_depth, p99)
     }
 
@@ -224,6 +239,26 @@ mod tests {
             c.observe(Duration::from_micros(10), 0);
         }
         assert_eq!(c.level(), Level::Full);
+    }
+
+    #[test]
+    fn note_queue_reads_the_p99_of_the_last_observe() {
+        let c = Controller::new(cfg());
+        // 12 samples through an 8-slot window: the ring wraps, leaving
+        // four 1 ms samples and four 20 ms ones (p99 = 20 ms).
+        for ms in [200, 200, 200, 200, 1, 1, 1, 1, 20, 20, 20, 20] {
+            c.observe(Duration::from_millis(ms), 0);
+        }
+        assert_eq!(c.level(), Level::Degraded);
+        assert_eq!(c.note_queue(0), Level::Degraded);
+        // One more sample evicts a 1 ms one; the p99 stays 20 ms.
+        c.observe(Duration::from_millis(1), 0);
+        assert_eq!(c.note_queue(0), Level::Degraded);
+        // Once every slow sample is evicted, admission sees the recovery.
+        for _ in 0..8 {
+            c.observe(Duration::from_millis(1), 0);
+        }
+        assert_eq!(c.note_queue(0), Level::Full);
     }
 
     fn ring_of(ms: impl IntoIterator<Item = u64>, cap: usize) -> LatencyRing {

@@ -19,7 +19,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use usj_fault::shield;
+use usj_fault::{panic_message, shield};
 use usj_obs::{CollectingRecorder, Counter, Gauge, MetricsRegistry, Recorder};
 
 use crate::proto::{parse_request, Request, Response, ShardState};
@@ -251,20 +251,6 @@ impl<F: Front> Handle<F> {
             .spawn(move || f(&frame))?;
         self.threads.push(thread);
         Ok(())
-    }
-}
-
-/// Best-effort extraction of a panic payload's message (mirrors the CLI
-/// perimeter; injected faults downcast to their Display form).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(fault) = payload.downcast_ref::<usj_fault::InjectedFault>() {
-        fault.to_string()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
     }
 }
 

@@ -32,7 +32,7 @@ const HOT_PATH_FILES: [&str; 3] = [
     "crates/core/src/parallel.rs",
     "crates/core/src/index.rs",
 ];
-const HOT_PATH_DIRS: [&str; 3] = ["crates/cdf/src/", "crates/qgram/src/", "crates/simd/src/"];
+const HOT_PATH_DIRS: [&str; 2] = ["crates/cdf/src/", "crates/qgram/src/"];
 
 fn is_hot_path(rel_path: &str) -> bool {
     HOT_PATH_FILES.contains(&rel_path) || HOT_PATH_DIRS.iter().any(|d| rel_path.starts_with(d))
@@ -184,9 +184,9 @@ const SAFETY_COMMENT_REACH: usize = 4;
 ///
 /// An `unsafe` block is a claim that some obligation the compiler cannot
 /// check (bounds, feature availability, aliasing) has been discharged by
-/// hand — the comment is where that proof lives, and `usj-simd`'s
-/// scalar==SIMD differential tests only cover the cases the proof
-/// describes. `unsafe fn`/`unsafe impl`/`unsafe trait` declarations are
+/// hand — the comment is where that proof lives, and tests only cover
+/// the cases the proof describes. `crates/*/src` holds no `unsafe`
+/// today; the lint keeps any future block honest. `unsafe fn`/`unsafe impl`/`unsafe trait` declarations are
 /// exempt: they *impose* an obligation rather than discharge one, and the
 /// call site (an `unsafe` block) is where this lint demands the argument.
 pub fn unsafe_safety(files: &[SourceFile]) -> Vec<Diagnostic> {

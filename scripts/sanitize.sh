@@ -3,15 +3,10 @@
 #
 #  * Miri (nightly) interprets the unit tests of the index-arithmetic-heavy
 #    probability kernels — usj-cdf (banded DP over flattened rows),
-#    usj-qgram (equivalent-set construction), usj-editdist (banded /
-#    bit-parallel DPs), usj-simd (whose dispatcher pins itself to the
-#    scalar fallbacks under cfg(miri), so the reference kernels get the
-#    full UB check) — and catches undefined behaviour that no normal
-#    test run can see.
-#  * A forced-scalar leg re-runs the SIMD parity suites and every
-#    SIMD-consuming kernel crate with USJ_NO_SIMD=1, proving the scalar
-#    fallback path stays green on a vector-capable host (the CI `simd`
-#    job runs the same pair of legs).
+#    usj-qgram (equivalent-set construction and the Poisson-binomial
+#    row kernel), usj-editdist (banded / bit-parallel DPs and the affix
+#    scans) — and catches undefined behaviour that no normal test run
+#    can see.
 #  * ThreadSanitizer (nightly, -Zbuild-std) runs the parallel driver's
 #    differential tests and catches data races that the Relaxed-ordering
 #    batch cursor or a future refactor could introduce; the tests also
@@ -87,27 +82,9 @@ run_miri() {
         skip_or_die "miri component unavailable for nightly (Miri not run)"
         return
     fi
-    note "Miri: usj-cdf / usj-qgram / usj-editdist / usj-simd unit tests"
-    if ! cargo +nightly miri test -p usj-cdf -p usj-qgram -p usj-editdist -p usj-simd --lib; then
+    note "Miri: usj-cdf / usj-qgram / usj-editdist unit tests"
+    if ! cargo +nightly miri test -p usj-cdf -p usj-qgram -p usj-editdist --lib; then
         note "FAIL: Miri found a problem"
-        FAILED=1
-    fi
-    note "Miri: usj-simd scalar==dispatch parity suites (dispatch is scalar under Miri)"
-    if ! cargo +nightly miri test -p usj-simd --test parity --test forced_scalar; then
-        note "FAIL: Miri found a problem in the scalar fallbacks"
-        FAILED=1
-    fi
-}
-
-# ---- Forced-scalar leg (no nightly pieces needed) -----------------------
-run_forced_scalar() {
-    note "forced-scalar: USJ_NO_SIMD=1 over the SIMD-consuming kernels"
-    # The differential suites compare dispatch against the scalar
-    # reference; with USJ_NO_SIMD=1 the dispatcher must select scalar on
-    # any host, and every consumer crate must behave identically.
-    if ! USJ_NO_SIMD=1 cargo test -q \
-        -p usj-simd -p usj-qgram -p usj-cdf -p usj-editdist -p usj-core; then
-        note "FAIL: forced-scalar leg failed"
         FAILED=1
     fi
 }
@@ -241,7 +218,6 @@ run_tsan_coord() {
 
 if [ "$ONLY" = "all" ] || [ "$ONLY" = "kernels" ]; then
     run_miri
-    run_forced_scalar
     run_tsan
 fi
 if [ "$ONLY" = "all" ] || [ "$ONLY" = "serve" ]; then
