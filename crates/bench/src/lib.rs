@@ -2,9 +2,8 @@
 //!
 //! Every figure of the paper's §7 has a binary in `src/bin/` that prints
 //! the figure's series as an aligned table and writes a machine-readable
-//! JSON record under `results/`. Kernel timings come from the
-//! `bench_kernels` binary (`usj_core::bench::kernel_suite`), end-to-end
-//! numbers from the repository's `benchmark/` package.
+//! JSON record under `results/`. Timings of the join, its filter stages
+//! and the serving paths come from the repository's `benchmark/` package.
 //!
 //! Common conventions:
 //!

@@ -20,9 +20,7 @@
 //!   `BUSY` and client-side deadline propagation (`--trace-out FILE`
 //!   requests and saves the server-side Chrome trace);
 //! * `usj metrics` — scrape a running `usj serve` instance's Prometheus
-//!   text exposition (`METRICS` on the wire);
-//! * `usj bench` — run the fixed-seed kernel benchmark suite and write a
-//!   schema-stable `BENCH_<label>.json` report.
+//!   text exposition (`METRICS` on the wire).
 //!
 //! The library surface exists so the commands are unit-testable; the
 //! binary in `main.rs` is a thin wrapper.
@@ -32,7 +30,6 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use usj_core::obs::bench::{compare_reports, BenchReport, BenchSpec};
 use usj_core::obs::json::JsonWriter;
 use usj_core::obs::{ChromeTraceRecorder, CollectingRecorder, TraceRecorder};
 use usj_core::{FaultReport, JoinConfig, JoinError, Pipeline, RunOptions};
@@ -138,7 +135,6 @@ USAGE:
   usj coord    --input FILE --shard-addrs H:P,H:P,.. [--k K] [--tau F] [--addr HOST:PORT] [--workers N] [--queue-cap N] [--strict] [--hedge-after-ms MS] [--quarantine-after N] [--quarantine-cooldown-ms MS] [--io-timeout-secs S] [--default-deadline-ms MS] [--retry-after-ms MS]
   usj probe    --addr HOST:PORT --probe STRING [--k K] [--tau F] [--deadline-ms MS] [--retries N] [--trace-out FILE]
   usj metrics  --addr HOST:PORT
-  usj bench    [--label L] [--n N] [--seed S] [--iters N] [--warmup N] [--out FILE] [--baseline FILE]
 ";
 
 /// Runs a command line (without the program name); returns the text to
@@ -163,7 +159,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         "coord" => cmd_coord(&flags),
         "probe" => cmd_probe(&flags),
         "metrics" => cmd_metrics(&flags),
-        "bench" => cmd_bench(&flags),
         "help" | "--help" | "-h" => Ok(USAGE.to_string()),
         other => Err(err(format!("unknown command {other:?}\n\n{USAGE}"))),
     }
@@ -993,66 +988,6 @@ fn cmd_metrics(flags: &Flags) -> Result<String, CliError> {
         .map_err(|e| err(format!("metrics scrape failed: {e}")))
 }
 
-fn cmd_bench(flags: &Flags) -> Result<String, CliError> {
-    flags.assert_known(&["label", "n", "seed", "iters", "warmup", "out", "baseline"])?;
-    let label = flags.get("label").unwrap_or("local");
-    if label.is_empty()
-        || !label
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
-    {
-        return Err(err(format!(
-            "--label must be non-empty [A-Za-z0-9_-], got {label:?}"
-        )));
-    }
-    // Default n matches the experiment harness's DEFAULT_N scale.
-    let n: usize = flags.get_parse("n", 2000)?;
-    if n < 8 {
-        return Err(err("--n must be at least 8"));
-    }
-    let seed: u64 = flags.get_parse("seed", 0x5347_4D4F_4421_0006)?;
-    let iters: u32 = flags.get_parse("iters", 32)?;
-    if iters == 0 {
-        return Err(err("--iters must be at least 1"));
-    }
-    let warmup: u32 = flags.get_parse("warmup", 3)?;
-    let report = usj_core::bench::kernel_suite(label, n, seed, BenchSpec { warmup, iters });
-    let default_out = format!("BENCH_{label}.json");
-    let out_path = flags.get("out").unwrap_or(default_out.as_str());
-    usj_core::durable_atomic_write(
-        std::path::Path::new(out_path),
-        &report.to_json(),
-        "cli.write",
-    )
-    .map_err(|e| err(format!("cannot write {out_path}: {e}")))?;
-    let mut out = String::new();
-    for b in &report.benches {
-        let _ = writeln!(
-            out,
-            "{}: median={}ns mean={}ns min={}ns max={}ns (iters={})",
-            b.name, b.median_ns, b.mean_ns, b.min_ns, b.max_ns, b.iters
-        );
-    }
-    let _ = writeln!(out, "# wrote {out_path} (n={n}, seed={seed:#018x})");
-    if let Some(base_path) = flags.get("baseline") {
-        let base_text = std::fs::read_to_string(base_path)
-            .map_err(|e| err(format!("cannot read {base_path}: {e}")))?;
-        let base = BenchReport::parse(&base_text)
-            .map_err(|e| err(format!("{base_path} is not a bench report: {e}")))?;
-        let mut regressed = false;
-        for line in compare_reports(&base, &report, 0.15) {
-            regressed |= line.regressed;
-            let _ = writeln!(out, "{}", line.rendered);
-        }
-        if regressed {
-            return Err(err(format!(
-                "median regression beyond 15% vs {base_path}:\n{out}"
-            )));
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1618,76 +1553,6 @@ mod tests {
             "{scraped}"
         );
         handle.shutdown();
-    }
-
-    /// `usj bench` writes the schema-stable report; `--baseline` gates on
-    /// the 15% median regression threshold.
-    #[test]
-    fn bench_writes_report_and_gates_on_baseline() {
-        let out_path = tmpfile("BENCH_test.json");
-        let printed = run(&args(&[
-            "bench", "--label", "test", "--n", "16", "--iters", "2", "--warmup", "0", "--out",
-            &out_path,
-        ]))
-        .unwrap();
-        assert!(printed.contains("join_end_to_end: median="), "{printed}");
-        let text = std::fs::read_to_string(&out_path).unwrap();
-        let report = BenchReport::parse(&text).expect("schema-stable report");
-        assert_eq!(report.label, "test");
-        assert_eq!(report.benches.len(), usj_core::bench::BENCH_NAMES.len());
-
-        // A generous baseline passes the gate...
-        let mut base = report.clone();
-        for b in &mut base.benches {
-            b.median_ns = u64::MAX / 2;
-        }
-        let base_path = tmpfile("BENCH_base.json");
-        std::fs::write(&base_path, base.to_json()).unwrap();
-        run(&args(&[
-            "bench",
-            "--label",
-            "test",
-            "--n",
-            "16",
-            "--iters",
-            "2",
-            "--warmup",
-            "0",
-            "--out",
-            &out_path,
-            "--baseline",
-            &base_path,
-        ]))
-        .unwrap();
-        // ...an unmeetable one reports the regression and fails.
-        for b in &mut base.benches {
-            b.median_ns = 1;
-        }
-        std::fs::write(&base_path, base.to_json()).unwrap();
-        let e = run(&args(&[
-            "bench",
-            "--label",
-            "test",
-            "--n",
-            "16",
-            "--iters",
-            "2",
-            "--warmup",
-            "0",
-            "--out",
-            &out_path,
-            "--baseline",
-            &base_path,
-        ]))
-        .unwrap_err();
-        assert!(e.0.contains("median regression"), "{e:?}");
-        assert!(e.0.contains("REGRESSION"), "{e:?}");
-
-        // Flag validation.
-        let e = run(&args(&["bench", "--n", "2"])).unwrap_err();
-        assert!(e.0.contains("--n must be at least 8"), "{e:?}");
-        let e = run(&args(&["bench", "--label", "no/slash"])).unwrap_err();
-        assert!(e.0.contains("--label"), "{e:?}");
     }
 
     /// End-to-end over loopback: `usj serve` (via the non-blocking

@@ -23,8 +23,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::config::JoinConfig;
 use crate::join::SimilarPair;
 use crate::stats::JoinStats;
+use usj_model::UncertainString;
 use usj_obs::Counter;
 
 /// File name of the checkpoint inside its `--checkpoint` directory.
@@ -32,19 +34,14 @@ pub const CHECKPOINT_FILE: &str = "join.ckpt";
 
 const MAGIC: &str = "usj-checkpoint v1";
 
-/// FNV-1a, the same dependency-free hash the tracing layer uses; here it
-/// detects corruption/truncation, not adversaries.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// FNV-1a 64, the same dependency-free hash the tracing layer uses; the
+/// checkpoint and snapshot codecs use it to detect corruption and
+/// truncation, not adversaries.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_fold(FNV_SEED, bytes)
 }
 
-/// Hashes one value into a running FNV-1a fingerprint (little-endian
-/// bytes). Used by the driver to fingerprint config + input.
+/// Hashes `bytes` into a running FNV-1a fingerprint.
 pub(crate) fn fnv1a_fold(h: u64, bytes: &[u8]) -> u64 {
     let mut h = h;
     for &b in bytes {
@@ -54,8 +51,51 @@ pub(crate) fn fnv1a_fold(h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Seed for incremental fingerprinting via [`fnv1a_fold`].
+/// Hashes one value into a running FNV-1a fingerprint (little-endian
+/// bytes).
+pub(crate) fn fold_u64(h: u64, v: u64) -> u64 {
+    fnv1a_fold(h, &v.to_le_bytes())
+}
+
+/// FNV-1a offset basis: the seed of every incremental fingerprint.
 pub(crate) const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds the output-affecting configuration, the alphabet size and the
+/// collection size into a fingerprint. The snapshot fingerprint and the
+/// join driver's run fingerprint both start with this fold.
+pub(crate) fn fold_config(mut h: u64, config: &JoinConfig, sigma: usize, count: usize) -> u64 {
+    h = fold_u64(h, config.k as u64);
+    h = fold_u64(h, config.tau.to_bits());
+    h = fold_u64(h, config.q as u64);
+    h = fnv1a_fold(
+        h,
+        format!(
+            "{:?}/{:?}/{:?}/{:?}",
+            config.policy, config.alpha_mode, config.pipeline, config.verifier
+        )
+        .as_bytes(),
+    );
+    h = fold_u64(h, config.early_stop as u64);
+    h = fold_u64(h, config.max_segment_instances as u64);
+    h = fold_u64(h, config.max_trie_nodes as u64);
+    h = fold_u64(h, sigma as u64);
+    fold_u64(h, count as u64)
+}
+
+/// Folds one input string (its id, length, and every position's
+/// alternatives with their probability bits) into a fingerprint.
+pub(crate) fn fold_string(mut h: u64, id: u32, s: &UncertainString) -> u64 {
+    h = fold_u64(h, id as u64);
+    h = fold_u64(h, s.len() as u64);
+    for pos in s.positions() {
+        h = fold_u64(h, pos.num_alternatives() as u64);
+        for (sym, prob) in pos.alternatives() {
+            h = fold_u64(h, sym as u64);
+            h = fold_u64(h, prob.to_bits());
+        }
+    }
+    h
+}
 
 /// Writes `text` to `path` durably and atomically: a sibling temp file is
 /// written, **fsynced**, renamed over the target, and the parent
@@ -421,6 +461,14 @@ mod tests {
             std::env::temp_dir().join(format!("usj-ckpt-test-{}-{tag}-{n}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// The published FNV-1a 64 test vectors.
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     fn sample() -> Checkpoint {

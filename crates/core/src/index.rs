@@ -1292,34 +1292,33 @@ impl SegmentIndex {
     /// over-cap flags, posting keys and lists with probability bits.
     /// Two indices with equal digests answer every probe identically.
     pub(crate) fn content_digest(&self) -> u64 {
-        use crate::checkpoint::{fnv1a_fold, FNV_SEED};
-        let fold = |h: u64, v: u64| fnv1a_fold(h, &v.to_le_bytes());
+        use crate::checkpoint::{fnv1a_fold, fold_u64, FNV_SEED};
         let mut h = FNV_SEED;
         let entries = self.interner.dump();
-        h = fold(h, entries.len() as u64);
+        h = fold_u64(h, entries.len() as u64);
         for w in &entries {
-            h = fold(h, w.len() as u64);
+            h = fold_u64(h, w.len() as u64);
             h = fnv1a_fold(h, w);
         }
         for len in self.lengths() {
             let li = &self.by_length[&len];
-            h = fold(h, len as u64);
-            h = fold(h, li.ids.len() as u64);
+            h = fold_u64(h, len as u64);
+            h = fold_u64(h, li.ids.len() as u64);
             for &id in &li.ids {
-                h = fold(h, id as u64);
+                h = fold_u64(h, id as u64);
             }
             for &id in &li.incomplete_from {
-                h = fold(h, (id != COMPLETE) as u64);
+                h = fold_u64(h, (id != COMPLETE) as u64);
             }
             for t in &li.inverted {
                 let (keys, lists) = t.lists();
-                h = fold(h, keys.len() as u64);
+                h = fold_u64(h, keys.len() as u64);
                 for (key, list) in keys.iter().zip(&lists) {
-                    h = fold(h, *key as u64);
-                    h = fold(h, list.len() as u64);
+                    h = fold_u64(h, *key as u64);
+                    h = fold_u64(h, list.len() as u64);
                     for &(id, p) in list {
-                        h = fold(h, id as u64);
-                        h = fold(h, p.to_bits());
+                        h = fold_u64(h, id as u64);
+                        h = fold_u64(h, p.to_bits());
                     }
                 }
             }

@@ -29,7 +29,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod checkpoint;
 pub mod collection;
 pub mod config;

@@ -62,7 +62,9 @@ use usj_freq::{FreqFilter, FreqProfile};
 use usj_model::UncertainString;
 use usj_obs::{Counter, Gauge, MergeRecorder, NoopRecorder, Phase, Recorder};
 
-use crate::checkpoint::{fnv1a_fold, Checkpoint, CheckpointError, FNV_SEED};
+use crate::checkpoint::{
+    fold_config, fold_string, fold_u64, Checkpoint, CheckpointError, FNV_SEED,
+};
 use crate::config::JoinConfig;
 use crate::index::{EquivCache, SegmentIndex};
 use crate::join::{JoinResult, SimilarPair};
@@ -734,42 +736,14 @@ fn run_fingerprint(
     strings: &[UncertainString],
     plan: &WavePlan,
 ) -> u64 {
-    fn fold(h: u64, v: u64) -> u64 {
-        fnv1a_fold(h, &v.to_le_bytes())
-    }
-    let mut h = FNV_SEED;
-    h = fold(h, config.k as u64);
-    h = fold(h, config.tau.to_bits());
-    h = fold(h, config.q as u64);
-    h = fnv1a_fold(
-        h,
-        format!(
-            "{:?}/{:?}/{:?}/{:?}",
-            config.policy, config.alpha_mode, config.pipeline, config.verifier
-        )
-        .as_bytes(),
-    );
-    h = fold(h, config.early_stop as u64);
-    h = fold(h, config.max_segment_instances as u64);
-    h = fold(h, config.max_trie_nodes as u64);
-    h = fold(h, sigma as u64);
-    h = fold(h, strings.len() as u64);
+    let mut h = fold_config(FNV_SEED, config, sigma, strings.len());
     for &id in &plan.order {
-        let s = &strings[id as usize];
-        h = fold(h, id as u64);
-        h = fold(h, s.len() as u64);
-        for pos in s.positions() {
-            h = fold(h, pos.num_alternatives() as u64);
-            for (sym, prob) in pos.alternatives() {
-                h = fold(h, sym as u64);
-                h = fold(h, prob.to_bits());
-            }
-        }
+        h = fold_string(h, id, &strings[id as usize]);
     }
-    h = fold(h, plan.waves.len() as u64);
+    h = fold_u64(h, plan.waves.len() as u64);
     for w in &plan.waves {
-        h = fold(h, plan.groups[w.start].1.start as u64);
-        h = fold(h, plan.groups[w.end - 1].1.end as u64);
+        h = fold_u64(h, plan.groups[w.start].1.start as u64);
+        h = fold_u64(h, plan.groups[w.end - 1].1.end as u64);
     }
     h
 }

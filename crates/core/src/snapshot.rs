@@ -59,7 +59,9 @@ use std::time::SystemTime;
 
 use usj_model::{Symbol, UncertainString};
 
-use crate::checkpoint::{durable_atomic_write_full, fnv1a_fold, FNV_SEED};
+use crate::checkpoint::{
+    durable_atomic_write_full, fnv1a, fold_config, fold_string, fold_u64, FNV_SEED,
+};
 use crate::collection::IndexedCollection;
 use crate::config::JoinConfig;
 use crate::index::{BandDump, SegmentIndex};
@@ -160,7 +162,7 @@ pub struct LoadedSnapshot {
     pub report: SnapshotReport,
 }
 
-/// What [`write`] produced.
+/// What [`write()`] produced.
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotWriteReport {
     /// Total image size in bytes.
@@ -184,46 +186,14 @@ pub struct SectionEntry {
     pub check: u64,
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_fold(FNV_SEED, bytes)
-}
-
-fn fold_u64(h: u64, v: u64) -> u64 {
-    fnv1a_fold(h, &v.to_le_bytes())
-}
-
 /// Fingerprint of everything that determines the index a snapshot
 /// stores: the output-affecting configuration, the alphabet size, and
 /// the input collection in id order. Mirrors the join driver's
 /// checkpoint fingerprint minus the wave plan (a snapshot has no waves).
 pub fn fingerprint(config: &JoinConfig, sigma: usize, strings: &[UncertainString]) -> u64 {
-    let mut h = FNV_SEED;
-    h = fold_u64(h, config.k as u64);
-    h = fold_u64(h, config.tau.to_bits());
-    h = fold_u64(h, config.q as u64);
-    h = fnv1a_fold(
-        h,
-        format!(
-            "{:?}/{:?}/{:?}/{:?}",
-            config.policy, config.alpha_mode, config.pipeline, config.verifier
-        )
-        .as_bytes(),
-    );
-    h = fold_u64(h, config.early_stop as u64);
-    h = fold_u64(h, config.max_segment_instances as u64);
-    h = fold_u64(h, config.max_trie_nodes as u64);
-    h = fold_u64(h, sigma as u64);
-    h = fold_u64(h, strings.len() as u64);
-    for (id, s) in strings.iter().enumerate() {
-        h = fold_u64(h, id as u64);
-        h = fold_u64(h, s.len() as u64);
-        for pos in s.positions() {
-            h = fold_u64(h, pos.num_alternatives() as u64);
-            for (sym, prob) in pos.alternatives() {
-                h = fold_u64(h, sym as u64);
-                h = fold_u64(h, prob.to_bits());
-            }
-        }
+    let mut h = fold_config(FNV_SEED, config, sigma, strings.len());
+    for (id, s) in (0u32..).zip(strings) {
+        h = fold_string(h, id, s);
     }
     h
 }

@@ -16,8 +16,8 @@
 //!   possible-world enumeration ([`UncertainString::worlds`]) and sampling;
 //! * a parser/formatter for the paper's textual syntax, e.g.
 //!   `A{(C,0.5),(G,0.5)}A` (see [`UncertainString::parse`]);
-//! * [`rng`] — the seeded generator every randomised generator, benchmark
-//!   and property test in the workspace draws from.
+//! * [`rng`] — the seeded generator every randomised generator and
+//!   property test in the workspace draws from.
 //!
 //! All probabilities are `f64`. Validation utilities live in [`prob`].
 

@@ -1,10 +1,10 @@
 //! The workspace's one seeded pseudo-random generator, plus the random
 //! uncertain strings the property suites and generators draw from it.
 //!
-//! Everything randomised in the repository — the synthetic datasets, the
-//! kernel benchmark inputs, client retry jitter and every property test —
-//! runs on [`Rng`], so a run is reproducible from its seed alone and the
-//! build needs no registry crate.
+//! Everything randomised in the workspace — the synthetic datasets,
+//! client retry jitter and every property test — runs on [`Rng`], so a
+//! run is reproducible from its seed alone and the build needs no
+//! registry crate.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -149,7 +149,7 @@ mod tests {
 
     #[test]
     fn raw_state_stream_is_plain_xorshift64() {
-        // Pinned: the stream that kernel_suite inputs, client jitter and
+        // Pinned: the stream that client jitter, the partition test and
         // the other from_state users were built on.
         let mut rng = Rng::from_state(1);
         assert_eq!(rng.next_u64(), 0x4082_2041);

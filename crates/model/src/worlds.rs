@@ -120,7 +120,7 @@ const SHORT_WORLD_POSITIONS: usize = 16;
 /// Visits every world of `positions` exactly like
 /// [`WorldIter::visit_all`] (same order, same probabilities, same early
 /// stop), but keeps the odometer state on the stack for slices of at
-/// most [`SHORT_WORLD_POSITIONS`] positions. The q-gram filters
+/// most 16 positions (`SHORT_WORLD_POSITIONS`). The q-gram filters
 /// enumerate worlds of 3–4-symbol windows at very high rates, where
 /// [`WorldIter::new`]'s three per-call heap allocations dominate the
 /// walk itself.

@@ -24,9 +24,6 @@
 //! * [`MetricsRegistry`] — a shared atomic counter/gauge/histogram
 //!   registry for long-running processes (`usj-serve`), rendered in
 //!   Prometheus text exposition format.
-//! * [`bench`] — a fixed-seed micro-benchmark harness with a
-//!   schema-stable `BENCH_<label>.json` report and a median-regression
-//!   comparator.
 //! * [`json`] — the workspace's JSON writer and parser.
 //!
 //! Recorders compose: a 2-tuple of recorders is itself a recorder, so
@@ -51,7 +48,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 mod chrome;
 mod collect;
 mod histogram;

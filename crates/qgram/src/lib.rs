@@ -4,7 +4,7 @@
 //! The pipeline implemented here:
 //!
 //! 1. **Partition** the indexed string `S` into `m = max(k+1, ⌊|S|/q⌋)`
-//!    disjoint segments with the even-partition scheme ([`partition`]).
+//!    disjoint segments with the even-partition scheme ([`partition()`]).
 //! 2. **Select** candidate windows of the probe `R` for each segment using
 //!    position-aware substring selection ([`selection`]); both the
 //!    position-based range `[p−k, p+k]` (used by the paper's Table 1) and

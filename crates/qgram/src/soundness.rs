@@ -15,10 +15,10 @@
 //! This module therefore:
 //!
 //! 1. detects which segments *conflict* — their window regions share at
-//!    least one uncertain probe position ([`conflict_regions`]);
+//!    least one uncertain probe position ([`window_region`]);
 //! 2. selects a maximum subfamily `A` of pairwise non-conflicting
 //!    segments by interval scheduling (regions are intervals, so greedy
-//!    by earliest region end is optimal);
+//!    by earliest region end is optimal; [`independent_family`]);
 //! 3. bounds the tail soundly ([`sound_at_least`]) as the minimum of
 //!    * the Poisson-binomial tail over `A` with the requirement reduced
 //!      by the excluded segments (they are assumed to match — events in

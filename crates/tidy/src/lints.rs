@@ -138,7 +138,7 @@ const ORDERING_COMMENT_REACH: usize = 4;
 
 /// `ordering-comment`: every atomic `Ordering::…` use must carry an
 /// `ordering:` justification on the same line or within the preceding
-/// [`ORDERING_COMMENT_REACH`] code lines.
+/// four code lines (`ORDERING_COMMENT_REACH`).
 ///
 /// Memory orderings encode a proof obligation the type system cannot see
 /// (what happens-before edge makes this access sound?). PR 2's
@@ -180,7 +180,7 @@ const SAFETY_COMMENT_REACH: usize = 4;
 
 /// `unsafe-safety`: every `unsafe` block must carry a `safety:`
 /// justification on the same line or within the preceding
-/// [`SAFETY_COMMENT_REACH`] code lines.
+/// four code lines (`SAFETY_COMMENT_REACH`).
 ///
 /// An `unsafe` block is a claim that some obligation the compiler cannot
 /// check (bounds, feature availability, aliasing) has been discharged by
@@ -291,7 +291,7 @@ pub fn socket_timeout(files: &[SourceFile]) -> Vec<Diagnostic> {
 
 /// Crates whose non-test code must not write files with the raw
 /// std APIs: every on-disk artifact they produce (datasets, checkpoints,
-/// snapshots, traces, bench reports) is something a restart reads back,
+/// snapshots, traces) is something a restart reads back,
 /// so a crash mid-write must never leave a torn file in place.
 const DURABLE_WRITE_DIRS: [&str; 3] = ["crates/core/src/", "crates/serve/src/", "crates/cli/src/"];
 
@@ -600,7 +600,7 @@ fn has_try_operator(code: &str) -> bool {
 ///
 /// An unexited span skews `usj_phase_ns_total`, leaves its Chrome trace
 /// event unclosed, and (under the tuple recorders) desynchronises the
-/// span stack for every later phase. The RAII [`usj_obs::PhaseGuard`]
+/// span stack for every later phase. The RAII `usj_obs::PhaseGuard`
 /// closes on every path — code with nontrivial control flow should use it
 /// instead of the raw pair.
 pub fn span_paired(files: &[SourceFile]) -> Vec<Diagnostic> {

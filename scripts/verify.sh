@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full verification gate: lints, build, test, clippy, format.
+# Full verification gate: lints, build, test, clippy, rustdoc, format.
 #
 # Every cargo call that resolves dependencies runs with --offline: the
 # workspace has no registry dependencies, so a reintroduced one fails
@@ -17,4 +17,5 @@ cargo run -q --offline -p usj-tidy
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy --offline --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 cargo fmt --check
