@@ -107,7 +107,7 @@ pub(crate) fn fold_string(mut h: u64, id: u32, s: &UncertainString) -> u64 {
 /// as an `io::Error`; a `Panic` action unwinds with the temp file in
 /// place and the target untouched.
 pub fn durable_atomic_write(path: &Path, text: &str, failpoint: &str) -> io::Result<()> {
-    durable_atomic_write_full(path, text, failpoint, None, None)
+    durable_atomic_write_full(path, text.as_bytes(), failpoint, None, None)
 }
 
 /// The full-fidelity durable write: one failpoint per crash window, in
@@ -119,7 +119,7 @@ pub fn durable_atomic_write(path: &Path, text: &str, failpoint: &str) -> io::Res
 /// persistence suite can kill every window independently.
 pub(crate) fn durable_atomic_write_full(
     path: &Path,
-    text: &str,
+    bytes: &[u8],
     fp_write: &str,
     fp_fsync: Option<&str>,
     fp_rename: Option<&str>,
@@ -141,7 +141,7 @@ pub(crate) fn durable_atomic_write_full(
     };
     let injected = |msg: String| io::Error::other(format!("injected fault: {msg}"));
     let mut file = fs::File::create(&tmp)?;
-    if let Err(e) = file.write_all(text.as_bytes()) {
+    if let Err(e) = file.write_all(bytes) {
         return bail(e, &tmp);
     }
     if let Some(msg) = usj_fault::fire_err(fp_write) {
@@ -618,7 +618,7 @@ mod tests {
         let write = |fp: &str| {
             durable_atomic_write_full(
                 &target,
-                "next\n",
+                "next\n".as_bytes(),
                 "test.win_write",
                 Some("test.win_fsync"),
                 Some("test.win_rename"),

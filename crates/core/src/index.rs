@@ -300,7 +300,17 @@ fn table_bytes<T>(capacity: usize) -> usize {
 }
 
 /// Longest instance [`SegmentInterner`] keeps as a packed integer.
-const PACKED_MAX: usize = 8;
+pub(crate) const PACKED_MAX: usize = 8;
+
+/// One interned instance: a [`pack_instance`] key with its length
+/// (`len ≤ 8` symbols), or the symbols of a longer one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Instance<'a> {
+    /// `(len, key)` of an instance of at most [`PACKED_MAX`] symbols.
+    Packed(usize, u64),
+    /// An instance of more than [`PACKED_MAX`] symbols.
+    Long(&'a [Symbol]),
+}
 
 /// Global intern table for instantiated q-gram segments: segment symbols
 /// → dense `u32` ids, assigned first-seen at index-build time and shared
@@ -331,18 +341,43 @@ pub struct SegmentInterner {
 }
 
 impl SegmentInterner {
+    /// An empty interner whose tables hold `packed[len]` packed instances
+    /// of each length and `long` longer ones without growing. Exact
+    /// capacities give the tables the size that interning as many
+    /// instances one by one grows them to.
+    pub(crate) fn with_capacity(packed: [usize; PACKED_MAX + 1], long: usize) -> Self {
+        SegmentInterner {
+            packed: packed
+                .map(|n| HashMap::with_capacity_and_hasher(n, FastBuildHasher::default())),
+            long: HashMap::with_capacity_and_hasher(long, FastBuildHasher::default()),
+            long_symbols: 0,
+            len: 0,
+        }
+    }
+
     /// The id of `w`, interning it on first sight.
     fn intern(&mut self, w: &[Symbol]) -> u32 {
+        if w.len() <= PACKED_MAX {
+            self.insert(Instance::Packed(w.len(), pack_instance(w)))
+        } else {
+            self.insert(Instance::Long(w))
+        }
+    }
+
+    /// The id of `inst`, interning it on first sight.
+    pub(crate) fn insert(&mut self, inst: Instance<'_>) -> u32 {
         debug_assert!(self.len < u32::MAX as usize, "interner id overflow");
         let next = self.len as u32;
-        let id = if w.len() <= PACKED_MAX {
-            *self.packed[w.len()].entry(pack_instance(w)).or_insert(next)
-        } else if let Some(&id) = self.long.get(w) {
-            id
-        } else {
-            self.long.insert(w.into(), next);
-            self.long_symbols += w.len();
-            next
+        let id = match inst {
+            Instance::Packed(len, key) => *self.packed[len].entry(key).or_insert(next),
+            Instance::Long(w) => match self.long.get(w) {
+                Some(&id) => id,
+                None => {
+                    self.long.insert(w.into(), next);
+                    self.long_symbols += w.len();
+                    next
+                }
+            },
         };
         if id == next {
             self.len += 1;
@@ -370,35 +405,20 @@ impl SegmentInterner {
         self.len
     }
 
-    /// Entries in dense id order (`entry[i]` holds the symbols of id
-    /// `i`): ids are assigned first-seen, so replaying the returned
-    /// sequence through [`SegmentInterner::restore`] reproduces the
-    /// table exactly.
-    pub(crate) fn dump(&self) -> Vec<Vec<Symbol>> {
-        let mut entries = vec![Vec::new(); self.len];
+    /// Entries in dense id order (`entries()[i]` is the instance of id
+    /// `i`): ids are assigned first-seen, so inserting the sequence into
+    /// an empty interner reproduces the table exactly.
+    pub(crate) fn entries(&self) -> Vec<Instance<'_>> {
+        let mut entries = vec![Instance::Packed(0, 0); self.len];
         for (len, table) in self.packed.iter().enumerate() {
             for (&key, &id) in table {
-                entries[id as usize] = (0..len)
-                    .rev()
-                    .map(|shift| (key >> (8 * shift)) as Symbol)
-                    .collect();
+                entries[id as usize] = Instance::Packed(len, key);
             }
         }
         for (w, &id) in &self.long {
-            entries[id as usize] = w.to_vec();
+            entries[id as usize] = Instance::Long(w);
         }
         entries
-    }
-
-    /// Rebuilds an interner from a [`SegmentInterner::dump`] sequence by
-    /// re-interning every entry in order, which reassigns the same dense
-    /// first-seen ids.
-    pub(crate) fn restore(entries: Vec<Vec<Symbol>>) -> SegmentInterner {
-        let mut interner = SegmentInterner::default();
-        for w in &entries {
-            interner.intern(w);
-        }
-        interner
     }
 
     /// `true` when nothing has been interned yet.
@@ -416,9 +436,6 @@ impl SegmentInterner {
         packed + table_bytes::<(Box<[Symbol]>, u32)>(self.long.capacity()) + self.long_symbols
     }
 }
-
-/// Posting list: `(string id, Pr(w = S_i^x))` sorted by id.
-pub type PostingList = Vec<(u32, Prob)>;
 
 /// Per-candidate segment match probabilities, one `α_x` per segment.
 ///
@@ -502,59 +519,51 @@ struct Staged {
 /// ascending string id. Runs are laid out by ascending key, and both the
 /// map and the arrays are sized exactly when the table is built.
 #[derive(Debug, Clone)]
-struct PostingTable {
+pub(crate) struct PostingTable {
     runs: HashMap<u32, Run, FastBuildHasher>,
-    ids: Vec<u32>,
-    probs: Vec<Prob>,
+    /// String ids of every run, run after run.
+    pub(crate) ids: Vec<u32>,
+    /// Probabilities parallel to `ids`.
+    pub(crate) probs: Vec<Prob>,
 }
 
 impl PostingTable {
-    /// An empty table with room for `runs` runs of `postings` postings.
-    fn with_capacity(runs: usize, postings: usize) -> PostingTable {
-        PostingTable {
-            runs: HashMap::with_capacity_and_hasher(runs, FastBuildHasher::default()),
-            ids: Vec::with_capacity(postings),
-            probs: Vec::with_capacity(postings),
-        }
-    }
-
     /// Seals one segment's staged postings: one sort by `(key, id)`, then
     /// each key's postings become one run.
     fn seal(mut staged: Vec<Staged>) -> PostingTable {
         staged.sort_unstable_by_key(|p| u64::from(p.key) << 32 | u64::from(p.id));
-        let runs = staged.chunk_by(|a, b| a.key == b.key);
-        let mut table = PostingTable::with_capacity(runs.clone().count(), staged.len());
-        for run in runs {
+        let (mut keys, mut ends, mut end) = (Vec::new(), Vec::new(), 0);
+        for run in staged.chunk_by(|a, b| a.key == b.key) {
             debug_assert!(
                 run.windows(2).all(|w| w[0].id < w[1].id),
                 "one posting per id"
             );
-            let pushed = table.push_run(run[0].key, run.iter().map(|p| (p.id, p.prob)));
-            debug_assert!(pushed.is_ok());
+            end += run.len() as u32;
+            keys.push(run[0].key);
+            ends.push(end);
         }
-        table
+        let ids = staged.iter().map(|p| p.id).collect();
+        let probs = staged.iter().map(|p| p.prob).collect();
+        PostingTable::from_runs(&keys, &ends, ids, probs)
     }
 
-    /// Appends the run of `key`. Fails on an empty run or a repeated
-    /// key, neither of which a sealed table holds.
-    fn push_run(
-        &mut self,
-        key: u32,
-        postings: impl IntoIterator<Item = (u32, Prob)>,
-    ) -> Result<(), String> {
-        let start = self.ids.len() as u32;
-        for (id, prob) in postings {
-            self.ids.push(id);
-            self.probs.push(prob);
+    /// A table from its run directory — keys ascending, each run ending
+    /// at `ends[i]` and starting where the previous one ends — and its
+    /// posting arrays. The run map is sized exactly and filled in key
+    /// order, so a restored table is laid out as the sealed one was.
+    pub(crate) fn from_runs(
+        keys: &[u32],
+        ends: &[u32],
+        ids: Vec<u32>,
+        probs: Vec<Prob>,
+    ) -> PostingTable {
+        let mut runs = HashMap::with_capacity_and_hasher(keys.len(), FastBuildHasher::default());
+        let mut start = 0;
+        for (&key, &end) in keys.iter().zip(ends) {
+            runs.insert(key, (start, end));
+            start = end;
         }
-        let end = self.ids.len() as u32;
-        if start == end {
-            return Err(format!("key {key} has no postings"));
-        }
-        if self.runs.insert(key, (start, end)).is_some() {
-            return Err(format!("key {key} appears twice"));
-        }
-        Ok(())
+        PostingTable { runs, ids, probs }
     }
 
     /// The run of `key` (empty for an unknown key): ids ascending and
@@ -565,30 +574,12 @@ impl PostingTable {
         (&self.ids[run.clone()], &self.probs[run])
     }
 
-    /// Keys ascending, each with its run as a list: the snapshot and
-    /// digest form of the table.
-    fn lists(&self) -> (Vec<u32>, Vec<PostingList>) {
-        let mut keys: Vec<u32> = self.runs.keys().copied().collect();
-        keys.sort_unstable();
-        let lists = keys
-            .iter()
-            .map(|&key| {
-                let (ids, probs) = self.run(key);
-                ids.iter().copied().zip(probs.iter().copied()).collect()
-            })
-            .collect();
-        (keys, lists)
-    }
-
-    /// Builds a table from [`PostingTable::lists`] output: the lists
-    /// arrive sorted, so each becomes its run as it is read.
-    fn from_lists(keys: Vec<u32>, lists: Vec<PostingList>) -> Result<PostingTable, String> {
-        let total = lists.iter().map(Vec::len).sum();
-        let mut table = PostingTable::with_capacity(keys.len(), total);
-        for (key, list) in keys.into_iter().zip(lists) {
-            table.push_run(key, list)?;
-        }
-        Ok(table)
+    /// Every `(key, run)` by ascending key, which is also layout order:
+    /// the run directory a snapshot stores and the digest walks.
+    pub(crate) fn directory(&self) -> Vec<(u32, Run)> {
+        let mut runs: Vec<(u32, Run)> = self.runs.iter().map(|(&k, &r)| (k, r)).collect();
+        runs.sort_unstable_by_key(|&(key, _)| key);
+        runs
     }
 
     /// Heap bytes: the run map's allocation plus both arrays.
@@ -706,54 +697,44 @@ impl LengthIndex {
             + self.incomplete_from.capacity() * size_of::<u32>()
     }
 
-    /// Serializes everything a band build accumulated. The partition itself
-    /// is excluded — [`LengthIndex::restore`] recomputes it from the
-    /// config, which the snapshot fingerprint pins.
-    pub(crate) fn dump(&self, len: usize) -> BandDump {
-        BandDump {
-            len,
-            ids: self.ids.clone(),
-            incomplete: self
-                .incomplete_from
-                .iter()
-                .map(|&id| id != COMPLETE)
-                .collect(),
-            postings: self.inverted.iter().map(PostingTable::lists).collect(),
-            bytes: self.estimated_bytes(),
-        }
-    }
-
-    /// Reassembles a length index from a [`BandDump`]. Fails when the
-    /// dump's segment count disagrees with the partition the config
-    /// produces — a snapshot written under a different config would do
-    /// that, and must be rejected rather than silently misindexed.
-    pub(crate) fn restore(dump: BandDump, config: &JoinConfig) -> Result<LengthIndex, String> {
-        let mut li = LengthIndex::new(dump.len, config);
-        let m = li.segments.len();
-        if dump.incomplete.len() != m || dump.postings.len() != m {
+    /// A band as a snapshot image stores it: its ids, each segment's
+    /// [`LengthIndex::incomplete_from`] and one posting table per
+    /// segment. The partition is recomputed from the config, which the
+    /// snapshot fingerprint pins; a band whose segment count disagrees
+    /// with it is rejected rather than silently misindexed.
+    pub(crate) fn from_image(
+        len: usize,
+        config: &JoinConfig,
+        ids: Vec<u32>,
+        incomplete_from: Vec<u32>,
+        inverted: Vec<PostingTable>,
+    ) -> Result<LengthIndex, String> {
+        let segments = partition(len, config.q, config.k);
+        if inverted.len() != segments.len() || incomplete_from.len() != segments.len() {
             return Err(format!(
-                "band {}: dump has {} posting tables / {} flags for a {}-segment partition",
-                dump.len,
-                dump.postings.len(),
-                dump.incomplete.len(),
-                m
+                "{} posting tables / {} flags for a {}-segment partition",
+                inverted.len(),
+                incomplete_from.len(),
+                segments.len()
             ));
         }
-        li.ids = dump.ids;
-        // A dump keeps only the flag, so a restored segment counts as
-        // incomplete for every id (searches admit every id anyway).
-        li.incomplete_from = dump
-            .incomplete
-            .iter()
-            .map(|&flag| if flag { 0 } else { COMPLETE })
-            .collect();
-        li.inverted = dump
-            .postings
-            .into_iter()
-            .map(|(keys, lists)| PostingTable::from_lists(keys, lists))
-            .collect::<Result<_, _>>()
-            .map_err(|e| format!("band {}: {e}", dump.len))?;
-        Ok(li)
+        Ok(LengthIndex {
+            segments,
+            inverted,
+            ids,
+            incomplete_from,
+        })
+    }
+
+    /// Per segment, the first id whose postings it lacks (`u32::MAX` if
+    /// none).
+    pub(crate) fn incomplete_from(&self) -> &[u32] {
+        &self.incomplete_from
+    }
+
+    /// One sealed posting table per segment.
+    pub(crate) fn tables(&self) -> &[PostingTable] {
+        &self.inverted
     }
 }
 
@@ -825,24 +806,6 @@ impl BandStage {
         li.ids.shrink_to_fit();
         li
     }
-}
-
-/// Serialized form of one [`LengthIndex`] as carried by a snapshot band
-/// section (see `crate::snapshot`).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct BandDump {
-    /// String length this band indexes.
-    pub len: usize,
-    /// All inserted string ids, ascending.
-    pub ids: Vec<u32>,
-    /// Per-segment over-cap flags.
-    pub incomplete: Vec<bool>,
-    /// Per segment position: `(sorted interned keys, posting list per
-    /// key)`.
-    pub postings: Vec<(Vec<u32>, Vec<PostingList>)>,
-    /// The band's byte estimate at dump time. Informational: a restore
-    /// derives the estimate from the layout it builds.
-    pub bytes: usize,
 }
 
 /// Source of per-index interner salts: [`EquivCache`] windows and sets
@@ -1238,37 +1201,17 @@ impl SegmentIndex {
         self.by_length.values().map(LengthIndex::num_strings).sum()
     }
 
-    /// The interner's entries in dense id order (snapshot writer).
-    pub(crate) fn dump_interner(&self) -> Vec<Vec<Symbol>> {
-        self.interner.dump()
-    }
-
-    /// The dump of one length band, if indexed (snapshot writer).
-    pub(crate) fn dump_band(&self, len: usize) -> Option<BandDump> {
-        self.by_length.get(&len).map(|li| li.dump(len))
-    }
-
-    /// Reassembles an index from snapshot parts. The restored index
+    /// Assembles an index from snapshot parts. The restored index
     /// carries a fresh interner salt (it is a distinct index as far as
     /// window tables are concerned) and a peak-bytes watermark
     /// equal to its current footprint — a cold build without eviction
     /// peaks at full size too, so warm and cold stats agree.
-    pub(crate) fn from_parts(
-        interner_entries: Vec<Vec<Symbol>>,
-        bands: Vec<BandDump>,
-        config: &JoinConfig,
-    ) -> Result<SegmentIndex, String> {
+    pub(crate) fn from_image(interner: SegmentInterner, bands: Vec<(usize, LengthIndex)>) -> Self {
         let mut index = SegmentIndex::new();
-        index.interner = SegmentInterner::restore(interner_entries);
-        for band in bands {
-            let len = band.len;
-            let restored = LengthIndex::restore(band, config)?;
-            if index.by_length.insert(len, restored).is_some() {
-                return Err(format!("band {len} appears twice"));
-            }
-        }
+        index.interner = interner;
+        index.by_length.extend(bands);
         index.peak_bytes = index.estimated_bytes();
-        Ok(index)
+        index
     }
 
     /// Rebuilds one length band from the source strings, resolving
@@ -1294,9 +1237,17 @@ impl SegmentIndex {
     pub(crate) fn content_digest(&self) -> u64 {
         use crate::checkpoint::{fnv1a_fold, fold_u64, FNV_SEED};
         let mut h = FNV_SEED;
-        let entries = self.interner.dump();
+        let entries = self.interner.entries();
         h = fold_u64(h, entries.len() as u64);
-        for w in &entries {
+        for inst in entries {
+            let packed;
+            let w = match inst {
+                Instance::Packed(len, key) => {
+                    packed = key.to_be_bytes();
+                    &packed[8 - len..]
+                }
+                Instance::Long(w) => w,
+            };
             h = fold_u64(h, w.len() as u64);
             h = fnv1a_fold(h, w);
         }
@@ -1311,12 +1262,13 @@ impl SegmentIndex {
                 h = fold_u64(h, (id != COMPLETE) as u64);
             }
             for t in &li.inverted {
-                let (keys, lists) = t.lists();
-                h = fold_u64(h, keys.len() as u64);
-                for (key, list) in keys.iter().zip(&lists) {
-                    h = fold_u64(h, *key as u64);
-                    h = fold_u64(h, list.len() as u64);
-                    for &(id, p) in list {
+                let runs = t.directory();
+                h = fold_u64(h, runs.len() as u64);
+                for (key, (start, end)) in runs {
+                    h = fold_u64(h, key as u64);
+                    h = fold_u64(h, (end - start) as u64);
+                    let run = start as usize..end as usize;
+                    for (&id, &p) in t.ids[run.clone()].iter().zip(&t.probs[run]) {
                         h = fold_u64(h, id as u64);
                         h = fold_u64(h, p.to_bits());
                     }
@@ -1426,11 +1378,11 @@ mod tests {
         let index = build(&vec![dna("AC{(G,0.5),(T,0.5)}TAC"); 20], &config);
         let li = index.length_index(6).unwrap();
         for table in &li.inverted {
-            let (keys, lists) = table.lists();
-            assert!(keys.windows(2).all(|w| w[0] < w[1]));
-            assert_eq!(keys.len(), lists.len());
-            for list in &lists {
-                assert!(list.windows(2).all(|w| w[0].0 < w[1].0));
+            let runs = table.directory();
+            assert!(runs.windows(2).all(|w| w[0].0 < w[1].0));
+            for (_, (start, end)) in runs {
+                let ids = &table.ids[start as usize..end as usize];
+                assert!(ids.windows(2).all(|w| w[0] < w[1]));
             }
         }
         assert_eq!(li.num_strings(), 20);

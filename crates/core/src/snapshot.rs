@@ -1,27 +1,41 @@
 //! Crash-safe persistent index snapshots.
 //!
-//! A snapshot is a sectioned text image of an [`IndexedCollection`]'s
-//! segment inverted index, written durably (write-temp, fsync, atomic
-//! rename, directory fsync — see [`crate::checkpoint`]) so the fleet's
-//! shards can restart warm instead of paying a full rebuild.
+//! A snapshot is an image of an [`IndexedCollection`]'s sealed segment
+//! inverted index, written durably (write-temp, fsync, atomic rename,
+//! directory fsync — see [`crate::checkpoint`]) so the fleet's shards can
+//! restart warm instead of paying a full rebuild. Its sections hold the
+//! index's arrays as they sit in memory, so a load is one read, one
+//! checksum pass, bulk array copies and exactly-sized map inserts, plus
+//! the frequency profiles, which are rebuilt from the source records.
 //!
 //! # On-disk layout
 //!
 //! ```text
-//! usj-snapshot v1
+//! usj-snapshot v2
 //! fingerprint <16 hex>                 config + input fingerprint
 //! body <bytes> sections <n>            section bytes and count
 //! header <16 hex>                      FNV-1a of the three lines above
-//! <section 0> … <section n-1>          concatenated section texts
+//! <section 0> … <section n-1>          concatenated binary sections
 //! footer <n>
 //! section <name> <offset> <len> <16 hex>   one directory row per section
 //! digest <16 hex>                      FNV-1a of the footer rows above
 //! ```
 //!
-//! Sections are `interner` (the shared segment-instance table, in dense
-//! id order) followed by one `band.<len>` per indexed string length.
+//! The header and footer are text; the sections are little-endian
+//! binary with `u32` counts. `interner` is the shared segment-instance
+//! table in dense id order, each entry its length and either its `u64`
+//! [`usj_qgram::pack_instance`] key or, past 8 symbols, its symbol bytes.
+//! Each `band.<len>` is the sealed band as it sits in memory: its string
+//! ids, each segment's `incomplete_from`, then per segment the run
+//! directory (keys ascending, run ends; a run starts where the previous
+//! one ends) and the posting `ids` and `probs` (`f64` bits) arrays.
+//!
 //! Every section carries its own length and FNV checksum in the footer
-//! directory, so damage is localised to the section it hit.
+//! directory, so damage is localised to the section it hit. Decoding
+//! also checks what it copies, so a section that checksums clean but
+//! does not describe a valid band is rebuilt, never trusted. An image of
+//! another format version (such as `usj-snapshot v1`'s text sections) is
+//! not decoded: it falls to the rebuild rung.
 //!
 //! # Recovery ladder
 //!
@@ -43,31 +57,34 @@
 //!    not match the running config/input: the snapshot belongs to a
 //!    different run, and silently rebuilding would mask the operator
 //!    error ([`SnapshotError::FingerprintMismatch`]).
-//! 4. **Full rebuild** — the file is missing, unreadable, or its
-//!    header/footer/interner is damaged: cold build from the source
-//!    records ([`LoadRung::Rebuilt`]).
+//! 4. **Full rebuild** — the file is missing, unreadable, of another
+//!    format version, or its header/footer/interner is damaged: cold
+//!    build from the source records ([`LoadRung::Rebuilt`]).
 //!
 //! Fault injection covers the whole I/O path: `snapshot.write`,
 //! `snapshot.fsync`, and `snapshot.rename` fire inside the durable
 //! write, `snapshot.read` after the image is read back, and
 //! `snapshot.salvage` once per band admitted from disk.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::path::Path;
 use std::time::SystemTime;
 
-use usj_model::{Symbol, UncertainString};
+use usj_model::UncertainString;
 
 use crate::checkpoint::{
     durable_atomic_write_full, fnv1a, fold_config, fold_string, fold_u64, FNV_SEED,
 };
 use crate::collection::IndexedCollection;
 use crate::config::JoinConfig;
-use crate::index::{BandDump, SegmentIndex};
+use crate::index::{
+    Instance, LengthIndex, PostingTable, SegmentIndex, SegmentInterner, PACKED_MAX,
+};
 
 /// First line of every snapshot image.
-pub const SNAPSHOT_MAGIC: &str = "usj-snapshot v1";
+pub const SNAPSHOT_MAGIC: &str = "usj-snapshot v2";
 
 /// Why a snapshot could not be written or must not be loaded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -208,87 +225,251 @@ pub fn collection_digest(coll: &IndexedCollection) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Encoding
+// Section codec
 // ---------------------------------------------------------------------
 
-fn encode_interner(entries: &[Vec<Symbol>]) -> String {
-    let mut out = format!("interner {}\n", entries.len());
-    for w in entries {
-        out.push('w');
-        for &sym in w {
-            out.push(' ');
-            out.push_str(&sym.to_string());
-        }
-        out.push('\n');
-    }
-    out
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn encode_band(dump: &BandDump) -> String {
-    let mut out = format!("band {} segments {}\n", dump.len, dump.postings.len());
-    out.push_str(&format!("ids {}", dump.ids.len()));
-    for &id in &dump.ids {
-        out.push_str(&format!(" {id}"));
-    }
-    out.push('\n');
-    out.push_str("incomplete");
-    for &b in &dump.incomplete {
-        out.push_str(if b { " 1" } else { " 0" });
-    }
-    out.push('\n');
-    out.push_str(&format!("bytes {}\n", dump.bytes));
-    for (x, (keys, lists)) in dump.postings.iter().enumerate() {
-        out.push_str(&format!("seg {x} {}\n", keys.len()));
-        for (key, list) in keys.iter().zip(lists) {
-            out.push_str(&format!("k {key} {}", list.len()));
-            for &(id, p) in list {
-                out.push_str(&format!(" {id}:{:016x}", p.to_bits()));
+fn put_count(out: &mut Vec<u8>, n: usize) {
+    put_u32(out, u32::try_from(n).expect("snapshot counts fit in u32"));
+}
+
+/// The `interner` section: the entry count, then each entry in dense id
+/// order as its length and either its [`pack_instance`] key (at most
+/// [`PACKED_MAX`] symbols) or its symbol bytes.
+///
+/// [`pack_instance`]: usj_qgram::pack_instance
+fn encode_interner(index: &SegmentIndex, out: &mut Vec<u8>) {
+    let entries = index.interner().entries();
+    put_count(out, entries.len());
+    for inst in entries {
+        match inst {
+            Instance::Packed(len, key) => {
+                put_count(out, len);
+                out.extend_from_slice(&key.to_le_bytes());
             }
-            out.push('\n');
+            Instance::Long(w) => {
+                put_count(out, w.len());
+                out.extend_from_slice(w);
+            }
         }
     }
-    out
 }
 
-/// Encodes `coll`'s index as a complete snapshot image.
-pub fn encode(coll: &IndexedCollection) -> String {
+/// A `band.<len>` section: segment and id counts, the ids, each
+/// segment's `incomplete_from`, then per segment its run directory —
+/// run count, keys ascending, run ends — and its posting `ids` and
+/// `probs` (as bits). A run starts where the previous one ends.
+fn encode_band(li: &LengthIndex, out: &mut Vec<u8>) {
+    put_count(out, li.tables().len());
+    put_count(out, li.ids().len());
+    li.ids().iter().for_each(|&id| put_u32(out, id));
+    li.incomplete_from().iter().for_each(|&id| put_u32(out, id));
+    for table in li.tables() {
+        let runs = table.directory();
+        put_count(out, runs.len());
+        runs.iter().for_each(|&(key, _)| put_u32(out, key));
+        runs.iter().for_each(|&(_, (_, end))| put_u32(out, end));
+        table.ids.iter().for_each(|&id| put_u32(out, id));
+        for p in &table.probs {
+            out.extend_from_slice(&p.to_bits().to_le_bytes());
+        }
+    }
+}
+
+/// A bounds-checked little-endian cursor over one section.
+#[derive(Clone, Copy)]
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        let short = || format!("section ends {} bytes short", n - self.0.len());
+        let head = self.0.get(..n).ok_or_else(short)?;
+        self.0 = &self.0[n..];
+        Ok(head)
+    }
+
+    /// The next `N` bytes.
+    fn word<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        let mut word = [0u8; N];
+        word.copy_from_slice(self.take(N)?);
+        Ok(word)
+    }
+
+    fn count(&mut self) -> Result<usize, String> {
+        Ok(u32::from_le_bytes(self.word()?) as usize)
+    }
+
+    /// `n` values of `N` bytes each, each decoded by `f`.
+    fn array<const N: usize, T>(
+        &mut self,
+        n: usize,
+        f: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, String> {
+        let bytes = self.take(n.checked_mul(N).ok_or("array length overflows")?)?;
+        let word = |b: &[u8]| {
+            let mut word = [0u8; N];
+            word.copy_from_slice(b);
+            f(word)
+        };
+        Ok(bytes.chunks_exact(N).map(word).collect())
+    }
+
+    fn instance(&mut self) -> Result<Instance<'a>, String> {
+        let len = self.count()?;
+        if len > PACKED_MAX {
+            return Ok(Instance::Long(self.take(len)?));
+        }
+        let key = u64::from_le_bytes(self.word()?);
+        if len < PACKED_MAX && key >> (8 * len) != 0 {
+            return Err(format!("key {key:x} is wider than {len} symbols"));
+        }
+        Ok(Instance::Packed(len, key))
+    }
+
+    fn finish(self) -> Result<(), String> {
+        match self.0.len() {
+            0 => Ok(()),
+            n => Err(format!("{n} trailing bytes")),
+        }
+    }
+}
+
+/// Restores the interner: one pass checks the entries and counts them
+/// per table, a second inserts them into exactly-sized tables.
+fn decode_interner(bytes: &[u8]) -> Result<SegmentInterner, String> {
+    let mut r = Reader(bytes);
+    let n = r.count()?;
+    let entries = r;
+    let (mut packed, mut long) = ([0usize; PACKED_MAX + 1], 0usize);
+    for _ in 0..n {
+        match r.instance()? {
+            Instance::Packed(len, _) => packed[len] += 1,
+            Instance::Long(_) => long += 1,
+        }
+    }
+    r.finish()?;
+    let mut interner = SegmentInterner::with_capacity(packed, long);
+    let mut r = entries;
+    for id in 0..n {
+        if interner.insert(r.instance()?) as usize != id {
+            return Err(format!("interner entry {id} repeats an earlier one"));
+        }
+    }
+    Ok(interner)
+}
+
+/// Restores band `len`, checking everything it copies: the ids must be
+/// `members` (the band's source records), and each segment's run
+/// directory must hold non-empty runs with keys ascending below
+/// `interner_len` and ids ascending within a run and within the band.
+fn decode_band(
+    bytes: &[u8],
+    len: usize,
+    members: &[u32],
+    interner_len: usize,
+    config: &JoinConfig,
+) -> Result<LengthIndex, String> {
+    let mut r = Reader(bytes);
+    let m = r.count()?;
+    let n = r.count()?;
+    let ids = r.array(n, u32::from_le_bytes)?;
+    if ids != members {
+        return Err("ids differ from the band's source records".to_string());
+    }
+    let incomplete_from = r.array(m, u32::from_le_bytes)?;
+    let last_id = ids.last().copied().unwrap_or(0);
+    let mut tables = Vec::with_capacity(m);
+    for x in 0..m {
+        let runs = r.count()?;
+        let keys = r.array(runs, u32::from_le_bytes)?;
+        let ends = r.array(runs, u32::from_le_bytes)?;
+        if !keys.windows(2).all(|w| w[0] < w[1])
+            || keys.last().is_some_and(|&key| key as usize >= interner_len)
+        {
+            return Err(format!(
+                "segment {x}: keys not ascending below {interner_len}"
+            ));
+        }
+        let postings = ends.last().copied().unwrap_or(0) as usize;
+        let table_ids = r.array(postings, u32::from_le_bytes)?;
+        let mut start = 0;
+        for &end in &ends {
+            let run = table_ids
+                .get(start as usize..end as usize)
+                .unwrap_or_default();
+            if run.is_empty()
+                || !run.windows(2).all(|w| w[0] < w[1])
+                || run.last().is_some_and(|&id| id > last_id)
+            {
+                return Err(format!("segment {x}: malformed run ending at {end}"));
+            }
+            start = end;
+        }
+        let probs = r.array(postings, |b| f64::from_bits(u64::from_le_bytes(b)))?;
+        tables.push(PostingTable::from_runs(&keys, &ends, table_ids, probs));
+    }
+    r.finish()?;
+    LengthIndex::from_image(len, config, ids, incomplete_from, tables)
+}
+
+/// The footer directory of `sections`, laid out back to back from
+/// `offset` on.
+fn footer(sections: &[(String, &[u8])], mut offset: usize) -> String {
+    let mut footer = format!("footer {}\n", sections.len());
+    for (name, bytes) in sections {
+        footer.push_str(&format!(
+            "section {name} {offset} {} {:016x}\n",
+            bytes.len(),
+            fnv1a(bytes)
+        ));
+        offset += bytes.len();
+    }
+    footer.push_str(&format!("digest {:016x}\n", fnv1a(footer.as_bytes())));
+    footer
+}
+
+/// `coll`'s complete snapshot image and what [`write()`] reports of it.
+fn image(coll: &IndexedCollection) -> (Vec<u8>, SnapshotWriteReport) {
     let index = coll.index();
     let fp = fingerprint(coll.config(), coll.sigma(), coll.strings());
-    let mut sections: Vec<(String, String)> = Vec::new();
-    sections.push((
-        "interner".to_string(),
-        encode_interner(&index.dump_interner()),
-    ));
+    let mut body = Vec::new();
+    encode_interner(index, &mut body);
+    let mut cuts = vec![("interner".to_string(), body.len())];
     for len in index.lengths() {
-        let dump = index.dump_band(len).expect("listed length must be indexed");
-        sections.push((format!("band.{len}"), encode_band(&dump)));
+        let li = index.length_index(len).expect("listed length is indexed");
+        encode_band(li, &mut body);
+        cuts.push((format!("band.{len}"), body.len()));
     }
-    let body_len: usize = sections.iter().map(|(_, text)| text.len()).sum();
+    let mut start = 0;
+    let sections: Vec<(String, &[u8])> = cuts
+        .into_iter()
+        .map(|(name, end)| {
+            let section = (name, &body[start..end]);
+            start = end;
+            section
+        })
+        .collect();
     let mut header = format!(
-        "{SNAPSHOT_MAGIC}\nfingerprint {fp:016x}\nbody {body_len} sections {}\n",
+        "{SNAPSHOT_MAGIC}\nfingerprint {fp:016x}\nbody {} sections {}\n",
+        body.len(),
         sections.len()
     );
     let hdigest = fnv1a(header.as_bytes());
     header.push_str(&format!("header {hdigest:016x}\n"));
-
-    let mut footer = format!("footer {}\n", sections.len());
-    let mut offset = header.len();
-    for (name, text) in &sections {
-        footer.push_str(&format!(
-            "section {name} {offset} {} {:016x}\n",
-            text.len(),
-            fnv1a(text.as_bytes())
-        ));
-        offset += text.len();
-    }
-    footer.push_str(&format!("digest {:016x}\n", fnv1a(footer.as_bytes())));
-
-    let mut out = header;
-    for (_, text) in &sections {
-        out.push_str(text);
-    }
-    out.push_str(&footer);
-    out
+    let footer = footer(&sections, header.len());
+    let mut out = Vec::with_capacity(header.len() + body.len() + footer.len());
+    out.extend_from_slice(header.as_bytes());
+    out.extend_from_slice(&body);
+    out.extend_from_slice(footer.as_bytes());
+    let report = SnapshotWriteReport {
+        bytes: out.len(),
+        sections: sections.len(),
+        fingerprint: fp,
+    };
+    (out, report)
 }
 
 /// Writes `coll`'s index snapshot to `path` durably: write-temp, fsync,
@@ -297,33 +478,42 @@ pub fn encode(coll: &IndexedCollection) -> String {
 /// way. A crash at any point leaves either the old snapshot or the new
 /// one — never a torn mix.
 pub fn write(path: &Path, coll: &IndexedCollection) -> Result<SnapshotWriteReport, SnapshotError> {
-    let text = encode(coll);
-    let sections = 1 + coll.index().lengths().len();
-    let fp = fingerprint(coll.config(), coll.sigma(), coll.strings());
+    let (bytes, report) = image(coll);
     durable_atomic_write_full(
         path,
-        &text,
+        &bytes,
         "snapshot.write",
         Some("snapshot.fsync"),
         Some("snapshot.rename"),
     )
     .map_err(|e| SnapshotError::Io(e.to_string()))?;
-    Ok(SnapshotWriteReport {
-        bytes: text.len(),
-        sections,
-        fingerprint: fp,
-    })
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------
-// Decoding
+// Framing
 // ---------------------------------------------------------------------
 
 struct Header {
+    /// The magic line: [`SNAPSHOT_MAGIC`] for an image this build reads.
+    version: String,
     fingerprint: u64,
-    body: usize,
     sections: usize,
-    len: usize,
+    /// Byte offset of the footer: the header's length plus the body's.
+    footer: usize,
+}
+
+impl Header {
+    /// Refuses an image of another format version.
+    fn check_version(&self) -> Result<(), String> {
+        if self.version == SNAPSHOT_MAGIC {
+            return Ok(());
+        }
+        Err(format!(
+            "unsupported snapshot version {:?} (this build reads {SNAPSHOT_MAGIC:?})",
+            self.version
+        ))
+    }
 }
 
 fn parse_hex(s: &str) -> Result<u64, String> {
@@ -347,9 +537,6 @@ fn parse_header(bytes: &[u8]) -> Result<Header, String> {
     let text = |range: (usize, usize)| -> Result<&str, String> {
         std::str::from_utf8(&bytes[range.0..range.1]).map_err(|_| "non-utf8 header".to_string())
     };
-    if text(lines[0])? != SNAPSHOT_MAGIC {
-        return Err(format!("bad magic {:?}", text(lines[0])?));
-    }
     let fp = text(lines[1])?
         .strip_prefix("fingerprint ")
         .ok_or("missing fingerprint line")?;
@@ -375,10 +562,10 @@ fn parse_header(bytes: &[u8]) -> Result<Header, String> {
         ));
     }
     Ok(Header {
+        version: text(lines[0])?.to_string(),
         fingerprint,
-        body,
         sections,
-        len: pos,
+        footer: pos.checked_add(body).ok_or("body length overflows")?,
     })
 }
 
@@ -451,162 +638,7 @@ fn parse_footer(bytes: &[u8], offset: usize, sections: usize) -> Result<Vec<Sect
 /// boundaries.
 pub fn section_directory(bytes: &[u8]) -> Result<Vec<SectionEntry>, String> {
     let header = parse_header(bytes)?;
-    parse_footer(bytes, header.len + header.body, header.sections)
-}
-
-fn decode_interner(text: &str) -> Result<Vec<Vec<Symbol>>, String> {
-    let mut lines = text.lines();
-    let head = lines.next().ok_or("empty interner section")?;
-    let n: usize = head
-        .strip_prefix("interner ")
-        .ok_or("missing interner line")?
-        .parse()
-        .map_err(|e| format!("bad interner count: {e}"))?;
-    let mut entries = Vec::with_capacity(n);
-    for i in 0..n {
-        let line = lines
-            .next()
-            .ok_or_else(|| format!("interner entry {i} missing"))?;
-        let rest = line
-            .strip_prefix("w")
-            .ok_or_else(|| format!("interner entry {i}: malformed {line:?}"))?;
-        let syms: Result<Vec<Symbol>, _> = rest
-            .split_whitespace()
-            .map(|t| t.parse::<Symbol>())
-            .collect();
-        entries.push(syms.map_err(|e| format!("interner entry {i}: {e}"))?);
-    }
-    if lines.next().is_some() {
-        return Err("trailing data after interner entries".to_string());
-    }
-    Ok(entries)
-}
-
-fn decode_band(text: &str, expected_len: usize) -> Result<BandDump, String> {
-    let ctx = |msg: String| format!("band {expected_len}: {msg}");
-    let mut lines = text.lines();
-    let head = lines.next().ok_or_else(|| ctx("empty section".into()))?;
-    let mut it = head.split_whitespace();
-    let (len, m) = match (it.next(), it.next(), it.next(), it.next(), it.next()) {
-        (Some("band"), Some(l), Some("segments"), Some(m), None) => (
-            l.parse::<usize>()
-                .map_err(|e| ctx(format!("bad length: {e}")))?,
-            m.parse::<usize>()
-                .map_err(|e| ctx(format!("bad segment count: {e}")))?,
-        ),
-        _ => return Err(ctx(format!("malformed band line {head:?}"))),
-    };
-    if len != expected_len {
-        return Err(ctx(format!("section names length {len}")));
-    }
-    let ids_line = lines.next().ok_or_else(|| ctx("missing ids line".into()))?;
-    let mut it = ids_line.split_whitespace();
-    if it.next() != Some("ids") {
-        return Err(ctx(format!("malformed ids line {ids_line:?}")));
-    }
-    let count: usize = it
-        .next()
-        .ok_or_else(|| ctx("missing id count".into()))?
-        .parse()
-        .map_err(|e| ctx(format!("bad id count: {e}")))?;
-    let ids: Result<Vec<u32>, _> = it.map(|t| t.parse::<u32>()).collect();
-    let ids = ids.map_err(|e| ctx(format!("bad id: {e}")))?;
-    if ids.len() != count {
-        return Err(ctx(format!(
-            "ids line lists {} ids, declared {count}",
-            ids.len()
-        )));
-    }
-    let inc_line = lines
-        .next()
-        .ok_or_else(|| ctx("missing incomplete line".into()))?;
-    let rest = inc_line
-        .strip_prefix("incomplete")
-        .ok_or_else(|| ctx(format!("malformed incomplete line {inc_line:?}")))?;
-    let incomplete: Result<Vec<bool>, String> = rest
-        .split_whitespace()
-        .map(|t| match t {
-            "0" => Ok(false),
-            "1" => Ok(true),
-            other => Err(ctx(format!("bad flag {other:?}"))),
-        })
-        .collect();
-    let incomplete = incomplete?;
-    if incomplete.len() != m {
-        return Err(ctx(format!("{} flags for {m} segments", incomplete.len())));
-    }
-    let bytes_line = lines
-        .next()
-        .ok_or_else(|| ctx("missing bytes line".into()))?;
-    let bytes: usize = bytes_line
-        .strip_prefix("bytes ")
-        .ok_or_else(|| ctx(format!("malformed bytes line {bytes_line:?}")))?
-        .parse()
-        .map_err(|e| ctx(format!("bad byte estimate: {e}")))?;
-    let mut postings = Vec::with_capacity(m);
-    for x in 0..m {
-        let seg_line = lines
-            .next()
-            .ok_or_else(|| ctx(format!("missing seg {x}")))?;
-        let mut it = seg_line.split_whitespace();
-        let nkeys = match (it.next(), it.next(), it.next(), it.next()) {
-            (Some("seg"), Some(sx), Some(n), None) if sx == x.to_string() => n
-                .parse::<usize>()
-                .map_err(|e| ctx(format!("seg {x}: bad key count: {e}")))?,
-            _ => return Err(ctx(format!("malformed seg line {seg_line:?}"))),
-        };
-        let mut keys = Vec::with_capacity(nkeys);
-        let mut lists = Vec::with_capacity(nkeys);
-        for _ in 0..nkeys {
-            let line = lines
-                .next()
-                .ok_or_else(|| ctx(format!("seg {x}: missing key row")))?;
-            let mut it = line.split_whitespace();
-            if it.next() != Some("k") {
-                return Err(ctx(format!("seg {x}: malformed key row {line:?}")));
-            }
-            let key: u32 = it
-                .next()
-                .ok_or_else(|| ctx(format!("seg {x}: missing key")))?
-                .parse()
-                .map_err(|e| ctx(format!("seg {x}: bad key: {e}")))?;
-            let np: usize = it
-                .next()
-                .ok_or_else(|| ctx(format!("seg {x}: missing posting count")))?
-                .parse()
-                .map_err(|e| ctx(format!("seg {x}: bad posting count: {e}")))?;
-            let mut list = Vec::with_capacity(np);
-            for tok in it {
-                let (id, p) = tok
-                    .split_once(':')
-                    .ok_or_else(|| ctx(format!("seg {x}: malformed posting {tok:?}")))?;
-                let id: u32 = id
-                    .parse()
-                    .map_err(|e| ctx(format!("seg {x}: bad id: {e}")))?;
-                let bits = parse_hex(p).map_err(|e| ctx(format!("seg {x}: {e}")))?;
-                list.push((id, f64::from_bits(bits)));
-            }
-            if list.len() != np {
-                return Err(ctx(format!(
-                    "seg {x}: key {key} lists {} postings, declared {np}",
-                    list.len()
-                )));
-            }
-            keys.push(key);
-            lists.push(list);
-        }
-        postings.push((keys, lists));
-    }
-    if lines.next().is_some() {
-        return Err(ctx("trailing data after posting tables".into()));
-    }
-    Ok(BandDump {
-        len,
-        ids,
-        incomplete,
-        postings,
-        bytes,
-    })
+    parse_footer(bytes, header.footer, header.sections)
 }
 
 // ---------------------------------------------------------------------
@@ -658,7 +690,15 @@ pub fn verify(path: &Path) -> Result<VerifyReport, SnapshotError> {
             })
         }
     };
-    let entries = match parse_footer(&bytes, header.len + header.body, header.sections) {
+    if let Err(e) = header.check_version() {
+        return Ok(VerifyReport {
+            fingerprint: header.fingerprint,
+            sections: Vec::new(),
+            ok: false,
+            diagnosis: e,
+        });
+    }
+    let entries = match parse_footer(&bytes, header.footer, header.sections) {
         Ok(entries) => entries,
         Err(e) => {
             return Ok(VerifyReport {
@@ -706,71 +746,48 @@ fn section_bytes<'a>(bytes: &'a [u8], entry: &SectionEntry) -> Option<&'a [u8]> 
 // Load (the recovery ladder)
 // ---------------------------------------------------------------------
 
-enum Attempt {
-    /// Rungs 1–2: use the snapshot (possibly with band repairs).
-    Warm {
-        interner: Vec<Vec<Symbol>>,
-        admitted: Vec<BandDump>,
-        repair: Vec<usize>,
-        degraded: Vec<usize>,
-        corruptions: u64,
-        salvage_failures: usize,
-        reason: String,
-    },
+/// Why [`attempt`] could not serve the load from the image.
+enum Fallback {
     /// Rung 3: refuse — the snapshot belongs to a different run.
     Refuse { snapshot: u64 },
     /// Rung 4: cold rebuild.
     Cold { reason: String, corruptions: u64 },
 }
 
-fn attempt(path: &Path, run_fp: u64, expected_lens: &[usize], mode: SalvageMode) -> Attempt {
-    let bytes = match fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Attempt::Cold {
-                reason: "snapshot missing".to_string(),
-                corruptions: 0,
-            }
-        }
-        Err(e) => {
-            return Attempt::Cold {
-                reason: format!("snapshot unreadable: {e}"),
-                corruptions: 0,
-            }
-        }
+/// Rungs 1–2: the index read from the image, the bands still to rebuild
+/// from source records, and the load report.
+type Warm = (SegmentIndex, Vec<usize>, SnapshotReport);
+
+/// Walks the ladder as far as the image at `path` allows. `bands` maps
+/// each length the collection needs to the ids of its source records.
+fn attempt(
+    path: &Path,
+    run_fp: u64,
+    bands: &BTreeMap<usize, Vec<u32>>,
+    config: &JoinConfig,
+    mode: SalvageMode,
+) -> Result<Warm, Fallback> {
+    let cold = |reason: String, corruptions: u64| Fallback::Cold {
+        reason,
+        corruptions,
     };
+    let bytes = fs::read(path).map_err(|e| match e.kind() {
+        std::io::ErrorKind::NotFound => cold("snapshot missing".to_string(), 0),
+        _ => cold(format!("snapshot unreadable: {e}"), 0),
+    })?;
     if let Some(msg) = usj_fault::fire_err("snapshot.read") {
-        return Attempt::Cold {
-            reason: format!("injected read fault: {msg}"),
-            corruptions: 0,
-        };
+        return Err(cold(format!("injected read fault: {msg}"), 0));
     }
-    let header = match parse_header(&bytes) {
-        Ok(h) => h,
-        Err(e) => {
-            return Attempt::Cold {
-                reason: format!("corrupt header: {e}"),
-                corruptions: 1,
-            }
-        }
-    };
+    let header = parse_header(&bytes).map_err(|e| cold(format!("corrupt header: {e}"), 1))?;
+    header.check_version().map_err(|reason| cold(reason, 0))?;
     if header.fingerprint != run_fp {
-        return Attempt::Refuse {
+        return Err(Fallback::Refuse {
             snapshot: header.fingerprint,
-        };
+        });
     }
-    let entries = match parse_footer(&bytes, header.len + header.body, header.sections) {
-        Ok(entries) => entries,
-        Err(e) => {
-            return Attempt::Cold {
-                reason: format!("corrupt footer: {e}"),
-                corruptions: 1,
-            }
-        }
-    };
-    let mut corruptions = 0u64;
-    let mut reasons: Vec<String> = Vec::new();
-    let verified_text = |name: &str| -> Result<&str, String> {
+    let entries = parse_footer(&bytes, header.footer, header.sections)
+        .map_err(|e| cold(format!("corrupt footer: {e}"), 1))?;
+    let verified = |name: &str| -> Result<&[u8], String> {
         let entry = entries
             .iter()
             .find(|e| e.name == name)
@@ -780,61 +797,60 @@ fn attempt(path: &Path, run_fp: u64, expected_lens: &[usize], mode: SalvageMode)
         if fnv1a(slice) != entry.check {
             return Err(format!("{name} section checksum mismatch"));
         }
-        std::str::from_utf8(slice).map_err(|_| format!("{name} section is not utf-8"))
+        Ok(slice)
     };
-    let interner = match verified_text("interner").and_then(decode_interner) {
-        Ok(entries) => entries,
-        Err(e) => {
-            // Without the interner no posting key in any band means
-            // anything — the whole snapshot is unusable.
-            return Attempt::Cold {
-                reason: format!("interner unusable: {e}"),
-                corruptions: corruptions + 1,
-            };
-        }
-    };
-    let mut intact: Vec<BandDump> = Vec::new();
+    // Without the interner no posting key in any band means anything —
+    // the whole snapshot is unusable.
+    let interner = verified("interner")
+        .and_then(decode_interner)
+        .map_err(|e| cold(format!("interner unusable: {e}"), 1))?;
+    let mut corruptions = 0u64;
+    let mut reasons: Vec<String> = Vec::new();
+    let mut admitted = Vec::with_capacity(bands.len());
     let mut repair: Vec<usize> = Vec::new();
-    for &len in expected_lens {
-        match verified_text(&format!("band.{len}")).and_then(|text| decode_band(text, len)) {
-            Ok(dump) => intact.push(dump),
+    let mut degraded = Vec::new();
+    for (&len, members) in bands {
+        let decoded = verified(&format!("band.{len}"))
+            .and_then(|b| decode_band(b, len, members, interner.len(), config));
+        match decoded {
+            Ok(li) => match usj_fault::fire_err("snapshot.salvage") {
+                None => admitted.push((len, li)),
+                Some(msg) => {
+                    reasons.push(format!("band {len} failed salvage: {msg}"));
+                    match mode {
+                        SalvageMode::Strict => repair.push(len),
+                        SalvageMode::Degraded => degraded.push(len),
+                    }
+                }
+            },
             Err(e) => {
                 corruptions += 1;
-                reasons.push(e);
+                reasons.push(format!("band {len}: {e}"));
                 repair.push(len);
             }
         }
     }
-    let mut admitted = Vec::with_capacity(intact.len());
-    let mut degraded = Vec::new();
-    let mut salvage_failures = 0usize;
-    for dump in intact {
-        if let Some(msg) = usj_fault::fire_err("snapshot.salvage") {
-            salvage_failures += 1;
-            reasons.push(format!("band {} failed salvage: {msg}", dump.len));
-            match mode {
-                SalvageMode::Strict => repair.push(dump.len),
-                SalvageMode::Degraded => degraded.push(dump.len),
-            }
-            continue;
-        }
-        admitted.push(dump);
-    }
-    repair.sort_unstable();
-    degraded.sort_unstable();
-    Attempt::Warm {
-        interner,
-        admitted,
-        repair,
-        degraded,
-        corruptions,
-        salvage_failures,
-        reason: if reasons.is_empty() {
+    let clean = reasons.is_empty();
+    let report = SnapshotReport {
+        rung: if clean {
+            LoadRung::Verified
+        } else {
+            LoadRung::Salvaged
+        },
+        warm: true,
+        bands_total: bands.len(),
+        bands_salvaged: if clean { 0 } else { admitted.len() },
+        bands_rebuilt: repair.len(),
+        corruptions_detected: corruptions,
+        degraded_bands: degraded,
+        age_seconds: snapshot_age(path),
+        reason: if clean {
             "verified".to_string()
         } else {
             reasons.join("; ")
         },
-    }
+    };
+    Ok((SegmentIndex::from_image(interner, admitted), repair, report))
 }
 
 fn snapshot_age(path: &Path) -> Option<u64> {
@@ -863,84 +879,41 @@ pub fn load(
     mode: SalvageMode,
 ) -> Result<LoadedSnapshot, SnapshotError> {
     let run_fp = fingerprint(config, sigma, &strings);
-    let mut lens: Vec<usize> = strings.iter().map(|s| s.len()).collect();
-    lens.sort_unstable();
-    lens.dedup();
-    let age = snapshot_age(path);
-    let cold = |reason: String, corruptions: u64, strings: Vec<UncertainString>| LoadedSnapshot {
-        collection: IndexedCollection::build(config.clone(), sigma, strings),
-        report: SnapshotReport {
-            rung: LoadRung::Rebuilt,
-            warm: false,
-            bands_total: lens.len(),
-            bands_salvaged: 0,
-            bands_rebuilt: lens.len(),
-            corruptions_detected: corruptions,
-            degraded_bands: Vec::new(),
-            age_seconds: None,
-            reason,
-        },
-    };
-    match attempt(path, run_fp, &lens, mode) {
-        Attempt::Refuse { snapshot } => Err(SnapshotError::FingerprintMismatch {
+    let mut bands: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
+    for (id, s) in (0u32..).zip(&strings) {
+        bands.entry(s.len()).or_default().push(id);
+    }
+    match attempt(path, run_fp, &bands, config, mode) {
+        Ok((mut index, repair, report)) => {
+            for &len in &repair {
+                index.rebuild_band(len, &strings, config);
+            }
+            Ok(LoadedSnapshot {
+                collection: IndexedCollection::from_restored(config.clone(), sigma, strings, index),
+                report,
+            })
+        }
+        Err(Fallback::Refuse { snapshot }) => Err(SnapshotError::FingerprintMismatch {
             snapshot,
             run: run_fp,
         }),
-        Attempt::Cold {
+        Err(Fallback::Cold {
             reason,
             corruptions,
-        } => Ok(cold(reason, corruptions, strings)),
-        Attempt::Warm {
-            interner,
-            admitted,
-            repair,
-            degraded,
-            corruptions,
-            salvage_failures,
-            reason,
-        } => {
-            let salvaged = admitted.len();
-            let index = match SegmentIndex::from_parts(interner, admitted, config) {
-                Ok(index) => index,
-                Err(e) => {
-                    // Defensive: a dump that checksummed clean but cannot
-                    // reassemble (config/partition drift the fingerprint
-                    // failed to catch) falls to the bottom rung.
-                    return Ok(cold(
-                        format!("snapshot unassemblable: {e}"),
-                        corruptions + 1,
-                        strings,
-                    ));
-                }
-            };
-            let mut index = index;
-            let mut rebuilt = 0usize;
-            for &len in &repair {
-                index.rebuild_band(len, &strings, config);
-                rebuilt += 1;
-            }
-            let clean = corruptions == 0 && salvage_failures == 0 && repair.is_empty();
-            let collection =
-                IndexedCollection::from_restored(config.clone(), sigma, strings, index);
-            Ok(LoadedSnapshot {
-                collection,
-                report: SnapshotReport {
-                    rung: if clean {
-                        LoadRung::Verified
-                    } else {
-                        LoadRung::Salvaged
-                    },
-                    warm: true,
-                    bands_total: lens.len(),
-                    bands_salvaged: if clean { 0 } else { salvaged },
-                    bands_rebuilt: rebuilt,
-                    corruptions_detected: corruptions,
-                    degraded_bands: degraded,
-                    age_seconds: age,
-                    reason,
-                },
-            })
-        }
+        }) => Ok(LoadedSnapshot {
+            collection: IndexedCollection::build(config.clone(), sigma, strings),
+            report: SnapshotReport {
+                rung: LoadRung::Rebuilt,
+                warm: false,
+                bands_total: bands.len(),
+                bands_salvaged: 0,
+                bands_rebuilt: bands.len(),
+                corruptions_detected: corruptions,
+                degraded_bands: Vec::new(),
+                age_seconds: None,
+                reason,
+            },
+        }),
     }
 }
 
@@ -995,6 +968,8 @@ mod tests {
             collection_digest(&loaded.collection),
             collection_digest(&cold)
         );
+        // Tables restored at exact capacity match the cold build's.
+        assert_eq!(loaded.collection.index_bytes(), cold.index_bytes());
         // The loaded index answers probes identically.
         for probe in ["ACGTACGT", "ACGT{(A,0.5),(C,0.5)}CGT", "GGGGGGGG"] {
             let probe = dna(probe);
@@ -1006,10 +981,10 @@ mod tests {
     #[test]
     fn encode_is_deterministic_and_directory_parses() {
         let coll = IndexedCollection::build(config(), 4, strings());
-        let a = encode(&coll);
-        let b = encode(&coll);
+        let (a, _) = image(&coll);
+        let (b, _) = image(&coll);
         assert_eq!(a, b, "snapshot encoding must be deterministic");
-        let dir = section_directory(a.as_bytes()).unwrap();
+        let dir = section_directory(&a).unwrap();
         assert_eq!(dir[0].name, "interner");
         // One band per distinct string length plus the interner.
         let mut lens: Vec<usize> = strings().iter().map(|s| s.len()).collect();
@@ -1066,6 +1041,52 @@ mod tests {
         assert_eq!(loaded.report.corruptions_detected, 1);
         assert_eq!(loaded.report.bands_rebuilt, 1);
         assert!(loaded.report.bands_salvaged >= 1);
+        assert_eq!(
+            collection_digest(&loaded.collection),
+            collection_digest(&cold)
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A band whose run directory is damaged but whose checksums were
+    /// re-sealed over the damage must fail decode validation, not
+    /// panic, and be rebuilt bit-identically.
+    #[test]
+    fn resealed_damage_to_a_run_directory_is_salvaged() {
+        let dir = scratch("reseal");
+        let path = dir.join("index.snap");
+        let cold = IndexedCollection::build(config(), 4, strings());
+        write(&path, &cold).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let entries = section_directory(&bytes).unwrap();
+        let band = entries.iter().find(|e| e.name == "band.8").unwrap();
+        // Segment 0's first run end follows the counts, ids, flags, run
+        // count and keys.
+        let mut r = Reader(&bytes[band.offset..]);
+        let (m, n) = (r.count().unwrap(), r.count().unwrap());
+        r.take(4 * (n + m)).unwrap();
+        let runs = r.count().unwrap();
+        assert!(m > 0 && runs > 0, "band.8 has a run to damage");
+        let end0 = bytes.len() - r.0.len() + 4 * runs;
+        bytes[end0..end0 + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let sections: Vec<(String, &[u8])> = entries
+            .iter()
+            .map(|e| (e.name.clone(), &bytes[e.offset..e.offset + e.len]))
+            .collect();
+        let body_end = entries.last().map_or(0, |e| e.offset + e.len);
+        let mut resealed = bytes[..body_end].to_vec();
+        resealed.extend_from_slice(footer(&sections, entries[0].offset).as_bytes());
+        std::fs::write(&path, &resealed).unwrap();
+        assert!(verify(&path).unwrap().ok, "checksums were re-sealed");
+        let loaded = load(&path, &config(), 4, strings(), SalvageMode::Strict).unwrap();
+        assert_eq!(loaded.report.rung, LoadRung::Salvaged);
+        assert_eq!(loaded.report.corruptions_detected, 1);
+        assert_eq!(loaded.report.bands_rebuilt, 1);
+        assert!(
+            loaded.report.reason.contains("band 8"),
+            "{}",
+            loaded.report.reason
+        );
         assert_eq!(
             collection_digest(&loaded.collection),
             collection_digest(&cold)
@@ -1131,6 +1152,20 @@ mod tests {
         assert_eq!(loaded.report.rung, LoadRung::Rebuilt);
         assert_eq!(loaded.report.corruptions_detected, 1);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A sealed header whose body length overflows the footer offset is
+    /// corrupt, not a panic.
+    #[test]
+    fn overflowing_body_length_is_rejected() {
+        let head = format!(
+            "{SNAPSHOT_MAGIC}\nfingerprint {:016x}\nbody {} sections 1\n",
+            0,
+            usize::MAX
+        );
+        let sealed = format!("{head}header {:016x}\n", fnv1a(head.as_bytes()));
+        let err = section_directory(sealed.as_bytes()).unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
     }
 
     #[test]

@@ -351,7 +351,7 @@ fn snapshot_bit_flip_at_every_section_boundary_is_caught() {
 
     for (pos, what) in targets {
         let mut bytes = pristine.clone();
-        bytes[pos] ^= 0x01; // stays ASCII: every snapshot byte is < 0x80
+        bytes[pos] ^= 0x01; // one flipped bit inside one checksummed region
         std::fs::write(&path, &bytes).unwrap();
         assert_detected_and_recovered(&dir, want, &format!("bit flip at {what} (byte {pos})"));
     }

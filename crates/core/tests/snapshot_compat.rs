@@ -1,19 +1,21 @@
-//! Snapshots stay readable across index layout changes. The fixture
-//! under `tests/fixtures/` was written by `usj snapshot write` before the
-//! posting tables were sealed into contiguous runs (40 DNA strings,
-//! k = 1, q = 2, τ = 0.1); it must still load on the verified rung, into a
-//! collection bit-identical to a cold build of its input.
+//! Snapshots of an older format version are refused explicitly, not
+//! decoded. The fixture under `tests/fixtures/` is a `usj-snapshot v1`
+//! text image written by `usj snapshot write` (40 DNA strings, k = 1,
+//! q = 2, τ = 0.1). Loading it must fall to the rebuild rung with a
+//! reason that names the version, into a collection bit-identical to a
+//! cold build of its input; a server booted from it rewrites the image
+//! in the current format.
 
 use std::path::Path;
 
-use usj_core::snapshot::{self, LoadRung, SalvageMode};
+use usj_core::snapshot::{self, LoadRung, SalvageMode, SNAPSHOT_MAGIC};
 use usj_core::{IndexedCollection, JoinConfig};
 use usj_datagen::DatasetJson;
 
 const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
 
 #[test]
-fn snapshot_from_the_linked_run_layout_loads_verified() {
+fn snapshot_of_an_older_version_is_refused_and_rebuilt() {
     let text = std::fs::read_to_string(format!("{FIXTURES}/snapshot_dna40.json")).unwrap();
     let ds = DatasetJson::from_json(&text)
         .unwrap()
@@ -33,10 +35,14 @@ fn snapshot_from_the_linked_run_layout_loads_verified() {
     )
     .unwrap();
     let report = &loaded.report;
-    assert_eq!(report.rung, LoadRung::Verified, "{}", report.reason);
-    assert!(report.warm);
-    assert_eq!(report.bands_rebuilt, 0);
-    assert_eq!(report.corruptions_detected, 0);
+    assert_eq!(report.rung, LoadRung::Rebuilt, "{}", report.reason);
+    assert!(
+        report.reason.contains("unsupported snapshot version")
+            && report.reason.contains("usj-snapshot v1")
+            && report.reason.contains(SNAPSHOT_MAGIC),
+        "{}",
+        report.reason
+    );
     assert_eq!(
         snapshot::collection_digest(&loaded.collection),
         snapshot::collection_digest(&cold)
