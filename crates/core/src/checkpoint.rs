@@ -9,170 +9,30 @@
 //! construction for the completed waves while skipping their probes,
 //! producing output bit-identical to an uninterrupted run.
 //!
-//! The on-disk format is deliberately dumb: a line-based text file with a
-//! magic header and a trailing FNV-1a digest over everything above it.
-//! Truncation loses the digest line, corruption breaks it — both are
-//! detected on load and rejected with [`CheckpointError::Corrupt`] rather
-//! than silently resumed. Writes go through [`durable_atomic_write`]
-//! (write-temp, fsync, atomic rename, directory fsync), so a crash
-//! mid-write can never tear the checkpoint that an earlier wave already
-//! committed — and a crash right after a commit cannot lose it either.
+//! A checkpoint is a `usj-checkpoint v2` image of the persistence
+//! container index snapshots use too: the header carries the run
+//! fingerprint, section `state` the wave count and the `FUNNEL` counters,
+//! section `pairs` the emitted pairs. A load is all-or-nothing: any
+//! defect, or an image of another version (such as `usj-checkpoint v1`'s
+//! text), is [`CheckpointError::Corrupt`], never a partial resume. Writes
+//! are durable (write-temp, fsync, atomic rename, directory fsync), so a
+//! crash can neither tear the checkpoint an earlier wave committed nor
+//! lose one just committed.
 
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::config::JoinConfig;
+use crate::container::{self, durable_atomic_write_full, put_u32, put_u64, Reader};
 use crate::join::SimilarPair;
 use crate::stats::JoinStats;
-use usj_model::UncertainString;
 use usj_obs::Counter;
 
 /// File name of the checkpoint inside its `--checkpoint` directory.
 pub const CHECKPOINT_FILE: &str = "join.ckpt";
 
-const MAGIC: &str = "usj-checkpoint v1";
-
-/// FNV-1a 64, the same dependency-free hash the tracing layer uses; the
-/// checkpoint and snapshot codecs use it to detect corruption and
-/// truncation, not adversaries.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_fold(FNV_SEED, bytes)
-}
-
-/// Hashes `bytes` into a running FNV-1a fingerprint.
-pub(crate) fn fnv1a_fold(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Hashes one value into a running FNV-1a fingerprint (little-endian
-/// bytes).
-pub(crate) fn fold_u64(h: u64, v: u64) -> u64 {
-    fnv1a_fold(h, &v.to_le_bytes())
-}
-
-/// FNV-1a offset basis: the seed of every incremental fingerprint.
-pub(crate) const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Folds the output-affecting configuration, the alphabet size and the
-/// collection size into a fingerprint. The snapshot fingerprint and the
-/// join driver's run fingerprint both start with this fold.
-pub(crate) fn fold_config(mut h: u64, config: &JoinConfig, sigma: usize, count: usize) -> u64 {
-    h = fold_u64(h, config.k as u64);
-    h = fold_u64(h, config.tau.to_bits());
-    h = fold_u64(h, config.q as u64);
-    h = fnv1a_fold(
-        h,
-        format!(
-            "{:?}/{:?}/{:?}/{:?}",
-            config.policy, config.alpha_mode, config.pipeline, config.verifier
-        )
-        .as_bytes(),
-    );
-    h = fold_u64(h, config.early_stop as u64);
-    h = fold_u64(h, config.max_segment_instances as u64);
-    h = fold_u64(h, config.max_trie_nodes as u64);
-    h = fold_u64(h, sigma as u64);
-    fold_u64(h, count as u64)
-}
-
-/// Folds one input string (its id, length, and every position's
-/// alternatives with their probability bits) into a fingerprint.
-pub(crate) fn fold_string(mut h: u64, id: u32, s: &UncertainString) -> u64 {
-    h = fold_u64(h, id as u64);
-    h = fold_u64(h, s.len() as u64);
-    for pos in s.positions() {
-        h = fold_u64(h, pos.num_alternatives() as u64);
-        for (sym, prob) in pos.alternatives() {
-            h = fold_u64(h, sym as u64);
-            h = fold_u64(h, prob.to_bits());
-        }
-    }
-    h
-}
-
-/// Writes `text` to `path` durably and atomically: a sibling temp file is
-/// written, **fsynced**, renamed over the target, and the parent
-/// directory is fsynced — so readers observe either the old contents or
-/// the new (never a torn prefix), and a crash immediately after return
-/// cannot lose the rename or the data behind it. The named failpoint
-/// fires between the temp write and the fsync (the widest window a crash
-/// would exploit): an `Error` action removes the temp file and surfaces
-/// as an `io::Error`; a `Panic` action unwinds with the temp file in
-/// place and the target untouched.
-pub fn durable_atomic_write(path: &Path, text: &str, failpoint: &str) -> io::Result<()> {
-    durable_atomic_write_full(path, text.as_bytes(), failpoint, None, None)
-}
-
-/// The full-fidelity durable write: one failpoint per crash window, in
-/// firing order — after the temp bytes land (`fp_write`), after the temp
-/// file's fsync (`fp_fsync`), and immediately before the rename
-/// (`fp_rename`). [`durable_atomic_write`] threads a single shared point
-/// through the first window; the snapshot writer threads all three
-/// (`snapshot.write` / `snapshot.fsync` / `snapshot.rename`) so the
-/// persistence suite can kill every window independently.
-pub(crate) fn durable_atomic_write_full(
-    path: &Path,
-    bytes: &[u8],
-    fp_write: &str,
-    fp_fsync: Option<&str>,
-    fp_rename: Option<&str>,
-) -> io::Result<()> {
-    use std::io::Write as _;
-    let tmp = {
-        let mut name = path
-            .file_name()
-            .map(|n| n.to_os_string())
-            .unwrap_or_default();
-        name.push(".tmp");
-        path.with_file_name(name)
-    };
-    // Any failure past this point removes the temp file so an aborted
-    // write never leaves droppings next to the (intact) target.
-    let bail = |e: io::Error, tmp: &Path| {
-        let _ = fs::remove_file(tmp);
-        Err(e)
-    };
-    let injected = |msg: String| io::Error::other(format!("injected fault: {msg}"));
-    let mut file = fs::File::create(&tmp)?;
-    if let Err(e) = file.write_all(bytes) {
-        return bail(e, &tmp);
-    }
-    if let Some(msg) = usj_fault::fire_err(fp_write) {
-        return bail(injected(msg), &tmp);
-    }
-    // fsync the data before the rename: without it the rename can become
-    // durable while the bytes behind it are not, and a crash would leave
-    // the *new* name holding a torn file.
-    if let Err(e) = file.sync_all() {
-        return bail(e, &tmp);
-    }
-    if let Some(fp) = fp_fsync {
-        if let Some(msg) = usj_fault::fire_err(fp) {
-            return bail(injected(msg), &tmp);
-        }
-    }
-    drop(file);
-    if let Some(fp) = fp_rename {
-        if let Some(msg) = usj_fault::fire_err(fp) {
-            return bail(injected(msg), &tmp);
-        }
-    }
-    fs::rename(&tmp, path)?;
-    // fsync the parent directory so the rename itself survives a crash;
-    // an empty parent means a bare relative file name, i.e. cwd.
-    let dir = match path.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d,
-        _ => Path::new("."),
-    };
-    fs::File::open(dir)?.sync_all()
-}
+const MAGIC: &str = "usj-checkpoint v2";
 
 /// Why a checkpoint could not be saved or resumed from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -181,8 +41,8 @@ pub enum CheckpointError {
     Missing(PathBuf),
     /// The underlying filesystem operation failed.
     Io(String),
-    /// The file exists but fails validation (bad magic, truncation, digest
-    /// mismatch, malformed line) — resuming from it would be unsound.
+    /// The file exists but fails validation (another version, a damaged
+    /// header, footer or section) — resuming from it would be unsound.
     Corrupt(String),
     /// The checkpoint was written by a run with a different configuration
     /// or input collection; resuming would splice incompatible outputs.
@@ -255,163 +115,51 @@ impl Checkpoint {
         dir.join(CHECKPOINT_FILE)
     }
 
-    /// Serialises to the line-based text format (magic, fingerprint,
-    /// waves, counters, pairs, trailing digest).
-    pub fn encode(&self) -> String {
-        let mut body = String::new();
-        body.push_str(MAGIC);
-        body.push('\n');
-        body.push_str(&format!("fingerprint {:016x}\n", self.fingerprint));
-        body.push_str(&format!("waves {}\n", self.completed_waves));
+    /// The container image: sections `state` and `pairs`.
+    fn image(&self) -> Vec<u8> {
+        let mut state = Vec::with_capacity(8 * (1 + FUNNEL.len()));
+        put_u64(&mut state, self.completed_waves as u64);
         let mut funnel = self.funnel.clone();
         for counter in FUNNEL {
-            let value = funnel.counter_mut(counter).map_or(0, |v| *v);
-            body.push_str(&format!("counter {} {value}\n", counter.name()));
+            put_u64(&mut state, funnel.counter_mut(counter).map_or(0, |v| *v));
         }
+        let mut pairs = Vec::with_capacity(8 + 16 * self.pairs.len());
+        put_u64(&mut pairs, self.pairs.len() as u64);
         for p in &self.pairs {
+            put_u32(&mut pairs, p.left);
+            put_u32(&mut pairs, p.right);
             // Probabilities round-trip through their bit pattern: the
             // resumed run must replay *exactly* the floats the completed
-            // waves emitted, not a decimal approximation of them.
-            body.push_str(&format!(
-                "pair {} {} {:016x}\n",
-                p.left,
-                p.right,
-                p.prob.to_bits()
-            ));
+            // waves emitted.
+            put_u64(&mut pairs, p.prob.to_bits());
         }
-        let digest = fnv1a(body.as_bytes());
-        body.push_str(&format!("digest {digest:016x}\n"));
-        body
+        let sections = [
+            ("state".to_string(), &state[..]),
+            ("pairs".to_string(), &pairs[..]),
+        ];
+        container::seal(MAGIC, self.fingerprint, &sections)
     }
 
-    /// Parses and validates the text format. Any defect — bad magic,
-    /// missing or wrong digest, malformed line — is
-    /// [`CheckpointError::Corrupt`], with the offending 1-based line
-    /// position in the message so a damaged file can be inspected, and
-    /// never a silent partial resume.
-    pub fn decode(text: &str) -> Result<Checkpoint, CheckpointError> {
-        let corrupt = |msg: String| CheckpointError::Corrupt(msg);
-        let total_lines = text.lines().count();
-        // Every record — the digest included — is newline-terminated, so a
-        // file that does not end in '\n' lost at least its last byte.
-        if !text.ends_with('\n') {
-            return Err(corrupt(format!(
-                "line {total_lines}: file does not end in a newline (truncated?)"
-            )));
-        }
-        let digest_at = text
-            .trim_end_matches('\n')
-            .rfind("digest ")
-            .ok_or_else(|| {
-                corrupt(format!(
-                    "line {total_lines}: missing digest line (truncated?)"
-                ))
-            })?;
-        // The digest line must start a line, and the digest must cover
-        // exactly the bytes before it.
-        let digest_line_no = text[..digest_at].matches('\n').count() + 1;
-        if digest_at > 0 && text.as_bytes()[digest_at - 1] != b'\n' {
-            return Err(corrupt(format!(
-                "line {digest_line_no}: digest marker not at start of line"
-            )));
-        }
-        let (body, digest_line) = text.split_at(digest_at);
-        let digest_hex = digest_line
-            .trim_end()
-            .strip_prefix("digest ")
-            .ok_or_else(|| corrupt(format!("line {digest_line_no}: malformed digest line")))?;
-        let digest = u64::from_str_radix(digest_hex, 16).map_err(|_| {
-            corrupt(format!(
-                "line {digest_line_no}: digest {digest_hex:?} is not hex"
-            ))
-        })?;
-        let actual = fnv1a(body.as_bytes());
-        if digest != actual {
-            return Err(corrupt(format!(
-                "line {digest_line_no}: digest mismatch \
-                 (file says {digest:016x}, contents hash to {actual:016x})"
-            )));
-        }
-
-        let mut lines = body.lines();
-        if lines.next() != Some(MAGIC) {
-            return Err(corrupt(format!("line 1: bad magic (expected {MAGIC:?})")));
-        }
-        let mut fingerprint = None;
-        let mut completed_waves = None;
-        let mut stats = JoinStats::default();
-        let mut pairs = Vec::new();
-        // The magic is body line 1; records start on line 2.
-        for (idx, line) in lines.enumerate() {
-            let ln = idx + 2;
-            let mut parts = line.split_ascii_whitespace();
-            match parts.next() {
-                Some("fingerprint") => {
-                    let hex = parts.next().ok_or_else(|| {
-                        corrupt(format!("line {ln}: bare fingerprint line {line:?}"))
-                    })?;
-                    fingerprint = Some(u64::from_str_radix(hex, 16).map_err(|_| {
-                        corrupt(format!("line {ln}: fingerprint {hex:?} is not hex"))
-                    })?);
-                }
-                Some("waves") => {
-                    let n = parts
-                        .next()
-                        .ok_or_else(|| corrupt(format!("line {ln}: bare waves line {line:?}")))?;
-                    completed_waves = Some(n.parse::<usize>().map_err(|_| {
-                        corrupt(format!("line {ln}: wave count {n:?} is not a number"))
-                    })?);
-                }
-                Some("counter") => {
-                    let name = parts
-                        .next()
-                        .ok_or_else(|| corrupt(format!("line {ln}: bare counter line {line:?}")))?;
-                    let v = parts.next().ok_or_else(|| {
-                        corrupt(format!("line {ln}: counter {name:?} has no value"))
-                    })?;
-                    let v: u64 = v.parse().map_err(|_| {
-                        corrupt(format!(
-                            "line {ln}: counter {name:?} value {v:?} is not a number"
-                        ))
-                    })?;
-                    let field = FUNNEL
-                        .iter()
-                        .find(|c| c.name() == name)
-                        .and_then(|&c| stats.counter_mut(c))
-                        .ok_or_else(|| corrupt(format!("line {ln}: unknown counter {name:?}")))?;
-                    *field = v;
-                }
-                Some("pair") => {
-                    let mut field = || {
-                        parts
-                            .next()
-                            .ok_or_else(|| corrupt(format!("line {ln}: short pair line {line:?}")))
-                    };
-                    let left: u32 = field()?
-                        .parse()
-                        .map_err(|_| corrupt(format!("line {ln}: bad pair id in {line:?}")))?;
-                    let right: u32 = field()?
-                        .parse()
-                        .map_err(|_| corrupt(format!("line {ln}: bad pair id in {line:?}")))?;
-                    let bits = u64::from_str_radix(field()?, 16).map_err(|_| {
-                        corrupt(format!("line {ln}: bad probability bits in {line:?}"))
-                    })?;
-                    pairs.push(SimilarPair {
-                        left,
-                        right,
-                        prob: f64::from_bits(bits),
-                    });
-                }
-                Some(other) => return Err(corrupt(format!("line {ln}: unknown record {other:?}"))),
-                None => {}
-            }
-        }
+    /// Opens and decodes an image. Any defect is
+    /// [`CheckpointError::Corrupt`] naming the region it hit: the
+    /// header, the footer, the version or a section.
+    fn decode(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
+        let image =
+            container::open(bytes, MAGIC).map_err(|e| CheckpointError::Corrupt(e.reason))?;
+        let names: Vec<&str> = image.sections.iter().map(|e| e.name.as_str()).collect();
+        let decoded = match names[..] {
+            ["state", "pairs"] => image.decode("state", decode_state).and_then(|state| {
+                image
+                    .decode("pairs", decode_pairs)
+                    .map(|pairs| (state, pairs))
+            }),
+            _ => Err(format!("sections {names:?}, expected state and pairs")),
+        };
+        let ((completed_waves, funnel), pairs) = decoded.map_err(CheckpointError::Corrupt)?;
         Ok(Checkpoint {
-            fingerprint: fingerprint
-                .ok_or_else(|| corrupt("missing fingerprint record".to_string()))?,
-            completed_waves: completed_waves
-                .ok_or_else(|| corrupt("missing waves record".to_string()))?,
-            funnel: stats,
+            fingerprint: image.fingerprint,
+            completed_waves,
+            funnel,
             pairs,
         })
     }
@@ -423,7 +171,7 @@ impl Checkpoint {
         fs::create_dir_all(dir)
             .map_err(|e| CheckpointError::Io(format!("cannot create {}: {e}", dir.display())))?;
         let path = Checkpoint::path_in(dir);
-        durable_atomic_write(&path, &self.encode(), "checkpoint.write")
+        durable_atomic_write_full(&path, &self.image(), "checkpoint.write", None, None)
             .map_err(|e| CheckpointError::Io(format!("cannot write {}: {e}", path.display())))?;
         Ok(path)
     }
@@ -431,8 +179,8 @@ impl Checkpoint {
     /// Loads and validates the checkpoint in `dir`.
     pub fn load(dir: &Path) -> Result<Checkpoint, CheckpointError> {
         let path = Checkpoint::path_in(dir);
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
+        let bytes = match fs::read(&path) {
+            Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 return Err(CheckpointError::Missing(path));
             }
@@ -443,33 +191,48 @@ impl Checkpoint {
                 )))
             }
         };
-        Checkpoint::decode(&text)
+        Checkpoint::decode(&bytes)
     }
+}
+
+/// Section `state`: the completed-wave count, then the [`FUNNEL`]
+/// counters in order, each a `u64`.
+fn decode_state(bytes: &[u8]) -> Result<(usize, JoinStats), String> {
+    let mut r = Reader(bytes);
+    let words = r.array(1 + FUNNEL.len(), u64::from_le_bytes)?;
+    r.finish()?;
+    let mut funnel = JoinStats::default();
+    for (&counter, &value) in FUNNEL.iter().zip(&words[1..]) {
+        if let Some(field) = funnel.counter_mut(counter) {
+            *field = value;
+        }
+    }
+    let waves = usize::try_from(words[0]).map_err(|_| "wave count overflows")?;
+    Ok((waves, funnel))
+}
+
+/// Section `pairs`: a `u64` count, then per pair 16 bytes: `left` and
+/// `right` as `u32`, then the probability's bits.
+fn decode_pairs(bytes: &[u8]) -> Result<Vec<SimilarPair>, String> {
+    let mut r = Reader(bytes);
+    let n = usize::try_from(r.u64()?).map_err(|_| "pair count overflows")?;
+    let pairs = r.array(n, |pair| {
+        let pair = u128::from_le_bytes(pair);
+        SimilarPair {
+            left: pair as u32,
+            right: (pair >> 32) as u32,
+            prob: f64::from_bits((pair >> 64) as u64),
+        }
+    })?;
+    r.finish()?;
+    Ok(pairs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use crate::container::scratch_dir;
     use usj_fault::{FaultAction, FaultPlan};
-
-    fn scratch_dir(tag: &str) -> PathBuf {
-        // ordering: Relaxed — only uniqueness matters, not ordering.
-        static NEXT: AtomicUsize = AtomicUsize::new(0);
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("usj-ckpt-test-{}-{tag}-{n}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
-
-    /// The published FNV-1a 64 test vectors.
-    #[test]
-    fn fnv1a_matches_the_published_vectors() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
-    }
 
     fn sample() -> Checkpoint {
         let funnel = JoinStats {
@@ -498,18 +261,19 @@ mod tests {
         }
     }
 
+    fn corrupt(bytes: &[u8]) -> String {
+        match Checkpoint::decode(bytes) {
+            Err(CheckpointError::Corrupt(msg)) => msg,
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
     #[test]
     fn encode_decode_round_trips() {
         let ck = sample();
-        let text = ck.encode();
-        assert!(text.starts_with(MAGIC));
-        assert!(text
-            .trim_end()
-            .lines()
-            .last()
-            .unwrap()
-            .starts_with("digest "));
-        assert_eq!(Checkpoint::decode(&text).unwrap(), ck);
+        let image = ck.image();
+        assert!(image.starts_with(format!("{MAGIC}\n").as_bytes()));
+        assert_eq!(Checkpoint::decode(&image).unwrap(), ck);
     }
 
     #[test]
@@ -539,32 +303,32 @@ mod tests {
 
     #[test]
     fn truncation_and_corruption_are_rejected() {
-        let text = sample().encode();
-        // Truncating anywhere — even cleanly at a line boundary — loses or
-        // breaks the digest.
-        for cut in [text.len() - 1, text.len() / 2, 1] {
-            let truncated = &text[..cut];
-            assert!(
-                matches!(
-                    Checkpoint::decode(truncated),
-                    Err(CheckpointError::Corrupt(_))
-                ),
-                "cut at {cut} must be rejected"
-            );
+        let image = sample().image();
+        for cut in [image.len() - 1, image.len() / 2, 1, 0] {
+            corrupt(&image[..cut]);
         }
-        // Flipping one byte in the body breaks the digest.
-        let mut bytes = text.clone().into_bytes();
-        bytes[MAGIC.len() + 15] ^= 0x01;
-        let tampered = String::from_utf8(bytes).unwrap();
-        assert!(matches!(
-            Checkpoint::decode(&tampered),
-            Err(CheckpointError::Corrupt(_))
-        ));
-        // A well-formed digest over garbage content is also rejected.
-        assert!(matches!(
-            Checkpoint::decode("gibberish\ndigest 0000000000000000\n"),
-            Err(CheckpointError::Corrupt(_))
-        ));
+        // Every single-bit flip anywhere is refused.
+        for pos in 0..image.len() {
+            for bit in 0..8 {
+                let mut bytes = image.clone();
+                bytes[pos] ^= 1 << bit;
+                corrupt(&bytes);
+            }
+        }
+        // A section that checksums clean but does not decode exactly.
+        let state = [0u8; 8 * 13];
+        let reseal = |state: &[u8], pairs: &[u8]| {
+            let sections = [("state".into(), state), ("pairs".into(), pairs)];
+            container::seal(MAGIC, 1, &sections)
+        };
+        assert!(Checkpoint::decode(&reseal(&state, &[0; 8])).is_ok());
+        let msg = corrupt(&reseal(&state[1..], &[0; 8]));
+        assert!(
+            msg.contains("state section: section ends 1 bytes short"),
+            "{msg}"
+        );
+        let msg = corrupt(&reseal(&state, &[0; 9]));
+        assert!(msg.contains("pairs section: 1 trailing bytes"), "{msg}");
     }
 
     #[test]
@@ -573,76 +337,8 @@ mod tests {
         // A probability with no short decimal representation (one ULP off
         // 0.1, built by bit arithmetic to stay within the MSRV).
         ck.pairs[0].prob = f64::from_bits(0.1f64.to_bits() + 1);
-        let back = Checkpoint::decode(&ck.encode()).unwrap();
+        let back = Checkpoint::decode(&ck.image()).unwrap();
         assert_eq!(back.pairs[0].prob.to_bits(), ck.pairs[0].prob.to_bits());
-    }
-
-    #[test]
-    fn durable_write_error_fault_leaves_target_untouched() {
-        let dir = scratch_dir("atomic");
-        fs::create_dir_all(&dir).unwrap();
-        let target = dir.join("out.txt");
-        durable_atomic_write(&target, "first\n", "test.atomic").unwrap();
-
-        let _armed = FaultPlan::new()
-            .fail_at(
-                "test.atomic",
-                0,
-                FaultAction::Error("disk full".to_string()),
-            )
-            .arm();
-        let err = durable_atomic_write(&target, "second\n", "test.atomic").unwrap_err();
-        assert!(err.to_string().contains("disk full"));
-        // Old contents intact, no temp residue.
-        assert_eq!(fs::read_to_string(&target).unwrap(), "first\n");
-        let names: Vec<_> = fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name())
-            .collect();
-        assert_eq!(names, vec![std::ffi::OsString::from("out.txt")]);
-        // Disarmed again (plan dropped) the write goes through.
-        drop(_armed);
-        durable_atomic_write(&target, "third\n", "test.atomic").unwrap();
-        assert_eq!(fs::read_to_string(&target).unwrap(), "third\n");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// Every window of the three-failpoint write aborts cleanly: error
-    /// actions surface as io::Errors, the target keeps its previous
-    /// contents, and no temp file survives the abort.
-    #[test]
-    fn full_write_failpoints_abort_each_window_cleanly() {
-        let dir = scratch_dir("windows");
-        fs::create_dir_all(&dir).unwrap();
-        let target = dir.join("out.txt");
-        let write = |fp: &str| {
-            durable_atomic_write_full(
-                &target,
-                "next\n".as_bytes(),
-                "test.win_write",
-                Some("test.win_fsync"),
-                Some("test.win_rename"),
-            )
-            .map_err(|e| format!("{fp}: {e}"))
-        };
-        write("seed").unwrap();
-        fs::write(&target, "old\n").unwrap();
-        for fp in ["test.win_write", "test.win_fsync", "test.win_rename"] {
-            let _armed = FaultPlan::new()
-                .fail_at(fp, 0, FaultAction::Error("no space".to_string()))
-                .arm();
-            let err = write(fp).unwrap_err();
-            assert!(err.contains("no space"), "{err}");
-            assert_eq!(fs::read_to_string(&target).unwrap(), "old\n", "{fp}");
-            let names: Vec<_> = fs::read_dir(&dir)
-                .unwrap()
-                .map(|e| e.unwrap().file_name())
-                .collect();
-            assert_eq!(names, vec![std::ffi::OsString::from("out.txt")], "{fp}");
-        }
-        write("clean").unwrap();
-        assert_eq!(fs::read_to_string(&target).unwrap(), "next\n");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

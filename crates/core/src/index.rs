@@ -1235,7 +1235,7 @@ impl SegmentIndex {
     /// over-cap flags, posting keys and lists with probability bits.
     /// Two indices with equal digests answer every probe identically.
     pub(crate) fn content_digest(&self) -> u64 {
-        use crate::checkpoint::{fnv1a_fold, fold_u64, FNV_SEED};
+        use crate::container::{fnv1a_fold, fold_u64, FNV_SEED};
         let mut h = FNV_SEED;
         let entries = self.interner.entries();
         h = fold_u64(h, entries.len() as u64);

@@ -32,6 +32,7 @@
 pub mod checkpoint;
 pub mod collection;
 pub mod config;
+mod container;
 pub mod index;
 pub mod join;
 pub mod oracle;
@@ -48,9 +49,10 @@ pub mod verifier;
 /// recorders without depending on `usj-obs` directly).
 pub use usj_obs as obs;
 
-pub use checkpoint::{durable_atomic_write, Checkpoint, CheckpointError};
+pub use checkpoint::{Checkpoint, CheckpointError};
 pub use collection::{IndexedCollection, ProbeBudget, SearchAbort, SearchHit};
 pub use config::{JoinConfig, Pipeline, VerifierKind};
+pub use container::durable_atomic_write;
 pub use index::{EquivCache, SegmentIndex};
 pub use join::{JoinResult, SimilarPair, SimilarityJoin};
 pub use oracle::oracle_self_join;

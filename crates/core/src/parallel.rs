@@ -62,10 +62,9 @@ use usj_freq::{FreqFilter, FreqProfile};
 use usj_model::UncertainString;
 use usj_obs::{Counter, Gauge, MergeRecorder, NoopRecorder, Phase, Recorder};
 
-use crate::checkpoint::{
-    fold_config, fold_string, fold_u64, Checkpoint, CheckpointError, FNV_SEED,
-};
+use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::config::JoinConfig;
+use crate::container::{fold_config, fold_string, fold_u64, FNV_SEED};
 use crate::index::{EquivCache, SegmentIndex};
 use crate::join::{JoinResult, SimilarPair};
 use crate::record::Recording;

@@ -2,28 +2,22 @@
 //!
 //! A snapshot is an image of an [`IndexedCollection`]'s sealed segment
 //! inverted index, written durably (write-temp, fsync, atomic rename,
-//! directory fsync — see [`crate::checkpoint`]) so the fleet's shards can
-//! restart warm instead of paying a full rebuild. Its sections hold the
-//! index's arrays as they sit in memory, so a load is one read, one
-//! checksum pass, bulk array copies and exactly-sized map inserts, plus
-//! the frequency profiles, which are rebuilt from the source records.
+//! directory fsync) so the fleet's shards can restart warm instead of
+//! paying a full rebuild. Its sections hold the index's arrays as they
+//! sit in memory, so a load is one read, one checksum pass, bulk array
+//! copies and exactly-sized map inserts, plus the frequency profiles,
+//! which are rebuilt from the source records.
 //!
 //! # On-disk layout
 //!
-//! ```text
-//! usj-snapshot v2
-//! fingerprint <16 hex>                 config + input fingerprint
-//! body <bytes> sections <n>            section bytes and count
-//! header <16 hex>                      FNV-1a of the three lines above
-//! <section 0> … <section n-1>          concatenated binary sections
-//! footer <n>
-//! section <name> <offset> <len> <16 hex>   one directory row per section
-//! digest <16 hex>                      FNV-1a of the footer rows above
-//! ```
-//!
-//! The header and footer are text; the sections are little-endian
-//! binary with `u32` counts. `interner` is the shared segment-instance
-//! table in dense id order, each entry its length and either its `u64`
+//! A snapshot is a `usj-snapshot v2` image of the crate's one
+//! persistence container (the join checkpoint is the other kind): a
+//! sealed text header carrying the config + input [`fingerprint`], the
+//! concatenated binary sections, and a sealed text footer directory
+//! with one `section <name> <offset> <len> <checksum>` row per section.
+//! The sections are little-endian binary with `u32` counts. `interner`
+//! is the shared segment-instance table in dense id order, each entry
+//! its length and either its `u64`
 //! [`usj_qgram::pack_instance`] key or, past 8 symbols, its symbol bytes.
 //! Each `band.<len>` is the sealed band as it sits in memory: its string
 //! ids, each segment's `incomplete_from`, then per segment the run
@@ -74,14 +68,17 @@ use std::time::SystemTime;
 
 use usj_model::UncertainString;
 
-use crate::checkpoint::{
-    durable_atomic_write_full, fnv1a, fold_config, fold_string, fold_u64, FNV_SEED,
-};
 use crate::collection::IndexedCollection;
 use crate::config::JoinConfig;
+use crate::container::{
+    self, durable_atomic_write_full, fold_config, fold_string, fold_u64, put_count, put_u32,
+    Reader, FNV_SEED,
+};
 use crate::index::{
     Instance, LengthIndex, PostingTable, SegmentIndex, SegmentInterner, PACKED_MAX,
 };
+
+pub use crate::container::{section_directory, SectionEntry};
 
 /// First line of every snapshot image.
 pub const SNAPSHOT_MAGIC: &str = "usj-snapshot v2";
@@ -190,19 +187,6 @@ pub struct SnapshotWriteReport {
     pub fingerprint: u64,
 }
 
-/// One row of the footer's section directory.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SectionEntry {
-    /// Section name (`interner` or `band.<len>`).
-    pub name: String,
-    /// Absolute byte offset of the section in the image.
-    pub offset: usize,
-    /// Section length in bytes.
-    pub len: usize,
-    /// FNV-1a checksum of the section bytes.
-    pub check: u64,
-}
-
 /// Fingerprint of everything that determines the index a snapshot
 /// stores: the output-affecting configuration, the alphabet size, and
 /// the input collection in id order. Mirrors the join driver's
@@ -227,14 +211,6 @@ pub fn collection_digest(coll: &IndexedCollection) -> u64 {
 // ---------------------------------------------------------------------
 // Section codec
 // ---------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_count(out: &mut Vec<u8>, n: usize) {
-    put_u32(out, u32::try_from(n).expect("snapshot counts fit in u32"));
-}
 
 /// The `interner` section: the entry count, then each entry in dense id
 /// order as its length and either its [`pack_instance`] key (at most
@@ -279,62 +255,18 @@ fn encode_band(li: &LengthIndex, out: &mut Vec<u8>) {
     }
 }
 
-/// A bounds-checked little-endian cursor over one section.
-#[derive(Clone, Copy)]
-struct Reader<'a>(&'a [u8]);
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let short = || format!("section ends {} bytes short", n - self.0.len());
-        let head = self.0.get(..n).ok_or_else(short)?;
-        self.0 = &self.0[n..];
-        Ok(head)
+/// The next interner entry: its length, then its packed key or, past
+/// [`PACKED_MAX`] symbols, its symbol bytes.
+fn instance<'a>(r: &mut Reader<'a>) -> Result<Instance<'a>, String> {
+    let len = r.count()?;
+    if len > PACKED_MAX {
+        return Ok(Instance::Long(r.take(len)?));
     }
-
-    /// The next `N` bytes.
-    fn word<const N: usize>(&mut self) -> Result<[u8; N], String> {
-        let mut word = [0u8; N];
-        word.copy_from_slice(self.take(N)?);
-        Ok(word)
+    let key = r.u64()?;
+    if len < PACKED_MAX && key >> (8 * len) != 0 {
+        return Err(format!("key {key:x} is wider than {len} symbols"));
     }
-
-    fn count(&mut self) -> Result<usize, String> {
-        Ok(u32::from_le_bytes(self.word()?) as usize)
-    }
-
-    /// `n` values of `N` bytes each, each decoded by `f`.
-    fn array<const N: usize, T>(
-        &mut self,
-        n: usize,
-        f: impl Fn([u8; N]) -> T,
-    ) -> Result<Vec<T>, String> {
-        let bytes = self.take(n.checked_mul(N).ok_or("array length overflows")?)?;
-        let word = |b: &[u8]| {
-            let mut word = [0u8; N];
-            word.copy_from_slice(b);
-            f(word)
-        };
-        Ok(bytes.chunks_exact(N).map(word).collect())
-    }
-
-    fn instance(&mut self) -> Result<Instance<'a>, String> {
-        let len = self.count()?;
-        if len > PACKED_MAX {
-            return Ok(Instance::Long(self.take(len)?));
-        }
-        let key = u64::from_le_bytes(self.word()?);
-        if len < PACKED_MAX && key >> (8 * len) != 0 {
-            return Err(format!("key {key:x} is wider than {len} symbols"));
-        }
-        Ok(Instance::Packed(len, key))
-    }
-
-    fn finish(self) -> Result<(), String> {
-        match self.0.len() {
-            0 => Ok(()),
-            n => Err(format!("{n} trailing bytes")),
-        }
-    }
+    Ok(Instance::Packed(len, key))
 }
 
 /// Restores the interner: one pass checks the entries and counts them
@@ -345,7 +277,7 @@ fn decode_interner(bytes: &[u8]) -> Result<SegmentInterner, String> {
     let entries = r;
     let (mut packed, mut long) = ([0usize; PACKED_MAX + 1], 0usize);
     for _ in 0..n {
-        match r.instance()? {
+        match instance(&mut r)? {
             Instance::Packed(len, _) => packed[len] += 1,
             Instance::Long(_) => long += 1,
         }
@@ -354,7 +286,7 @@ fn decode_interner(bytes: &[u8]) -> Result<SegmentInterner, String> {
     let mut interner = SegmentInterner::with_capacity(packed, long);
     let mut r = entries;
     for id in 0..n {
-        if interner.insert(r.instance()?) as usize != id {
+        if interner.insert(instance(&mut r)?) as usize != id {
             return Err(format!("interner entry {id} repeats an earlier one"));
         }
     }
@@ -415,22 +347,6 @@ fn decode_band(
     LengthIndex::from_image(len, config, ids, incomplete_from, tables)
 }
 
-/// The footer directory of `sections`, laid out back to back from
-/// `offset` on.
-fn footer(sections: &[(String, &[u8])], mut offset: usize) -> String {
-    let mut footer = format!("footer {}\n", sections.len());
-    for (name, bytes) in sections {
-        footer.push_str(&format!(
-            "section {name} {offset} {} {:016x}\n",
-            bytes.len(),
-            fnv1a(bytes)
-        ));
-        offset += bytes.len();
-    }
-    footer.push_str(&format!("digest {:016x}\n", fnv1a(footer.as_bytes())));
-    footer
-}
-
 /// `coll`'s complete snapshot image and what [`write()`] reports of it.
 fn image(coll: &IndexedCollection) -> (Vec<u8>, SnapshotWriteReport) {
     let index = coll.index();
@@ -452,18 +368,7 @@ fn image(coll: &IndexedCollection) -> (Vec<u8>, SnapshotWriteReport) {
             section
         })
         .collect();
-    let mut header = format!(
-        "{SNAPSHOT_MAGIC}\nfingerprint {fp:016x}\nbody {} sections {}\n",
-        body.len(),
-        sections.len()
-    );
-    let hdigest = fnv1a(header.as_bytes());
-    header.push_str(&format!("header {hdigest:016x}\n"));
-    let footer = footer(&sections, header.len());
-    let mut out = Vec::with_capacity(header.len() + body.len() + footer.len());
-    out.extend_from_slice(header.as_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(footer.as_bytes());
+    let out = container::seal(SNAPSHOT_MAGIC, fp, &sections);
     let report = SnapshotWriteReport {
         bytes: out.len(),
         sections: sections.len(),
@@ -488,157 +393,6 @@ pub fn write(path: &Path, coll: &IndexedCollection) -> Result<SnapshotWriteRepor
     )
     .map_err(|e| SnapshotError::Io(e.to_string()))?;
     Ok(report)
-}
-
-// ---------------------------------------------------------------------
-// Framing
-// ---------------------------------------------------------------------
-
-struct Header {
-    /// The magic line: [`SNAPSHOT_MAGIC`] for an image this build reads.
-    version: String,
-    fingerprint: u64,
-    sections: usize,
-    /// Byte offset of the footer: the header's length plus the body's.
-    footer: usize,
-}
-
-impl Header {
-    /// Refuses an image of another format version.
-    fn check_version(&self) -> Result<(), String> {
-        if self.version == SNAPSHOT_MAGIC {
-            return Ok(());
-        }
-        Err(format!(
-            "unsupported snapshot version {:?} (this build reads {SNAPSHOT_MAGIC:?})",
-            self.version
-        ))
-    }
-}
-
-fn parse_hex(s: &str) -> Result<u64, String> {
-    if s.len() != 16 {
-        return Err(format!("expected 16 hex digits, got {:?}", s));
-    }
-    u64::from_str_radix(s, 16).map_err(|e| format!("bad hex {s:?}: {e}"))
-}
-
-fn parse_header(bytes: &[u8]) -> Result<Header, String> {
-    let mut pos = 0usize;
-    let mut lines: Vec<(usize, usize)> = Vec::with_capacity(4);
-    for i in 0..4 {
-        let nl = bytes[pos..]
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or_else(|| format!("truncated header (line {i})"))?;
-        lines.push((pos, pos + nl));
-        pos = pos + nl + 1;
-    }
-    let text = |range: (usize, usize)| -> Result<&str, String> {
-        std::str::from_utf8(&bytes[range.0..range.1]).map_err(|_| "non-utf8 header".to_string())
-    };
-    let fp = text(lines[1])?
-        .strip_prefix("fingerprint ")
-        .ok_or("missing fingerprint line")?;
-    let fingerprint = parse_hex(fp)?;
-    let mut it = text(lines[2])?.split_whitespace();
-    let (body, sections) = match (it.next(), it.next(), it.next(), it.next(), it.next()) {
-        (Some("body"), Some(b), Some("sections"), Some(s), None) => (
-            b.parse::<usize>()
-                .map_err(|e| format!("bad body length: {e}"))?,
-            s.parse::<usize>()
-                .map_err(|e| format!("bad section count: {e}"))?,
-        ),
-        _ => return Err("malformed body line".to_string()),
-    };
-    let digest = text(lines[3])?
-        .strip_prefix("header ")
-        .ok_or("missing header digest line")?;
-    let expect = parse_hex(digest)?;
-    let got = fnv1a(&bytes[..lines[3].0]);
-    if got != expect {
-        return Err(format!(
-            "header digest mismatch (got {got:016x}, recorded {expect:016x})"
-        ));
-    }
-    Ok(Header {
-        version: text(lines[0])?.to_string(),
-        fingerprint,
-        sections,
-        footer: pos.checked_add(body).ok_or("body length overflows")?,
-    })
-}
-
-fn parse_footer(bytes: &[u8], offset: usize, sections: usize) -> Result<Vec<SectionEntry>, String> {
-    if offset > bytes.len() {
-        return Err("footer offset past end of file".to_string());
-    }
-    let tail = std::str::from_utf8(&bytes[offset..]).map_err(|_| "non-utf8 footer".to_string())?;
-    if !tail.ends_with('\n') {
-        return Err("footer not newline-terminated".to_string());
-    }
-    let lines: Vec<&str> = tail.lines().collect();
-    if lines.len() != sections + 2 {
-        return Err(format!(
-            "footer has {} lines, expected {}",
-            lines.len(),
-            sections + 2
-        ));
-    }
-    let count = lines[0]
-        .strip_prefix("footer ")
-        .ok_or("missing footer line")?
-        .parse::<usize>()
-        .map_err(|e| format!("bad footer count: {e}"))?;
-    if count != sections {
-        return Err(format!(
-            "footer lists {count} sections, header says {sections}"
-        ));
-    }
-    let digest_line = lines[lines.len() - 1];
-    let expect = parse_hex(
-        digest_line
-            .strip_prefix("digest ")
-            .ok_or("missing footer digest line")?,
-    )?;
-    let covered = tail.len() - (digest_line.len() + 1);
-    let got = fnv1a(&tail.as_bytes()[..covered]);
-    if got != expect {
-        return Err(format!(
-            "footer digest mismatch (got {got:016x}, recorded {expect:016x})"
-        ));
-    }
-    let mut entries = Vec::with_capacity(sections);
-    for line in &lines[1..lines.len() - 1] {
-        let mut it = line.split_whitespace();
-        match (
-            it.next(),
-            it.next(),
-            it.next(),
-            it.next(),
-            it.next(),
-            it.next(),
-        ) {
-            (Some("section"), Some(name), Some(off), Some(len), Some(check), None) => {
-                entries.push(SectionEntry {
-                    name: name.to_string(),
-                    offset: off.parse().map_err(|e| format!("bad offset: {e}"))?,
-                    len: len.parse().map_err(|e| format!("bad length: {e}"))?,
-                    check: parse_hex(check)?,
-                });
-            }
-            _ => return Err(format!("malformed directory row {line:?}")),
-        }
-    }
-    Ok(entries)
-}
-
-/// Parses the section directory of a snapshot image — the corruption
-/// harness uses this to aim injected damage at exact section
-/// boundaries.
-pub fn section_directory(bytes: &[u8]) -> Result<Vec<SectionEntry>, String> {
-    let header = parse_header(bytes)?;
-    parse_footer(bytes, header.footer, header.sections)
 }
 
 // ---------------------------------------------------------------------
@@ -679,42 +433,21 @@ pub fn verify(path: &Path) -> Result<VerifyReport, SnapshotError> {
     if let Some(msg) = usj_fault::fire_err("snapshot.read") {
         return Err(SnapshotError::Io(format!("injected fault: {msg}")));
     }
-    let header = match parse_header(&bytes) {
-        Ok(h) => h,
+    let image = match container::open(&bytes, SNAPSHOT_MAGIC) {
+        Ok(image) => image,
         Err(e) => {
             return Ok(VerifyReport {
-                fingerprint: 0,
+                fingerprint: e.fingerprint.unwrap_or(0),
                 sections: Vec::new(),
                 ok: false,
-                diagnosis: format!("corrupt header: {e}"),
+                diagnosis: e.reason,
             })
         }
     };
-    if let Err(e) = header.check_version() {
-        return Ok(VerifyReport {
-            fingerprint: header.fingerprint,
-            sections: Vec::new(),
-            ok: false,
-            diagnosis: e,
-        });
-    }
-    let entries = match parse_footer(&bytes, header.footer, header.sections) {
-        Ok(entries) => entries,
-        Err(e) => {
-            return Ok(VerifyReport {
-                fingerprint: header.fingerprint,
-                sections: Vec::new(),
-                ok: false,
-                diagnosis: format!("corrupt footer: {e}"),
-            })
-        }
-    };
-    let mut sections = Vec::with_capacity(entries.len());
+    let mut sections = Vec::with_capacity(image.sections.len());
     let mut bad = Vec::new();
-    for entry in &entries {
-        let ok = section_bytes(&bytes, entry)
-            .map(|slice| fnv1a(slice) == entry.check)
-            .unwrap_or(false);
+    for entry in &image.sections {
+        let ok = image.decode(&entry.name, Ok).is_ok();
         if !ok {
             bad.push(entry.name.clone());
         }
@@ -726,7 +459,7 @@ pub fn verify(path: &Path) -> Result<VerifyReport, SnapshotError> {
     }
     let ok = bad.is_empty();
     Ok(VerifyReport {
-        fingerprint: header.fingerprint,
+        fingerprint: image.fingerprint,
         sections,
         ok,
         diagnosis: if ok {
@@ -735,11 +468,6 @@ pub fn verify(path: &Path) -> Result<VerifyReport, SnapshotError> {
             format!("corrupt sections: {}", bad.join(", "))
         },
     })
-}
-
-fn section_bytes<'a>(bytes: &'a [u8], entry: &SectionEntry) -> Option<&'a [u8]> {
-    let end = entry.offset.checked_add(entry.len)?;
-    bytes.get(entry.offset..end)
 }
 
 // ---------------------------------------------------------------------
@@ -778,31 +506,21 @@ fn attempt(
     if let Some(msg) = usj_fault::fire_err("snapshot.read") {
         return Err(cold(format!("injected read fault: {msg}"), 0));
     }
-    let header = parse_header(&bytes).map_err(|e| cold(format!("corrupt header: {e}"), 1))?;
-    header.check_version().map_err(|reason| cold(reason, 0))?;
-    if header.fingerprint != run_fp {
+    let image = container::open(&bytes, SNAPSHOT_MAGIC).map_err(|e| match e.fingerprint {
+        // A sound header is refused on its fingerprint even when the
+        // footer is damaged; an older version is not damage.
+        Some(snapshot) if e.damaged && snapshot != run_fp => Fallback::Refuse { snapshot },
+        _ => cold(e.reason, u64::from(e.damaged)),
+    })?;
+    if image.fingerprint != run_fp {
         return Err(Fallback::Refuse {
-            snapshot: header.fingerprint,
+            snapshot: image.fingerprint,
         });
     }
-    let entries = parse_footer(&bytes, header.footer, header.sections)
-        .map_err(|e| cold(format!("corrupt footer: {e}"), 1))?;
-    let verified = |name: &str| -> Result<&[u8], String> {
-        let entry = entries
-            .iter()
-            .find(|e| e.name == name)
-            .ok_or_else(|| format!("{name} section missing from directory"))?;
-        let slice =
-            section_bytes(&bytes, entry).ok_or_else(|| format!("{name} section out of bounds"))?;
-        if fnv1a(slice) != entry.check {
-            return Err(format!("{name} section checksum mismatch"));
-        }
-        Ok(slice)
-    };
     // Without the interner no posting key in any band means anything —
     // the whole snapshot is unusable.
-    let interner = verified("interner")
-        .and_then(decode_interner)
+    let interner = image
+        .decode("interner", decode_interner)
         .map_err(|e| cold(format!("interner unusable: {e}"), 1))?;
     let mut corruptions = 0u64;
     let mut reasons: Vec<String> = Vec::new();
@@ -810,8 +528,9 @@ fn attempt(
     let mut repair: Vec<usize> = Vec::new();
     let mut degraded = Vec::new();
     for (&len, members) in bands {
-        let decoded = verified(&format!("band.{len}"))
-            .and_then(|b| decode_band(b, len, members, interner.len(), config));
+        let decoded = image.decode(&format!("band.{len}"), |b| {
+            decode_band(b, len, members, interner.len(), config)
+        });
         match decoded {
             Ok(li) => match usj_fault::fire_err("snapshot.salvage") {
                 None => admitted.push((len, li)),
@@ -941,20 +660,9 @@ mod tests {
         JoinConfig::new(2, 0.3)
     }
 
-    fn scratch(tag: &str) -> std::path::PathBuf {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static N: AtomicUsize = AtomicUsize::new(0);
-        // ordering: Relaxed — the counter only needs uniqueness.
-        let n = N.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("usj-snapshot-{tag}-{}-{n}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
     #[test]
     fn roundtrip_is_bit_identical_to_cold_build() {
-        let dir = scratch("roundtrip");
+        let dir = container::scratch_dir("roundtrip");
         let path = dir.join("index.snap");
         let cold = IndexedCollection::build(config(), 4, strings());
         write(&path, &cold).unwrap();
@@ -999,7 +707,7 @@ mod tests {
 
     #[test]
     fn missing_snapshot_falls_to_full_rebuild() {
-        let dir = scratch("missing");
+        let dir = container::scratch_dir("missing");
         let loaded = load(
             &dir.join("absent.snap"),
             &config(),
@@ -1021,7 +729,7 @@ mod tests {
 
     #[test]
     fn corrupt_band_is_detected_and_rebuilt_bit_identically() {
-        let dir = scratch("band");
+        let dir = container::scratch_dir("band");
         let path = dir.join("index.snap");
         let cold = IndexedCollection::build(config(), 4, strings());
         write(&path, &cold).unwrap();
@@ -1053,7 +761,7 @@ mod tests {
     /// panic, and be rebuilt bit-identically.
     #[test]
     fn resealed_damage_to_a_run_directory_is_salvaged() {
-        let dir = scratch("reseal");
+        let dir = container::scratch_dir("reseal");
         let path = dir.join("index.snap");
         let cold = IndexedCollection::build(config(), 4, strings());
         write(&path, &cold).unwrap();
@@ -1073,9 +781,8 @@ mod tests {
             .iter()
             .map(|e| (e.name.clone(), &bytes[e.offset..e.offset + e.len]))
             .collect();
-        let body_end = entries.last().map_or(0, |e| e.offset + e.len);
-        let mut resealed = bytes[..body_end].to_vec();
-        resealed.extend_from_slice(footer(&sections, entries[0].offset).as_bytes());
+        let fp = fingerprint(&config(), 4, &strings());
+        let resealed = container::seal(SNAPSHOT_MAGIC, fp, &sections);
         std::fs::write(&path, &resealed).unwrap();
         assert!(verify(&path).unwrap().ok, "checksums were re-sealed");
         let loaded = load(&path, &config(), 4, strings(), SalvageMode::Strict).unwrap();
@@ -1096,7 +803,7 @@ mod tests {
 
     #[test]
     fn corrupt_interner_falls_to_full_rebuild() {
-        let dir = scratch("interner");
+        let dir = container::scratch_dir("interner");
         let path = dir.join("index.snap");
         let cold = IndexedCollection::build(config(), 4, strings());
         write(&path, &cold).unwrap();
@@ -1117,7 +824,7 @@ mod tests {
 
     #[test]
     fn fingerprint_mismatch_refuses_with_diagnosis() {
-        let dir = scratch("fp");
+        let dir = container::scratch_dir("fp");
         let path = dir.join("index.snap");
         let cold = IndexedCollection::build(config(), 4, strings());
         write(&path, &cold).unwrap();
@@ -1140,7 +847,7 @@ mod tests {
     fn corrupt_fingerprint_line_breaks_header_digest_not_refusal() {
         // A bit flip inside the fingerprint hex must land on the rebuild
         // rung (corrupt header), not masquerade as an operator error.
-        let dir = scratch("fpline");
+        let dir = container::scratch_dir("fpline");
         let path = dir.join("index.snap");
         let cold = IndexedCollection::build(config(), 4, strings());
         write(&path, &cold).unwrap();
@@ -1163,21 +870,46 @@ mod tests {
             0,
             usize::MAX
         );
-        let sealed = format!("{head}header {:016x}\n", fnv1a(head.as_bytes()));
+        let sealed = format!("{head}header {:016x}\n", container::fnv1a(head.as_bytes()));
         let err = section_directory(sealed.as_bytes()).unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
+    }
+
+    /// A sealed header declaring `usize::MAX` sections, followed by a
+    /// newline-terminated footer, is corrupt, not an overflow panic.
+    #[test]
+    fn overflowing_section_count_is_rejected() {
+        let (max, zero) = (usize::MAX, "0".repeat(16));
+        let head = format!("{SNAPSHOT_MAGIC}\nfingerprint {zero}\nbody 0 sections {max}\n");
+        let hdigest = container::fnv1a(head.as_bytes());
+        let image = format!("{head}header {hdigest:016x}\nfooter 0\ndigest {zero}\n");
+        let err = section_directory(image.as_bytes()).unwrap_err();
         assert!(err.contains("overflows"), "{err}");
     }
 
     #[test]
     fn verify_walks_checksums() {
-        let dir = scratch("verify");
+        let dir = container::scratch_dir("verify");
         let path = dir.join("index.snap");
         let cold = IndexedCollection::build(config(), 4, strings());
         write(&path, &cold).unwrap();
         let report = verify(&path).unwrap();
         assert!(report.ok, "{report:?}");
         assert!(report.sections.iter().all(|s| s.ok));
-        let mut bytes = std::fs::read(&path).unwrap();
+        // Every single-bit flip anywhere fails: the header and footer by
+        // their digests, the sections by their checksums, the digest
+        // lines by their lowercase spelling.
+        let pristine = std::fs::read(&path).unwrap();
+        for pos in 0..pristine.len() {
+            for bit in 0..8 {
+                let mut bytes = pristine.clone();
+                bytes[pos] ^= 1 << bit;
+                std::fs::write(&path, &bytes).unwrap();
+                let ok = verify(&path).unwrap().ok;
+                assert!(!ok, "flip of bit {bit} at byte {pos} passed verify");
+            }
+        }
+        let mut bytes = pristine;
         let entries = section_directory(&bytes).unwrap();
         let band = entries
             .iter()
@@ -1194,7 +926,7 @@ mod tests {
 
     #[test]
     fn truncation_at_every_quarter_is_detected() {
-        let dir = scratch("trunc");
+        let dir = container::scratch_dir("trunc");
         let path = dir.join("index.snap");
         let cold = IndexedCollection::build(config(), 4, strings());
         write(&path, &cold).unwrap();
@@ -1219,7 +951,7 @@ mod tests {
 
     #[test]
     fn empty_strings_roundtrip_through_a_segmentless_band() {
-        let dir = scratch("empty");
+        let dir = container::scratch_dir("empty");
         let path = dir.join("index.snap");
         let mut input = strings();
         input.push(UncertainString::empty());

@@ -518,14 +518,14 @@ fn checkpoint_defects_are_rejected_cleanly() {
     );
 
     // Truncation and corruption are rejected, not resumed.
-    let intact = std::fs::read_to_string(&ck_path).unwrap();
+    let intact = std::fs::read(&ck_path).unwrap();
     std::fs::write(&ck_path, &intact[..intact.len() / 2]).unwrap();
     let err = run_ft(&config(), &strings, &resume).unwrap_err();
     assert!(
         matches!(err, JoinError::Checkpoint(CheckpointError::Corrupt(_))),
         "{err}"
     );
-    let mut flipped = intact.clone().into_bytes();
+    let mut flipped = intact.clone();
     flipped[intact.len() / 3] ^= 0x20;
     std::fs::write(&ck_path, flipped).unwrap();
     let err = run_ft(&config(), &strings, &resume).unwrap_err();

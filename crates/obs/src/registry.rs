@@ -9,8 +9,8 @@
 //! registry: plain `AtomicU64`s for every golden-schema counter, gauge,
 //! per-phase total, and per-phase log₂ latency histogram, plus the
 //! per-length-band selectivity **funnel** (candidates in/out of each
-//! filter stage per band of 8 probe-text lengths) that the cost-based
-//! planner of ROADMAP open item 3 will consume.
+//! filter stage per band of 8 probe-text lengths), which shows where
+//! each stage prunes as the probe length changes.
 //!
 //! [`MetricsRegistry::render_prometheus`] emits the whole registry in
 //! Prometheus text exposition format (`# TYPE` headers, `_total` counter

@@ -27,7 +27,8 @@
 # runs every check; `kernels` runs Miri plus the parallel-driver TSan
 # blocks; `serve` runs the single-node usj-serve TSan block; `coord`
 # runs the coordinator/shard-fleet TSan block; and `persist` runs Miri
-# and TSan over the snapshot / recovery-ladder suites. The sanitize,
+# over the snapshot and checkpoint container suites and TSan over the
+# recovery-ladder suites. The sanitize,
 # serve (both `serve` and `coord`), and persist CI jobs use their
 # matching targets so no suite is instrumented twice.
 
@@ -167,16 +168,17 @@ run_tsan_serve() {
 # ---- Miri + TSan over the snapshot / recovery-ladder suites -------------
 run_persist() {
     if have_nightly && have_component miri; then
-        note "Miri: snapshot encode/decode + corruption-ladder tests"
-        # The snapshot codec is the one place the index is rebuilt from
-        # raw little-endian bytes; Miri checks every decode path —
-        # including the salvage walk over deliberately corrupted images —
-        # for UB. -Zmiri-disable-isolation because the suites exercise
-        # real tempfile writes, fsyncs, and renames.
+        note "Miri: container encode/decode + corruption corpus (snapshots and checkpoints)"
+        # The persistence container is where snapshots and checkpoints
+        # are decoded from raw little-endian bytes; Miri checks every
+        # decode path of both file kinds — including the salvage walk
+        # and the checkpoint refusals over deliberately corrupted
+        # images — for UB. -Zmiri-disable-isolation because the suites
+        # exercise real tempfile writes, fsyncs, and renames.
         if ! MIRIFLAGS="-Zmiri-disable-isolation" \
             cargo +nightly miri test -p usj-core \
             --test snapshot_persistence --test checkpoint_corruption; then
-            note "FAIL: Miri found a problem in the snapshot codec"
+            note "FAIL: Miri found a problem in the container codec"
             FAILED=1
         fi
     else
