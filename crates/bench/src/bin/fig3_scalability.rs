@@ -11,7 +11,7 @@
 use usj_bench::{
     dataset, default_config, ms, run_join_recorded, write_obs_snapshot, write_result, Args, Table,
 };
-use usj_core::obs::Gauge;
+use usj_core::obs::{Counter, Gauge};
 use usj_core::{IndexedCollection, Pipeline};
 use usj_datagen::DatasetKind;
 use usj_obs::json::JsonWriter;
@@ -55,7 +55,7 @@ fn main() {
                 .field_str("algorithm", pipeline.acronym())
                 .field_f64("filter_ms", filtering.as_secs_f64() * 1e3)
                 .field_f64("total_ms", total.as_secs_f64() * 1e3)
-                .field_u64("output_pairs", result.stats.output_pairs)
+                .field_u64(Counter::OutputPairs.name(), result.stats.output_pairs)
                 .field_u64("verified", result.stats.verified_pairs())
                 .end_object();
         }
@@ -102,8 +102,8 @@ fn main() {
             .field_u64("n", n as u64)
             .field_u64("threads", threads as u64)
             .field_u64("full_index_bytes", full)
-            .field_u64("peak_resident_bytes", peak)
-            .field_u64("output_pairs", result.stats.output_pairs)
+            .field_u64(Gauge::PeakResidentBytes.name(), peak)
+            .field_u64(Counter::OutputPairs.name(), result.stats.output_pairs)
             .field_f64("par_total_ms", total.as_secs_f64() * 1e3)
             .end_object();
     }

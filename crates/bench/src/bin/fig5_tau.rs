@@ -12,6 +12,7 @@ use usj_bench::{dataset, default_config, ms, paper_defaults, run_join, write_res
 use usj_core::Pipeline;
 use usj_datagen::DatasetKind;
 use usj_obs::json::JsonWriter;
+use usj_obs::Counter;
 
 fn main() {
     let args = Args::parse(
@@ -61,10 +62,10 @@ fn main() {
                     .field_f64("total_ms", total.as_secs_f64() * 1e3)
                     .field_u64("qgram_rejected", qgram_rejected)
                     .field_u64("qgram_rejected_by_bound", s.qgram_pruned_bound)
-                    .field_u64("cdf_accepted", s.cdf_accepted)
-                    .field_u64("cdf_rejected", s.cdf_rejected)
+                    .field_u64(Counter::CdfAccepted.name(), s.cdf_accepted)
+                    .field_u64(Counter::CdfRejected.name(), s.cdf_rejected)
                     .field_u64("verified", s.verified_pairs())
-                    .field_u64("output_pairs", s.output_pairs)
+                    .field_u64(Counter::OutputPairs.name(), s.output_pairs)
                     .end_object();
             }
         }

@@ -9,6 +9,7 @@ use usj_bench::{dataset, ms, paper_defaults, run_join, write_result, Args, Table
 use usj_core::{JoinConfig, Pipeline};
 use usj_datagen::DatasetKind;
 use usj_obs::json::JsonWriter;
+use usj_obs::Counter;
 
 fn main() {
     let args = Args::parse(
@@ -58,7 +59,7 @@ fn main() {
                         result.stats.timings.filtering().as_secs_f64() * 1e3,
                     )
                     .field_f64("total_ms", total.as_secs_f64() * 1e3)
-                    .field_u64("output_pairs", result.stats.output_pairs)
+                    .field_u64(Counter::OutputPairs.name(), result.stats.output_pairs)
                     .field_u64("verified", result.stats.verified_pairs())
                     .end_object();
             }

@@ -11,6 +11,7 @@
 use usj_bench::{dataset, default_config, ms, paper_defaults, run_join, write_result, Args, Table};
 use usj_datagen::DatasetKind;
 use usj_obs::json::JsonWriter;
+use usj_obs::{Counter, Gauge};
 
 fn main() {
     let args = Args::parse(
@@ -24,7 +25,7 @@ fn main() {
         "q",
         "peak_index_KiB",
         "filter_ms",
-        "qgram_survivors",
+        Counter::QgramSurvivors.name(),
         "total_ms",
     ]);
     let mut records = JsonWriter::new_array();
@@ -48,10 +49,10 @@ fn main() {
                 .push_object()
                 .field_str("dataset", &format!("{kind:?}").to_lowercase())
                 .field_u64("q", q as u64)
-                .field_u64("peak_index_bytes", s.peak_index_bytes as u64)
+                .field_u64(Gauge::PeakIndexBytes.name(), s.peak_index_bytes as u64)
                 .field_f64("filter_ms", s.timings.filtering().as_secs_f64() * 1e3)
-                .field_u64("qgram_survivors", s.qgram_survivors)
-                .field_u64("pairs_in_scope", s.pairs_in_scope)
+                .field_u64(Counter::QgramSurvivors.name(), s.qgram_survivors)
+                .field_u64(Counter::PairsInScope.name(), s.pairs_in_scope)
                 .field_f64("total_ms", total.as_secs_f64() * 1e3)
                 .end_object();
         }

@@ -11,6 +11,7 @@ use usj_bench::{dataset, default_config, ms, paper_defaults, run_join, write_res
 use usj_core::Pipeline;
 use usj_datagen::DatasetKind;
 use usj_obs::json::JsonWriter;
+use usj_obs::Counter;
 
 fn main() {
     let args = Args::parse(
@@ -60,7 +61,7 @@ fn main() {
                     )
                     .field_f64("verify_ms", result.stats.timings.verify.as_secs_f64() * 1e3)
                     .field_f64("total_ms", total.as_secs_f64() * 1e3)
-                    .field_u64("output_pairs", result.stats.output_pairs)
+                    .field_u64(Counter::OutputPairs.name(), result.stats.output_pairs)
                     .end_object();
             }
         }

@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 use crate::container::{self, durable_atomic_write_full, put_u32, put_u64, Reader};
 use crate::join::SimilarPair;
 use crate::stats::JoinStats;
-use usj_obs::Counter;
+use usj_obs::{Counter, Recorder};
 
 /// File name of the checkpoint inside its `--checkpoint` directory.
 pub const CHECKPOINT_FILE: &str = "join.ckpt";
@@ -73,11 +73,12 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// The funnel counters a checkpoint persists, in file order, each under
-/// its [`Counter::name`]. Fault/obs bookkeeping (`faults_injected`,
-/// `batches_retried`, …) is deliberately absent: a resumed run must
-/// reproduce the *uninterrupted* run's funnel, and the uninterrupted run
-/// saw no faults.
+/// The funnel counters a checkpoint persists. Section `state` stores
+/// them by position, one `u64` each in this order with no name, so this
+/// order is part of the `usj-checkpoint v2` format. Fault/obs bookkeeping
+/// (`faults_injected`, `batches_retried`, …) is deliberately absent: a
+/// resumed run must reproduce the *uninterrupted* run's funnel, and the
+/// uninterrupted run saw no faults.
 const FUNNEL: [Counter; 12] = [
     Counter::PairsInScope,
     Counter::QgramSurvivors,
@@ -119,9 +120,8 @@ impl Checkpoint {
     fn image(&self) -> Vec<u8> {
         let mut state = Vec::with_capacity(8 * (1 + FUNNEL.len()));
         put_u64(&mut state, self.completed_waves as u64);
-        let mut funnel = self.funnel.clone();
         for counter in FUNNEL {
-            put_u64(&mut state, funnel.counter_mut(counter).map_or(0, |v| *v));
+            put_u64(&mut state, self.funnel.counter_value(counter).unwrap_or(0));
         }
         let mut pairs = Vec::with_capacity(8 + 16 * self.pairs.len());
         put_u64(&mut pairs, self.pairs.len() as u64);
@@ -203,9 +203,7 @@ fn decode_state(bytes: &[u8]) -> Result<(usize, JoinStats), String> {
     r.finish()?;
     let mut funnel = JoinStats::default();
     for (&counter, &value) in FUNNEL.iter().zip(&words[1..]) {
-        if let Some(field) = funnel.counter_mut(counter) {
-            *field = value;
-        }
+        funnel.counter(counter, value);
     }
     let waves = usize::try_from(words[0]).map_err(|_| "wave count overflows")?;
     Ok((waves, funnel))

@@ -11,7 +11,6 @@ use std::time::{Duration, Instant};
 
 use crate::config::JoinConfig;
 use crate::index::{EquivCache, SegmentIndex};
-use crate::record::Recording;
 use crate::stats::JoinStats;
 use crate::verifier::{decide_candidate, ProbeVerifier};
 use usj_cdf::CdfFilter;
@@ -219,25 +218,19 @@ impl IndexedCollection {
     /// Used by [`IndexedCollection::search_top_k`] and exposed for
     /// callers that want custom post-processing.
     pub fn filter_candidates(&self, probe: &UncertainString) -> Vec<u32> {
-        let mut stats = JoinStats::default();
-        let mut noop = NoopRecorder;
-        let mut rec = Recording::new(&mut stats, &mut noop);
-        self.candidate_stage(probe, &mut rec)
+        self.candidate_stage(probe, &mut NoopRecorder)
     }
 
     /// Shared candidate-generation stage: q-gram index lookups, Lemma 5
-    /// count condition, sound Theorem 2 bound, frequency filtering.
-    fn candidate_stage<R: Recorder>(
-        &self,
-        probe: &UncertainString,
-        rec: &mut Recording<'_, R>,
-    ) -> Vec<u32> {
+    /// count condition, sound Theorem 2 bound, frequency filtering. Events
+    /// go to `rec`, the search's `(stats, recorder)` pair.
+    fn candidate_stage<R: Recorder>(&self, probe: &UncertainString, rec: &mut R) -> Vec<u32> {
         let config = &self.config;
         let freq_filter = FreqFilter::new(config.k, config.tau, self.sigma);
         let min_len = probe.len().saturating_sub(config.k);
         let max_len = probe.len() + config.k;
 
-        let qgram_span = rec.begin(Phase::Qgram);
+        let mut qgram_span = PhaseGuard::enter(&mut *rec, Phase::Qgram);
         let mut candidates: Vec<u32> = Vec::new();
         if config.pipeline.uses_qgram() {
             // One window table per probe, shared across lengths.
@@ -251,10 +244,10 @@ impl IndexedCollection {
                     None,
                     &mut cache,
                     &mut candidates,
-                    rec,
+                    qgram_span.rec(),
                 );
             }
-            rec.count(Counter::PairsInScope, scope);
+            qgram_span.rec().counter(Counter::PairsInScope, scope);
         } else {
             let mut scope = 0u64;
             for (id, s) in self.strings.iter().enumerate() {
@@ -263,29 +256,31 @@ impl IndexedCollection {
                     candidates.push(id as u32);
                 }
             }
-            rec.count(Counter::PairsInScope, scope);
+            qgram_span.rec().counter(Counter::PairsInScope, scope);
         }
-        rec.count(Counter::QgramSurvivors, candidates.len() as u64);
-        rec.end(qgram_span);
+        qgram_span
+            .rec()
+            .counter(Counter::QgramSurvivors, candidates.len() as u64);
+        drop(qgram_span);
         candidates.sort_unstable();
 
         if config.pipeline.uses_freq() && !candidates.is_empty() {
-            let freq_span = rec.begin(Phase::Freq);
+            let mut freq_span = PhaseGuard::enter(&mut *rec, Phase::Freq);
+            let rec = freq_span.rec();
             let rp = freq_filter.profile(probe);
             candidates.retain(|&id| {
                 let out = freq_filter.evaluate(&rp, &self.profiles[id as usize]);
                 if !out.candidate {
                     if out.fd_lower as usize > config.k {
-                        rec.count(Counter::FreqPrunedLower, 1);
+                        rec.counter(Counter::FreqPrunedLower, 1);
                     } else {
-                        rec.count(Counter::FreqPrunedChebyshev, 1);
+                        rec.counter(Counter::FreqPrunedChebyshev, 1);
                     }
                 }
                 out.candidate
             });
-            rec.end(freq_span);
         }
-        rec.count(Counter::FreqSurvivors, candidates.len() as u64);
+        rec.counter(Counter::FreqSurvivors, candidates.len() as u64);
         candidates
     }
 
@@ -356,7 +351,7 @@ impl IndexedCollection {
         let mut hits = Vec::new();
         let mut abort;
         {
-            let mut rec = Recording::new(&mut stats, recorder);
+            let mut rec = (&mut stats, &mut *recorder);
             rec.probe_start(probe_id);
             abort = budget.check(total_start).err();
 
@@ -385,7 +380,7 @@ impl IndexedCollection {
                 }
             }
             if abort.is_none() {
-                rec.count(Counter::OutputPairs, hits.len() as u64);
+                rec.counter(Counter::OutputPairs, hits.len() as u64);
             }
         }
         // Gauges are set on the stats view directly: the index is static

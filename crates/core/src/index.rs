@@ -36,7 +36,6 @@ use usj_qgram::{
 };
 
 use crate::config::JoinConfig;
-use crate::record::Recording;
 
 /// Per-probe window table: the probe's q-gram windows, each enumerated and
 /// resolved once, and the equivalent sets `q(r, x)` assembled from them.
@@ -896,11 +895,11 @@ impl SegmentIndex {
     ) {
         self.build_with(members, config, || {
             // Failpoint: a crash while building a shard, once per member.
-            // A delay action here is an uncounted sleep (this entry point
-            // only sees the recorder half of a `Recording`, and counting
-            // on one side would let stats and recorder views diverge);
-            // panic/error actions abort the build and surface through the
-            // driver's `Faulted` path.
+            // A delay action here is an uncounted sleep: the driver hands
+            // this entry point its recorder alone, not the `JoinStats`
+            // beside it, so a count here would reach one view and not the
+            // other. Panic/error actions abort the build and surface
+            // through the driver's `Faulted` path.
             usj_fault::fail_point!("index.build");
             rec.counter(Counter::IndexInsertions, 1);
         });
@@ -1076,8 +1075,10 @@ impl SegmentIndex {
     ///
     /// Returns the number of admitted pairs in scope at this length;
     /// prune-attribution counters ([`Counter::QgramPrunedCount`] /
-    /// [`Counter::QgramPrunedBound`]) are emitted on `rec`, survivor
-    /// counting is left to the caller.
+    /// [`Counter::QgramPrunedBound`]) and the index events of
+    /// [`SegmentIndex::query_cached_recorded`] are emitted on `rec` (the
+    /// driver's `(stats, recorder)` pair), survivor counting is left to
+    /// the caller.
     #[allow(clippy::too_many_arguments)]
     pub fn collect_candidates_recorded<R: Recorder>(
         &self,
@@ -1087,7 +1088,7 @@ impl SegmentIndex {
         admit_below: Option<u32>,
         cache: &mut EquivCache,
         candidates: &mut Vec<u32>,
-        rec: &mut Recording<'_, R>,
+        rec: &mut R,
     ) -> u64 {
         let Some(li) = self.by_length.get(&indexed_len) else {
             return 0;
@@ -1106,7 +1107,7 @@ impl SegmentIndex {
             candidates.extend_from_slice(&li.ids[..admitted]);
             return in_scope;
         }
-        self.fill(li, probe, config, limit, cache, rec.recorder());
+        self.fill(li, probe, config, limit, cache, rec);
         let EquivCache {
             scratch, alphas, ..
         } = cache;
@@ -1136,7 +1137,7 @@ impl SegmentIndex {
             }
             let matched = alpha.iter().filter(|&&a| a > 0.0).count();
             if matched < required {
-                rec.count(Counter::QgramPrunedCount, 1);
+                rec.counter(Counter::QgramPrunedCount, 1);
                 continue;
             }
             let bound = if capped {
@@ -1145,14 +1146,14 @@ impl SegmentIndex {
                 bounder.bound(alpha, required)
             };
             if bound <= config.tau {
-                rec.count(Counter::QgramPrunedBound, 1);
+                rec.counter(Counter::QgramPrunedBound, 1);
                 continue;
             }
             candidates.push(id);
         }
         // Ids that never surfaced have zero matching segments and were
         // pruned by the count condition implicitly.
-        rec.count(Counter::QgramPrunedCount, in_scope - alphas.len() as u64);
+        rec.counter(Counter::QgramPrunedCount, in_scope - alphas.len() as u64);
         in_scope
     }
 
@@ -1461,8 +1462,6 @@ mod tests {
         // No segments means Lemma 5 requires zero matches — the candidate
         // stage surfaces every length-0 id rather than querying postings.
         let mut stats = crate::stats::JoinStats::default();
-        let mut noop = NoopRecorder;
-        let mut rec = Recording::new(&mut stats, &mut noop);
         let mut candidates = Vec::new();
         let scope = index.collect_candidates_recorded(
             &UncertainString::empty(),
@@ -1471,7 +1470,7 @@ mod tests {
             None,
             &mut EquivCache::new(),
             &mut candidates,
-            &mut rec,
+            &mut stats,
         );
         assert_eq!(scope, 2);
         assert_eq!(candidates, vec![0, 1]);
@@ -1562,8 +1561,6 @@ mod tests {
         let index = build(&vec![dna("ACGTAC"); 6], &config);
         let probe = dna("ACGTAC");
         let mut stats = crate::stats::JoinStats::default();
-        let mut noop = NoopRecorder;
-        let mut rec = Recording::new(&mut stats, &mut noop);
         let mut candidates = Vec::new();
         let scope = index.collect_candidates_recorded(
             &probe,
@@ -1572,7 +1569,7 @@ mod tests {
             Some(4),
             &mut EquivCache::new(),
             &mut candidates,
-            &mut rec,
+            &mut stats,
         );
         assert_eq!(scope, 4);
         candidates.sort_unstable();
@@ -1586,7 +1583,7 @@ mod tests {
             Some(0),
             &mut EquivCache::new(),
             &mut none,
-            &mut rec,
+            &mut stats,
         );
         assert_eq!(scope, 0);
         assert!(none.is_empty());

@@ -38,7 +38,6 @@ pub mod join;
 pub mod oracle;
 pub mod parallel;
 pub mod partition;
-pub mod record;
 pub mod snapshot;
 pub mod stats;
 pub mod string_level;
@@ -58,7 +57,6 @@ pub use join::{JoinResult, SimilarPair, SimilarityJoin};
 pub use oracle::oracle_self_join;
 pub use parallel::{par_self_join, run_self_join, FaultReport, JoinError, RunOptions};
 pub use partition::{Partition, ShardSlice};
-pub use record::{PhaseSpan, Recording};
 pub use snapshot::{
     LoadRung, LoadedSnapshot, SalvageMode, SnapshotError, SnapshotReport, SnapshotWriteReport,
 };

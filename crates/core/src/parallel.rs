@@ -60,14 +60,13 @@ use usj_cdf::CdfFilter;
 use usj_fault::{panic_message, shield, InjectedFault};
 use usj_freq::{FreqFilter, FreqProfile};
 use usj_model::UncertainString;
-use usj_obs::{Counter, Gauge, MergeRecorder, NoopRecorder, Phase, Recorder};
+use usj_obs::{Counter, Gauge, MergeRecorder, NoopRecorder, Phase, PhaseGuard, Recorder};
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::config::JoinConfig;
 use crate::container::{fold_config, fold_string, fold_u64, FNV_SEED};
 use crate::index::{EquivCache, SegmentIndex};
 use crate::join::{JoinResult, SimilarPair};
-use crate::record::Recording;
 use crate::stats::JoinStats;
 use crate::verifier::{decide_candidate, ProbeVerifier};
 
@@ -298,8 +297,7 @@ where
             stats.absorb(&ck.funnel);
             pairs = ck.pairs;
             last_checkpoint = Some(Checkpoint::path_in(dir));
-            let mut rec = Recording::new(&mut stats, &mut merged);
-            rec.count(Counter::WavesResumed, resumed_waves as u64);
+            (&mut stats, &mut merged).counter(Counter::WavesResumed, resumed_waves as u64);
         }
     }
 
@@ -328,12 +326,12 @@ where
         // isolated to one probe, so it aborts the run as a clean
         // `Faulted` error pointing at the last committed checkpoint.
         let build = catching(|| {
-            let mut rec = Recording::new(&mut stats, &mut merged);
-            let index_span = rec.begin(Phase::Index);
+            let mut rec = (&mut stats, &mut merged);
+            let mut index_span = PhaseGuard::enter(&mut rec, Phase::Index);
             // Failpoint: a crash in shard eviction; a delay that fires is
             // a survived fault.
             if usj_fault::fail_point!("parallel.evict") {
-                rec.count(Counter::FaultsInjected, 1);
+                index_span.rec().counter(Counter::FaultsInjected, 1);
             }
             if config.pipeline.uses_qgram() {
                 index.evict_below(reach_lo);
@@ -353,7 +351,7 @@ where
                     .iter()
                     .flat_map(|(_, range)| &order[range.clone()])
                     .map(|&id| (id, &strings[id as usize]));
-                index.build_bands(members, &config, rec.recorder());
+                index.build_bands(members, &config, &mut *index_span.rec().1);
             }
             for (len, range) in wave_groups {
                 visited
@@ -361,16 +359,15 @@ where
                     .or_default()
                     .extend_from_slice(&order[range.clone()]);
             }
-            rec.end(index_span);
+            drop(index_span);
             if config.pipeline.uses_freq() {
-                rec.time(Phase::Freq, |_| {
-                    for (_, range) in wave_groups {
-                        for &id in &order[range.clone()] {
-                            let profile = freq_filter.profile(&strings[id as usize]);
-                            profiles[id as usize] = Some(profile);
-                        }
+                let _freq_span = PhaseGuard::enter(&mut rec, Phase::Freq);
+                for (_, range) in wave_groups {
+                    for &id in &order[range.clone()] {
+                        let profile = freq_filter.profile(&strings[id as usize]);
+                        profiles[id as usize] = Some(profile);
                     }
-                });
+                }
             }
             rec.gauge(Gauge::ResidentShards, index.lengths().len() as u64);
             rec.gauge(Gauge::IndexBytes, index.estimated_bytes() as u64);
@@ -442,9 +439,10 @@ where
         }
         for out in outs {
             pairs.extend(out.pairs);
-            stats.absorb(&out.stats);
+            let (worker_stats, worker_recorder) = out.rec;
+            stats.absorb(&worker_stats);
             quarantined.extend(out.quarantined);
-            merged.absorb(out.recorder);
+            merged.absorb(worker_recorder);
         }
         completed_waves = wave_idx + 1;
 
@@ -484,14 +482,17 @@ where
     // each unordered pair surfaced exactly once, so their sum is exactly
     // this count; only the stats view needs the authoritative value.
     stats.output_pairs = pairs.len() as u64;
-    {
-        let mut rec = Recording::new(&mut stats, &mut merged);
-        rec.gauge(Gauge::IndexBytes, index.estimated_bytes() as u64);
-        rec.gauge(Gauge::PeakIndexBytes, index.peak_bytes() as u64);
-        rec.gauge(Gauge::PeakResidentBytes, index.peak_bytes() as u64);
-        rec.gauge(Gauge::NumStrings, strings.len() as u64);
-        rec.set_total(total_start.elapsed());
-    }
+    let mut rec = (&mut stats, &mut merged);
+    rec.gauge(Gauge::IndexBytes, index.estimated_bytes() as u64);
+    rec.gauge(Gauge::PeakIndexBytes, index.peak_bytes() as u64);
+    rec.gauge(Gauge::PeakResidentBytes, index.peak_bytes() as u64);
+    rec.gauge(Gauge::NumStrings, strings.len() as u64);
+    // The merged stats carry aggregate work time in `total`; the run
+    // reports its wall-clock instead, and the recorder sees one span.
+    let elapsed = total_start.elapsed();
+    stats.timings.total = elapsed;
+    merged.enter_phase(Phase::Total);
+    merged.exit_phase(Phase::Total, elapsed);
     let report = FaultReport {
         quarantined,
         waves_resumed: stats.waves_resumed,
@@ -575,29 +576,30 @@ struct WaveCtx<'a> {
     started: Instant,
 }
 
-/// What one worker produced in one wave.
+/// One batch's scratch: its pairs and its `(stats, recorder)` pair.
+type BatchScratch<R> = (Vec<SimilarPair>, (JoinStats, R));
+
+/// What one worker produced in one wave: its pairs, its
+/// `(stats, recorder)` pair and the probes it quarantined.
 struct WorkerOut<R> {
     pairs: Vec<SimilarPair>,
-    stats: JoinStats,
+    rec: (JoinStats, R),
     quarantined: Vec<u32>,
-    recorder: R,
 }
 
 impl<R: MergeRecorder> WorkerOut<R> {
     /// Adopts the scratch of a batch that completed.
-    fn absorb(&mut self, (mut pairs, stats, recorder): (Vec<SimilarPair>, JoinStats, R)) {
+    fn absorb(&mut self, (mut pairs, rec): BatchScratch<R>) {
         self.pairs.append(&mut pairs);
-        self.stats.absorb(&stats);
-        self.recorder.absorb(recorder);
+        self.rec.absorb(rec);
     }
 
     /// Counts a caught panic under `counter`, and as a survived fault when
     /// a failpoint injected it.
     fn count_panic(&mut self, counter: Counter, payload: &(dyn Any + Send)) {
-        let mut rec = Recording::new(&mut self.stats, &mut self.recorder);
-        rec.count(counter, 1);
+        self.rec.counter(counter, 1);
         if payload.downcast_ref::<InjectedFault>().is_some() {
-            rec.count(Counter::FaultsInjected, 1);
+            self.rec.counter(Counter::FaultsInjected, 1);
         }
     }
 }
@@ -614,9 +616,8 @@ where
 {
     let mut out = WorkerOut {
         pairs: Vec::new(),
-        stats: JoinStats::default(),
+        rec: (JoinStats::default(), make_recorder()),
         quarantined: Vec::new(),
-        recorder: make_recorder(),
     };
     loop {
         // ordering: Relaxed — the cancel flag is advisory (a worker that
@@ -642,7 +643,7 @@ where
         ) else {
             break;
         };
-        out.recorder.counter(Counter::StealBatches, 1);
+        out.rec.counter(Counter::StealBatches, 1);
         let ids = &ctx.probes[batch];
         match run_batch_caught(ids, false, ctx, cache, make_recorder) {
             Ok(scratch) => out.absorb(scratch),
@@ -687,7 +688,7 @@ fn run_batch_caught<R, F>(
     ctx: &WaveCtx<'_>,
     cache: &mut EquivCache,
     make_recorder: &F,
-) -> Result<(Vec<SimilarPair>, JoinStats, R), Box<dyn Any + Send>>
+) -> Result<BatchScratch<R>, Box<dyn Any + Send>>
 where
     R: MergeRecorder + Send,
     F: Fn() -> R + Sync,
@@ -698,27 +699,22 @@ where
     shield::shielded(|| {
         catch_unwind(AssertUnwindSafe(|| {
             let mut pairs = Vec::new();
-            let mut stats = JoinStats::default();
-            let mut recorder = make_recorder();
-            {
-                let mut rec = Recording::new(&mut stats, &mut recorder);
-                // Failpoint: a crash taking down a whole batch; a delay
-                // that fires is a survived fault.
-                if usj_fault::fail_point!("parallel.batch") {
-                    rec.count(Counter::FaultsInjected, 1);
-                }
-                // Failpoint: a probe that fails again when retried alone.
-                // Only the retry of a failed batch crosses it, so a plan
-                // can poison exactly that batch's probe, whichever worker
-                // ran it.
-                if isolated && usj_fault::fail_point!("parallel.isolate") {
-                    rec.count(Counter::FaultsInjected, 1);
-                }
+            let mut rec = (JoinStats::default(), make_recorder());
+            // Failpoint: a crash taking down a whole batch; a delay that
+            // fires is a survived fault.
+            if usj_fault::fail_point!("parallel.batch") {
+                rec.counter(Counter::FaultsInjected, 1);
+            }
+            // Failpoint: a probe that fails again when retried alone. Only
+            // the retry of a failed batch crosses it, so a plan can poison
+            // exactly that batch's probe, whichever worker ran it.
+            if isolated && usj_fault::fail_point!("parallel.isolate") {
+                rec.counter(Counter::FaultsInjected, 1);
             }
             for &id in ids {
-                probe_one(id, ctx, cache, &mut pairs, &mut stats, &mut recorder);
+                probe_one(id, ctx, cache, &mut pairs, &mut rec);
             }
-            (pairs, stats, recorder)
+            (pairs, rec)
         }))
     })
 }
@@ -804,22 +800,21 @@ fn grab_batch(
 /// verify pipeline, restricted to visit-order-earlier candidates (all of
 /// a smaller length, ids `< probe_id` at equal length) so each unordered
 /// pair is decided exactly once, in one fixed probe→candidate direction.
+/// Events go to `rec`, the batch's `(stats, recorder)` pair.
 fn probe_one<R: Recorder>(
     probe_id: u32,
     ctx: &WaveCtx<'_>,
     cache: &mut EquivCache,
     pairs: &mut Vec<SimilarPair>,
-    stats: &mut JoinStats,
-    recorder: &mut R,
+    rec: &mut R,
 ) {
     let config = ctx.config;
     let probe = &ctx.strings[probe_id as usize];
     let min_len = probe.len().saturating_sub(config.k);
-    let mut rec = Recording::new(stats, recorder);
     rec.probe_start(probe_id);
 
     // ---- Candidate generation ---------------------------------------
-    let qgram_span = rec.begin(Phase::Qgram);
+    let mut qgram_span = PhaseGuard::enter(&mut *rec, Phase::Qgram);
     let mut candidates: Vec<u32> = Vec::new();
     let mut scope = 0u64;
     if config.pipeline.uses_qgram() {
@@ -835,7 +830,7 @@ fn probe_one<R: Recorder>(
                 admit_below,
                 cache,
                 &mut candidates,
-                &mut rec,
+                qgram_span.rec(),
             );
         }
     } else {
@@ -850,55 +845,52 @@ fn probe_one<R: Recorder>(
             }
         }
     }
-    rec.count(Counter::PairsInScope, scope);
-    rec.count(Counter::QgramSurvivors, candidates.len() as u64);
-    rec.end(qgram_span);
+    qgram_span.rec().counter(Counter::PairsInScope, scope);
+    qgram_span
+        .rec()
+        .counter(Counter::QgramSurvivors, candidates.len() as u64);
+    drop(qgram_span);
     // Deterministic candidate order keeps runs reproducible.
     candidates.sort_unstable();
 
     // ---- Frequency-distance filtering -------------------------------
     if config.pipeline.uses_freq() && !candidates.is_empty() {
-        rec.time(Phase::Freq, |rec| {
-            // The probe's own profile was computed when its wave was built.
-            let rp = ctx.profiles[probe_id as usize]
+        let mut freq_span = PhaseGuard::enter(&mut *rec, Phase::Freq);
+        let rec = freq_span.rec();
+        // The probe's own profile was computed when its wave was built.
+        let rp = ctx.profiles[probe_id as usize]
+            .as_ref()
+            .expect("wave strings have profiles");
+        candidates.retain(|&id| {
+            let sp = ctx.profiles[id as usize]
                 .as_ref()
-                .expect("wave strings have profiles");
-            candidates.retain(|&id| {
-                let sp = ctx.profiles[id as usize]
-                    .as_ref()
-                    .expect("resident strings have profiles");
-                let out = ctx.freq_filter.evaluate(rp, sp);
-                if !out.candidate {
-                    if out.fd_lower as usize > config.k {
-                        rec.count(Counter::FreqPrunedLower, 1);
-                    } else {
-                        rec.count(Counter::FreqPrunedChebyshev, 1);
-                    }
+                .expect("resident strings have profiles");
+            let out = ctx.freq_filter.evaluate(rp, sp);
+            if !out.candidate {
+                if out.fd_lower as usize > config.k {
+                    rec.counter(Counter::FreqPrunedLower, 1);
+                } else {
+                    rec.counter(Counter::FreqPrunedChebyshev, 1);
                 }
-                out.candidate
-            });
+            }
+            out.candidate
         });
     }
-    rec.count(Counter::FreqSurvivors, candidates.len() as u64);
+    rec.counter(Counter::FreqSurvivors, candidates.len() as u64);
 
     // ---- CDF bounds + verification ----------------------------------
     // Failpoint: a stuck or crashing verification (the heaviest per-probe
     // phase); a delay that fires is a survived fault.
     if usj_fault::fail_point!("parallel.verify") {
-        rec.count(Counter::FaultsInjected, 1);
+        rec.counter(Counter::FaultsInjected, 1);
     }
     let mut verifier: Option<ProbeVerifier> = None; // lazily built
     let mut found = 0u64;
     for id in candidates {
         let other = &ctx.strings[id as usize];
-        let Some((similar, prob)) = decide_candidate(
-            probe,
-            other,
-            ctx.cdf_filter,
-            &mut verifier,
-            config,
-            &mut rec,
-        ) else {
+        let Some((similar, prob)) =
+            decide_candidate(probe, other, ctx.cdf_filter, &mut verifier, config, rec)
+        else {
             continue;
         };
         if similar {
@@ -910,7 +902,7 @@ fn probe_one<R: Recorder>(
             });
         }
     }
-    rec.count(Counter::OutputPairs, found);
+    rec.counter(Counter::OutputPairs, found);
     rec.probe_end(probe_id);
 }
 
@@ -972,24 +964,13 @@ mod tests {
         assert_eq!(key(a), key(b));
     }
 
-    /// The funnel counters — everything in `JoinStats` that must be
-    /// invariant under thread count and wave plan.
-    fn counters(s: &JoinStats) -> [u64; 13] {
-        [
-            s.pairs_in_scope,
-            s.qgram_survivors,
-            s.qgram_pruned_count,
-            s.qgram_pruned_bound,
-            s.freq_survivors,
-            s.freq_pruned_lower,
-            s.freq_pruned_chebyshev,
-            s.cdf_accepted,
-            s.cdf_rejected,
-            s.cdf_undecided,
-            s.verified_similar,
-            s.verified_dissimilar,
-            s.output_pairs,
-        ]
+    /// The counters `JoinStats` tracks — the funnel and fault counts that
+    /// must be invariant under thread count and wave plan.
+    fn counters(s: &JoinStats) -> Vec<u64> {
+        Counter::ALL
+            .iter()
+            .filter_map(|&c| s.counter_value(c))
+            .collect()
     }
 
     #[test]

@@ -5,18 +5,20 @@
 //! (Fig 2, Fig 3), verification time (Fig 8), and peak index memory
 //! (Fig 7).
 //!
-//! Since the observability refactor, `JoinStats` is a **view over
-//! recorded events**: the drivers emit every counter, gauge, and phase
-//! span through [`crate::record::Recording`], which applies each event to
-//! this struct ([`JoinStats::apply_counter`], [`JoinStats::apply_gauge`],
-//! [`PhaseTimings::add`]) and forwards it to the attached
-//! [`usj_obs::Recorder`]. Nothing updates these fields directly anymore,
-//! so the self-join and search paths cannot drift apart in their
-//! bookkeeping.
+//! `JoinStats` is itself a [`Recorder`]: a **view over recorded events**.
+//! The drivers emit every counter, gauge and phase span onto the pair
+//! `(stats, recorder)`, which forwards each event to both halves. A
+//! tracked counter lands in its field through one map (`tracked_counters!`
+//! below), a gauge sets a memory or size field, and a closed span adds to
+//! its [`PhaseTimings`] slot. Beside that stream the drivers only assign
+//! what a merge of events cannot get right: the deduplicated
+//! `output_pairs`, the wall-clock `timings.total` and a search's static
+//! index sizes. So the self-join and search paths cannot drift apart in
+//! their bookkeeping.
 
 use std::time::Duration;
 
-use usj_obs::{Counter, Gauge, Phase};
+use usj_obs::{Counter, Gauge, MergeRecorder, Phase, Recorder};
 
 /// Wall-clock time spent in each phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -48,8 +50,7 @@ impl PhaseTimings {
         self.qgram + self.freq + self.cdf + self.index
     }
 
-    /// Adds `elapsed` to the slot for `phase` (the event-application hook
-    /// used by [`crate::record::Recording`]).
+    /// Adds `elapsed` to the slot for `phase` (where a closed span lands).
     pub fn add(&mut self, phase: Phase, elapsed: Duration) {
         match phase {
             Phase::Qgram => self.qgram += elapsed,
@@ -131,83 +132,56 @@ pub struct JoinStats {
     pub timings: PhaseTimings,
 }
 
+/// The counters `JoinStats` tracks, each with the field its events land
+/// in: the one map behind [`JoinStats::counter_value`], the recorder's
+/// counter events and [`JoinStats::absorb`]. Every other [`Counter`] is
+/// ignored.
+macro_rules! tracked_counters {
+    ($($counter:ident => $field:ident,)*) => {
+        impl JoinStats {
+            /// The value of `counter`, if `JoinStats` tracks it.
+            pub(crate) fn counter_value(&self, counter: Counter) -> Option<u64> {
+                match counter {
+                    $(Counter::$counter => Some(self.$field),)*
+                    _ => None,
+                }
+            }
+
+            /// The field `counter` events land in, if `JoinStats` tracks it.
+            fn counter_mut(&mut self, counter: Counter) -> Option<&mut u64> {
+                match counter {
+                    $(Counter::$counter => Some(&mut self.$field),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+tracked_counters! {
+    PairsInScope => pairs_in_scope,
+    QgramSurvivors => qgram_survivors,
+    QgramPrunedCount => qgram_pruned_count,
+    QgramPrunedBound => qgram_pruned_bound,
+    FreqSurvivors => freq_survivors,
+    FreqPrunedLower => freq_pruned_lower,
+    FreqPrunedChebyshev => freq_pruned_chebyshev,
+    CdfAccepted => cdf_accepted,
+    CdfRejected => cdf_rejected,
+    CdfUndecided => cdf_undecided,
+    VerifiedSimilar => verified_similar,
+    VerifiedDissimilar => verified_dissimilar,
+    OutputPairs => output_pairs,
+    FaultsInjected => faults_injected,
+    BatchesRetried => batches_retried,
+    ProbesQuarantined => probes_quarantined,
+    WavesResumed => waves_resumed,
+}
+
 impl JoinStats {
     /// Candidates that reached exact verification.
     pub fn verified_pairs(&self) -> u64 {
         self.verified_similar + self.verified_dissimilar
-    }
-
-    /// Applies one counter event (the [`crate::record::Recording`] hook).
-    /// Counters outside the `JoinStats` vocabulary (index/verifier
-    /// internals tracked only by richer recorders) are ignored.
-    pub fn apply_counter(&mut self, counter: Counter, delta: u64) {
-        if let Some(field) = self.counter_mut(counter) {
-            *field += delta;
-        }
-    }
-
-    /// The field `counter` events land in, if `JoinStats` tracks it.
-    pub(crate) fn counter_mut(&mut self, counter: Counter) -> Option<&mut u64> {
-        Some(match counter {
-            Counter::PairsInScope => &mut self.pairs_in_scope,
-            Counter::QgramSurvivors => &mut self.qgram_survivors,
-            Counter::QgramPrunedCount => &mut self.qgram_pruned_count,
-            Counter::QgramPrunedBound => &mut self.qgram_pruned_bound,
-            Counter::FreqSurvivors => &mut self.freq_survivors,
-            Counter::FreqPrunedLower => &mut self.freq_pruned_lower,
-            Counter::FreqPrunedChebyshev => &mut self.freq_pruned_chebyshev,
-            Counter::CdfAccepted => &mut self.cdf_accepted,
-            Counter::CdfRejected => &mut self.cdf_rejected,
-            Counter::CdfUndecided => &mut self.cdf_undecided,
-            Counter::VerifiedSimilar => &mut self.verified_similar,
-            Counter::VerifiedDissimilar => &mut self.verified_dissimilar,
-            Counter::OutputPairs => &mut self.output_pairs,
-            Counter::FaultsInjected => &mut self.faults_injected,
-            Counter::BatchesRetried => &mut self.batches_retried,
-            Counter::ProbesQuarantined => &mut self.probes_quarantined,
-            Counter::WavesResumed => &mut self.waves_resumed,
-            Counter::IndexInsertions
-            | Counter::IndexPostingsScanned
-            | Counter::IndexCandidatesSurfaced
-            | Counter::QgramWindowWorlds
-            | Counter::QgramInstancesResolved
-            | Counter::IndexRunLookups
-            | Counter::VerifierBuilds
-            | Counter::StealBatches
-            | Counter::ServeAccepted
-            | Counter::ServeFull
-            | Counter::ServeDegraded
-            | Counter::ServeShed
-            | Counter::ServeDeadline
-            | Counter::ServePanics
-            | Counter::HedgesSent
-            | Counter::HedgesWon
-            | Counter::ShardsQuarantined
-            | Counter::PartialResponses
-            | Counter::SnapshotBandsSalvaged
-            | Counter::SnapshotBandsRebuilt
-            | Counter::SnapshotCorruptionsDetected
-            | Counter::WarmRestarts => return None,
-        })
-    }
-
-    /// Applies one gauge event (the [`crate::record::Recording`] hook).
-    pub fn apply_gauge(&mut self, gauge: Gauge, value: u64) {
-        match gauge {
-            Gauge::IndexBytes => self.index_bytes = value as usize,
-            Gauge::PeakIndexBytes => {
-                self.peak_index_bytes = self.peak_index_bytes.max(value as usize)
-            }
-            Gauge::NumStrings => self.num_strings = value as usize,
-            // Sharded-driver residency and server queue gauges live only
-            // in richer recorders; the flat view keeps the classic
-            // memory fields.
-            Gauge::ResidentShards
-            | Gauge::PeakResidentBytes
-            | Gauge::ServeQueueDepth
-            | Gauge::ShardHealthy
-            | Gauge::SnapshotAgeSeconds => {}
-        }
     }
 
     /// Accumulates another run's counters and timings into this one, used
@@ -226,31 +200,16 @@ impl JoinStats {
     ///   overwrite it with the final deduplicated count;
     /// * `num_strings` is left to the caller, which knows the collection.
     pub fn absorb(&mut self, other: &JoinStats) {
-        self.output_pairs += other.output_pairs;
-        self.pairs_in_scope += other.pairs_in_scope;
-        self.qgram_survivors += other.qgram_survivors;
-        self.qgram_pruned_count += other.qgram_pruned_count;
-        self.qgram_pruned_bound += other.qgram_pruned_bound;
-        self.freq_survivors += other.freq_survivors;
-        self.freq_pruned_lower += other.freq_pruned_lower;
-        self.freq_pruned_chebyshev += other.freq_pruned_chebyshev;
-        self.cdf_accepted += other.cdf_accepted;
-        self.cdf_rejected += other.cdf_rejected;
-        self.cdf_undecided += other.cdf_undecided;
-        self.verified_similar += other.verified_similar;
-        self.verified_dissimilar += other.verified_dissimilar;
-        self.faults_injected += other.faults_injected;
-        self.batches_retried += other.batches_retried;
-        self.probes_quarantined += other.probes_quarantined;
-        self.waves_resumed += other.waves_resumed;
+        for counter in Counter::ALL {
+            if let Some(value) = other.counter_value(counter) {
+                self.counter(counter, value);
+            }
+        }
         self.index_bytes = self.index_bytes.max(other.index_bytes);
         self.peak_index_bytes = self.peak_index_bytes.max(other.peak_index_bytes);
-        self.timings.qgram += other.timings.qgram;
-        self.timings.freq += other.timings.freq;
-        self.timings.cdf += other.timings.cdf;
-        self.timings.verify += other.timings.verify;
-        self.timings.index += other.timings.index;
-        self.timings.total += other.timings.total;
+        for phase in Phase::ALL {
+            self.timings.add(phase, other.timings.get(phase));
+        }
     }
 
     /// One-line human-readable summary (used by the experiment harness).
@@ -271,6 +230,43 @@ impl JoinStats {
             self.timings.verify,
             self.timings.total,
         )
+    }
+}
+
+/// `JoinStats` as an event sink: tracked counters add to their fields,
+/// closed spans add to their phase slot, and gauges set the memory and
+/// size fields. The peak index gauge never regresses; the residency,
+/// queue, shard and snapshot gauges live only in richer recorders.
+impl Recorder for JoinStats {
+    fn exit_phase(&mut self, phase: Phase, elapsed: Duration) {
+        self.timings.add(phase, elapsed);
+    }
+
+    fn counter(&mut self, counter: Counter, delta: u64) {
+        if let Some(field) = self.counter_mut(counter) {
+            *field += delta;
+        }
+    }
+
+    fn gauge(&mut self, gauge: Gauge, value: u64) {
+        match gauge {
+            Gauge::IndexBytes => self.index_bytes = value as usize,
+            Gauge::PeakIndexBytes => {
+                self.peak_index_bytes = self.peak_index_bytes.max(value as usize)
+            }
+            Gauge::NumStrings => self.num_strings = value as usize,
+            Gauge::ResidentShards
+            | Gauge::PeakResidentBytes
+            | Gauge::ServeQueueDepth
+            | Gauge::ShardHealthy
+            | Gauge::SnapshotAgeSeconds => {}
+        }
+    }
+}
+
+impl MergeRecorder for JoinStats {
+    fn absorb(&mut self, other: Self) {
+        JoinStats::absorb(self, &other);
     }
 }
 
@@ -316,13 +312,13 @@ mod tests {
     #[test]
     fn counter_events_update_matching_fields() {
         let mut s = JoinStats::default();
-        s.apply_counter(Counter::PairsInScope, 10);
-        s.apply_counter(Counter::PairsInScope, 5);
-        s.apply_counter(Counter::CdfRejected, 2);
-        s.apply_counter(Counter::OutputPairs, 1);
+        s.counter(Counter::PairsInScope, 10);
+        s.counter(Counter::PairsInScope, 5);
+        s.counter(Counter::CdfRejected, 2);
+        s.counter(Counter::OutputPairs, 1);
         // Obs-only counters leave JoinStats untouched.
-        s.apply_counter(Counter::IndexPostingsScanned, 99);
-        s.apply_counter(Counter::VerifierBuilds, 99);
+        s.counter(Counter::IndexPostingsScanned, 99);
+        s.counter(Counter::VerifierBuilds, 99);
         assert_eq!(s.pairs_in_scope, 15);
         assert_eq!(s.cdf_rejected, 2);
         assert_eq!(s.output_pairs, 1);
@@ -340,14 +336,85 @@ mod tests {
     #[test]
     fn gauge_events_set_and_peak() {
         let mut s = JoinStats::default();
-        s.apply_gauge(Gauge::IndexBytes, 100);
-        s.apply_gauge(Gauge::PeakIndexBytes, 120);
-        s.apply_gauge(Gauge::IndexBytes, 40);
-        s.apply_gauge(Gauge::PeakIndexBytes, 90); // peak never regresses
-        s.apply_gauge(Gauge::NumStrings, 7);
+        s.gauge(Gauge::IndexBytes, 100);
+        s.gauge(Gauge::PeakIndexBytes, 120);
+        s.gauge(Gauge::IndexBytes, 40);
+        s.gauge(Gauge::PeakIndexBytes, 90); // peak never regresses
+        s.gauge(Gauge::NumStrings, 7);
         assert_eq!(s.index_bytes, 40);
         assert_eq!(s.peak_index_bytes, 120);
         assert_eq!(s.num_strings, 7);
+    }
+
+    /// The drivers' event pattern on a `(stats, recorder)` pair: both
+    /// views see the same tracked counters and phase spans, `JoinStats`
+    /// ignores what it does not track, the peak gauge never regresses, and
+    /// the driver's final wall-clock assignment replaces the merged
+    /// aggregate `total` while the recorder sees one `total` span.
+    #[test]
+    fn events_update_stats_and_recorder_in_lockstep() {
+        use usj_obs::{CollectingRecorder, PhaseGuard};
+        let mut rec = (JoinStats::default(), CollectingRecorder::new());
+        rec.probe_start(0);
+        {
+            let mut span = PhaseGuard::enter(&mut rec, Phase::Qgram);
+            span.rec().counter(Counter::PairsInScope, 4);
+            span.rec().counter(Counter::QgramSurvivors, 2);
+            span.rec().counter(Counter::IndexPostingsScanned, 9);
+        }
+        rec.counter(Counter::FaultsInjected, 1);
+        rec.counter(Counter::StealBatches, 3);
+        rec.probe_end(0);
+        rec.gauge(Gauge::PeakIndexBytes, 512);
+        rec.gauge(Gauge::PeakIndexBytes, 100);
+        rec.gauge(Gauge::ResidentShards, 7);
+
+        let (mut stats, mut sink) = rec;
+        let mut tracked = 0;
+        for counter in Counter::ALL {
+            if let Some(value) = stats.counter_value(counter) {
+                assert_eq!(value, sink.counter_total(counter), "{counter:?}");
+                tracked += 1;
+            }
+        }
+        assert_eq!(tracked, 17);
+        // Untracked counters and gauges reach only the recorder.
+        assert_eq!(sink.counter_total(Counter::IndexPostingsScanned), 9);
+        assert_eq!(sink.counter_total(Counter::StealBatches), 3);
+        assert_eq!(sink.gauge_max(Gauge::ResidentShards), 7);
+        assert_eq!(
+            stats,
+            JoinStats {
+                pairs_in_scope: 4,
+                qgram_survivors: 2,
+                faults_injected: 1,
+                peak_index_bytes: 512,
+                timings: stats.timings,
+                ..Default::default()
+            }
+        );
+        assert_eq!(
+            stats.timings.qgram.as_nanos() as u64,
+            sink.phase_total_ns(Phase::Qgram)
+        );
+        assert_eq!(sink.probes(), 1);
+
+        // A merged part carries aggregate work time in `total`; the
+        // driver assigns the wall-clock over it.
+        stats.absorb(&JoinStats {
+            timings: PhaseTimings {
+                total: Duration::from_secs(99),
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        assert_eq!(stats.timings.total, Duration::from_secs(99));
+        let wall = Duration::from_millis(5);
+        stats.timings.total = wall;
+        sink.enter_phase(Phase::Total);
+        sink.exit_phase(Phase::Total, wall);
+        assert_eq!(stats.timings.total, wall);
+        assert_eq!(sink.phase_total_ns(Phase::Total), 5_000_000);
     }
 
     #[test]
@@ -355,6 +422,7 @@ mod tests {
         let mut a = JoinStats {
             pairs_in_scope: 10,
             cdf_undecided: 2,
+            batches_retried: 1,
             index_bytes: 100,
             peak_index_bytes: 150,
             timings: PhaseTimings {
@@ -367,6 +435,7 @@ mod tests {
         let b = JoinStats {
             pairs_in_scope: 5,
             cdf_undecided: 1,
+            batches_retried: 2,
             index_bytes: 120,
             peak_index_bytes: 130,
             timings: PhaseTimings {
@@ -379,6 +448,7 @@ mod tests {
         a.absorb(&b);
         assert_eq!(a.pairs_in_scope, 15);
         assert_eq!(a.cdf_undecided, 3);
+        assert_eq!(a.batches_retried, 3);
         // Memory gauges take the max, not the sum (workers share one index).
         assert_eq!(a.index_bytes, 120);
         assert_eq!(a.peak_index_bytes, 150);

@@ -4,11 +4,10 @@
 use usj_cdf::{CdfDecision, CdfFilter};
 use usj_editdist::within_k_auto;
 use usj_model::{Prob, Symbol, UncertainString};
-use usj_obs::{Counter, NoopRecorder, Phase, Recorder};
+use usj_obs::{Counter, NoopRecorder, Phase, PhaseGuard, Recorder};
 use usj_verify::{naive_verify, LazyTrieVerifier, TrieVerifier};
 
 use crate::config::{JoinConfig, VerifierKind};
-use crate::record::Recording;
 
 /// A verifier instantiated once per probe and reused for all its
 /// candidates.
@@ -126,51 +125,54 @@ impl ProbeVerifier {
 /// Both drivers ([`crate::SimilarityJoin::self_join`] and
 /// [`crate::IndexedCollection::search_filtered`]) route candidates through
 /// this one function, so the CDF/verify counters and phase spans cannot
-/// diverge between them.
+/// diverge between them. Events go to `rec`, the driver's
+/// `(stats, recorder)` pair.
 pub(crate) fn decide_candidate<R: Recorder>(
     probe: &UncertainString,
     other: &UncertainString,
     cdf_filter: &CdfFilter,
     verifier: &mut Option<ProbeVerifier>,
     config: &JoinConfig,
-    rec: &mut Recording<'_, R>,
+    rec: &mut R,
 ) -> Option<(bool, Prob)> {
     let mut decided: Option<(bool, Prob)> = None;
     if config.pipeline.uses_cdf() {
-        let span = rec.begin(Phase::Cdf);
-        let out = cdf_filter.evaluate(probe, other);
-        rec.end(span);
+        let out = {
+            let _span = PhaseGuard::enter(&mut *rec, Phase::Cdf);
+            cdf_filter.evaluate(probe, other)
+        };
         match out.decision {
             CdfDecision::Reject => {
-                rec.count(Counter::CdfRejected, 1);
+                rec.counter(Counter::CdfRejected, 1);
                 return None;
             }
             CdfDecision::Accept if config.early_stop => {
-                rec.count(Counter::CdfAccepted, 1);
+                rec.counter(Counter::CdfAccepted, 1);
                 decided = Some((true, out.bounds.at_k().0));
             }
             CdfDecision::Accept => {
                 // Exact-probability mode verifies accepted pairs too (the
                 // count still reflects the filter's power).
-                rec.count(Counter::CdfAccepted, 1);
+                rec.counter(Counter::CdfAccepted, 1);
             }
             CdfDecision::Undecided => {
-                rec.count(Counter::CdfUndecided, 1);
+                rec.counter(Counter::CdfUndecided, 1);
             }
         }
     } else {
-        rec.count(Counter::CdfUndecided, 1);
+        rec.counter(Counter::CdfUndecided, 1);
     }
     let (similar, prob) = match decided {
         Some(d) => d,
         None => {
-            let span = rec.begin(Phase::Verify);
-            let v = verifier.get_or_insert_with(|| {
-                ProbeVerifier::build_recorded(probe, config, rec.recorder())
-            });
-            let (similar, prob) = v.verify(probe, other, config);
-            rec.end(span);
-            rec.count(
+            let (similar, prob) = {
+                let mut span = PhaseGuard::enter(&mut *rec, Phase::Verify);
+                let v = verifier.get_or_insert_with(|| {
+                    ProbeVerifier::build_recorded(probe, config, span.rec())
+                });
+                v.verify(probe, other, config)
+            };
+            rec.counter(
                 if similar {
                     Counter::VerifiedSimilar
                 } else {

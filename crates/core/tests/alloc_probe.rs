@@ -9,7 +9,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use usj_core::obs::NoopRecorder;
-use usj_core::{EquivCache, JoinConfig, JoinStats, Recording, SegmentIndex};
+use usj_core::{EquivCache, JoinConfig, JoinStats, SegmentIndex};
 use usj_datagen::{DatasetKind, DatasetSpec};
 
 struct Counting;
@@ -72,10 +72,8 @@ fn warm_candidate_stage_allocates_nothing() {
 
     let mut cache = EquivCache::new();
     let mut candidates: Vec<u32> = Vec::new();
-    let mut stats = JoinStats::default();
-    let mut noop = NoopRecorder;
+    let mut rec = (JoinStats::default(), NoopRecorder);
     let mut stage = |cache: &mut EquivCache, candidates: &mut Vec<u32>| {
-        let mut rec = Recording::new(&mut stats, &mut noop);
         cache.clear();
         candidates.clear();
         for len in lengths.clone() {

@@ -76,307 +76,189 @@ impl SpanId {
     pub const ROOT: SpanId = SpanId(0);
 }
 
-/// Pipeline phases, mirroring `PhaseTimings` in `usj-core`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Phase {
-    /// Segment inverted-index querying + Lemma 5 / Theorem 2 pruning.
-    Qgram,
-    /// Frequency-distance filtering (Lemma 6 + Theorem 3).
-    Freq,
-    /// CDF-bound DP (Theorem 4).
-    Cdf,
-    /// Exact verification (trie / naive).
-    Verify,
-    /// Inserting probes into the segment index.
-    Index,
-    /// The whole driver run (join, or one search when probing a standing
-    /// collection).
-    Total,
-}
-
-impl Phase {
-    /// Every phase, in serialisation order.
-    pub const ALL: [Phase; 6] = [
-        Phase::Qgram,
-        Phase::Freq,
-        Phase::Cdf,
-        Phase::Verify,
-        Phase::Index,
-        Phase::Total,
-    ];
-
-    /// Dense index into per-phase arrays.
-    pub const fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Stable snake_case name used in JSON snapshots and trace lines.
-    pub const fn name(self) -> &'static str {
-        match self {
-            Phase::Qgram => "qgram",
-            Phase::Freq => "freq",
-            Phase::Cdf => "cdf",
-            Phase::Verify => "verify",
-            Phase::Index => "index",
-            Phase::Total => "total",
+/// Declares the event taxonomy. Each enum below is one table, and each row
+/// declares one event kind once: its doc comment, its variant and its
+/// stable snake_case name. The macro derives the enum, `ALL` (every
+/// variant, in serialisation order), `index()` and `name()` from the rows,
+/// so a row's position is its dense index and its place in every JSON
+/// snapshot and Prometheus scrape.
+macro_rules! metric_table {
+    ($(
+        $(#[$meta:meta])*
+        pub enum $kind:ident {
+            $($(#[$row_meta:meta])* $variant:ident => $name:literal,)*
         }
-    }
-}
-
-/// Monotone event counters. The first block mirrors the `JoinStats`
-/// counters (prune attribution per phase); the rest are obs-only extras
-/// the flat stats struct never tracked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Counter {
-    /// Length-compatible pairs considered at all (the FCT pool).
-    PairsInScope,
-    /// Pairs surviving q-gram filtering.
-    QgramSurvivors,
-    /// Pairs pruned by the Lemma 5 count condition.
-    QgramPrunedCount,
-    /// Pairs pruned by the Theorem 2 probabilistic upper bound.
-    QgramPrunedBound,
-    /// Pairs surviving frequency-distance filtering.
-    FreqSurvivors,
-    /// Pairs pruned by the Lemma 6 lower bound.
-    FreqPrunedLower,
-    /// Pairs pruned by the Theorem 3 Chebyshev bound.
-    FreqPrunedChebyshev,
-    /// Pairs accepted outright by the CDF lower bound.
-    CdfAccepted,
-    /// Pairs rejected by the CDF upper bound.
-    CdfRejected,
-    /// Pairs the CDF bounds left undecided (sent to verification).
-    CdfUndecided,
-    /// Verified pairs found similar.
-    VerifiedSimilar,
-    /// Verified pairs found dissimilar.
-    VerifiedDissimilar,
-    /// Output pairs reported.
-    OutputPairs,
-    /// Strings inserted into the segment inverted indices.
-    IndexInsertions,
-    /// Postings `(id, Pr)` touched while merging posting lists.
-    IndexPostingsScanned,
-    /// Candidate α-vectors surfaced by posting-list merges.
-    IndexCandidatesSurfaced,
-    /// Probe-side q-gram window worlds enumerated (each window once per
-    /// probe and index).
-    QgramWindowWorlds,
-    /// Enumerated window worlds whose instance had an interned id (the
-    /// rest can match no posting and are dropped).
-    QgramInstancesResolved,
-    /// Posting-run lookups by the merge, hits and misses.
-    IndexRunLookups,
-    /// Per-probe verifier constructions.
-    VerifierBuilds,
-    /// Work-stealing batches grabbed by parallel workers (one per
-    /// successful cursor advance, so totals reflect scheduler granularity).
-    StealBatches,
-    /// Injected faults the run survived (delays absorbed plus panics
-    /// recovered by batch isolation); faults that abort the run are
-    /// reported through the error path, not counted here.
-    FaultsInjected,
-    /// Work-stealing batches that panicked and were re-run probe-by-probe.
-    BatchesRetried,
-    /// Probes quarantined after panicking even in isolated retry.
-    ProbesQuarantined,
-    /// Length-band waves skipped on `--resume` because a checkpoint
-    /// already covered them.
-    WavesResumed,
-    /// Connections admitted into the query server's bounded queue.
-    ServeAccepted,
-    /// Probe requests answered through the full exact pipeline.
-    ServeFull,
-    /// Probe requests answered in degraded (filter-only) mode: the
-    /// q-gram + frequency-distance funnel without CDF/verification, a
-    /// sound superset of the exact answer flagged `DEGRADED` on the wire.
-    ServeDegraded,
-    /// Requests shed with `BUSY` (admission queue full or ladder level 2).
-    ServeShed,
-    /// Probe requests refused because their per-request deadline expired
-    /// mid-pipeline (partial results are discarded, never served).
-    ServeDeadline,
-    /// Worker panics isolated by the server's `catch_unwind` perimeter;
-    /// the poisoned request gets `ERR`, the listener survives.
-    ServePanics,
-    /// Hedged second requests the coordinator dispatched after a shard
-    /// stayed silent past the p99-based hedge delay.
-    HedgesSent,
-    /// Hedged requests that answered before the primary (first answer
-    /// wins; the loser's connection is dropped).
-    HedgesWon,
-    /// Shard quarantine transitions (consecutive-failure threshold hit);
-    /// readmissions after half-open recovery do not decrement.
-    ShardsQuarantined,
-    /// Scatter-gather responses served from a subset of the relevant
-    /// shards (degraded mode only; strict mode refuses instead).
-    PartialResponses,
-    /// Length bands admitted straight from an on-disk snapshot during a
-    /// salvage load (rung 2 of the recovery ladder); a fully verified
-    /// load counts zero.
-    SnapshotBandsSalvaged,
-    /// Length bands rebuilt from source records because their snapshot
-    /// section was corrupt, missing, or failed salvage (rungs 2 and 4).
-    SnapshotBandsRebuilt,
-    /// Checksum/structure defects detected while loading a snapshot
-    /// (bit flips, truncations, garbage sections).
-    SnapshotCorruptionsDetected,
-    /// Server starts that answered from a snapshot (verified or
-    /// salvaged) instead of a cold rebuild.
-    WarmRestarts,
-}
-
-impl Counter {
-    /// Every counter, in serialisation order.
-    pub const ALL: [Counter; 39] = [
-        Counter::PairsInScope,
-        Counter::QgramSurvivors,
-        Counter::QgramPrunedCount,
-        Counter::QgramPrunedBound,
-        Counter::FreqSurvivors,
-        Counter::FreqPrunedLower,
-        Counter::FreqPrunedChebyshev,
-        Counter::CdfAccepted,
-        Counter::CdfRejected,
-        Counter::CdfUndecided,
-        Counter::VerifiedSimilar,
-        Counter::VerifiedDissimilar,
-        Counter::OutputPairs,
-        Counter::IndexInsertions,
-        Counter::IndexPostingsScanned,
-        Counter::IndexCandidatesSurfaced,
-        Counter::QgramWindowWorlds,
-        Counter::QgramInstancesResolved,
-        Counter::IndexRunLookups,
-        Counter::VerifierBuilds,
-        Counter::StealBatches,
-        Counter::FaultsInjected,
-        Counter::BatchesRetried,
-        Counter::ProbesQuarantined,
-        Counter::WavesResumed,
-        Counter::ServeAccepted,
-        Counter::ServeFull,
-        Counter::ServeDegraded,
-        Counter::ServeShed,
-        Counter::ServeDeadline,
-        Counter::ServePanics,
-        Counter::HedgesSent,
-        Counter::HedgesWon,
-        Counter::ShardsQuarantined,
-        Counter::PartialResponses,
-        Counter::SnapshotBandsSalvaged,
-        Counter::SnapshotBandsRebuilt,
-        Counter::SnapshotCorruptionsDetected,
-        Counter::WarmRestarts,
-    ];
-
-    /// Dense index into per-counter arrays.
-    pub const fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Stable snake_case name used in JSON snapshots and trace lines.
-    pub const fn name(self) -> &'static str {
-        match self {
-            Counter::PairsInScope => "pairs_in_scope",
-            Counter::QgramSurvivors => "qgram_survivors",
-            Counter::QgramPrunedCount => "qgram_pruned_count",
-            Counter::QgramPrunedBound => "qgram_pruned_bound",
-            Counter::FreqSurvivors => "freq_survivors",
-            Counter::FreqPrunedLower => "freq_pruned_lower",
-            Counter::FreqPrunedChebyshev => "freq_pruned_chebyshev",
-            Counter::CdfAccepted => "cdf_accepted",
-            Counter::CdfRejected => "cdf_rejected",
-            Counter::CdfUndecided => "cdf_undecided",
-            Counter::VerifiedSimilar => "verified_similar",
-            Counter::VerifiedDissimilar => "verified_dissimilar",
-            Counter::OutputPairs => "output_pairs",
-            Counter::IndexInsertions => "index_insertions",
-            Counter::IndexPostingsScanned => "index_postings_scanned",
-            Counter::IndexCandidatesSurfaced => "index_candidates_surfaced",
-            Counter::QgramWindowWorlds => "qgram_window_worlds",
-            Counter::QgramInstancesResolved => "qgram_instances_resolved",
-            Counter::IndexRunLookups => "index_run_lookups",
-            Counter::VerifierBuilds => "verifier_builds",
-            Counter::StealBatches => "steal_batches",
-            Counter::FaultsInjected => "faults_injected",
-            Counter::BatchesRetried => "batches_retried",
-            Counter::ProbesQuarantined => "probes_quarantined",
-            Counter::WavesResumed => "waves_resumed",
-            Counter::ServeAccepted => "serve_accepted",
-            Counter::ServeFull => "serve_full",
-            Counter::ServeDegraded => "serve_degraded",
-            Counter::ServeShed => "serve_shed",
-            Counter::ServeDeadline => "serve_deadline",
-            Counter::ServePanics => "serve_panics",
-            Counter::HedgesSent => "hedges_sent",
-            Counter::HedgesWon => "hedges_won",
-            Counter::ShardsQuarantined => "shards_quarantined",
-            Counter::PartialResponses => "partial_responses",
-            Counter::SnapshotBandsSalvaged => "snapshot_bands_salvaged",
-            Counter::SnapshotBandsRebuilt => "snapshot_bands_rebuilt",
-            Counter::SnapshotCorruptionsDetected => "snapshot_corruptions_detected",
-            Counter::WarmRestarts => "warm_restarts",
+    )*) => {$(
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $kind {
+            $($(#[$row_meta])* $variant,)*
         }
-    }
-}
 
-/// Point-in-time measurements; aggregation over a run takes the maximum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Gauge {
-    /// Estimated current segment-index footprint in bytes.
-    IndexBytes,
-    /// Peak estimated segment-index footprint in bytes (the Fig 7 metric).
-    PeakIndexBytes,
-    /// Strings in the collection(s) under join.
-    NumStrings,
-    /// Length shards currently resident in the sharded parallel driver.
-    ResidentShards,
-    /// Peak bytes of simultaneously-resident shard indices (the sharded
-    /// driver's analogue of [`Gauge::PeakIndexBytes`]).
-    PeakResidentBytes,
-    /// Peak depth of the query server's bounded admission queue.
-    ServeQueueDepth,
-    /// Healthy (non-quarantined) shards behind the coordinator. Folded
-    /// with max semantics like every gauge, so a snapshot reports the
-    /// peak healthy count; the live per-shard view is the `SHARDS` verb.
-    ShardHealthy,
-    /// Age in seconds of the snapshot the server started from (mtime at
-    /// load), or absent after a cold start.
-    SnapshotAgeSeconds,
-}
+        impl $kind {
+            /// Every variant, in serialisation order.
+            pub const ALL: [$kind; [$($name),*].len()] = [$($kind::$variant),*];
 
-impl Gauge {
-    /// Every gauge, in serialisation order.
-    pub const ALL: [Gauge; 8] = [
-        Gauge::IndexBytes,
-        Gauge::PeakIndexBytes,
-        Gauge::NumStrings,
-        Gauge::ResidentShards,
-        Gauge::PeakResidentBytes,
-        Gauge::ServeQueueDepth,
-        Gauge::ShardHealthy,
-        Gauge::SnapshotAgeSeconds,
-    ];
+            /// Dense index into per-variant arrays.
+            pub const fn index(self) -> usize {
+                self as usize
+            }
 
-    /// Dense index into per-gauge arrays.
-    pub const fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Stable snake_case name used in JSON snapshots and trace lines.
-    pub const fn name(self) -> &'static str {
-        match self {
-            Gauge::IndexBytes => "index_bytes",
-            Gauge::PeakIndexBytes => "peak_index_bytes",
-            Gauge::NumStrings => "num_strings",
-            Gauge::ResidentShards => "resident_shards",
-            Gauge::PeakResidentBytes => "peak_resident_bytes",
-            Gauge::ServeQueueDepth => "serve_queue_depth",
-            Gauge::ShardHealthy => "shard_healthy",
-            Gauge::SnapshotAgeSeconds => "snapshot_age_seconds",
+            /// Stable snake_case name used in JSON snapshots and trace lines.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $($kind::$variant => $name,)*
+                }
+            }
         }
+    )*};
+}
+
+metric_table! {
+    /// Pipeline phases, mirroring `PhaseTimings` in `usj-core`.
+    pub enum Phase {
+        /// Segment inverted-index querying + Lemma 5 / Theorem 2 pruning.
+        Qgram => "qgram",
+        /// Frequency-distance filtering (Lemma 6 + Theorem 3).
+        Freq => "freq",
+        /// CDF-bound DP (Theorem 4).
+        Cdf => "cdf",
+        /// Exact verification (trie / naive).
+        Verify => "verify",
+        /// Inserting probes into the segment index.
+        Index => "index",
+        /// The whole driver run (join, or one search when probing a standing
+        /// collection).
+        Total => "total",
+    }
+
+    /// Monotone event counters. `JoinStats` in `usj-core` tracks 17 of
+    /// them: the 13 funnel counters (`PairsInScope` through `OutputPairs`)
+    /// and the 4 fault counters (`FaultsInjected` through `WavesResumed`).
+    /// The rest (index, scheduler, serve and snapshot internals) only
+    /// richer recorders keep.
+    pub enum Counter {
+        /// Length-compatible pairs considered at all (the FCT pool).
+        PairsInScope => "pairs_in_scope",
+        /// Pairs surviving q-gram filtering.
+        QgramSurvivors => "qgram_survivors",
+        /// Pairs pruned by the Lemma 5 count condition.
+        QgramPrunedCount => "qgram_pruned_count",
+        /// Pairs pruned by the Theorem 2 probabilistic upper bound.
+        QgramPrunedBound => "qgram_pruned_bound",
+        /// Pairs surviving frequency-distance filtering.
+        FreqSurvivors => "freq_survivors",
+        /// Pairs pruned by the Lemma 6 lower bound.
+        FreqPrunedLower => "freq_pruned_lower",
+        /// Pairs pruned by the Theorem 3 Chebyshev bound.
+        FreqPrunedChebyshev => "freq_pruned_chebyshev",
+        /// Pairs accepted outright by the CDF lower bound.
+        CdfAccepted => "cdf_accepted",
+        /// Pairs rejected by the CDF upper bound.
+        CdfRejected => "cdf_rejected",
+        /// Pairs the CDF bounds left undecided (sent to verification).
+        CdfUndecided => "cdf_undecided",
+        /// Verified pairs found similar.
+        VerifiedSimilar => "verified_similar",
+        /// Verified pairs found dissimilar.
+        VerifiedDissimilar => "verified_dissimilar",
+        /// Output pairs reported.
+        OutputPairs => "output_pairs",
+        /// Strings inserted into the segment inverted indices.
+        IndexInsertions => "index_insertions",
+        /// Postings `(id, Pr)` touched while merging posting lists.
+        IndexPostingsScanned => "index_postings_scanned",
+        /// Candidate α-vectors surfaced by posting-list merges.
+        IndexCandidatesSurfaced => "index_candidates_surfaced",
+        /// Probe-side q-gram window worlds enumerated (each window once per
+        /// probe and index).
+        QgramWindowWorlds => "qgram_window_worlds",
+        /// Enumerated window worlds whose instance had an interned id (the
+        /// rest can match no posting and are dropped).
+        QgramInstancesResolved => "qgram_instances_resolved",
+        /// Posting-run lookups by the merge, hits and misses.
+        IndexRunLookups => "index_run_lookups",
+        /// Per-probe verifier constructions.
+        VerifierBuilds => "verifier_builds",
+        /// Work-stealing batches grabbed by parallel workers (one per
+        /// successful cursor advance, so totals reflect scheduler granularity).
+        StealBatches => "steal_batches",
+        /// Injected faults the run survived (delays absorbed plus panics
+        /// recovered by batch isolation); faults that abort the run are
+        /// reported through the error path, not counted here.
+        FaultsInjected => "faults_injected",
+        /// Work-stealing batches that panicked and were re-run probe-by-probe.
+        BatchesRetried => "batches_retried",
+        /// Probes quarantined after panicking even in isolated retry.
+        ProbesQuarantined => "probes_quarantined",
+        /// Length-band waves skipped on `--resume` because a checkpoint
+        /// already covered them.
+        WavesResumed => "waves_resumed",
+        /// Connections admitted into the query server's bounded queue.
+        ServeAccepted => "serve_accepted",
+        /// Probe requests answered through the full exact pipeline.
+        ServeFull => "serve_full",
+        /// Probe requests answered in degraded (filter-only) mode: the
+        /// q-gram + frequency-distance funnel without CDF/verification, a
+        /// sound superset of the exact answer flagged `DEGRADED` on the wire.
+        ServeDegraded => "serve_degraded",
+        /// Requests shed with `BUSY` (admission queue full or ladder level 2).
+        ServeShed => "serve_shed",
+        /// Probe requests refused because their per-request deadline expired
+        /// mid-pipeline (partial results are discarded, never served).
+        ServeDeadline => "serve_deadline",
+        /// Worker panics isolated by the server's `catch_unwind` perimeter;
+        /// the poisoned request gets `ERR`, the listener survives.
+        ServePanics => "serve_panics",
+        /// Hedged second requests the coordinator dispatched after a shard
+        /// stayed silent past the p99-based hedge delay.
+        HedgesSent => "hedges_sent",
+        /// Hedged requests that answered before the primary (first answer
+        /// wins; the loser's connection is dropped).
+        HedgesWon => "hedges_won",
+        /// Shard quarantine transitions (consecutive-failure threshold hit);
+        /// readmissions after half-open recovery do not decrement.
+        ShardsQuarantined => "shards_quarantined",
+        /// Scatter-gather responses served from a subset of the relevant
+        /// shards (degraded mode only; strict mode refuses instead).
+        PartialResponses => "partial_responses",
+        /// Length bands admitted straight from an on-disk snapshot during a
+        /// salvage load (rung 2 of the recovery ladder); a fully verified
+        /// load counts zero.
+        SnapshotBandsSalvaged => "snapshot_bands_salvaged",
+        /// Length bands rebuilt from source records because their snapshot
+        /// section was corrupt, missing, or failed salvage (rungs 2 and 4).
+        SnapshotBandsRebuilt => "snapshot_bands_rebuilt",
+        /// Checksum/structure defects detected while loading a snapshot
+        /// (bit flips, truncations, garbage sections).
+        SnapshotCorruptionsDetected => "snapshot_corruptions_detected",
+        /// Server starts that answered from a snapshot (verified or
+        /// salvaged) instead of a cold rebuild.
+        WarmRestarts => "warm_restarts",
+    }
+
+    /// Point-in-time measurements; aggregation over a run takes the maximum.
+    pub enum Gauge {
+        /// Estimated current segment-index footprint in bytes.
+        IndexBytes => "index_bytes",
+        /// Peak estimated segment-index footprint in bytes (the Fig 7 metric).
+        PeakIndexBytes => "peak_index_bytes",
+        /// Strings in the collection(s) under join.
+        NumStrings => "num_strings",
+        /// Length shards currently resident in the sharded parallel driver.
+        ResidentShards => "resident_shards",
+        /// Peak bytes of simultaneously-resident shard indices (the sharded
+        /// driver's analogue of [`Gauge::PeakIndexBytes`]).
+        PeakResidentBytes => "peak_resident_bytes",
+        /// Peak depth of the query server's bounded admission queue.
+        ServeQueueDepth => "serve_queue_depth",
+        /// Healthy (non-quarantined) shards behind the coordinator. Folded
+        /// with max semantics like every gauge, so a snapshot reports the
+        /// peak healthy count; the live per-shard view is the `SHARDS` verb.
+        ShardHealthy => "shard_healthy",
+        /// Age in seconds of the snapshot the server started from (mtime at
+        /// load), or absent after a cold start.
+        SnapshotAgeSeconds => "snapshot_age_seconds",
     }
 }
 

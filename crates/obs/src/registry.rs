@@ -33,31 +33,19 @@ pub const FUNNEL_BANDS: usize = 16;
 /// Stages of the selectivity funnel, in pipeline order.
 pub const FUNNEL_STAGES: usize = 9;
 
-/// Funnel stage labels, in pipeline order (candidates flowing in at the
-/// top, decided pairs dropping out of each filter).
-const STAGE_NAMES: [&str; FUNNEL_STAGES] = [
-    "pairs_in",
-    "qgram_out",
-    "freq_out",
-    "cdf_accepted",
-    "cdf_rejected",
-    "cdf_undecided",
-    "verified_similar",
-    "verified_dissimilar",
-    "output",
-];
-
-/// The golden-schema counter feeding each funnel stage.
-const STAGE_COUNTERS: [Counter; FUNNEL_STAGES] = [
-    Counter::PairsInScope,
-    Counter::QgramSurvivors,
-    Counter::FreqSurvivors,
-    Counter::CdfAccepted,
-    Counter::CdfRejected,
-    Counter::CdfUndecided,
-    Counter::VerifiedSimilar,
-    Counter::VerifiedDissimilar,
-    Counter::OutputPairs,
+/// Funnel stages in pipeline order (candidates flowing in at the top,
+/// decided pairs dropping out of each filter): each stage's Prometheus
+/// `stage` label and the golden-schema counter feeding it.
+const STAGES: [(&str, Counter); FUNNEL_STAGES] = [
+    ("pairs_in", Counter::PairsInScope),
+    ("qgram_out", Counter::QgramSurvivors),
+    ("freq_out", Counter::FreqSurvivors),
+    ("cdf_accepted", Counter::CdfAccepted),
+    ("cdf_rejected", Counter::CdfRejected),
+    ("cdf_undecided", Counter::CdfUndecided),
+    ("verified_similar", Counter::VerifiedSimilar),
+    ("verified_dissimilar", Counter::VerifiedDissimilar),
+    ("output", Counter::OutputPairs),
 ];
 
 /// The length band of a probe text: `min(len / 8, FUNNEL_BANDS - 1)`.
@@ -190,8 +178,8 @@ impl MetricsRegistry {
         }
         if let Some(band) = band {
             let band = band.min(FUNNEL_BANDS - 1);
-            for (stage, c) in STAGE_COUNTERS.iter().enumerate() {
-                let total = rec.counter_total(*c);
+            for (stage, &(_, c)) in STAGES.iter().enumerate() {
+                let total = rec.counter_total(c);
                 if total != 0 {
                     // ordering: monotone accumulator.
                     self.funnel[band][stage].fetch_add(total, Ordering::Relaxed);
@@ -254,7 +242,7 @@ impl MetricsRegistry {
         }
         out.push_str("# TYPE usj_funnel_candidates_total counter\n");
         for band in 0..FUNNEL_BANDS {
-            for (stage, name) in STAGE_NAMES.iter().enumerate() {
+            for (stage, (name, _)) in STAGES.iter().enumerate() {
                 // ordering: statistical scrape read.
                 let v = self.funnel[band][stage].load(Ordering::Relaxed);
                 out.push_str(&format!(
@@ -339,7 +327,7 @@ mod tests {
             )));
         }
         for band in 0..FUNNEL_BANDS {
-            for name in STAGE_NAMES {
+            for (name, _) in STAGES {
                 assert!(text.contains(&format!(
                     "usj_funnel_candidates_total{{band=\"{}\",stage=\"{name}\"}} 0\n",
                     band_label(band)

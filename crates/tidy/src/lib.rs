@@ -12,7 +12,7 @@
 //! | `no-unwrap` | no `unwrap()`/`expect()`/`unwrap_unchecked()`/`panic!` in hot-path modules |
 //! | `ordering-comment` | every atomic `Ordering::…` carries an `// ordering:` justification |
 //! | `unsafe-safety` | every `unsafe` block carries a `// safety:` justification (declarations exempt) |
-//! | `metrics-registered` | every recorded `Counter`/`Gauge` is declared, in `ALL`, named, and pinned by the golden schema test |
+//! | `metrics-registered` | every recorded `Counter`/`Gauge` is a row of the metric table, and every row's name is pinned by the golden schema test |
 //! | `dep-allowlist` | no registry dependencies: every dependency is a path crate in the repository |
 //! | `doc-drift` | `DESIGN.md` inventories every crate; `CHANGES.md` has one consecutive `- PR n:` line per PR |
 //! | `socket-timeout` | no blocking socket read in `crates/serve/src/` without a prior `set_read_timeout` |

@@ -16,7 +16,7 @@
 //!   view (`socket-timeout`, `span-paired`, `metrics-registered`) where
 //!   "earlier in this file" is the natural unit of reasoning.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::extent::ExtentKind;
 use crate::source::SourceFile;
@@ -360,99 +360,50 @@ pub fn durable_write(files: &[SourceFile]) -> Vec<Diagnostic> {
     diags
 }
 
-/// Parsed metric taxonomy from `crates/obs/src/lib.rs`: for `Counter` and
-/// `Gauge`, the enum variants, the variants listed in the `ALL` array, and
-/// the `variant -> "snake_name"` map from the `name()` match arms.
-#[derive(Debug, Default)]
-struct Taxonomy {
-    variants: BTreeMap<String, usize>, // variant -> declaration line
-    in_all: BTreeSet<String>,
-    names: BTreeMap<String, (String, usize)>, // variant -> (snake name, arm line)
-}
-
-fn parse_taxonomy(lib: &SourceFile, kind: &str) -> Taxonomy {
-    let mut t = Taxonomy::default();
-    let enum_header = format!("enum {kind} ");
-    let enum_header_brace = format!("enum {kind} {{");
-    let all_header = format!("ALL: [{kind};");
-    let use_prefix = format!("{kind}::");
+/// The metric table of `Kind` in `crates/obs/src/lib.rs`: the rows
+/// `Variant => "snake_name",` inside its `enum Kind { … }` block of the
+/// `metric_table!` invocation, as `variant -> (snake name, row line)`.
+/// The macro derives `ALL` and `name()` from these rows, so a declared
+/// variant is always listed and named.
+fn parse_taxonomy(lib: &SourceFile, kind: &str) -> BTreeMap<String, (String, usize)> {
+    let mut rows = BTreeMap::new();
+    let enum_header = format!("enum {kind} {{");
     let mut in_enum = false;
-    let mut in_all = false;
     for line in &lib.lines {
-        // String contents stay visible here: the `name()` arms map
-        // variants to quoted snake_names.
+        // String contents stay visible here: each row maps its variant to
+        // a quoted snake_name.
         let code = line.code_with_strings();
         let trimmed = code.trim();
-        if trimmed.contains(&enum_header_brace) || trimmed.ends_with(enum_header.trim_end()) {
+        if trimmed.ends_with(&enum_header) {
             in_enum = true;
             continue;
         }
-        if in_enum {
-            if trimmed.starts_with('}') {
-                in_enum = false;
-            } else if let Some(variant) = trimmed.strip_suffix(',') {
-                let variant = variant.trim();
-                if !variant.is_empty()
-                    && variant
-                        .chars()
-                        .next()
-                        .is_some_and(|c| c.is_ascii_uppercase())
-                    && variant.chars().all(|c| c.is_ascii_alphanumeric())
-                {
-                    t.variants.insert(variant.to_string(), line.number);
-                }
-            }
+        if !in_enum {
             continue;
         }
-        if trimmed.contains(&all_header) {
-            in_all = true;
+        if trimmed.starts_with('}') {
+            break;
         }
-        if in_all {
-            for (at, _) in code.match_indices(&use_prefix) {
-                let rest = &code[at + use_prefix.len()..];
-                let ident: String = rest
-                    .chars()
-                    .take_while(|c| c.is_ascii_alphanumeric())
-                    .collect();
-                if !ident.is_empty() {
-                    t.in_all.insert(ident);
-                }
-            }
-            if trimmed.ends_with("];") {
-                in_all = false;
-            }
+        let Some((variant, name)) = trimmed.split_once("=>") else {
             continue;
-        }
-        // name() match arms: `Kind::Variant => "snake_name",`
-        if let Some(at) = code.find(&use_prefix) {
-            if let Some(arrow) = code.find("=>") {
-                let ident: String = code[at + use_prefix.len()..]
-                    .chars()
-                    .take_while(|c| c.is_ascii_alphanumeric())
-                    .collect();
-                let after = &code[arrow + 2..];
-                if let Some(q1) = after.find('"') {
-                    if let Some(q2) = after[q1 + 1..].find('"') {
-                        let name = &after[q1 + 1..q1 + 1 + q2];
-                        if !ident.is_empty() {
-                            t.names.insert(ident, (name.to_string(), line.number));
-                        }
-                    }
-                }
-            }
+        };
+        let variant = variant.trim();
+        let name = name.trim().trim_end_matches(',').trim_matches('"');
+        if variant.chars().all(|c| c.is_ascii_alphanumeric()) && !variant.is_empty() {
+            rows.insert(variant.to_string(), (name.to_string(), line.number));
         }
     }
-    t
+    rows
 }
 
 /// `metrics-registered`: every `Counter::X` / `Gauge::X` the workspace
-/// records must be a declared variant that is listed in the `ALL` array,
-/// has a stable snake_case name, and whose name appears in the golden
-/// schema test of `crates/obs/src/collect.rs`.
+/// records must be a row of the metric table in `crates/obs/src/lib.rs`,
+/// and every row's name must appear in the golden schema test of
+/// `crates/obs/src/collect.rs`. The table itself derives `ALL` and
+/// `name()`, so a row can be neither missing from one nor unnamed.
 ///
 /// The obs snapshot is schema-stable by contract (downstream tooling keys
-/// on it); an unregistered metric would silently vanish from snapshots or
-/// shift the dense index arrays.
+/// on it); an unregistered metric would silently vanish from snapshots.
 pub fn metrics_registered(ws: &Workspace) -> Vec<Diagnostic> {
     const OBS_LIB: &str = "crates/obs/src/lib.rs";
     const OBS_GOLDEN: &str = "crates/obs/src/collect.rs";
@@ -512,50 +463,30 @@ pub fn metrics_registered(ws: &Workspace) -> Vec<Diagnostic> {
         .unwrap_or_default();
 
     for kind in ["Counter", "Gauge"] {
-        let tax = parse_taxonomy(lib, kind);
+        let rows = parse_taxonomy(lib, kind);
         // Every recorded variant must be declared.
         for ((k, ident), (file, line)) in &uses {
-            if k == kind && !tax.variants.contains_key(ident) {
+            if k == kind && !rows.contains_key(ident) {
                 diags.push(Diagnostic {
                     file: file.clone(),
                     line: *line,
                     lint: "metrics-registered".to_string(),
-                    message: format!(
-                        "`{kind}::{ident}` is not a declared {kind} variant in {OBS_LIB}"
-                    ),
+                    message: format!("`{kind}::{ident}` is not a declared {kind} row in {OBS_LIB}"),
                 });
             }
         }
-        // Every declared variant must be fully registered.
-        for (variant, decl_line) in &tax.variants {
-            if !tax.in_all.contains(variant) {
+        // Every declared row must be pinned by the golden schema test.
+        for (name, row_line) in rows.values() {
+            if !golden.contains(&format!("\"{name}\"")) {
                 diags.push(Diagnostic {
                     file: OBS_LIB.to_string(),
-                    line: *decl_line,
+                    line: *row_line,
                     lint: "metrics-registered".to_string(),
-                    message: format!("{kind}::{variant} is missing from {kind}::ALL"),
+                    message: format!(
+                        "metric key \"{name}\" is absent from the golden schema test in \
+                         {OBS_GOLDEN} — register it in the expected snapshot"
+                    ),
                 });
-            }
-            match tax.names.get(variant) {
-                None => diags.push(Diagnostic {
-                    file: OBS_LIB.to_string(),
-                    line: *decl_line,
-                    lint: "metrics-registered".to_string(),
-                    message: format!("{kind}::{variant} has no `name()` match arm"),
-                }),
-                Some((name, arm_line)) => {
-                    if !golden.contains(&format!("\"{name}\"")) {
-                        diags.push(Diagnostic {
-                            file: OBS_LIB.to_string(),
-                            line: *arm_line,
-                            lint: "metrics-registered".to_string(),
-                            message: format!(
-                                "metric key \"{name}\" is absent from the golden schema test in \
-                                 {OBS_GOLDEN} — register it in the expected snapshot"
-                            ),
-                        });
-                    }
-                }
             }
         }
     }

@@ -2,8 +2,5 @@ pub fn record() {
     emit(Counter::Alpha);
     emit(Counter::Gamma);
     emit(Counter::Delta);
-    emit(Counter::FaultsInjected);
-    emit(Counter::WavesResumed);
-    emit(Counter::ServeShed);
     measure(Gauge::Bytes);
 }

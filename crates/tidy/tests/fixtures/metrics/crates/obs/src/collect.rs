@@ -1,4 +1,4 @@
-// Golden schema test fixture: the fault-tolerance counters are pinned
-// alongside alpha and bytes; the delta and beta keys are deliberately
-// absent (the lint scans this file's full text, comments included).
-pub const GOLDEN: &str = r#"{"alpha_total": 0, "faults_injected": 0, "waves_resumed": 0, "serve_shed": 0, "bytes": 0}"#;
+// Golden schema test fixture: alpha and bytes are pinned; the delta key
+// is deliberately absent (the lint scans this file's full text, comments
+// included).
+pub const GOLDEN: &str = r#"{"alpha_total": 0, "bytes": 0}"#;

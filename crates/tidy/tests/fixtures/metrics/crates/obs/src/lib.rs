@@ -1,38 +1,10 @@
-pub enum Counter {
-    Alpha,
-    Beta,
-    Delta,
-    FaultsInjected,
-    WavesResumed,
-    ServeShed,
-}
-impl Counter {
-    pub const ALL: [Counter; 5] = [
-        Counter::Alpha,
-        Counter::Delta,
-        Counter::FaultsInjected,
-        Counter::WavesResumed,
-        Counter::ServeShed,
-    ];
-    pub const fn name(self) -> &'static str {
-        match self {
-            Counter::Alpha => "alpha_total",
-            Counter::Beta => "beta_total",
-            Counter::Delta => "delta_total",
-            Counter::FaultsInjected => "faults_injected",
-            Counter::WavesResumed => "waves_resumed",
-            Counter::ServeShed => "serve_shed",
-        }
+metric_table! {
+    pub enum Counter {
+        Alpha => "alpha_total",
+        Delta => "delta_total",
     }
-}
-pub enum Gauge {
-    Bytes,
-}
-impl Gauge {
-    pub const ALL: [Gauge; 1] = [Gauge::Bytes];
-    pub const fn name(self) -> &'static str {
-        match self {
-            Gauge::Bytes => "bytes",
-        }
+
+    pub enum Gauge {
+        Bytes => "bytes",
     }
 }

@@ -67,19 +67,13 @@ fn metrics_fixture_flags_each_registration_gap() {
     assert_eq!(
         triples("metrics"),
         vec![
-            // Counter::Gamma recorded but never declared. ServeShed is
-            // fully registered (declared, in ALL, named, pinned by the
-            // golden fixture) and must stay silent.
+            // Counter::Gamma recorded but never declared. Alpha and
+            // Bytes are fully registered (a table row whose name the
+            // golden fixture pins) and must stay silent.
             t("crates/core/src/join.rs", 3, "metrics-registered"),
-            // Counter::Beta declared (line 3) but missing from ALL.
-            t("crates/obs/src/lib.rs", 3, "metrics-registered"),
-            // Beta's name arm (line 20) not pinned by the golden test.
-            t("crates/obs/src/lib.rs", 20, "metrics-registered"),
-            // Delta is declared, in ALL, and named — but "delta_total"
-            // never made it into the golden schema. This is the gap the
-            // fault-tolerance counters (faults_injected, waves_resumed,
-            // pinned in the golden fixture) must not fall into.
-            t("crates/obs/src/lib.rs", 21, "metrics-registered"),
+            // Delta is a table row, so it is in ALL and named, but
+            // "delta_total" never made it into the golden schema.
+            t("crates/obs/src/lib.rs", 4, "metrics-registered"),
         ]
     );
 }
