@@ -16,7 +16,7 @@ use crate::verifier::{decide_candidate, ProbeVerifier};
 use usj_cdf::CdfFilter;
 use usj_freq::{FreqFilter, FreqProfile};
 use usj_model::{Prob, UncertainString};
-use usj_obs::{Counter, Gauge, NoopRecorder, Phase, PhaseGuard, Recorder};
+use usj_obs::{Counter, NoopRecorder, Phase, PhaseGuard, Recorder};
 
 /// One search hit.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,14 +71,6 @@ pub struct ProbeBudget<'a> {
 }
 
 impl<'a> ProbeBudget<'a> {
-    /// Budget with only a deadline, `duration` from now.
-    pub fn with_deadline(duration: Duration) -> Self {
-        ProbeBudget {
-            deadline: Instant::now().checked_add(duration),
-            cancel: None,
-        }
-    }
-
     /// Returns the abort reason if the budget is exhausted.
     fn check(&self, started: Instant) -> Result<(), SearchAbort> {
         if let Some(cancel) = self.cancel {
@@ -113,49 +105,18 @@ pub struct IndexedCollection {
 impl IndexedCollection {
     /// Indexes `strings` (segment inverted indices + frequency profiles).
     pub fn build(config: JoinConfig, sigma: usize, strings: Vec<UncertainString>) -> Self {
-        IndexedCollection::build_recorded(config, sigma, strings, &mut NoopRecorder)
+        let index = SegmentIndex::build((0u32..).zip(&strings), &config);
+        IndexedCollection::from_index(config, sigma, strings, index)
     }
 
-    /// [`IndexedCollection::build`] with the construction instrumented on
-    /// `rec`: one [`Phase::Index`] span for the segment-index build, one
-    /// [`Phase::Freq`] span for the frequency profiles, an insertion
-    /// counter per string, and the resulting index-memory gauges.
-    pub fn build_recorded<R: Recorder>(
-        config: JoinConfig,
-        sigma: usize,
-        strings: Vec<UncertainString>,
-        rec: &mut R,
-    ) -> Self {
-        assert!(sigma >= 1, "alphabet must be non-empty");
-        let mut index = SegmentIndex::new();
-        let freq = FreqFilter::new(config.k, config.tau, sigma);
-        {
-            // RAII span: exits Phase::Index on every path out of the block.
-            let mut span = PhaseGuard::enter(rec, Phase::Index);
-            index.build_bands((0u32..).zip(&strings), &config, span.rec());
-        }
-        let profiles = {
-            let _span = PhaseGuard::enter(rec, Phase::Freq);
-            strings.iter().map(|s| freq.profile(s)).collect()
-        };
-        rec.gauge(Gauge::IndexBytes, index.estimated_bytes() as u64);
-        rec.gauge(Gauge::PeakIndexBytes, index.peak_bytes() as u64);
-        IndexedCollection {
-            config,
-            sigma,
-            strings,
-            index,
-            profiles,
-        }
-    }
-
-    /// Assembles a collection around an index restored from a snapshot
-    /// (`crate::snapshot`). Frequency profiles are deterministic, so they
-    /// are recomputed here instead of being persisted. Each costs two heap
-    /// buffers: a 12-byte slot per alphabet symbol, plus 8 bytes for each
-    /// of `2u + 3` values per symbol with `u > 0` uncertain occurrences
-    /// (about 1.1 KB per string on dblp-like data at σ = 27, θ = 0.2).
-    pub(crate) fn from_restored(
+    /// Assembles a collection around an index just built or restored from
+    /// a snapshot (`crate::snapshot`). Frequency profiles are
+    /// deterministic, so they are computed here instead of being
+    /// persisted. Each costs two heap buffers: a 12-byte slot per alphabet
+    /// symbol, plus 8 bytes for each of `2u + 3` values per symbol with
+    /// `u > 0` uncertain occurrences (about 1.1 KB per string on
+    /// dblp-like data at σ = 27, θ = 0.2).
+    pub(crate) fn from_index(
         config: JoinConfig,
         sigma: usize,
         strings: Vec<UncertainString>,
@@ -210,13 +171,13 @@ impl IndexedCollection {
 
     /// Finds all indexed strings `S` with `Pr(ed(probe, S) ≤ k) > τ`.
     pub fn search(&self, probe: &UncertainString) -> Vec<SearchHit> {
-        self.search_with_stats(probe).0
+        self.search_filtered(probe, |_| true).0
     }
 
     /// Runs only the filtering stages (q-gram index + frequency
     /// distance), returning the surviving candidate ids sorted ascending.
-    /// Used by [`IndexedCollection::search_top_k`] and exposed for
-    /// callers that want custom post-processing.
+    /// The server's degraded mode answers with these candidates when it
+    /// cannot afford verification.
     pub fn filter_candidates(&self, probe: &UncertainString) -> Vec<u32> {
         self.candidate_stage(probe, &mut NoopRecorder)
     }
@@ -284,14 +245,9 @@ impl IndexedCollection {
         candidates
     }
 
-    /// [`IndexedCollection::search`] plus the per-phase statistics.
-    pub fn search_with_stats(&self, probe: &UncertainString) -> (Vec<SearchHit>, JoinStats) {
-        self.search_filtered(probe, |_| true)
-    }
-
-    /// Like [`IndexedCollection::search_with_stats`] but restricted to
-    /// candidate ids accepted by `admit`, applied *before* the expensive
-    /// CDF/verification stages. Probing a collection with its own
+    /// [`IndexedCollection::search`] restricted to candidate ids accepted
+    /// by `admit`, applied *before* the expensive CDF/verification stages,
+    /// plus the per-phase statistics. Probing a collection with its own
     /// strings, `id < probe_id` verifies each unordered pair exactly once
     /// (and a probe never against itself).
     pub fn search_filtered(
@@ -299,26 +255,12 @@ impl IndexedCollection {
         probe: &UncertainString,
         admit: impl Fn(u32) -> bool,
     ) -> (Vec<SearchHit>, JoinStats) {
-        self.search_filtered_recorded(0, probe, admit, &mut NoopRecorder)
-    }
-
-    /// [`IndexedCollection::search_filtered`] with the whole search
-    /// bracketed as probe `probe_id` on `recorder` (phase spans, prune
-    /// counters, and a per-probe [`Phase::Total`] sample). `probe_id` is
-    /// only a label for the event stream; it does not affect the search.
-    pub fn search_filtered_recorded<R: Recorder>(
-        &self,
-        probe_id: u32,
-        probe: &UncertainString,
-        admit: impl Fn(u32) -> bool,
-        recorder: &mut R,
-    ) -> (Vec<SearchHit>, JoinStats) {
         match self.search_budgeted_recorded(
-            probe_id,
+            0,
             probe,
             admit,
             ProbeBudget::default(),
-            recorder,
+            &mut NoopRecorder,
         ) {
             Ok(out) => out,
             // An unlimited budget has nothing to exhaust.
@@ -326,14 +268,19 @@ impl IndexedCollection {
         }
     }
 
-    /// [`IndexedCollection::search_filtered_recorded`] under a cooperative
-    /// [`ProbeBudget`]: the deadline / cancel flag is checked before
-    /// candidate generation, after the filter stages, and between
-    /// candidate verifications (the expensive CDF + DP loop). On abort
-    /// the partial hit list is *discarded* — the caller gets `Err`, never
-    /// a silently truncated answer — but the probe's recorded events up
-    /// to that point, including the [`Phase::Total`] sample, are kept so
-    /// latency histograms still see abandoned probes.
+    /// [`IndexedCollection::search_filtered`] with the whole search
+    /// bracketed as probe `probe_id` on `recorder` (phase spans, prune
+    /// counters, and a per-probe [`Phase::Total`] sample), under a
+    /// cooperative [`ProbeBudget`]. `probe_id` is only a label for the
+    /// event stream; it does not affect the search.
+    ///
+    /// The deadline / cancel flag is checked before candidate generation,
+    /// after the filter stages, and between candidate verifications (the
+    /// expensive CDF + DP loop). On abort the partial hit list is
+    /// *discarded* — the caller gets `Err`, never a silently truncated
+    /// answer — but the probe's recorded events up to that point,
+    /// including the [`Phase::Total`] sample, are kept so latency
+    /// histograms still see abandoned probes.
     pub fn search_budgeted_recorded<R: Recorder>(
         &self,
         probe_id: u32,
@@ -404,6 +351,7 @@ impl IndexedCollection {
 mod tests {
     use super::*;
     use crate::config::Pipeline;
+    use crate::join::SimilarityJoin;
     use usj_model::Alphabet;
     use usj_verify::exact_similarity_prob;
 
@@ -549,9 +497,43 @@ mod tests {
     #[test]
     fn stats_plumbed_through() {
         let coll = IndexedCollection::build(JoinConfig::new(2, 0.3), 4, collection());
-        let (hits, stats) = coll.search_with_stats(&dna("ACGTACGT"));
+        let (hits, stats) = coll.search_filtered(&dna("ACGTACGT"), |_| true);
         assert_eq!(stats.output_pairs, hits.len() as u64);
         assert!(stats.pairs_in_scope >= stats.qgram_survivors);
         assert!(stats.index_bytes > 0);
+    }
+
+    /// Self-probing with `admit = |id| id < probe_id` visits each
+    /// unordered pair once, so it must report the self-join's pairs.
+    #[test]
+    fn admitted_self_probes_equal_self_join() {
+        let strings = collection();
+        for pipeline in Pipeline::all() {
+            for early_stop in [true, false] {
+                let config = JoinConfig::new(2, 0.3)
+                    .with_pipeline(pipeline)
+                    .with_early_stop(early_stop);
+                let coll = IndexedCollection::build(config.clone(), 4, strings.clone());
+                let mut got = Vec::new();
+                for (probe_id, probe) in (0u32..).zip(&strings) {
+                    let (hits, _) = coll.search_filtered(probe, |id| id < probe_id);
+                    got.extend(hits.into_iter().map(|h| (h.id, probe_id, h.prob)));
+                }
+                got.sort_by_key(|&(left, right, _)| (left, right));
+                let want = SimilarityJoin::new(config, 4).self_join(&strings).pairs;
+                let label = format!("{pipeline:?} early_stop={early_stop}");
+                assert!(!want.is_empty(), "{label}");
+                assert_eq!(
+                    got.iter().map(|&(l, r, _)| (l, r)).collect::<Vec<_>>(),
+                    want.iter().map(|p| (p.left, p.right)).collect::<Vec<_>>(),
+                    "{label}"
+                );
+                if !early_stop {
+                    for (&(_, _, prob), pair) in got.iter().zip(&want) {
+                        assert!((prob - pair.prob).abs() < 1e-9, "{label}: {pair:?}");
+                    }
+                }
+            }
+        }
     }
 }

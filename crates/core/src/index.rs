@@ -395,7 +395,7 @@ impl SegmentInterner {
 
     /// [`SegmentInterner::resolve`] by [`pack_instance`] key for short
     /// instances (`len ≤ 8`).
-    pub fn resolve_packed(&self, key: u64, len: usize) -> Option<u32> {
+    fn resolve_packed(&self, key: u64, len: usize) -> Option<u32> {
         self.packed[len].get(&key).copied()
     }
 
@@ -938,36 +938,13 @@ impl SegmentIndex {
 
     /// Queries candidates of length `indexed_len` for `probe`: assembles
     /// the equivalent sets `q(r, x)` against that length's partition and
-    /// merges posting lists.
+    /// merges posting lists. Returns the per-candidate α rows and the
+    /// per-segment over-cap flags; flagged segments could not be
+    /// evaluated on the probe side and must be treated as conservatively
+    /// matching.
     ///
-    /// Returns `(per-candidate α vectors, per-segment over-cap flags)`;
-    /// flagged segments could not be evaluated on the probe side and must
-    /// be treated as conservatively matching.
-    pub fn query(
-        &self,
-        probe: &UncertainString,
-        indexed_len: usize,
-        config: &JoinConfig,
-    ) -> Option<(AlphaVectors, Vec<bool>)> {
-        self.query_recorded(probe, indexed_len, config, &mut NoopRecorder)
-    }
-
-    /// [`SegmentIndex::query`] plus the events of
-    /// [`SegmentIndex::query_cached_recorded`] on `rec`.
-    pub fn query_recorded<R: Recorder>(
-        &self,
-        probe: &UncertainString,
-        indexed_len: usize,
-        config: &JoinConfig,
-        rec: &mut R,
-    ) -> Option<(AlphaVectors, Vec<bool>)> {
-        let mut cache = EquivCache::new();
-        self.query_cached_recorded(probe, indexed_len, config, None, &mut cache, rec)?;
-        Some((cache.alphas, cache.scratch.over_cap))
-    }
-
-    /// [`SegmentIndex::query`] through the probe's window table `cache`,
-    /// so repeated queries by one probe (against many lengths, or many
+    /// The query runs through the probe's window table `cache`, so
+    /// repeated queries by one probe (against many lengths, or many
     /// shards) enumerate and resolve each window once. The α rows and
     /// over-cap flags are the cache's own, valid until its next query.
     ///
@@ -1294,6 +1271,19 @@ mod tests {
         JoinConfig::new(1, 0.1).with_q(2)
     }
 
+    /// `index`'s α rows and over-cap flags for `probe` against the
+    /// strings of length `len`, through a fresh window table.
+    fn query(
+        index: &SegmentIndex,
+        probe: &UncertainString,
+        len: usize,
+        config: &JoinConfig,
+    ) -> Option<(AlphaVectors, Vec<bool>)> {
+        let mut cache = EquivCache::new();
+        index.query_cached_recorded(probe, len, config, None, &mut cache, &mut NoopRecorder)?;
+        Some((cache.alphas, cache.scratch.over_cap))
+    }
+
     /// An index of `strings`, string `i` under id `i`.
     fn build(strings: &[UncertainString], config: &JoinConfig) -> SegmentIndex {
         SegmentIndex::build((0u32..).zip(strings), config)
@@ -1305,7 +1295,7 @@ mod tests {
         let strings = [dna("ACGTAC"), dna("AC{(G,0.6),(T,0.4)}TAC"), dna("TTTTTT")];
         let index = build(&strings, &config);
         let probe = dna("ACGTAC");
-        let (alphas, over_cap) = index.query(&probe, 6, &config).unwrap();
+        let (alphas, over_cap) = query(&index, &probe, 6, &config).unwrap();
         assert!(over_cap.iter().all(|&b| !b));
         // String 0 matches all three segments with α = 1.
         assert_eq!(alphas.get(0).unwrap(), &[1.0, 1.0, 1.0]);
@@ -1330,7 +1320,7 @@ mod tests {
         ];
         let index = build(&strings, &config);
         let probe = dna("GGAT{(C,0.7),(G,0.3)}C");
-        let (alphas, _) = index.query(&probe, 6, &config).unwrap();
+        let (alphas, _) = query(&index, &probe, 6, &config).unwrap();
         let filter = QGramFilter::new(config.k, config.tau, config.q);
         for (i, s) in strings.iter().enumerate() {
             let direct = filter.evaluate(&probe, s);
@@ -1358,7 +1348,7 @@ mod tests {
     #[test]
     fn query_missing_length_is_none() {
         let index = SegmentIndex::new();
-        assert!(index.query(&dna("ACGT"), 4, &config()).is_none());
+        assert!(query(&index, &dna("ACGT"), 4, &config()).is_none());
     }
 
     #[test]
@@ -1425,7 +1415,7 @@ mod tests {
             dna("TTTTTT"),
         ];
         let index = build(&strings, &config);
-        let (alphas, over_cap) = index.query(&dna("ACGTAC"), 6, &config).unwrap();
+        let (alphas, over_cap) = query(&index, &dna("ACGTAC"), 6, &config).unwrap();
         assert!(over_cap.iter().any(|&b| b), "cap must have been hit");
         // Every id surfaces, even TTTTTT with zero posting hits.
         for id in 0..3u32 {
@@ -1440,7 +1430,7 @@ mod tests {
         config.max_segment_instances = 2;
         let index = build(&[dna("ACGTAC")], &config);
         let probe = dna("{(A,0.5),(C,0.5)}{(A,0.5),(G,0.5)}GTAC");
-        let (alphas, over_cap) = index.query(&probe, 6, &config).unwrap();
+        let (alphas, over_cap) = query(&index, &probe, 6, &config).unwrap();
         assert!(over_cap.iter().any(|&b| b));
         assert!(alphas.get(0).is_some());
     }

@@ -12,12 +12,15 @@ use usj_obs::{Gauge, Recorder};
 
 /// One reported pair: `Pr(ed(strings[left], strings[right]) ≤ k) > τ`.
 ///
-/// `left < right` always (indices into the input slice).
+/// In a self-join both fields index the one input slice, and
+/// `left < right` always. In a cross join ([`SimilarityJoin::join`])
+/// `left` indexes the left input and `right` the right input, so any
+/// order, `left == right` included, can occur.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimilarPair {
-    /// Smaller index of the pair.
+    /// Index of the pair's left string (the smaller index in a self-join).
     pub left: u32,
-    /// Larger index of the pair.
+    /// Index of the pair's right string (the larger index in a self-join).
     pub right: u32,
     /// Best known lower bound on the pair's similarity probability; the
     /// exact probability when the configuration disables early
@@ -71,7 +74,7 @@ impl SimilarityJoin {
         let mut pairs = Vec::new();
         let mut stats = JoinStats::default();
         for (i, probe) in left.iter().enumerate() {
-            let (hits, probe_stats) = collection.search_with_stats(probe);
+            let (hits, probe_stats) = collection.search_filtered(probe, |_| true);
             pairs.extend(hits.into_iter().map(|hit| SimilarPair {
                 left: i as u32,
                 right: hit.id,

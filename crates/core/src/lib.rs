@@ -40,8 +40,6 @@ pub mod parallel;
 pub mod partition;
 pub mod snapshot;
 pub mod stats;
-pub mod string_level;
-pub mod topk;
 pub mod verifier;
 
 /// The observability substrate (re-exported so downstream crates can name
@@ -61,5 +59,4 @@ pub use snapshot::{
     LoadRung, LoadedSnapshot, SalvageMode, SnapshotError, SnapshotReport, SnapshotWriteReport,
 };
 pub use stats::{JoinStats, PhaseTimings};
-pub use string_level::{string_level_oracle, StringLevelJoin, StringLevelStats};
 pub use verifier::ProbeVerifier;

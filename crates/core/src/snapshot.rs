@@ -608,7 +608,7 @@ pub fn load(
                 index.rebuild_band(len, &strings, config);
             }
             Ok(LoadedSnapshot {
-                collection: IndexedCollection::from_restored(config.clone(), sigma, strings, index),
+                collection: IndexedCollection::from_index(config.clone(), sigma, strings, index),
                 report,
             })
         }

@@ -41,7 +41,7 @@ impl ProbeVerifier {
     /// [`ProbeVerifier::build`] plus a [`Counter::VerifierBuilds`] event
     /// on `rec` (the lazy per-probe construction count — probes whose
     /// candidates are all filtered out never build one).
-    pub fn build_recorded<R: Recorder>(
+    fn build_recorded<R: Recorder>(
         probe: &UncertainString,
         config: &JoinConfig,
         rec: &mut R,

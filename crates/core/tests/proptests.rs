@@ -5,11 +5,10 @@
 use std::ops::Range;
 
 use usj_core::{
-    oracle_self_join, string_level_oracle, IndexedCollection, JoinConfig, JoinResult, Pipeline,
-    SimilarityJoin, StringLevelJoin,
+    oracle_self_join, IndexedCollection, JoinConfig, JoinResult, Pipeline, SimilarityJoin,
 };
 use usj_model::rng::{check_seeds, random_string, Rng};
-use usj_model::{Position, StringLevelUncertain, UncertainString};
+use usj_model::{Position, UncertainString};
 use usj_verify::exact_similarity_prob;
 
 const CASES: u64 = 48;
@@ -150,74 +149,6 @@ fn parallel_equals_sequential() {
             pair_ids(&parallel),
             "threads={threads}"
         );
-    });
-}
-
-/// Top-k search returns exactly the oracle's k best (ids and exact
-/// probabilities).
-#[test]
-fn top_k_equals_oracle() {
-    check_seeds(CASES, |rng| {
-        let strings = collection(rng, 1..8);
-        let probe = string(rng);
-        let k = rng.range(1..3);
-        let limit = rng.range(1..5);
-        let tau = 0.0101;
-        let coll = IndexedCollection::build(JoinConfig::new(k, tau), 3, strings.clone());
-        let got: Vec<(u32, f64)> = coll
-            .search_top_k(&probe, limit)
-            .into_iter()
-            .map(|h| (h.id, h.prob))
-            .collect();
-        let mut want: Vec<(u32, f64)> = strings
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i as u32, exact_similarity_prob(&probe, s, k)))
-            .filter(|&(_, p)| p > tau)
-            .collect();
-        want.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        want.truncate(limit);
-        assert_eq!(got.len(), want.len(), "limit={limit}");
-        // Ranks can tie to machine precision, so ids may differ; the
-        // probabilities at each rank must agree.
-        for ((_, gp), (_, wp)) in got.iter().zip(&want) {
-            assert!((gp - wp).abs() < 1e-9, "{gp} vs {wp}");
-        }
-    });
-}
-
-/// The string-level join equals its oracle on random string-level
-/// collections (alternatives of mixed lengths included).
-#[test]
-fn string_level_join_equals_oracle() {
-    check_seeds(CASES, |rng| {
-        let strings: Vec<StringLevelUncertain> = (0..rng.range(2..7))
-            .map(|_| {
-                let alts: Vec<(Vec<u8>, u32)> = (0..rng.range(1..4))
-                    .map(|_| {
-                        let instance = (0..rng.range(2..7)).map(|_| rng.below(3) as u8).collect();
-                        (instance, rng.range(1..50) as u32)
-                    })
-                    .collect();
-                let total: u32 = alts.iter().map(|&(_, w)| w).sum();
-                StringLevelUncertain::new(
-                    alts.into_iter()
-                        .map(|(inst, w)| (inst, w as f64 / total as f64))
-                        .collect(),
-                )
-                .unwrap()
-            })
-            .collect();
-        let k = rng.range(1..3);
-        let tau = random_tau(rng);
-        let q = rng.range(2..4);
-        let (pairs, _) = StringLevelJoin::new(k, tau, q).self_join(&strings);
-        let got: Vec<_> = pairs.iter().map(|p| (p.left, p.right)).collect();
-        let want: Vec<_> = string_level_oracle(&strings, k, tau)
-            .iter()
-            .map(|p| (p.left, p.right))
-            .collect();
-        assert_eq!(got, want, "k={k} tau={tau} q={q}");
     });
 }
 

@@ -6,6 +6,12 @@ use usj_model::{Alphabet, UncertainString};
 use crate::base::{dblp_like_base, protein_like_base};
 use crate::uncertain::{make_uncertain, UncertaintySpec};
 
+/// Fraction of strings generated as *near-duplicates* of an earlier
+/// string (1–4 random edits). Real dblp/protein data is full of such
+/// near-duplicates — they are what a similarity join finds — so the
+/// synthetic collections must contain them too.
+const DUPLICATE_FRACTION: f64 = 0.3;
+
 /// Which synthetic source to imitate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatasetKind {
@@ -42,11 +48,6 @@ pub struct DatasetSpec {
     pub n: usize,
     /// Uncertainty parameters (θ, γ, neighbourhood).
     pub uncertainty: UncertaintySpec,
-    /// Fraction of strings generated as *near-duplicates* of an earlier
-    /// string (1–4 random edits). Real dblp/protein data is full of such
-    /// near-duplicates — they are what a similarity join finds — so the
-    /// synthetic collections must contain them too. Default 0.3.
-    pub duplicate_fraction: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -61,7 +62,6 @@ impl DatasetSpec {
                 theta: kind.default_theta(),
                 ..Default::default()
             },
-            duplicate_fraction: 0.3,
             seed,
         }
     }
@@ -72,23 +72,13 @@ impl DatasetSpec {
         self
     }
 
-    /// Overrides the near-duplicate fraction.
-    pub fn with_duplicate_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "fraction must lie in [0, 1]"
-        );
-        self.duplicate_fraction = fraction;
-        self
-    }
-
     /// Generates the dataset.
     pub fn generate(&self) -> Dataset {
         let alphabet = self.kind.alphabet();
         let mut rng = Rng::new(self.seed);
         let mut bases: Vec<Vec<usj_model::Symbol>> = Vec::with_capacity(self.n);
         for i in 0..self.n {
-            let base = if i > 0 && rng.chance(self.duplicate_fraction) {
+            let base = if i > 0 && rng.chance(DUPLICATE_FRACTION) {
                 // Near-duplicate of an earlier base: 1–4 random edits
                 // (substitution / insertion / deletion).
                 let source = &bases[rng.below(i)];

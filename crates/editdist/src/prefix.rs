@@ -118,20 +118,6 @@ impl PrefixDp {
         (d <= self.k).then_some(d)
     }
 
-    /// Minimum cell value of the current row — a lower bound on the edit
-    /// distance between any extension of the probe prefix and the target.
-    pub fn row_min(&self) -> usize {
-        let width = self.target.len() + 1;
-        let start = self.rows.len() - width;
-        self.rows[start..].iter().copied().min().unwrap_or(INF)
-    }
-
-    /// `true` while the current prefix can still extend into a string
-    /// within distance `k` of the target.
-    pub fn viable(&self) -> bool {
-        self.row_min() <= self.k
-    }
-
     /// Convenience: walks `probe` left-to-right with prefix-pruning and
     /// returns `ed(probe, target)` when `≤ k`.
     pub fn run(target: &[u8], probe: &[u8], k: usize) -> Option<usize> {
@@ -191,7 +177,6 @@ mod tests {
         assert!(dp.push(b'b'));
         assert!(dp.push(b'b'));
         assert!(!dp.push(b'b'));
-        assert!(!dp.viable());
     }
 
     #[test]

@@ -130,16 +130,6 @@ impl OverlappingQGramIndex {
     pub fn estimated_bytes(&self) -> usize {
         self.bytes
     }
-
-    /// Number of distinct q-gram instances.
-    pub fn num_grams(&self) -> usize {
-        self.postings.len()
-    }
-
-    /// Total number of postings.
-    pub fn num_postings(&self) -> usize {
-        self.postings.values().map(Vec::len).sum()
-    }
 }
 
 /// One eed join pair.
@@ -316,7 +306,5 @@ mod tests {
             overlapping.estimated_bytes(),
             disjoint.estimated_bytes()
         );
-        assert!(overlapping.num_postings() > 0);
-        assert!(overlapping.num_grams() > 0);
     }
 }

@@ -40,7 +40,7 @@ pub fn expected_nd_char(r: CharProfile<'_>, s: CharProfile<'_>) -> f64 {
 }
 
 /// `E[(f_R − f_S)^+]` for one character.
-pub fn expected_pd_char(r: CharProfile<'_>, s: CharProfile<'_>) -> f64 {
+fn expected_pd_char(r: CharProfile<'_>, s: CharProfile<'_>) -> f64 {
     expected_nd_char(s, r)
 }
 
@@ -77,7 +77,7 @@ pub fn expected_nd_naive(r: CharProfile<'_>, s: CharProfile<'_>) -> f64 {
     acc
 }
 
-/// Naive counterpart of [`expected_pd_char`].
+/// Naive counterpart of `expected_pd_char`.
 pub fn expected_pd_naive(r: CharProfile<'_>, s: CharProfile<'_>) -> f64 {
     expected_nd_naive(s, r)
 }

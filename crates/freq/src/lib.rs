@@ -31,9 +31,7 @@ pub mod expectation;
 pub mod filter;
 pub mod profile;
 
-pub use expectation::{
-    expected_distances, expected_nd_char, expected_nd_naive, expected_pd_char, expected_pd_naive,
-};
+pub use expectation::{expected_distances, expected_nd_char, expected_nd_naive, expected_pd_naive};
 pub use filter::{FreqFilter, FreqOutcome};
 pub use profile::{CharProfile, FreqProfile};
 

@@ -119,12 +119,6 @@ impl Alphabet {
         self.chars[s as usize]
     }
 
-    /// Returns `true` if `s` is a valid symbol of this alphabet.
-    #[inline]
-    pub fn contains_symbol(&self, s: Symbol) -> bool {
-        (s as usize) < self.chars.len()
-    }
-
     /// Encodes a `&str` into symbol ids, failing on the first unknown char.
     pub fn encode(&self, text: &str) -> Result<Vec<Symbol>> {
         text.chars().map(|c| self.try_symbol(c)).collect()
@@ -181,8 +175,6 @@ mod tests {
         let ids: Vec<_> = a.symbols().collect();
         assert_eq!(ids, vec![0, 1, 2]);
         assert_eq!(a.char_of(1), 'y');
-        assert!(a.contains_symbol(2));
-        assert!(!a.contains_symbol(3));
     }
 
     #[test]

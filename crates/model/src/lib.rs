@@ -13,7 +13,7 @@
 //! * [`Alphabet`] — interning between `char`s and compact [`Symbol`] ids;
 //! * [`Position`] — one certain or uncertain character;
 //! * [`UncertainString`] — the string itself, with matching probabilities,
-//!   possible-world enumeration ([`UncertainString::worlds`]) and sampling;
+//!   and possible-world enumeration ([`UncertainString::worlds`]);
 //! * a parser/formatter for the paper's textual syntax, e.g.
 //!   `A{(C,0.5),(G,0.5)}A` (see [`UncertainString::parse`]);
 //! * [`rng`] — the seeded generator every randomised generator and
@@ -31,14 +31,12 @@ pub mod position;
 pub mod prob;
 pub mod rng;
 pub mod string;
-pub mod string_level;
 pub mod worlds;
 
 pub use alphabet::{Alphabet, Symbol};
 pub use position::Position;
 pub use prob::Prob;
 pub use string::UncertainString;
-pub use string_level::StringLevelUncertain;
 pub use worlds::{World, WorldIter};
 
 /// Errors produced while constructing or parsing uncertain strings.

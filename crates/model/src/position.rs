@@ -126,14 +126,6 @@ impl Position {
         }
     }
 
-    /// Probability of the *most probable* symbol.
-    pub fn max_prob(&self) -> Prob {
-        match self {
-            Position::Certain(_) => 1.0,
-            Position::Uncertain(alts) => alts.iter().map(|&(_, p)| p).fold(0.0, f64::max),
-        }
-    }
-
     /// Probability that this position matches `other` (both distributions
     /// independent): `Σ_c Pr(self = c)·Pr(other = c)`.
     pub fn match_prob(&self, other: &Position) -> Prob {
@@ -308,7 +300,6 @@ mod tests {
     fn most_probable_and_max() {
         let p = Position::uncertain(0, vec![(0, 0.3), (1, 0.5), (2, 0.2)]).unwrap();
         assert_eq!(p.most_probable(), 1);
-        assert!(approx_eq(p.max_prob(), 0.5));
         assert_eq!(Position::certain(7).most_probable(), 7);
     }
 

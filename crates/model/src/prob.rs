@@ -27,13 +27,6 @@ pub fn approx_eq_eps(a: Prob, b: Prob, eps: f64) -> bool {
     (a - b).abs() <= eps
 }
 
-/// Returns `true` if `p` is a valid probability in `[0, 1]` (within
-/// [`PROB_EPS`] slack on both ends).
-#[inline]
-pub fn is_valid(p: Prob) -> bool {
-    p.is_finite() && (-PROB_EPS..=1.0 + PROB_EPS).contains(&p)
-}
-
 /// Clamps `p` into `[0, 1]`, absorbing small floating-point drift.
 ///
 /// DP recurrences such as the Poisson-binomial tail or the CDF bounds can
@@ -42,21 +35,6 @@ pub fn is_valid(p: Prob) -> bool {
 #[inline]
 pub fn clamp(p: Prob) -> Prob {
     p.clamp(0.0, 1.0)
-}
-
-/// Normalises `weights` in place so they sum to one.
-///
-/// Returns `false` (leaving the input untouched) when the total mass is zero
-/// or non-finite, in which case normalisation is impossible.
-pub fn normalize(weights: &mut [Prob]) -> bool {
-    let total: f64 = weights.iter().sum();
-    if !(total.is_finite() && total > 0.0) {
-        return false;
-    }
-    for w in weights.iter_mut() {
-        *w /= total;
-    }
-    true
 }
 
 #[cfg(test)]
@@ -70,41 +48,9 @@ mod tests {
     }
 
     #[test]
-    fn validity_bounds() {
-        assert!(is_valid(0.0));
-        assert!(is_valid(1.0));
-        assert!(is_valid(1.0 + 1e-12));
-        assert!(!is_valid(1.1));
-        assert!(!is_valid(-0.1));
-        assert!(!is_valid(f64::NAN));
-        assert!(!is_valid(f64::INFINITY));
-    }
-
-    #[test]
     fn clamp_absorbs_drift() {
         assert_eq!(clamp(1.0 + 1e-15), 1.0);
         assert_eq!(clamp(-1e-15), 0.0);
         assert_eq!(clamp(0.25), 0.25);
-    }
-
-    #[test]
-    fn normalize_rescales() {
-        let mut w = [1.0, 3.0];
-        assert!(normalize(&mut w));
-        assert!(approx_eq(w[0], 0.25));
-        assert!(approx_eq(w[1], 0.75));
-    }
-
-    #[test]
-    fn normalize_rejects_zero_mass() {
-        let mut w = [0.0, 0.0];
-        assert!(!normalize(&mut w));
-        assert_eq!(w, [0.0, 0.0]);
-    }
-
-    #[test]
-    fn normalize_rejects_nan() {
-        let mut w = [f64::NAN, 1.0];
-        assert!(!normalize(&mut w));
     }
 }

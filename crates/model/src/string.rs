@@ -201,19 +201,6 @@ impl UncertainString {
         WorldIter::new(&self.positions)
     }
 
-    /// Collects all worlds into a vector; `cap` bounds the number of worlds
-    /// (returns `None` when exceeded) to guard against exponential blowup.
-    pub fn collect_worlds(&self, cap: usize) -> Option<Vec<World>> {
-        let mut out = Vec::new();
-        for world in self.worlds() {
-            if out.len() >= cap {
-                return None;
-            }
-            out.push(world);
-        }
-        Some(out)
-    }
-
     /// The most probable world (per-position argmax; valid because
     /// positions are independent).
     pub fn most_probable_world(&self) -> World {
@@ -223,36 +210,6 @@ impl UncertainString {
             let s = p.most_probable();
             prob *= p.prob_of(s);
             instance.push(s);
-        }
-        World { instance, prob }
-    }
-
-    /// Samples one world using the supplied uniform samples.
-    ///
-    /// `uniforms` must yield one value in `[0, 1)` per position; this keeps
-    /// the crate free of a hard `rand` dependency while callers can pass
-    /// `std::iter::repeat_with(|| rng.gen::<f64>())`.
-    pub fn sample_world(&self, mut uniforms: impl FnMut() -> f64) -> World {
-        let mut instance = Vec::with_capacity(self.len());
-        let mut prob = 1.0;
-        for p in &self.positions {
-            match p {
-                Position::Certain(s) => instance.push(*s),
-                Position::Uncertain(alts) => {
-                    let u = uniforms();
-                    let mut acc = 0.0;
-                    let mut chosen = alts[alts.len() - 1].0;
-                    for &(s, q) in alts {
-                        acc += q;
-                        if u < acc {
-                            chosen = s;
-                            break;
-                        }
-                    }
-                    prob *= p.prob_of(chosen);
-                    instance.push(chosen);
-                }
-            }
         }
         World { instance, prob }
     }
@@ -359,7 +316,7 @@ mod tests {
     #[test]
     fn worlds_sum_to_one() {
         let x = s("{(A,0.3),(C,0.7)}G{(A,0.5),(T,0.5)}");
-        let worlds = x.collect_worlds(100).unwrap();
+        let worlds: Vec<_> = x.worlds().collect();
         assert_eq!(worlds.len(), 4);
         let total: f64 = worlds.iter().map(|w| w.prob).sum();
         assert!(approx_eq_eps(total, 1.0, 1e-9));
@@ -370,27 +327,11 @@ mod tests {
     }
 
     #[test]
-    fn collect_worlds_cap() {
-        let x = s("{(A,0.5),(C,0.5)}{(A,0.5),(C,0.5)}");
-        assert!(x.collect_worlds(3).is_none());
-        assert_eq!(x.collect_worlds(4).unwrap().len(), 4);
-    }
-
-    #[test]
     fn most_probable_world_is_argmax() {
         let x = s("{(A,0.3),(C,0.7)}G");
         let w = x.most_probable_world();
         assert_eq!(Alphabet::dna().decode(&w.instance), "CG");
         assert!(approx_eq(w.prob, 0.7));
-    }
-
-    #[test]
-    fn sample_world_deterministic_uniforms() {
-        let x = s("{(A,0.3),(C,0.7)}G");
-        let w = x.sample_world(|| 0.1); // 0.1 < 0.3 → A
-        assert_eq!(Alphabet::dna().decode(&w.instance), "AG");
-        let w = x.sample_world(|| 0.9); // 0.9 ≥ 0.3 → C
-        assert_eq!(Alphabet::dna().decode(&w.instance), "CG");
     }
 
     #[test]
@@ -406,7 +347,7 @@ mod tests {
         let e = UncertainString::empty();
         assert!(e.is_empty());
         assert_eq!(e.num_worlds(), 1.0);
-        let worlds = e.collect_worlds(10).unwrap();
+        let worlds: Vec<_> = e.worlds().collect();
         assert_eq!(worlds.len(), 1);
         assert!(approx_eq(worlds[0].prob, 1.0));
         assert!(worlds[0].instance.is_empty());

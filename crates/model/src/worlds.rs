@@ -55,14 +55,6 @@ impl<'a> WorldIter<'a> {
         }
     }
 
-    /// Total number of worlds this iterator will yield, as `f64`.
-    pub fn total_worlds(&self) -> f64 {
-        self.positions
-            .iter()
-            .map(|p| p.num_alternatives() as f64)
-            .product()
-    }
-
     fn alternative(&self, pos: usize, alt: usize) -> (Symbol, Prob) {
         match &self.positions[pos] {
             Position::Certain(s) => (*s, 1.0),
@@ -77,7 +69,7 @@ impl<'a> WorldIter<'a> {
     /// every world was visited. The enumeration-heavy callers (the
     /// q-gram filter's equivalent sets) copy the borrowed instance into
     /// flat storage instead of allocating one `Vec` per world.
-    pub fn visit_all<F: FnMut(&[Symbol], Prob) -> bool>(mut self, mut f: F) -> bool {
+    fn visit_all<F: FnMut(&[Symbol], Prob) -> bool>(mut self, mut f: F) -> bool {
         if self.done {
             return true;
         }
@@ -118,7 +110,7 @@ impl<'a> WorldIter<'a> {
 const SHORT_WORLD_POSITIONS: usize = 16;
 
 /// Visits every world of `positions` exactly like
-/// [`WorldIter::visit_all`] (same order, same probabilities, same early
+/// `WorldIter::visit_all` (same order, same probabilities, same early
 /// stop), but keeps the odometer state on the stack for slices of at
 /// most 16 positions (`SHORT_WORLD_POSITIONS`). The q-gram filters
 /// enumerate worlds of 3–4-symbol windows at very high rates, where
@@ -272,6 +264,5 @@ mod tests {
         let total: f64 = s.worlds().map(|w| w.prob).sum();
         assert!(approx_eq_eps(total, 1.0, 1e-9));
         assert_eq!(s.worlds().count(), 16);
-        assert_eq!(s.worlds().total_worlds(), 16.0);
     }
 }

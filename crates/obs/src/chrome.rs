@@ -88,19 +88,9 @@ impl ChromeTraceRecorder {
         }
     }
 
-    /// `true` when events are being buffered.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The trace id stamped on events (0 = untraced).
     pub fn trace_id(&self) -> u64 {
         self.trace_id
-    }
-
-    /// Number of completed spans buffered so far.
-    pub fn span_count(&self) -> usize {
-        self.events.len()
     }
 
     fn alloc_span(&mut self) -> SpanId {
@@ -336,7 +326,7 @@ mod tests {
         t.enter_phase(Phase::Qgram);
         t.exit_phase(Phase::Qgram, Duration::from_micros(1));
         t.probe_end(0);
-        assert_eq!(t.span_count(), 0);
+        assert_eq!(t.events.len(), 0);
         assert!(t.finish().is_none());
     }
 
@@ -349,7 +339,7 @@ mod tests {
         b.probe_start(2);
         b.probe_end(2);
         a.absorb(b);
-        assert_eq!(a.span_count(), 2);
+        assert_eq!(a.events.len(), 2);
         // Distinct lanes → distinct span ids.
         let json = a.render();
         let spans = field_values(&json, "span");

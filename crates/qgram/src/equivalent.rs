@@ -60,8 +60,8 @@ pub enum AlphaMode {
 /// The equivalent set `q(r, x)`: distinct deterministic window instances
 /// with their occurrence probabilities `p_r(w)`.
 ///
-/// Instances are stored in one flat symbol buffer (stride =
-/// [`EquivalentSet::window_len`]) rather than one `Vec` per instance.
+/// Instances are stored in one flat symbol buffer (stride = the window
+/// length) rather than one `Vec` per instance.
 /// The filter and the tests build sets this way; the join's index path
 /// assembles the same sets from a per-probe window table instead, through
 /// the same [`combine_occurrences`].
@@ -175,11 +175,6 @@ impl EquivalentSet {
             .iter()
             .enumerate()
             .map(move |(i, &p)| (&self.flat[i * wl..i * wl + wl], p))
-    }
-
-    /// Length every instance in this set shares.
-    pub fn window_len(&self) -> usize {
-        self.window_len
     }
 
     /// Number of distinct instances.

@@ -38,6 +38,11 @@ pub enum FilterVerdict {
     Candidate,
 }
 
+/// Cap on the window instances enumerated per segment; pairs exceeding
+/// the cap are passed through un-pruned rather than risking exponential
+/// work.
+const MAX_INSTANCES: usize = 1 << 14;
+
 /// Configuration + scratch for applying q-gram filtering between uncertain
 /// string pairs.
 ///
@@ -59,7 +64,6 @@ pub struct QGramFilter {
     q: usize,
     policy: SelectionPolicy,
     alpha_mode: AlphaMode,
-    max_instances: usize,
     paper_bound: bool,
 }
 
@@ -75,7 +79,6 @@ impl QGramFilter {
             q,
             policy: SelectionPolicy::default(),
             alpha_mode: AlphaMode::default(),
-            max_instances: 1 << 14,
             paper_bound: false,
         }
     }
@@ -99,14 +102,6 @@ impl QGramFilter {
     /// Overrides the `α` computation mode (see [`AlphaMode`]).
     pub fn with_alpha_mode(mut self, mode: AlphaMode) -> Self {
         self.alpha_mode = mode;
-        self
-    }
-
-    /// Caps the number of window instances enumerated per segment; pairs
-    /// exceeding the cap are passed through un-pruned rather than risking
-    /// exponential work.
-    pub fn with_max_instances(mut self, max_instances: usize) -> Self {
-        self.max_instances = max_instances;
         self
     }
 
@@ -143,7 +138,7 @@ impl QGramFilter {
             .iter()
             .map(|seg| {
                 let range = window_range(self.policy, probe.len(), indexed_len, self.k, seg)?;
-                EquivalentSet::build(probe, range, seg.len, self.alpha_mode, self.max_instances)
+                EquivalentSet::build(probe, range, seg.len, self.alpha_mode, MAX_INSTANCES)
             })
             .collect()
     }
@@ -178,7 +173,7 @@ impl QGramFilter {
                         range,
                         seg.len,
                         self.alpha_mode,
-                        self.max_instances,
+                        MAX_INSTANCES,
                     ) {
                         // Cap exceeded: cannot evaluate this segment; be
                         // conservative (treat as certain match).

@@ -49,4 +49,4 @@ pub use filter::{FilterVerdict, QGramFilter, QGramOutcome};
 pub use partition::{partition, Segment};
 pub use selection::{window_range, SelectionPolicy};
 pub use soundness::{independent_family, sound_at_least, window_region, Region, TailBounder};
-pub use tail::{at_least, exactly, markov_at_least, poisson_binomial};
+pub use tail::{at_least, exactly, poisson_binomial};

@@ -57,7 +57,7 @@ pub fn partition(len: usize, q: usize, k: usize) -> Vec<Segment> {
 /// Partitions a string of length `len` into exactly `m` segments (the last
 /// `len mod m` get the extra character). `m` must satisfy `1 ≤ m ≤ len`;
 /// `m = 0` is allowed only with `len = 0`.
-pub fn partition_into(len: usize, m: usize) -> Vec<Segment> {
+fn partition_into(len: usize, m: usize) -> Vec<Segment> {
     if len == 0 && m == 0 {
         return Vec::new();
     }

@@ -145,18 +145,6 @@ pub fn at_least(alphas: &[Prob], need: usize) -> Prob {
     }
 }
 
-/// Markov (first-moment) tail bound: `Pr(≥ need events) ≤ E[#events]/need`,
-/// valid under **arbitrary dependence** between the events — the sound
-/// fallback used when segment-match events share uncertain probe
-/// positions (see [`crate::soundness`]).
-pub fn markov_at_least(alphas: &[Prob], need: usize) -> Prob {
-    if need == 0 {
-        return 1.0;
-    }
-    let mean: f64 = alphas.iter().sum();
-    (mean / need as f64).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,21 +232,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn markov_dominates_any_dependence() {
-        // Markov must dominate the independent tail (it allows more
-        // adversarial dependence).
-        let alphas = [0.3, 0.5, 0.9, 0.2];
-        for need in 1..=4 {
-            assert!(markov_at_least(&alphas, need) >= at_least(&alphas, need) - 1e-12);
-        }
-        assert_eq!(markov_at_least(&alphas, 0), 1.0);
-        assert_eq!(markov_at_least(&[], 2), 0.0);
-        // Perfectly correlated events: Pr(all 3 fire) can be as high as
-        // 0.5 with these marginals; Markov yields 0.5 exactly.
-        assert!((markov_at_least(&[0.5, 0.5, 0.5], 3) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -171,7 +171,7 @@ impl Client {
 
     /// A fresh nonzero trace id (drawn from the jitter stream; the low
     /// bit is forced so 0 — the "untraced" sentinel — never escapes).
-    pub fn mint_trace_id(&mut self) -> u64 {
+    fn mint_trace_id(&mut self) -> u64 {
         self.rng.next_u64() | 1
     }
 

@@ -230,13 +230,6 @@ pub fn coordinate(
     frame::start(coordinator, limits, "coord")
 }
 
-impl CoordinatorHandle {
-    /// Each shard's current health-machine state.
-    pub fn shard_states(&self) -> Vec<ShardState> {
-        self.frame.front.shard_states()
-    }
-}
-
 impl Coordinator {
     fn healthy_count(&self) -> usize {
         self.shard_states()

@@ -30,7 +30,7 @@ pub enum Level {
 
 impl Level {
     /// Decodes a stored level (saturating: unknown values shed).
-    pub fn from_u8(v: u8) -> Level {
+    fn from_u8(v: u8) -> Level {
         match v {
             0 => Level::Full,
             1 => Level::Degraded,

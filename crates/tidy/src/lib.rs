@@ -14,7 +14,7 @@
 //! | `unsafe-safety` | every `unsafe` block carries a `// safety:` justification (declarations exempt) |
 //! | `metrics-registered` | every recorded `Counter`/`Gauge` is a row of the metric table, and every row's name is pinned by the golden schema test |
 //! | `dep-allowlist` | no registry dependencies: every dependency is a path crate in the repository |
-//! | `doc-drift` | `DESIGN.md` inventories every crate; `CHANGES.md` has one consecutive `- PR n:` line per PR |
+//! | `doc-drift` | `DESIGN.md` inventories every crate and names no missing one; `CHANGES.md` has one consecutive `- PR n:` line per PR |
 //! | `socket-timeout` | no blocking socket read in `crates/serve/src/` without a prior `set_read_timeout` |
 //! | `durable-write` | no raw `File::create`/`fs::write` in `crates/{core,serve,cli}/src/` outside the `durable_atomic_write` helpers |
 //! | `span-paired` | every manual `enter_phase` in `crates/{core,serve}/src/` is exited in-file, with no early `return`/`?` while open (RAII `PhaseGuard` is exempt) |

@@ -641,7 +641,8 @@ pub fn dep_allowlist(ws: &Workspace) -> Vec<Diagnostic> {
 /// code. Two checks:
 ///
 /// * every crate directory under `crates/` is mentioned in `DESIGN.md`
-///   (as `crates/<name>` or `usj-<name>`);
+///   (as `crates/<name>` or `usj-<name>`), and every backticked
+///   `crates/<name>` in `DESIGN.md` names an existing crate directory;
 /// * `CHANGES.md` carries one `- PR <n>:` line per PR, numbered
 ///   consecutively from 1.
 pub fn doc_drift(ws: &Workspace) -> Vec<Diagnostic> {
@@ -660,6 +661,26 @@ pub fn doc_drift(ws: &Workspace) -> Vec<Diagnostic> {
                          system inventory"
                     ),
                 });
+            }
+        }
+        for (i, line) in design.lines().enumerate() {
+            // Odd pieces of a backtick split are the code spans.
+            for span in line.split('`').skip(1).step_by(2) {
+                let Some(rest) = span.strip_prefix("crates/") else {
+                    continue;
+                };
+                let name: String = rest
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '-' || *c == '_')
+                    .collect();
+                if !name.is_empty() && !ws.crate_dirs.contains(&name) {
+                    diags.push(Diagnostic {
+                        file: "DESIGN.md".to_string(),
+                        line: i + 1,
+                        lint: "doc-drift".to_string(),
+                        message: format!("`crates/{name}` names no crate directory"),
+                    });
+                }
             }
         }
     }

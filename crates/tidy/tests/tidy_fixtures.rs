@@ -167,6 +167,8 @@ fn docdrift_fixture_flags_inventory_and_changelog() {
             t("CHANGES.md", 4, "doc-drift"),
             // crates/ghost exists on disk but not in DESIGN.md.
             t("DESIGN.md", 1, "doc-drift"),
+            // DESIGN.md names `crates/gone`, which does not exist.
+            t("DESIGN.md", 3, "doc-drift"),
         ]
     );
 }

@@ -143,29 +143,6 @@ impl InstanceTrie {
 
     /// The root node id.
     pub const ROOT: u32 = 0;
-
-    /// Reconstructs the instance string for a node by walking up is not
-    /// possible in the flat arena (no parent links); instead this walks
-    /// *down* from the root following the highest-probability path — used
-    /// only by diagnostics.
-    pub fn most_probable_leaf(&self) -> (Vec<Symbol>, Prob) {
-        let mut id = Self::ROOT;
-        let mut out = Vec::with_capacity(self.len);
-        while !self.is_leaf(id) {
-            let child = self
-                .node(id)
-                .children()
-                .max_by(|&a, &b| {
-                    let pa = self.node(a).prob;
-                    let pb = self.node(b).prob;
-                    pa.partial_cmp(&pb).unwrap()
-                })
-                .expect("inner nodes have children");
-            out.push(self.node(child).symbol);
-            id = child;
-        }
-        (out, self.node(id).prob)
-    }
 }
 
 impl ProbeTrie for InstanceTrie {
@@ -200,9 +177,6 @@ mod tests {
         assert_eq!(t.num_nodes(), 5);
         assert_eq!(t.num_leaves(), 1);
         assert_eq!(t.string_len(), 4);
-        let (inst, p) = t.most_probable_leaf();
-        assert_eq!(Alphabet::dna().decode(&inst), "ACGT");
-        assert_eq!(p, 1.0);
     }
 
     #[test]

@@ -42,7 +42,7 @@ fn main() {
             }
         }
         let probe = UncertainString::parse(&probe_text, &alphabet).unwrap();
-        let (hits, stats) = collection.search_with_stats(&probe);
+        let (hits, stats) = collection.search_filtered(&probe, |_| true);
         println!(
             "\nprobe derived from fragment #{source} (len {}): {} hits",
             probe.len(),
