@@ -87,9 +87,11 @@ pub struct JoinConfig {
     pub pipeline: Pipeline,
     /// Which exact verifier runs last.
     pub verifier: VerifierKind,
-    /// Early accept/reject inside verification (keeps outputs correct;
-    /// reported probabilities become lower bounds). Disable to obtain the
-    /// exact probability for every reported pair.
+    /// Early accept/reject inside verification. The pair set is the same
+    /// either way; with it on, a reported probability is the mass found
+    /// when the pair was decided (the top world pair's, the CDF lower
+    /// bound or the walk's partial sum): a lower bound above `τ`.
+    /// Disable to obtain the exact probability for every reported pair.
     pub early_stop: bool,
     /// Cap on enumerated instances per segment/window; segments exceeding
     /// it are treated conservatively (never pruned by that segment).

@@ -11,8 +11,28 @@ use crate::config::{JoinConfig, VerifierKind};
 
 /// A verifier instantiated once per probe and reused for all its
 /// candidates.
+///
+/// Before any walk it tries the single most probable world pair
+/// `(r*, s*)`: two deterministic strings have only that pair, so it gives
+/// the exact 0/1 answer; with early stop on, a pair within `k` whose
+/// probability `p(r*)·p(s*)` already exceeds `τ` is accepted with that
+/// probability, a term the walk would have counted anyway.
 #[derive(Debug)]
-pub enum ProbeVerifier {
+pub struct ProbeVerifier {
+    engine: Engine,
+    /// The probe's most probable world `r*`.
+    top: Vec<Symbol>,
+    /// `p(r*)`.
+    top_prob: Prob,
+    /// `r*` is the probe's only world.
+    deterministic: bool,
+    /// The current candidate's most probable world `s*` (reused).
+    other_top: Vec<Symbol>,
+}
+
+/// The exact verifier behind the top-world-pair check.
+#[derive(Debug)]
+enum Engine {
     /// Lazily materialised probe trie (default; our §6.2 extension).
     Lazy(LazyTrieVerifier),
     /// The paper's eager probe trie.
@@ -20,16 +40,6 @@ pub enum ProbeVerifier {
     /// All-pairs enumeration baseline (also the fallback when the eager
     /// trie would exceed its node cap).
     Naive,
-    /// Deterministic-probe fast path: against a deterministic candidate
-    /// the match probability is 0 or 1, decided by one bit-parallel
-    /// bounded edit-distance check (Myers 1999); uncertain candidates
-    /// delegate to the wrapped verifier.
-    Deterministic {
-        /// The probe's single world.
-        instance: Vec<Symbol>,
-        /// Fallback for uncertain candidates.
-        inner: Box<ProbeVerifier>,
-    },
 }
 
 impl ProbeVerifier {
@@ -47,10 +57,10 @@ impl ProbeVerifier {
         rec: &mut R,
     ) -> ProbeVerifier {
         rec.counter(Counter::VerifierBuilds, 1);
-        let base = match config.verifier {
+        let engine = match config.verifier {
             VerifierKind::LazyTrie => {
                 let v = LazyTrieVerifier::new(probe, config.k, config.tau);
-                ProbeVerifier::Lazy(if config.early_stop {
+                Engine::Lazy(if config.early_stop {
                     v
                 } else {
                     v.without_early_stop()
@@ -58,23 +68,24 @@ impl ProbeVerifier {
             }
             VerifierKind::Trie => {
                 match TrieVerifier::new(probe, config.k, config.tau, config.max_trie_nodes) {
-                    Some(v) => ProbeVerifier::Eager(if config.early_stop {
+                    Some(v) => Engine::Eager(if config.early_stop {
                         v
                     } else {
                         v.without_early_stop()
                     }),
-                    None => ProbeVerifier::Naive,
+                    None => Engine::Naive,
                 }
             }
-            VerifierKind::Naive => ProbeVerifier::Naive,
+            VerifierKind::Naive => Engine::Naive,
         };
-        if probe.is_deterministic() {
-            ProbeVerifier::Deterministic {
-                instance: probe.most_probable_world().instance,
-                inner: Box::new(base),
-            }
-        } else {
-            base
+        let mut top = Vec::new();
+        let top_prob = probe.most_probable_world_into(&mut top);
+        ProbeVerifier {
+            engine,
+            top,
+            top_prob,
+            deterministic: probe.is_deterministic(),
+            other_top: Vec::new(),
         }
     }
 
@@ -87,33 +98,50 @@ impl ProbeVerifier {
         other: &UncertainString,
         config: &JoinConfig,
     ) -> (bool, Prob) {
-        match self {
-            ProbeVerifier::Lazy(v) => {
+        let (similar, prob, _) = self.decide(probe, other, config);
+        (similar, prob)
+    }
+
+    /// [`ProbeVerifier::verify`], plus whether the top-world-pair accept
+    /// decided the pair.
+    fn decide(
+        &mut self,
+        probe: &UncertainString,
+        other: &UncertainString,
+        config: &JoinConfig,
+    ) -> (bool, Prob, bool) {
+        if self.deterministic && other.is_deterministic() {
+            // One world pair: the probability is 0 or 1, decided by one
+            // bounded edit-distance check.
+            other.most_probable_world_into(&mut self.other_top);
+            let prob = if within_k_auto(&self.top, &self.other_top, config.k) {
+                1.0
+            } else {
+                0.0
+            };
+            return (prob > config.tau, prob, false);
+        }
+        if config.early_stop {
+            let prob = self.top_prob * other.most_probable_world_into(&mut self.other_top);
+            if prob > config.tau && within_k_auto(&self.top, &self.other_top, config.k) {
+                return (true, prob, true);
+            }
+        }
+        let (similar, prob) = match &mut self.engine {
+            Engine::Lazy(v) => {
                 let out = v.verify(other);
                 (out.similar, out.prob)
             }
-            ProbeVerifier::Eager(v) => {
+            Engine::Eager(v) => {
                 let out = v.verify(other);
                 (out.similar, out.prob)
             }
-            ProbeVerifier::Naive => {
+            Engine::Naive => {
                 let out = naive_verify(probe, other, config.k, config.tau, config.early_stop);
                 (out.similar, out.prob)
             }
-            ProbeVerifier::Deterministic { instance, inner } => {
-                if other.is_deterministic() {
-                    let world = other.most_probable_world().instance;
-                    let prob = if within_k_auto(instance, &world, config.k) {
-                        1.0
-                    } else {
-                        0.0
-                    };
-                    (prob > config.tau, prob)
-                } else {
-                    inner.verify(probe, other, config)
-                }
-            }
-        }
+        };
+        (similar, prob, false)
     }
 }
 
@@ -165,13 +193,16 @@ pub(crate) fn decide_candidate<R: Recorder>(
     let (similar, prob) = match decided {
         Some(d) => d,
         None => {
-            let (similar, prob) = {
+            let (similar, prob, top_pair) = {
                 let mut span = PhaseGuard::enter(&mut *rec, Phase::Verify);
                 let v = verifier.get_or_insert_with(|| {
                     ProbeVerifier::build_recorded(probe, config, span.rec())
                 });
-                v.verify(probe, other, config)
+                v.decide(probe, other, config)
             };
+            if top_pair {
+                rec.counter(Counter::VerifyTopPairAccepts, 1);
+            }
             rec.counter(
                 if similar {
                     Counter::VerifiedSimilar
@@ -215,18 +246,57 @@ mod tests {
     #[test]
     fn deterministic_probe_takes_fast_path_and_agrees() {
         let r = dna("ACGTAC");
-        let mut config = JoinConfig::new(1, 0.3);
-        config.early_stop = false;
-        let mut v = ProbeVerifier::build(&r, &config);
-        assert!(matches!(v, ProbeVerifier::Deterministic { .. }));
-        // Deterministic candidates: one Myers check; uncertain ones
-        // delegate to the wrapped verifier. Both must agree with naive.
-        for text in ["ACGTAC", "ACGTTC", "TTTTTT", "AC{(G,0.5),(T,0.5)}TAC"] {
-            let s = dna(text);
-            let (similar, prob) = v.verify(&r, &s, &config);
-            let naive = naive_verify(&r, &s, config.k, config.tau, false);
-            assert_eq!(similar, naive.similar, "{text}");
-            assert!((prob - naive.prob).abs() < 1e-12, "{text}");
+        for early_stop in [false, true] {
+            let config = JoinConfig::new(1, 0.3).with_early_stop(early_stop);
+            let mut v = ProbeVerifier::build(&r, &config);
+            assert!(v.deterministic);
+            // Deterministic candidates: one Myers check, exact with early
+            // stop on or off; uncertain ones go through the top pair or
+            // the walk. Decisions agree with naive, and so does every
+            // probability when early stop is off.
+            for text in ["ACGTAC", "ACGTTC", "TTTTTT", "AC{(G,0.5),(T,0.5)}TAC"] {
+                let s = dna(text);
+                let (similar, prob, top_pair) = v.decide(&r, &s, &config);
+                let naive = naive_verify(&r, &s, config.k, config.tau, false);
+                assert_eq!(similar, naive.similar, "{text}");
+                if s.is_deterministic() || !early_stop {
+                    assert!(!top_pair, "{text}");
+                    assert!((prob - naive.prob).abs() < 1e-12, "{text}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn top_pair_accepts_only_under_early_stop() {
+        // r* = s* = ACGTAC with p(r*)·p(s*) = 0.9·0.8 = 0.72 > τ.
+        let r = dna("AC{(G,0.9),(T,0.1)}TAC");
+        let s = dna("ACGTA{(C,0.8),(G,0.2)}");
+        for kind in [
+            VerifierKind::LazyTrie,
+            VerifierKind::Trie,
+            VerifierKind::Naive,
+        ] {
+            let config = JoinConfig::new(0, 0.3).with_verifier(kind);
+            let mut v = ProbeVerifier::build(&r, &config);
+            let (similar, prob, top_pair) = v.decide(&r, &s, &config);
+            assert!(similar && top_pair, "{kind:?}");
+            assert!((prob - 0.72).abs() < 1e-12, "{kind:?}: {prob}");
+
+            // Above τ = 0.75 the top pair alone cannot decide: the walk
+            // finds the exact mass, 0.72, and rejects.
+            let config = JoinConfig::new(0, 0.75).with_verifier(kind);
+            let mut v = ProbeVerifier::build(&r, &config);
+            let (similar, _, top_pair) = v.decide(&r, &s, &config);
+            assert!(!similar && !top_pair, "{kind:?}");
+
+            let config = JoinConfig::new(0, 0.3)
+                .with_verifier(kind)
+                .with_early_stop(false);
+            let mut v = ProbeVerifier::build(&r, &config);
+            let (similar, prob, top_pair) = v.decide(&r, &s, &config);
+            assert!(similar && !top_pair, "{kind:?}");
+            assert!((prob - 0.72).abs() < 1e-12, "{kind:?}: {prob}");
         }
     }
 
@@ -236,6 +306,6 @@ mod tests {
         let mut config = JoinConfig::new(1, 0.3).with_verifier(VerifierKind::Trie);
         config.max_trie_nodes = 2;
         let v = ProbeVerifier::build(&r, &config);
-        assert!(matches!(v, ProbeVerifier::Naive));
+        assert!(matches!(v.engine, Engine::Naive));
     }
 }

@@ -5,9 +5,10 @@
 use std::ops::Range;
 
 use usj_core::{
-    oracle_self_join, IndexedCollection, JoinConfig, JoinResult, Pipeline, SimilarityJoin,
+    oracle_self_join, IndexedCollection, JoinConfig, JoinResult, Pipeline, ProbeVerifier,
+    SimilarityJoin, VerifierKind,
 };
-use usj_model::rng::{check_seeds, random_string, Rng};
+use usj_model::rng::{check_seeds, random_position, random_string, Rng};
 use usj_model::{Position, UncertainString};
 use usj_verify::exact_similarity_prob;
 
@@ -81,6 +82,65 @@ fn early_stop_same_pairs() {
                 p.prob > tau,
                 "reported prob {} must exceed tau={tau}",
                 p.prob
+            );
+        }
+    });
+}
+
+/// `r` with each position redrawn with probability 1/4: a near-copy
+/// whose most probable world is often within k of `r`'s.
+fn near_copy(rng: &mut Rng, r: &UncertainString) -> UncertainString {
+    UncertainString::new(
+        r.positions()
+            .iter()
+            .map(|p| {
+                if rng.chance(0.25) {
+                    random_position(rng, 3, 2)
+                } else {
+                    p.clone()
+                }
+            })
+            .collect(),
+    )
+}
+
+/// Every verifier kind behind `ProbeVerifier`, with its top-world-pair
+/// accept and deterministic fast path, against the possible-world
+/// oracle. With early stop the decision is exact (τ off ties) and the
+/// probability a lower bound; without it the probability is exact.
+#[test]
+fn probe_verifier_equals_oracle() {
+    check_seeds(4 * CASES, |rng| {
+        let r = string(rng);
+        let s = if rng.chance(0.5) {
+            near_copy(rng, &r)
+        } else {
+            string(rng)
+        };
+        let k = rng.below(3);
+        let tau = random_tau(rng);
+        let exact = exact_similarity_prob(&r, &s, k);
+        for kind in [
+            VerifierKind::LazyTrie,
+            VerifierKind::Trie,
+            VerifierKind::Naive,
+        ] {
+            let config = JoinConfig::new(k, tau).with_verifier(kind);
+            let (similar, prob) = ProbeVerifier::build(&r, &config).verify(&r, &s, &config);
+            if (exact - tau).abs() > 1e-9 {
+                assert_eq!(
+                    similar,
+                    exact > tau,
+                    "{kind:?} k={k} tau={tau} exact={exact}"
+                );
+            }
+            assert!(prob <= exact + 1e-12, "{kind:?}: prob={prob} exact={exact}");
+
+            let config = config.with_early_stop(false);
+            let (_, prob) = ProbeVerifier::build(&r, &config).verify(&r, &s, &config);
+            assert!(
+                (prob - exact).abs() < 1e-9,
+                "{kind:?} exact mode: prob={prob} exact={exact}"
             );
         }
     });

@@ -9,11 +9,12 @@
 //! * [`levenshtein::edit_distance`] — full `O(|r|·|s|)` DP;
 //! * [`levenshtein::edit_distance_bounded`] — banded (Ukkonen) DP in
 //!   `O(k·min(|r|,|s|))` that reports `None` when the distance exceeds `k`;
+//!   the naive verifier checks each world pair with it;
 //! * [`levenshtein::within_k`] — boolean form with length-difference
 //!   fast path;
-//! * [`prefix::PrefixDp`] — incremental row-at-a-time DP with the paper's
-//!   *prefix-pruning* early termination (§6.2), used by the naive verifier
-//!   and as the reference for trie active sets;
+//! * [`myers::within_k_auto`] — the same check by Myers' bit-parallel
+//!   distance or the banded DP, whichever is cheaper at the size; the
+//!   probe verifier's top-world-pair check uses it;
 //! * [`freq`] — frequency vectors and frequency distance (§2.2), a lower
 //!   bound on edit distance.
 
@@ -22,9 +23,7 @@
 pub mod freq;
 pub mod levenshtein;
 pub mod myers;
-pub mod prefix;
 
 pub use freq::{frequency_distance, FreqVector};
 pub use levenshtein::{edit_distance, edit_distance_bounded, within_k};
 pub use myers::{myers_distance, within_k_auto};
-pub use prefix::PrefixDp;

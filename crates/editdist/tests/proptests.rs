@@ -3,7 +3,7 @@
 
 use usj_editdist::{
     edit_distance, edit_distance_bounded, frequency_distance, myers_distance, within_k,
-    within_k_auto, PrefixDp,
+    within_k_auto,
 };
 use usj_model::rng::{check_seeds, Rng};
 
@@ -50,16 +50,6 @@ fn bounded_agrees_with_full() {
         let d = edit_distance(&a, &b);
         assert_eq!(edit_distance_bounded(&a, &b, k), (d <= k).then_some(d));
         assert_eq!(within_k(&a, &b, k), d <= k);
-    });
-}
-
-#[test]
-fn prefix_dp_agrees_with_full() {
-    check_seeds(CASES, |rng| {
-        let (a, b) = (random_str(rng, 4, 10), random_str(rng, 4, 10));
-        let k = rng.below(6);
-        let d = edit_distance(&a, &b);
-        assert_eq!(PrefixDp::run(&b, &a, k), (d <= k).then_some(d));
     });
 }
 

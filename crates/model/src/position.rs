@@ -112,8 +112,14 @@ impl Position {
     /// The most probable symbol at this position (ties broken by smaller
     /// symbol id, which sorting makes deterministic).
     pub fn most_probable(&self) -> Symbol {
+        self.most_probable_alt().0
+    }
+
+    /// The most probable `(symbol, probability)` alternative, with
+    /// [`Position::most_probable`]'s tie-break.
+    pub fn most_probable_alt(&self) -> (Symbol, Prob) {
         match self {
-            Position::Certain(s) => *s,
+            Position::Certain(s) => (*s, 1.0),
             Position::Uncertain(alts) => {
                 let mut best = alts[0];
                 for &(s, p) in &alts[1..] {
@@ -121,7 +127,7 @@ impl Position {
                         best = (s, p);
                     }
                 }
-                best.0
+                best
             }
         }
     }

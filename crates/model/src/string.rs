@@ -205,13 +205,21 @@ impl UncertainString {
     /// positions are independent).
     pub fn most_probable_world(&self) -> World {
         let mut instance = Vec::with_capacity(self.len());
+        let prob = self.most_probable_world_into(&mut instance);
+        World { instance, prob }
+    }
+
+    /// [`UncertainString::most_probable_world`] into a reused buffer:
+    /// overwrites `instance` with the world and returns its probability.
+    pub fn most_probable_world_into(&self, instance: &mut Vec<Symbol>) -> Prob {
+        instance.clear();
         let mut prob = 1.0;
         for p in &self.positions {
-            let s = p.most_probable();
-            prob *= p.prob_of(s);
+            let (s, ps) = p.most_probable_alt();
+            prob *= ps;
             instance.push(s);
         }
-        World { instance, prob }
+        prob
     }
 
     /// Concatenates `self` with `other` (used by the paper's string-length

@@ -371,6 +371,7 @@ mod tests {
     "qgram_instances_resolved": 0,
     "index_run_lookups": 0,
     "verifier_builds": 0,
+    "verify_top_pair_accepts": 0,
     "steal_batches": 0,
     "faults_injected": 0,
     "batches_retried": 0,
@@ -605,6 +606,14 @@ mod tests {
       "max": 0
     },
     "verifier_builds": {
+      "probes": 0,
+      "sum": 0,
+      "p50": 0,
+      "p90": 0,
+      "p99": 0,
+      "max": 0
+    },
+    "verify_top_pair_accepts": {
       "probes": 0,
       "sum": 0,
       "p50": 0,

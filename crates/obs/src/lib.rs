@@ -180,6 +180,9 @@ metric_table! {
         IndexRunLookups => "index_run_lookups",
         /// Per-probe verifier constructions.
         VerifierBuilds => "verifier_builds",
+        /// Verified pairs accepted on their single most probable world
+        /// pair, before any trie walk (early stop only).
+        VerifyTopPairAccepts => "verify_top_pair_accepts",
         /// Work-stealing batches grabbed by parallel workers (one per
         /// successful cursor advance, so totals reflect scheduler granularity).
         StealBatches => "steal_batches",

@@ -25,14 +25,16 @@ use crate::tokenizer::Kind;
 use crate::{Diagnostic, Workspace};
 
 /// Files where panicking combinators are forbidden outside test code:
-/// the join hot path (driver, parallel driver, index) and the two filter
-/// kernels whose per-candidate cost dominates runs.
-const HOT_PATH_FILES: [&str; 3] = [
+/// the join hot path (driver, parallel driver, index, per-probe
+/// verifier), the two filter kernels whose per-candidate cost dominates
+/// runs, and the exact verifiers, which take most of a protein join.
+const HOT_PATH_FILES: [&str; 4] = [
     "crates/core/src/join.rs",
     "crates/core/src/parallel.rs",
     "crates/core/src/index.rs",
+    "crates/core/src/verifier.rs",
 ];
-const HOT_PATH_DIRS: [&str; 2] = ["crates/cdf/src/", "crates/qgram/src/"];
+const HOT_PATH_DIRS: [&str; 3] = ["crates/cdf/src/", "crates/qgram/src/", "crates/verify/src/"];
 
 fn is_hot_path(rel_path: &str) -> bool {
     HOT_PATH_FILES.contains(&rel_path) || HOT_PATH_DIRS.iter().any(|d| rel_path.starts_with(d))

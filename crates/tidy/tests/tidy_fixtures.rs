@@ -30,10 +30,12 @@ fn unwrap_fixture_flags_hot_path_panics_only() {
         triples("unwrap"),
         vec![
             // Doc-comment unwrap (line 2) and #[cfg(test)] unwrap (line 11)
-            // must NOT appear; crates/verify is not hot-path.
+            // must NOT appear; crates/model is not hot-path.
             t("crates/core/src/parallel.rs", 4, "no-unwrap"),
             t("crates/core/src/parallel.rs", 5, "no-unwrap"),
+            t("crates/core/src/verifier.rs", 2, "no-unwrap"),
             t("crates/qgram/src/alpha.rs", 3, "no-unwrap"),
+            t("crates/verify/src/lib.rs", 2, "no-unwrap"),
         ]
     );
 }

@@ -11,15 +11,19 @@
 //!
 //! Early termination (optional): accept as soon as the accumulated mass
 //! exceeds `τ`; reject as soon as accumulated + unexplored mass drops to
-//! `≤ τ`.
+//! `≤ τ`. At each depth the walk tries `S`'s alternatives most probable
+//! first (ties by symbol), so the heavy worlds that decide an accept are
+//! reached first. The sum has the same terms in any order, so exact mode
+//! only changes by rounding.
 //!
 //! The walk is the same for the eager trie ([`TrieVerifier`]) and the
 //! lazy one ([`crate::LazyTrieVerifier`]): both are a
 //! [`ProbeTrieVerifier`] over their trie. The verifier owns one active
-//! set per `S` depth and the transition's scratch, so after the first few
-//! candidates a verification allocates nothing.
+//! set per `S` depth, the per-depth visit order and the transition's
+//! scratch, so after the first few candidates a verification allocates
+//! nothing.
 
-use usj_model::{Prob, UncertainString};
+use usj_model::{Prob, Symbol, UncertainString};
 
 use crate::active::{ActiveSet, AdvanceScratch};
 use crate::trie::{InstanceTrie, ProbeTrie};
@@ -58,6 +62,10 @@ pub struct ProbeTrieVerifier<T> {
     scratch: AdvanceScratch,
     /// `levels[d]` = active set of the current `S`-prefix of length `d`.
     levels: Vec<ActiveSet>,
+    /// The candidate's alternatives, most probable first (ties by
+    /// symbol): depth `d` visits `order[bounds[d]..bounds[d + 1]]`.
+    order: Vec<(Symbol, Prob)>,
+    bounds: Vec<usize>,
 }
 
 /// Verifier over the paper's eager probe trie.
@@ -87,6 +95,8 @@ impl<T: ProbeTrie> ProbeTrieVerifier<T> {
             early_stop: true,
             scratch: AdvanceScratch::default(),
             levels: Vec::new(),
+            order: Vec::new(),
+            bounds: Vec::new(),
         }
     }
 
@@ -118,9 +128,18 @@ impl<T: ProbeTrie> ProbeTrieVerifier<T> {
             self.levels.resize_with(s.len() + 1, ActiveSet::default);
         }
         self.levels[0].reset(&mut self.trie, self.k);
+        self.order.clear();
+        self.bounds.clear();
+        self.bounds.push(0);
+        for pos in s.positions() {
+            let start = self.order.len();
+            self.order.extend(pos.alternatives());
+            self.order[start..].sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            self.bounds.push(self.order.len());
+        }
         let mut walker = Walker {
             verifier: self,
-            s,
+            len: s.len(),
             acc: 0.0,
             explored: 0.0,
             stats: &mut stats,
@@ -138,7 +157,8 @@ impl<T: ProbeTrie> ProbeTrieVerifier<T> {
 
 struct Walker<'a, T> {
     verifier: &'a mut ProbeTrieVerifier<T>,
-    s: &'a UncertainString,
+    /// Length of `S` (the leaf depth).
+    len: usize,
     /// Accumulated similar mass.
     acc: Prob,
     /// Mass of S-prefixes fully resolved (explored to leaves or pruned).
@@ -157,8 +177,7 @@ impl<T: ProbeTrie> Walker<'_, T> {
             return;
         }
         self.stats.s_nodes_expanded += 1;
-        let s = self.s;
-        if depth == s.len() {
+        if depth == self.len {
             // Full S instance: every leaf in the active set is a world of
             // R within distance k.
             self.stats.s_leaves_reached += 1;
@@ -174,12 +193,13 @@ impl<T: ProbeTrie> Walker<'_, T> {
             self.check_termination();
             return;
         }
-        for (sym, p) in s.position(depth).alternatives() {
+        for i in self.verifier.bounds[depth]..self.verifier.bounds[depth + 1] {
             if self.decided.is_some() {
                 return;
             }
-            let child_prob = prefix_prob * p;
             let v = &mut *self.verifier;
+            let (sym, p) = v.order[i];
+            let child_prob = prefix_prob * p;
             let (done, rest) = v.levels.split_at_mut(depth + 1);
             let next = &mut rest[0];
             v.scratch.advance(&mut v.trie, &done[depth], sym, v.k, next);
@@ -306,6 +326,21 @@ mod tests {
             .without_early_stop()
             .verify(&r);
         assert!(out.stats.s_nodes_expanded < full.stats.s_nodes_expanded);
+    }
+
+    #[test]
+    fn most_probable_alternatives_are_visited_first() {
+        // T has the largest DNA symbol id and carries 0.9 of each
+        // uncertain position: in symbol order the walk would reach
+        // AAGG, ATGG and TAGG before TTGG, whose mass alone decides.
+        let r = dna("{(A,0.1),(T,0.9)}{(A,0.1),(T,0.9)}GG");
+        let mut eager = TrieVerifier::new(&r, 0, 0.5, 1000).unwrap();
+        let mut lazy = crate::LazyTrieVerifier::new(&r, 0, 0.5);
+        for out in [eager.verify(&r), lazy.verify(&r)] {
+            assert!(out.similar);
+            assert_eq!(out.stats.s_leaves_reached, 1, "{out:?}");
+            assert!((out.prob - 0.81 * 0.81).abs() < 1e-12, "{out:?}");
+        }
     }
 
     #[test]

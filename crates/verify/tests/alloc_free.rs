@@ -61,15 +61,27 @@ fn warmed_lazy_verifier_does_not_allocate() {
     .unwrap();
     let candidate =
         UncertainString::parse("ACGT{(A,0.6),(C,0.4)}CGATT{(A,0.5),(C,0.5)}CAA", &alpha).unwrap();
-    let mut verifier = LazyTrieVerifier::new(&probe, 3, 0.3).without_early_stop();
-    let first = verifier.verify(&candidate);
-    assert!(first.prob > 0.0, "the pair must exercise the walk");
+    // Exact mode walks every live prefix; with early stop the walk fills
+    // the same per-depth visit order and returns at its decision.
+    for early_stop in [false, true] {
+        let verifier = LazyTrieVerifier::new(&probe, 3, 0.3);
+        let mut verifier = if early_stop {
+            verifier
+        } else {
+            verifier.without_early_stop()
+        };
+        let first = verifier.verify(&candidate);
+        assert!(first.prob > 0.0, "the pair must exercise the walk");
 
-    let before = allocations();
-    let again = verifier.verify(&candidate);
-    let made = allocations() - before;
+        let before = allocations();
+        let again = verifier.verify(&candidate);
+        let made = allocations() - before;
 
-    assert_eq!(made, 0, "re-verification allocated {made} times");
-    assert_eq!(again.prob.to_bits(), first.prob.to_bits());
-    assert_eq!(again.stats, first.stats);
+        assert_eq!(
+            made, 0,
+            "early_stop={early_stop}: re-verification allocated {made} times"
+        );
+        assert_eq!(again.prob.to_bits(), first.prob.to_bits());
+        assert_eq!(again.stats, first.stats);
+    }
 }

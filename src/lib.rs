@@ -15,7 +15,7 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`model`] | alphabet, per-position distributions, [`model::UncertainString`], possible worlds |
-//! | [`editdist`] | deterministic edit distance (full / banded / prefix-pruning DP), frequency vectors |
+//! | [`editdist`] | deterministic edit distance (full / banded / Myers bit-parallel DP), frequency vectors |
 //! | [`qgram`] | partition scheme, position-aware substring selection, segment match probabilities `α_x`, probabilistic pruning (Theorems 1–2) |
 //! | [`freq`] | frequency-distance filter for uncertain strings (Lemma 6, Theorem 3) |
 //! | [`cdf`] | lower/upper CDF bounds on `Pr(ed ≤ k)` via banded DP (Theorem 4) |

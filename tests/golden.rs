@@ -2,7 +2,8 @@
 //! seeded collections. A digest covers every pair's ids and the exact bits
 //! of its probability, so a verifier rewrite that changes the summation
 //! order of a single leaf mass fails here even when the pair set does not
-//! change. The funnel goldens pin the 13 filter-funnel counters and the
+//! change; an ids-only digest beside it says whether the pair set did.
+//! The funnel goldens pin the 13 filter-funnel counters and the
 //! postings the q-gram stage scanned on the same collections, and the
 //! q-gram work counters pin its window and run-lookup totals. When a
 //! change is meant to alter outputs, re-record the constants and say why
@@ -15,28 +16,52 @@ use uncertain_join::join::{
 use uncertain_join::obs::{CollectingRecorder, Counter};
 
 /// FNV-1a over `(left, right, prob bits)` of every output pair, in the
-/// join's output order, plus the pair count.
-fn digest(kind: DatasetKind, n: usize, seed: u64, config: JoinConfig) -> (usize, u64) {
+/// join's output order, and FNV-1a over `(left, right)` alone, each with
+/// the pair count. The ids-only digest moves only when the pair set does,
+/// so a change that only moves reported probabilities (a verifier that
+/// stops at a different partial mass) can be told from one that changes
+/// the answer.
+fn digest(kind: DatasetKind, n: usize, seed: u64, config: JoinConfig) -> Digests {
     let ds = DatasetSpec::new(kind, n, seed).generate();
     let result = SimilarityJoin::new(config, ds.alphabet.size()).self_join(&ds.strings);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let fnv = |h: u64, bytes: &[u8]| {
+        bytes
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    };
+    let (mut full, mut ids) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
     for p in &result.pairs {
         let mut bytes = [0u8; 16];
         bytes[..4].copy_from_slice(&p.left.to_le_bytes());
         bytes[4..8].copy_from_slice(&p.right.to_le_bytes());
         bytes[8..].copy_from_slice(&p.prob.to_bits().to_le_bytes());
-        for b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
+        full = fnv(full, &bytes);
+        ids = fnv(ids, &bytes[..8]);
     }
-    (result.pairs.len(), h)
+    let n = result.pairs.len();
+    Digests {
+        ids: (n, ids),
+        full: (n, full),
+    }
+}
+
+/// [`digest`]'s two digests, each `(pair count, FNV-1a)`.
+struct Digests {
+    ids: (usize, u64),
+    full: (usize, u64),
+}
+
+/// Checks the ids-only digest first, so a pair-set change reports as one.
+fn assert_digests(got: Digests, ids: (usize, u64), full: (usize, u64)) {
+    assert_eq!(got.ids, ids, "the output pair set changed");
+    assert_eq!(got.full, full, "the reported probabilities changed");
 }
 
 /// dblp-like names at the paper's defaults (k = 2, τ = 0.1), lazy trie.
 #[test]
 fn dblp_join_digest() {
     let got = digest(DatasetKind::Dblp, 600, 21, JoinConfig::new(2, 0.1));
-    assert_eq!(got, DBLP_LAZY);
+    assert_digests(got, DBLP_IDS, DBLP_LAZY);
 }
 
 /// The same collection through the paper's eager trie verifier.
@@ -44,7 +69,7 @@ fn dblp_join_digest() {
 fn dblp_join_digest_eager_trie() {
     let config = JoinConfig::new(2, 0.1).with_verifier(VerifierKind::Trie);
     let got = digest(DatasetKind::Dblp, 600, 21, config);
-    assert_eq!(got, DBLP_EAGER);
+    assert_digests(got, DBLP_IDS, DBLP_EAGER);
 }
 
 /// Protein-like sequences under QFT (no CDF stage, every frequency
@@ -53,7 +78,7 @@ fn dblp_join_digest_eager_trie() {
 fn protein_qft_join_digest() {
     let config = JoinConfig::new(4, 0.01).with_pipeline(Pipeline::Qft);
     let got = digest(DatasetKind::Protein, 200, 22, config);
-    assert_eq!(got, PROTEIN_QFT);
+    assert_digests(got, PROTEIN_QFT_IDS, PROTEIN_QFT);
 }
 
 /// The 13 funnel counters of a self-join on `threads` threads, followed
@@ -158,9 +183,11 @@ fn dblp_fct_join_funnel() {
     );
 }
 
-const DBLP_LAZY: (usize, u64) = (66, 697634732925268091);
-const DBLP_EAGER: (usize, u64) = (66, 4537929133365087358);
-const PROTEIN_QFT: (usize, u64) = (83, 140315662595665512);
+const DBLP_IDS: (usize, u64) = (66, 6298270720392274889);
+const DBLP_LAZY: (usize, u64) = (66, 14348390229431435681);
+const DBLP_EAGER: (usize, u64) = (66, 18034793812801967711);
+const PROTEIN_QFT_IDS: (usize, u64) = (83, 4594687212385597883);
+const PROTEIN_QFT: (usize, u64) = (83, 2232230505929408632);
 
 const DBLP_FUNNEL: [u64; 14] = [
     49230, 187, 49033, 10, 183, 4, 0, 27, 113, 43, 39, 4, 66, 4143,
