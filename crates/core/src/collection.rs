@@ -6,6 +6,7 @@
 //! driver, a search probe may be shorter *or* longer than indexed strings,
 //! so all lengths in `[|R|−k, |R|+k]` are queried.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -17,6 +18,11 @@ use usj_cdf::CdfFilter;
 use usj_freq::{FreqFilter, FreqProfile};
 use usj_model::{Prob, UncertainString};
 use usj_obs::{Counter, NoopRecorder, Phase, PhaseGuard, Recorder};
+
+thread_local! {
+    /// The window table and α rows of this thread's searches.
+    static PROBE_CACHE: Cell<EquivCache> = Cell::new(EquivCache::new());
+}
 
 /// One search hit.
 #[derive(Debug, Clone, PartialEq)]
@@ -194,8 +200,12 @@ impl IndexedCollection {
         let mut qgram_span = PhaseGuard::enter(&mut *rec, Phase::Qgram);
         let mut candidates: Vec<u32> = Vec::new();
         if config.pipeline.uses_qgram() {
-            // One window table per probe, shared across lengths.
-            let mut cache = EquivCache::new();
+            // One window table per probe, shared across lengths. The
+            // thread's cache is taken for the search and put back after
+            // it, so a warm one serves the next search without growing
+            // its buffers again, and a search that panics drops it.
+            let mut cache = PROBE_CACHE.take();
+            cache.clear();
             let mut scope = 0u64;
             for len in min_len..=max_len {
                 scope += self.index.collect_candidates_recorded(
@@ -208,6 +218,7 @@ impl IndexedCollection {
                     qgram_span.rec(),
                 );
             }
+            PROBE_CACHE.set(cache);
             qgram_span.rec().counter(Counter::PairsInScope, scope);
         } else {
             let mut scope = 0u64;
@@ -535,5 +546,51 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Searches on one thread reuse its window table across collections
+    /// and probe lengths, and each answers bit for bit as a search on a
+    /// fresh thread (with a fresh table) does.
+    #[test]
+    fn reused_probe_cache_answers_like_a_fresh_one() {
+        use usj_datagen::{DatasetKind, DatasetSpec};
+        let collections: Vec<IndexedCollection> = [(21, 2, 0.1), (22, 1, 0.05)]
+            .into_iter()
+            .map(|(seed, k, tau)| {
+                let ds = DatasetSpec::new(DatasetKind::Dblp, 120, seed).generate();
+                IndexedCollection::build(JoinConfig::new(k, tau), ds.alphabet.size(), ds.strings)
+            })
+            .collect();
+        // Alternate collections; the probes of each run from its longest
+        // string down to its shortest.
+        let mut searches = Vec::new();
+        for i in 0..12 {
+            for (c, coll) in collections.iter().enumerate() {
+                let mut by_len: Vec<&UncertainString> = coll.strings().iter().collect();
+                by_len.sort_by_key(|s| std::cmp::Reverse(s.len()));
+                searches.push((c, by_len[i * (by_len.len() - 1) / 11].clone()));
+            }
+        }
+        let bits = |hits: Vec<SearchHit>| -> Vec<(u32, u64)> {
+            hits.iter().map(|h| (h.id, h.prob.to_bits())).collect()
+        };
+        let mut found = 0;
+        for (c, probe) in &searches {
+            let reused = bits(collections[*c].search(probe));
+            let fresh = std::thread::scope(|scope| {
+                scope
+                    .spawn(|| bits(collections[*c].search(probe)))
+                    .join()
+                    .unwrap()
+            });
+            assert_eq!(
+                reused,
+                fresh,
+                "collection {c}, probe of length {}",
+                probe.len()
+            );
+            found += reused.len();
+        }
+        assert!(found >= searches.len(), "each probe finds itself at least");
     }
 }

@@ -15,13 +15,24 @@
 //! to its run's `[start, end)`. Finding a list is one hash probe and
 //! walking it reads consecutive memory.
 //!
-//! A probe `R` queries one `LengthIndex` by assembling its equivalent
-//! sets `q(r, x)` from the probe's [`EquivCache`] window table and walking
-//! the matching runs, accumulating
+//! A probe `R` queries one `LengthIndex` segment by segment, in order,
+//! through its [`EquivCache`] window table. For segment `x` it looks each
+//! resolved world of the segment's window range up directly in that
+//! segment's run map, sorts only the hits by `(id, start)`, combines the
+//! rare instance that occurs at several starts into `p_r(w)` by
+//! [`combine_occurrences`], and walks each hit's run, accumulating
 //! `α_x(i) = Σ_w p_r(w) · Pr(w = S_i^x)` per candidate id into dense α
-//! rows owned by the same cache — all candidate generation work is
-//! proportional to the windows enumerated and the postings touched, never
-//! to the collection size.
+//! rows owned by the same cache. The equivalent set `q(r, x)` is never
+//! materialised: its instances that no indexed string holds in segment `x`
+//! contribute nothing, so only the hits are combined. All candidate
+//! generation work is proportional to the windows enumerated and the
+//! postings touched, never to the collection size.
+//!
+//! The candidate stage applies Lemma 5 (at least `m − k` of the `m`
+//! segments match) during the walk when no segment is over the instance
+//! cap: a string first touched past segment `k` can match at most
+//! `m − k − 1` segments, so rows are created only in segments `0..=k`, and
+//! the walk stops once no row can still reach `m − k` matched segments.
 
 use std::collections::{BTreeMap, HashMap};
 use std::mem::size_of;
@@ -38,23 +49,20 @@ use usj_qgram::{
 use crate::config::JoinConfig;
 
 /// Per-probe window table: the probe's q-gram windows, each enumerated and
-/// resolved once, and the equivalent sets `q(r, x)` assembled from them.
+/// resolved once.
 ///
 /// A probe queries every indexed length in its length window, and the
 /// position-aware window ranges of neighbouring segments and lengths
-/// overlap, so one `(start, width)` window serves many sets. Each window a
-/// query needs is keyed by `(interner salt, start, width)`: its worlds are
-/// enumerated once, each resolved once through the interner, and worlds
-/// the interner has never seen are dropped (they can match no posting).
-/// The survivors land in one arena. A set for starts `lo..=hi` is then
-/// the windows' worlds sorted by `(id, start)` with duplicate instances
-/// combined by [`combine_occurrences`], kept where `p_r > 0`, and stored
-/// id-ascending in a second arena. The salt keeps resolutions against
-/// different indices (each with its own interner) apart.
+/// overlap, so one `(start, width)` window serves many segment walks. Each
+/// window a walk needs is keyed by `(interner salt, start, width)`: its
+/// worlds are enumerated once, each resolved once through the interner,
+/// and worlds the interner has never seen are dropped (they can match no
+/// posting). The survivors land in one arena. The salt keeps resolutions
+/// against different indices (each with its own interner) apart.
 ///
 /// The cache also owns every buffer one `(probe, length)` query fills —
-/// over-cap flags, set references, tail regions and family, the α rows —
-/// so a warm cache serves the next probe without allocating.
+/// over-cap flags, window ranges, hits, tail regions and family, the α
+/// rows — so a warm cache serves the next probe without allocating.
 #[derive(Debug, Default)]
 pub struct EquivCache {
     windows: WindowTable,
@@ -70,8 +78,8 @@ impl EquivCache {
         EquivCache::default()
     }
 
-    /// Forgets every window and set so the cache can serve the next probe,
-    /// keeping its allocations (the α rows included).
+    /// Forgets every window so the cache can serve the next probe, keeping
+    /// its allocations (the α rows included).
     pub fn clear(&mut self) {
         self.windows.clear();
     }
@@ -100,17 +108,6 @@ struct WindowTable {
     worlds: Vec<WindowWorld>,
     /// Instance symbols of `worlds`.
     symbols: Vec<Symbol>,
-    /// `(interner salt, lo, hi, width)` → the set's run of `set_ids` /
-    /// `set_probs`, or `None` when the set is over the instance cap.
-    sets: HashMap<(u64, u32, u32, u32), Option<Run>, FastBuildHasher>,
-    /// Set entries: interned ids, ascending within each set.
-    set_ids: Vec<u32>,
-    /// `p_r(w)` per set entry, parallel to `set_ids`.
-    set_probs: Vec<Prob>,
-    /// Assembly scratch: one set's worlds, sorted by `(id, start)`.
-    gather: Vec<WindowWorld>,
-    /// Assembly scratch: one instance's `(start, prob)` occurrences.
-    occs: Vec<(usize, Prob)>,
     /// Worlds enumerated since the last [`WindowTable::take_tally`].
     enumerated: u64,
     /// Of those, the worlds that resolved to an interned id.
@@ -122,9 +119,6 @@ impl WindowTable {
         self.windows.clear();
         self.worlds.clear();
         self.symbols.clear();
-        self.sets.clear();
-        self.set_ids.clear();
-        self.set_probs.clear();
     }
 
     /// `(worlds enumerated, instances resolved)` since the last call.
@@ -151,7 +145,6 @@ impl WindowTable {
             symbols,
             enumerated,
             resolved,
-            ..
         } = self;
         *windows
             .entry((salt, start as u32, width as u32))
@@ -179,98 +172,64 @@ impl WindowTable {
                 (first, worlds.len() as u32)
             })
     }
-
-    /// The set `q(r, x)` for window starts `starts` and width `width`
-    /// (`None` when over the instance cap), assembling it on first use.
-    fn set(
-        &mut self,
-        salt: u64,
-        probe: &UncertainString,
-        starts: (usize, usize),
-        width: usize,
-        config: &JoinConfig,
-        interner: &SegmentInterner,
-    ) -> Option<Run> {
-        let key = (salt, starts.0 as u32, starts.1 as u32, width as u32);
-        if let Some(&set) = self.sets.get(&key) {
-            return set;
-        }
-        let set = self.assemble(salt, probe, starts, width, config, interner);
-        self.sets.insert(key, set);
-        set
-    }
-
-    fn assemble(
-        &mut self,
-        salt: u64,
-        probe: &UncertainString,
-        (lo, hi): (usize, usize),
-        width: usize,
-        config: &JoinConfig,
-        interner: &SegmentInterner,
-    ) -> Option<Run> {
-        // Over cap iff the windows' world counts sum past the cap — the
-        // rule `EquivalentSet::build` applies, decided before any window
-        // is enumerated.
-        let mut total = 0usize;
-        for start in lo..=hi {
-            total = total.checked_add(world_count(&probe.positions()[start..start + width])?)?;
-            if total > config.max_segment_instances {
-                return None;
-            }
-        }
-        self.gather.clear();
-        for start in lo..=hi {
-            let (first, end) = self.window(salt, probe, start, width, interner);
-            self.gather
-                .extend_from_slice(&self.worlds[first as usize..end as usize]);
-        }
-        // Instance-major, start-ascending: each instance's occurrences are
-        // one run sorted by start, as `combine_occurrences` requires.
-        self.gather
-            .sort_unstable_by_key(|w| u64::from(w.id) << 32 | u64::from(w.start));
-        let first = self.set_ids.len() as u32;
-        let mut i = 0;
-        while i < self.gather.len() {
-            let id = self.gather[i].id;
-            let group = self.gather[i..].iter().take_while(|w| w.id == id).count();
-            self.occs.clear();
-            self.occs.extend(
-                self.gather[i..i + group]
-                    .iter()
-                    .map(|w| (w.start as usize, w.prob)),
-            );
-            let sym = self.gather[i].sym as usize;
-            let w = &self.symbols[sym..sym + width];
-            let p_r = combine_occurrences(w, &self.occs, probe, config.alpha_mode);
-            if p_r > 0.0 {
-                self.set_ids.push(id);
-                self.set_probs.push(p_r);
-            }
-            i += group;
-        }
-        Some((first, self.set_ids.len() as u32))
-    }
-
-    /// The `(ids, p_r)` entries of an assembled set.
-    fn entries(&self, (first, end): Run) -> (&[u32], &[Prob]) {
-        let run = first as usize..end as usize;
-        (&self.set_ids[run.clone()], &self.set_probs[run])
-    }
 }
 
-/// Buffers one `(probe, length)` query fills, indexed by segment.
+/// A probe window world whose instance has a posting run in the segment
+/// being walked: the world and that run.
+#[derive(Debug, Clone, Copy)]
+struct Hit {
+    world: WindowWorld,
+    run: Run,
+}
+
+/// Buffers one `(probe, length)` query fills.
 #[derive(Debug, Default)]
 struct LengthScratch {
-    /// Segments that must count as conservatively matching.
+    /// Per segment: must count as conservatively matching.
     over_cap: Vec<bool>,
-    /// Each segment's set, `None` when no window aligns or over cap.
-    sets: Vec<Option<Run>>,
-    /// Each segment's window region, for the tail bound.
+    /// Per segment: the probe's window starts, `None` when no window
+    /// aligns or the windows are over the instance cap.
+    ranges: Vec<Option<(usize, usize)>>,
+    /// Per segment: the window region, for the tail bound.
     regions: Vec<Option<Region>>,
+    /// One segment's hits, sorted by `(id, start)`.
+    hits: Vec<Hit>,
+    /// One instance's `(start, prob)` occurrences.
+    occs: Vec<(usize, Prob)>,
     bounder: TailBounder,
     /// One candidate's α row with over-cap segments forced to 1.
     alpha: Vec<Prob>,
+}
+
+/// How a query walks its segments.
+#[derive(Debug, Clone, Copy)]
+enum Walk {
+    /// Every segment, a row for every id touched.
+    Full,
+    /// Lemma 5 applied during the walk: rows only in segments `0..=k`,
+    /// stopping once no row can reach `m − k` matched segments.
+    Lemma5,
+}
+
+/// `true` when the windows of `width` at starts `lo..=hi` hold at most
+/// [`JoinConfig::max_segment_instances`] worlds together: the cap rule
+/// `EquivalentSet::build` applies, decided before any window is
+/// enumerated.
+fn within_cap(
+    probe: &UncertainString,
+    (lo, hi): (usize, usize),
+    width: usize,
+    config: &JoinConfig,
+) -> bool {
+    let mut total = 0usize;
+    for start in lo..=hi {
+        let worlds = world_count(&probe.positions()[start..start + width]);
+        match worlds.and_then(|n| total.checked_add(n)) {
+            Some(sum) if sum <= config.max_segment_instances => total = sum,
+            _ => return false,
+        }
+    }
+    true
 }
 
 /// Number of worlds of `positions`, `None` past `usize`.
@@ -450,6 +409,8 @@ pub struct AlphaVectors {
     /// Surfaced ids in first-touch order; row `r` belongs to `ids[r]`.
     ids: Vec<u32>,
     data: Vec<Prob>,
+    /// Per row, the segments whose `α_x` is positive so far.
+    matched: Vec<u32>,
 }
 
 impl AlphaVectors {
@@ -461,22 +422,42 @@ impl AlphaVectors {
         }
         self.ids.clear();
         self.data.clear();
+        self.matched.clear();
         self.m = m;
         if self.slots.len() < id_bound {
             self.slots.resize(id_bound, 0);
         }
     }
 
-    /// The α row for `id`, inserting a zero row on first touch.
-    fn row_mut(&mut self, id: u32) -> &mut [Prob] {
+    /// The row number of `id`, inserting a zero row on first touch when
+    /// `create` is set.
+    fn row(&mut self, id: u32, create: bool) -> Option<usize> {
         let slot = &mut self.slots[id as usize];
         if *slot == 0 {
+            if !create {
+                return None;
+            }
             self.ids.push(id);
             *slot = self.ids.len() as u32;
             self.data.resize(self.data.len() + self.m, 0.0);
+            self.matched.push(0);
         }
-        let row = *slot as usize - 1;
-        &mut self.data[row * self.m..][..self.m]
+        Some(*slot as usize - 1)
+    }
+
+    /// Adds `v` to `α_x` of `id`'s row (inserted on first touch when
+    /// `create` is set). Returns the row's matched-segment count when
+    /// `α_x` just turned positive.
+    fn add(&mut self, id: u32, x: usize, v: Prob, create: bool) -> Option<u32> {
+        let row = self.row(id, create)?;
+        let a = &mut self.data[row * self.m + x];
+        let was = *a;
+        *a += v;
+        if was == 0.0 && *a > 0.0 {
+            self.matched[row] += 1;
+            return Some(self.matched[row]);
+        }
+        None
     }
 
     /// The α row of candidate `id`, if it surfaced.
@@ -565,14 +546,6 @@ impl PostingTable {
         PostingTable { runs, ids, probs }
     }
 
-    /// The run of `key` (empty for an unknown key): ids ascending and
-    /// their probabilities.
-    fn run(&self, key: u32) -> (&[u32], &[Prob]) {
-        let (start, end) = self.runs.get(&key).copied().unwrap_or_default();
-        let run = start as usize..end as usize;
-        (&self.ids[run.clone()], &self.probs[run])
-    }
-
     /// Every `(key, run)` by ascending key, which is also layout order:
     /// the run directory a snapshot stores and the digest walks.
     pub(crate) fn directory(&self) -> Vec<(u32, Run)> {
@@ -634,51 +607,6 @@ impl LengthIndex {
     /// All inserted string ids, ascending.
     pub fn ids(&self) -> &[u32] {
         &self.ids
-    }
-
-    /// Merges the posting runs of each segment's set (a run of `table`'s
-    /// set arena) into `alphas`: one `α_x` row (length = number of
-    /// segments) per candidate that touched a posting.
-    ///
-    /// `sets[x] = None` means no window of the probe can align with
-    /// segment x, or its set is over the cap (α_x = 0 for every
-    /// candidate). Only ids below `admit_below` are merged: runs ascend by
-    /// id, so each walk stops at the first id past the limit. Per segment
-    /// the sum adds resolved ids ascending, then postings by id.
-    ///
-    /// Returns `(postings touched, runs looked up)`.
-    fn query(
-        &self,
-        sets: &[Option<Run>],
-        table: &WindowTable,
-        admit_below: u32,
-        alphas: &mut AlphaVectors,
-    ) -> (u64, u64) {
-        let m = self.segments.len();
-        debug_assert_eq!(sets.len(), m);
-        alphas.reset(m, self.ids.last().map_or(0, |&id| id as usize + 1));
-        let (mut postings, mut lookups) = (0u64, 0u64);
-        for (x, set) in sets.iter().enumerate() {
-            let Some(set) = *set else { continue };
-            let postings_x = &self.inverted[x];
-            let (ids, probs) = table.entries(set);
-            lookups += ids.len() as u64;
-            for (&key, &p_r) in ids.iter().zip(probs) {
-                let (run_ids, run_probs) = postings_x.run(key);
-                for (&id, &prob) in run_ids
-                    .iter()
-                    .zip(run_probs)
-                    .take_while(|&(&id, _)| id < admit_below)
-                {
-                    postings += 1;
-                    alphas.row_mut(id)[x] += p_r * prob;
-                }
-            }
-        }
-        for a in alphas.data.iter_mut() {
-            *a = a.clamp(0.0, 1.0);
-        }
-        (postings, lookups)
     }
 
     /// Heap bytes: the posting tables plus the partition, id and flag
@@ -807,8 +735,8 @@ impl BandStage {
     }
 }
 
-/// Source of per-index interner salts: [`EquivCache`] windows and sets
-/// are keyed by salt, so two indices must never share one.
+/// Source of per-index interner salts: [`EquivCache`] windows are keyed
+/// by salt, so two indices must never share one.
 static NEXT_INTERNER_SALT: AtomicU64 = AtomicU64::new(0);
 
 /// All per-length indices of the visited part of a collection.
@@ -818,7 +746,7 @@ pub struct SegmentIndex {
     /// Shared intern table for every length's segment instances.
     interner: SegmentInterner,
     /// Unique per index (fresh on clone): scopes [`EquivCache`] windows
-    /// and sets to the interner that produced their ids.
+    /// to the interner that produced their ids.
     interner_salt: u64,
     peak_bytes: usize,
 }
@@ -842,7 +770,7 @@ impl Clone for SegmentIndex {
             by_length: self.by_length.clone(),
             interner: self.interner.clone(),
             // A clone may diverge from the original, so it gets a fresh
-            // salt — cached windows and sets must never cross interners.
+            // salt — cached windows must never cross interners.
             // ordering: relaxed — uniqueness only, as above.
             interner_salt: NEXT_INTERNER_SALT.fetch_add(1, Ordering::Relaxed),
             peak_bytes: self.peak_bytes,
@@ -936,12 +864,13 @@ impl SegmentIndex {
         }
     }
 
-    /// Queries candidates of length `indexed_len` for `probe`: assembles
-    /// the equivalent sets `q(r, x)` against that length's partition and
-    /// merges posting lists. Returns the per-candidate α rows and the
-    /// per-segment over-cap flags; flagged segments could not be
-    /// evaluated on the probe side and must be treated as conservatively
-    /// matching.
+    /// Queries candidates of length `indexed_len` for `probe`: walks that
+    /// length's segments, looking the probe's window worlds up in each
+    /// segment's run map and merging the posting runs hit. Returns the
+    /// per-candidate α rows (full rows: every segment walked, a row for
+    /// every id touched) and the per-segment over-cap flags; flagged
+    /// segments could not be evaluated on the probe side and must be
+    /// treated as conservatively matching.
     ///
     /// The query runs through the probe's window table `cache`, so
     /// repeated queries by one probe (against many lengths, or many
@@ -955,7 +884,8 @@ impl SegmentIndex {
     ///
     /// Emits once on `rec`: [`Counter::QgramWindowWorlds`] and
     /// [`Counter::QgramInstancesResolved`] (window worlds this query
-    /// enumerated, and those the interner knew), [`Counter::IndexRunLookups`],
+    /// enumerated, and those the interner knew), [`Counter::IndexRunLookups`]
+    /// (one per segment walked and resolved world of its windows),
     /// [`Counter::IndexPostingsScanned`] and
     /// [`Counter::IndexCandidatesSurfaced`] (α rows produced, conservative
     /// over-cap fallbacks included).
@@ -969,26 +899,23 @@ impl SegmentIndex {
         rec: &mut R,
     ) -> Option<(&'c AlphaVectors, &'c [bool])> {
         let li = self.by_length.get(&indexed_len)?;
-        self.fill(
-            li,
-            probe,
-            config,
-            admit_below.unwrap_or(u32::MAX),
-            cache,
-            rec,
-        );
+        let limit = admit_below.unwrap_or(u32::MAX);
+        self.fill(li, probe, config, limit, Walk::Full, cache, rec);
         Some((&cache.alphas, &cache.scratch.over_cap))
     }
 
     /// The body of [`SegmentIndex::query_cached_recorded`] for length
-    /// index `li`: fills the cache's over-cap flags, sets, regions and α
-    /// rows.
+    /// index `li`: fills the cache's over-cap flags, window ranges,
+    /// regions and α rows, walking the segments as `walk` says. A
+    /// [`Walk::Lemma5`] walk is full when any segment is over cap.
+    #[allow(clippy::too_many_arguments)]
     fn fill<R: Recorder>(
         &self,
         li: &LengthIndex,
         probe: &UncertainString,
         config: &JoinConfig,
         limit: u32,
+        walk: Walk,
         cache: &mut EquivCache,
         rec: &mut R,
     ) {
@@ -997,40 +924,90 @@ impl SegmentIndex {
             scratch,
             alphas,
         } = cache;
+        let LengthScratch {
+            over_cap,
+            ranges,
+            regions,
+            hits,
+            occs,
+            ..
+        } = scratch;
+        let m = li.segments.len();
         // The partition covers the whole indexed length.
         let indexed_len = li.segments.iter().map(|g| g.len).sum();
-        scratch.over_cap.clear();
-        scratch
-            .over_cap
-            .extend(li.incomplete_from.iter().map(|&id| id < limit));
-        scratch.sets.clear();
-        scratch.regions.clear();
+        over_cap.clear();
+        over_cap.extend(li.incomplete_from.iter().map(|&id| id < limit));
+        ranges.clear();
+        regions.clear();
         for (x, seg) in li.segments.iter().enumerate() {
             let range = window_range(config.policy, probe.len(), indexed_len, config.k, seg);
-            scratch
-                .regions
-                .push(range.map(|r| window_region(r, seg.len)));
-            let set = range.and_then(|r| {
-                let set = windows.set(
-                    self.interner_salt,
-                    probe,
-                    r,
-                    seg.len,
-                    config,
-                    &self.interner,
-                );
-                scratch.over_cap[x] |= set.is_none();
-                set
-            });
-            scratch.sets.push(set);
+            regions.push(range.map(|r| window_region(r, seg.len)));
+            let within = range.filter(|&r| within_cap(probe, r, seg.len, config));
+            over_cap[x] |= range.is_some() && within.is_none();
+            ranges.push(within);
         }
-        let (postings, lookups) = li.query(&scratch.sets, windows, limit, alphas);
-        if scratch.over_cap.iter().any(|&b| b) {
+        alphas.reset(m, li.ids.last().map_or(0, |&id| id as usize + 1));
+        // Lemma 5 needs `m − k` matched segments; a walk that may prune
+        // creates rows only in segments `0..=k` and tracks the most
+        // segments any row has matched so far.
+        let lemma5 = matches!(walk, Walk::Lemma5) && !over_cap.contains(&true);
+        let required = m.saturating_sub(config.k) as u32;
+        let mut best = 0u32;
+        let (mut postings, mut lookups) = (0u64, 0u64);
+        for (x, seg) in li.segments.iter().enumerate() {
+            let remaining = (m - x) as u32;
+            if lemma5 && x > config.k && best + remaining < required {
+                // No row can still reach `m − k` matched segments.
+                break;
+            }
+            let Some((lo, hi)) = ranges[x] else { continue };
+            let table = &li.inverted[x];
+            hits.clear();
+            for start in lo..=hi {
+                let (first, end) =
+                    windows.window(self.interner_salt, probe, start, seg.len, &self.interner);
+                let worlds = &windows.worlds[first as usize..end as usize];
+                lookups += worlds.len() as u64;
+                hits.extend(worlds.iter().filter_map(|&world| {
+                    let run = *table.runs.get(&world.id)?;
+                    Some(Hit { world, run })
+                }));
+            }
+            // Instance-major, start-ascending: each instance's occurrences
+            // are one run sorted by start, as `combine_occurrences`
+            // requires, and instances are merged by ascending id.
+            hits.sort_unstable_by_key(|h| u64::from(h.world.id) << 32 | u64::from(h.world.start));
+            let create = !lemma5 || x <= config.k;
+            for group in hits.chunk_by(|a, b| a.world.id == b.world.id) {
+                occs.clear();
+                occs.extend(group.iter().map(|h| (h.world.start as usize, h.world.prob)));
+                let sym = group[0].world.sym as usize;
+                let w = &windows.symbols[sym..sym + seg.len];
+                let p_r = combine_occurrences(w, occs, probe, config.alpha_mode);
+                if p_r > 0.0 {
+                    let run = group[0].run.0 as usize..group[0].run.1 as usize;
+                    for (&id, &prob) in table.ids[run.clone()]
+                        .iter()
+                        .zip(&table.probs[run])
+                        .take_while(|&(&id, _)| id < limit)
+                    {
+                        postings += 1;
+                        if let Some(matched) = alphas.add(id, x, p_r * prob, create) {
+                            best = best.max(matched);
+                        }
+                    }
+                }
+            }
+        }
+        for a in alphas.data.iter_mut() {
+            *a = a.clamp(0.0, 1.0);
+        }
+        if over_cap.contains(&true) {
             // Conservative fallback: an over-cap segment may hide matches,
             // so every admitted id of this length must surface as a
             // candidate (with zero α where no posting was found).
             for &id in li.ids.iter().take_while(|&&id| id < limit) {
-                alphas.row_mut(id);
+                alphas.row(id, true);
             }
         }
         let (enumerated, resolved) = windows.take_tally();
@@ -1046,6 +1023,15 @@ impl SegmentIndex {
     /// apply the Lemma 5 count condition and the sound Theorem 2 bound,
     /// and push survivors onto `candidates`. With a warm `cache` and
     /// enough room in `candidates`, the stage allocates nothing.
+    ///
+    /// When no segment is over cap, the query applies Lemma 5 as it walks
+    /// the segments: an id first touched past segment `k` gets no α row,
+    /// and the walk stops once no row can still reach `m − k` matched
+    /// segments. The survivors, their α rows and the prune counts are
+    /// those of the full rows [`SegmentIndex::query_cached_recorded`]
+    /// returns; fewer rows surface
+    /// ([`Counter::IndexCandidatesSurfaced`]) and fewer windows, lookups
+    /// and postings are counted.
     ///
     /// `admit_below = Some(limit)` restricts scope to ids `< limit` (see
     /// [`SegmentIndex::query_cached_recorded`]); search passes `None`.
@@ -1084,7 +1070,7 @@ impl SegmentIndex {
             candidates.extend_from_slice(&li.ids[..admitted]);
             return in_scope;
         }
-        self.fill(li, probe, config, limit, cache, rec);
+        self.fill(li, probe, config, limit, Walk::Lemma5, cache, rec);
         let EquivCache {
             scratch, alphas, ..
         } = cache;
@@ -1396,7 +1382,7 @@ mod tests {
         assert!(ac.unwrap() < interner.len() as u32);
         assert_eq!(interner.resolve(&[u8::MAX, u8::MAX]), None);
         // A clone resolves identically but carries a fresh salt, so
-        // cached windows and sets cannot leak across the pair.
+        // cached windows cannot leak across the pair.
         let clone = index.clone();
         assert_eq!(clone.interner().resolve(seg0), ac);
         assert_ne!(clone.interner_salt, index.interner_salt);
@@ -1470,7 +1456,8 @@ mod tests {
     /// query bit for bit as a fresh table does, yet enumerates each
     /// `(start, width)` window once: the lengths' window ranges overlap,
     /// so the shared table holds fewer windows and enumerates fewer worlds
-    /// than one table per length, while the sets walked stay the same.
+    /// than one table per length, while the lookups and postings walked
+    /// stay the same.
     #[test]
     fn cached_query_matches_uncached() {
         use usj_obs::CollectingRecorder;
@@ -1577,5 +1564,67 @@ mod tests {
         );
         assert_eq!(scope, 0);
         assert!(none.is_empty());
+    }
+
+    /// Lemma 5 during the walk (k = 1, q = 3: four 3-symbol segments, three
+    /// of which must match). String 0 shares only segments 2 and 3 with
+    /// the probe, both past `k`, so the candidate stage never gives it a
+    /// row, though the full query does. String 1 matches segments 0, 2
+    /// and 3 — exactly `m − k`, the last one in the last segment — and
+    /// survives.
+    #[test]
+    fn lemma5_walk_skips_late_only_strings_and_keeps_late_matches() {
+        use usj_obs::CollectingRecorder;
+        let upper = |text: &str| UncertainString::parse(text, &Alphabet::uppercase()).unwrap();
+        let config = JoinConfig::new(1, 0.1).with_q(3);
+        let strings = [upper("PQRSTVHIKLMN"), upper("ACDWYPHIKLMN")];
+        let index = build(&strings, &config);
+        let probe = upper("ACDEFGHIKLMN");
+        assert_eq!(index.length_index(12).unwrap().segments().len(), 4);
+
+        let (full, _) = query(&index, &probe, 12, &config).unwrap();
+        assert_eq!(full.get(0).unwrap(), &[0.0, 0.0, 1.0, 1.0]);
+        assert_eq!(full.get(1).unwrap(), &[1.0, 0.0, 1.0, 1.0]);
+
+        let mut rec = (
+            crate::stats::JoinStats::default(),
+            CollectingRecorder::new(),
+        );
+        let mut candidates = Vec::new();
+        let scope = index.collect_candidates_recorded(
+            &probe,
+            12,
+            &config,
+            None,
+            &mut EquivCache::new(),
+            &mut candidates,
+            &mut rec,
+        );
+        let (stats, sink) = rec;
+        assert_eq!(scope, 2);
+        assert_eq!(candidates, vec![1]);
+        assert_eq!(sink.counter_total(Counter::IndexCandidatesSurfaced), 1);
+        assert_eq!(stats.qgram_pruned_count, 1);
+        assert_eq!(stats.qgram_pruned_bound, 0);
+
+        // A probe matching neither string in segments 0..=k stops the
+        // walk there: segments 2 and 3 are never enumerated, where the
+        // full query enumerates all four windows.
+        let late = upper("XXXXXXHIKLMN");
+        let worlds = |stage: bool| {
+            let mut sink = CollectingRecorder::new();
+            let mut cache = EquivCache::new();
+            if stage {
+                let mut none = Vec::new();
+                index.collect_candidates_recorded(
+                    &late, 12, &config, None, &mut cache, &mut none, &mut sink,
+                );
+                assert!(none.is_empty());
+            } else {
+                index.query_cached_recorded(&late, 12, &config, None, &mut cache, &mut sink);
+            }
+            sink.counter_total(Counter::QgramWindowWorlds)
+        };
+        assert_eq!((worlds(true), worlds(false)), (2, 4));
     }
 }

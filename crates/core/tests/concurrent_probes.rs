@@ -2,7 +2,7 @@
 //! threads issuing `query_cached_recorded` (and full collection
 //! searches) against one shared index must produce results bit-identical
 //! to the same probes run sequentially. The index is `&self` all the way
-//! down — per-probe state (equivalent-set caches, recorders) lives with
+//! down — per-probe state (window tables, recorders) lives with
 //! the caller — so concurrent readers must never observe each other.
 
 use std::collections::BTreeMap;

@@ -15,11 +15,11 @@
 
 use std::collections::BTreeMap;
 
-use usj_core::obs::CollectingRecorder;
+use usj_core::obs::{CollectingRecorder, Counter};
 use usj_core::{EquivCache, JoinConfig, SegmentIndex};
 use usj_model::rng::{check_seeds, random_position, random_string, Rng};
 use usj_model::{Position, Prob, Symbol, UncertainString};
-use usj_qgram::{partition, window_range, AlphaMode, EquivalentSet};
+use usj_qgram::{partition, window_range, window_region, AlphaMode, EquivalentSet, TailBounder};
 
 type Rows = BTreeMap<u32, Vec<u64>>;
 
@@ -353,4 +353,132 @@ fn periodic_binary_probes_combine_duplicates_like_the_reference() {
     });
     assert!(duplicates > 0, "no set combined a duplicate instance");
     assert!(wide > 0, "no duplicate instance wider than 8 symbols");
+}
+
+/// One length's q-gram candidate stage: the survivors, ascending, and the
+/// `(QgramPrunedCount, QgramPrunedBound)` totals.
+type Stage = (Vec<u32>, u64, u64);
+
+/// `collect_candidates_recorded`'s answer for one `(probe, length)`.
+fn stage_of_index(
+    index: &SegmentIndex,
+    probe: &UncertainString,
+    len: usize,
+    config: &JoinConfig,
+    admit_below: Option<u32>,
+    cache: &mut EquivCache,
+) -> Stage {
+    let mut rec = CollectingRecorder::new();
+    let mut survivors = Vec::new();
+    index.collect_candidates_recorded(
+        probe,
+        len,
+        config,
+        admit_below,
+        cache,
+        &mut survivors,
+        &mut rec,
+    );
+    survivors.sort_unstable();
+    (
+        survivors,
+        rec.counter_total(Counter::QgramPrunedCount),
+        rec.counter_total(Counter::QgramPrunedBound),
+    )
+}
+
+/// The Lemma 5 count condition and the Theorem 2 bound applied to the
+/// reference's full rows (over-cap segments forced to α = 1, the bound
+/// taken as 1 when any segment is over cap); admitted ids without a row
+/// are pruned by count.
+fn stage_of_reference(
+    reference: &Reference,
+    probe: &UncertainString,
+    len: usize,
+    config: &JoinConfig,
+    limit: u32,
+) -> Stage {
+    let Some((rows, over_cap)) = reference.query(probe, len, config, limit) else {
+        return (Vec::new(), 0, 0);
+    };
+    let admitted: Vec<u32> = reference.ids[&len]
+        .iter()
+        .copied()
+        .filter(|&id| id < limit)
+        .collect();
+    let segments = partition(len, config.q, config.k);
+    let required = segments.len().saturating_sub(config.k);
+    if admitted.is_empty() || required == 0 {
+        return (admitted, 0, 0);
+    }
+    let regions: Vec<_> = segments
+        .iter()
+        .map(|seg| {
+            window_range(config.policy, probe.len(), len, config.k, seg)
+                .map(|r| window_region(r, seg.len))
+        })
+        .collect();
+    let bounder = TailBounder::new(&regions, probe);
+    let capped = over_cap.contains(&true);
+    let (mut survivors, mut by_count, mut by_bound) = (Vec::new(), 0, 0);
+    for (&id, row) in &rows {
+        let alpha: Vec<Prob> = row
+            .iter()
+            .zip(&over_cap)
+            .map(|(&bits, &oc)| if oc { 1.0 } else { Prob::from_bits(bits) })
+            .collect();
+        if alpha.iter().filter(|&&a| a > 0.0).count() < required {
+            by_count += 1;
+        } else if capped || bounder.bound(&alpha, required) > config.tau {
+            survivors.push(id);
+        } else {
+            by_bound += 1;
+        }
+    }
+    by_count += (admitted.len() - rows.len()) as u64;
+    (survivors, by_count, by_bound)
+}
+
+/// The candidate stage walks segments with Lemma 5 applied as it goes
+/// (rows only in segments `0..=k`, stopping once no row can reach `m − k`
+/// matches), yet keeps exactly the survivors and prune counts of the
+/// count condition and bound over the full reference rows: in every
+/// swept config, with and without admission limits, on random and on
+/// periodic collections.
+#[test]
+fn candidate_stage_matches_the_conditions_on_full_reference_rows() {
+    let mut compare = |index: &SegmentIndex,
+                       reference: &Reference,
+                       config: &JoinConfig,
+                       probes: &[UncertainString]| {
+        for probe in probes {
+            let mut cache = EquivCache::new();
+            let lo = probe.len().saturating_sub(config.k);
+            for len in lo..=probe.len() + config.k {
+                let got = stage_of_index(index, probe, len, config, None, &mut cache);
+                let want = stage_of_reference(reference, probe, len, config, u32::MAX);
+                assert_eq!(got, want, "{config:?} len={len}");
+            }
+            let len = probe.len();
+            let Some(ids) = reference.ids.get(&len) else {
+                continue;
+            };
+            for limit in ids.iter().copied().chain([ids[ids.len() - 1] + 1]) {
+                let got = stage_of_index(index, probe, len, config, Some(limit), &mut cache);
+                let want = stage_of_reference(reference, probe, len, config, limit);
+                assert_eq!(got, want, "{config:?} limit={limit}");
+            }
+        }
+    };
+    for_each_index(6, &mut compare);
+    check_seeds(2, |rng| {
+        let strings: Vec<UncertainString> = (0..24)
+            .map(|_| {
+                let len = periodic_length(rng);
+                periodic_string(rng, len)
+            })
+            .collect();
+        let probes = probes_for(rng, &strings, |rng| periodic_string(rng, 18));
+        for_each_config(&strings, &probes, &mut compare);
+    });
 }

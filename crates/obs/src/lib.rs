@@ -168,15 +168,18 @@ metric_table! {
         IndexInsertions => "index_insertions",
         /// Postings `(id, Pr)` touched while merging posting lists.
         IndexPostingsScanned => "index_postings_scanned",
-        /// Candidate α-vectors surfaced by posting-list merges.
+        /// Candidate α-vectors surfaced by posting-list merges. Under the
+        /// q-gram stage's Lemma 5 walk, only ids touched in segments
+        /// `0..=k` get a row (all admitted ids when a segment is over cap).
         IndexCandidatesSurfaced => "index_candidates_surfaced",
         /// Probe-side q-gram window worlds enumerated (each window once per
-        /// probe and index).
+        /// probe and index, and only for segments a query walks).
         QgramWindowWorlds => "qgram_window_worlds",
         /// Enumerated window worlds whose instance had an interned id (the
         /// rest can match no posting and are dropped).
         QgramInstancesResolved => "qgram_instances_resolved",
-        /// Posting-run lookups by the merge, hits and misses.
+        /// Posting-run lookups, hits and misses: one per segment walked
+        /// and resolved world of that segment's windows.
         IndexRunLookups => "index_run_lookups",
         /// Per-probe verifier constructions.
         VerifierBuilds => "verifier_builds",

@@ -63,8 +63,9 @@ pub enum AlphaMode {
 /// Instances are stored in one flat symbol buffer (stride = the window
 /// length) rather than one `Vec` per instance.
 /// The filter and the tests build sets this way; the join's index path
-/// assembles the same sets from a per-probe window table instead, through
-/// the same [`combine_occurrences`].
+/// never builds one: it looks each window world up in the index and
+/// combines only the instances that hit a posting run, through the same
+/// [`combine_occurrences`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EquivalentSet {
     /// Instance symbols: instance `i` is `flat[i*wl..(i+1)*wl]`, in

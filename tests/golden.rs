@@ -190,11 +190,11 @@ const PROTEIN_QFT_IDS: (usize, u64) = (83, 4594687212385597883);
 const PROTEIN_QFT: (usize, u64) = (83, 2232230505929408632);
 
 const DBLP_FUNNEL: [u64; 14] = [
-    49230, 187, 49033, 10, 183, 4, 0, 27, 113, 43, 39, 4, 66, 4143,
+    49230, 187, 49033, 10, 183, 4, 0, 27, 113, 43, 39, 4, 66, 3122,
 ];
-const PROTEIN_QFT_FUNNEL: [u64; 14] = [6000, 114, 5886, 0, 112, 2, 0, 0, 0, 112, 83, 29, 83, 2110];
+const PROTEIN_QFT_FUNNEL: [u64; 14] = [6000, 114, 5886, 0, 112, 2, 0, 0, 0, 112, 83, 29, 83, 1819];
 const DBLP_FCT_FUNNEL: [u64; 14] = [
     49230, 49230, 0, 0, 3317, 45913, 0, 27, 3247, 43, 39, 4, 66, 0,
 ];
-const DBLP_QGRAM_WORK_1: [u64; 3] = [101703, 52674, 116386];
-const DBLP_QGRAM_WORK_2: [u64; 3] = [101703, 54014, 118930];
+const DBLP_QGRAM_WORK_1: [u64; 3] = [50561, 29989, 66809];
+const DBLP_QGRAM_WORK_2: [u64; 3] = [50561, 30685, 68245];
