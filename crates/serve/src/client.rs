@@ -373,11 +373,8 @@ impl Client {
         stream
             .set_write_timeout(Some(io_timeout))
             .map_err(RetryableError::Transport)?;
-        let mut writer = stream.try_clone().map_err(RetryableError::Transport)?;
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
+        (&stream)
+            .write_all(format!("{line}\n").as_bytes())
             .map_err(RetryableError::Transport)?;
         let mut reader = BufReader::new(stream);
         // A dropped connection is retryable: the server closed without

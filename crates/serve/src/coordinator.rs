@@ -12,8 +12,8 @@
 //! * **hedged seconds** — a shard silent past the hedge delay
 //!   (max of the observed p99 shard latency and `hedge_after`) gets a
 //!   second, identical request; the first answer wins and the loser is
-//!   cancelled at the protocol level (its answer is discarded and its
-//!   connection dies with the worker thread);
+//!   cancelled at the protocol level (its answer is discarded on a
+//!   dropped receiver, and its dispatch thread goes back to the pool);
 //! * **bounded retry with jittered backoff** inside each dispatch,
 //!   reusing [`Client`]'s policy (each shard client gets a
 //!   deterministic per-(request, shard, hedge) jitter seed);
@@ -21,6 +21,11 @@
 //!   bench a shard for `quarantine_cooldown`; after the cooldown the
 //!   next relevant probe is a half-open trial whose success readmits
 //!   the shard and whose failure re-quarantines it;
+//! * **resident dispatch threads** — each attempt (primary or hedge)
+//!   runs on an idle thread of the coordinator's cached pool, and a new
+//!   thread starts only when none is idle, so an attempt never waits
+//!   behind a stalled one; idle threads exit after a fixed linger and
+//!   once the coordinator is dropped at the end of its drain;
 //! * an explicit **partial-result policy** — when some relevant shards
 //!   cannot answer, strict mode refuses the request while degraded
 //!   mode serves the union of the surviving shards' answers marked
@@ -40,10 +45,11 @@
 //! answers and sorting by id reproduces the single-node server's answer
 //! bit for bit (proven by the N-shard differential suite).
 
+use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use usj_core::Partition;
@@ -191,6 +197,7 @@ pub struct Coordinator {
     probe_seq: AtomicUsize,
     health: Mutex<Vec<ShardHealth>>,
     latencies: Mutex<LatencyRing>,
+    dispatcher: Dispatcher,
 }
 
 /// Handle to a running coordinator. Dropping it does *not* stop the
@@ -226,6 +233,7 @@ pub fn coordinate(
         alphabet,
         shards,
         probe_seq: AtomicUsize::new(0),
+        dispatcher: Dispatcher::default(),
     };
     frame::start(coordinator, limits, "coord")
 }
@@ -422,7 +430,125 @@ fn select_shards(coord: &Coordinator, probe_len: usize, k: usize) -> (Vec<usize>
     (relevant, skipped)
 }
 
-/// Dispatches one attempt (primary or hedge) for `shard` on its own
+/// How long an idle dispatch thread waits for its next attempt before
+/// it exits.
+const DISPATCH_LINGER: Duration = Duration::from_secs(5);
+
+/// One shard attempt, run on a dispatch thread.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// The coordinator's dispatch threads: a cached pool. A job runs on an
+/// idle thread, and a new thread starts only when none is idle, so a job
+/// never waits behind a stalled one. Idle threads exit after
+/// [`DISPATCH_LINGER`], and every thread exits once the coordinator is
+/// dropped and its current job, if any, returns. Nothing joins them.
+#[derive(Default)]
+struct Dispatcher {
+    pool: Arc<Pool>,
+}
+
+#[derive(Default)]
+struct Pool {
+    state: Mutex<PoolState>,
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct PoolState {
+    jobs: VecDeque<Job>,
+    /// Threads waiting for a job. A thread counts as idle only while it
+    /// waits, so a job that panics takes its own thread down and leaves
+    /// the count right.
+    idle: usize,
+    /// Threads started so far.
+    started: usize,
+    /// Set when the coordinator is dropped: waiting threads exit.
+    closed: bool,
+}
+
+impl Dispatcher {
+    /// Runs `job` on an idle dispatch thread, or on a new one when every
+    /// thread is busy.
+    fn run(&self, job: Job) {
+        let start = {
+            let mut state = self.pool.lock();
+            state.jobs.push_back(job);
+            // Each idle thread takes one queued job; the rest need a
+            // thread of their own.
+            if state.jobs.len() > state.idle {
+                state.started += 1;
+                Some(state.started)
+            } else {
+                self.pool.ready.notify_one();
+                None
+            }
+        };
+        if let Some(n) = start {
+            let pool = Arc::clone(&self.pool);
+            // A thread that fails to start leaves its job queued for the
+            // next thread that finishes one.
+            let _ = std::thread::Builder::new()
+                .name(format!("usj-coord-dispatch-{n}"))
+                .spawn(move || {
+                    while let Some(job) = pool.next_job() {
+                        job();
+                    }
+                });
+        }
+    }
+
+    /// Threads started so far.
+    #[cfg(test)]
+    fn started(&self) -> usize {
+        self.pool.lock().started
+    }
+
+    /// Threads waiting for a job.
+    #[cfg(test)]
+    fn idle(&self) -> usize {
+        self.pool.lock().idle
+    }
+}
+
+impl Drop for Dispatcher {
+    fn drop(&mut self) {
+        self.pool.lock().closed = true;
+        self.pool.ready.notify_all();
+    }
+}
+
+impl Pool {
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        // No job runs under the lock, so poisoning means nothing here.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The calling thread's next job, or `None` once the pool is closed
+    /// or the thread has lingered idle for [`DISPATCH_LINGER`].
+    fn next_job(&self) -> Option<Job> {
+        let mut state = self.lock();
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                return Some(job);
+            }
+            if state.closed {
+                return None;
+            }
+            state.idle += 1;
+            let (guard, wait) = self
+                .ready
+                .wait_timeout(state, DISPATCH_LINGER)
+                .unwrap_or_else(PoisonError::into_inner);
+            state = guard;
+            state.idle -= 1;
+            if wait.timed_out() && state.jobs.is_empty() {
+                return None;
+            }
+        }
+    }
+}
+
+/// Dispatches one attempt (primary or hedge) for `shard` on a dispatch
 /// thread; the result comes back over `tx`.
 #[allow(clippy::too_many_arguments)]
 fn dispatch(
@@ -455,22 +581,20 @@ fn dispatch(
     let text = text.to_string();
     let tx = tx.clone();
     let dispatched = Instant::now();
-    // Detached worker: if the request completes first (the other twin
-    // won, or the gather deadline fired), the receiver is gone, the
-    // send fails silently, and the thread exits — protocol-level
+    // If the request completes first (the other twin won, or the
+    // gather deadline fired), the receiver is gone, the send fails
+    // silently, and the thread goes back to the pool — protocol-level
     // cancellation without tearing down sockets mid-read.
-    let _ = std::thread::Builder::new()
-        .name(format!("usj-coord-dispatch-{shard}"))
-        .spawn(move || {
-            let mut client = Client::new(addr, cfg);
-            let outcome = client.probe(k, tau, &text).ok();
-            let _ = tx.send(ShardAnswer {
-                shard,
-                hedge,
-                elapsed: dispatched.elapsed(),
-                outcome,
-            });
+    coord.dispatcher.run(Box::new(move || {
+        let mut client = Client::new(addr, cfg);
+        let outcome = client.probe(k, tau, &text).ok();
+        let _ = tx.send(ShardAnswer {
+            shard,
+            hedge,
+            elapsed: dispatched.elapsed(),
+            outcome,
         });
+    }));
 }
 
 /// The gather loop: collects per-shard answers, hedges silent shards
@@ -580,7 +704,7 @@ fn gather(
             }
         }
     }
-    // Any straggler dispatch thread now exits on send.
+    // Any straggler attempt's answer is now discarded on send.
     drop(rx);
     // Health bookkeeping for shards that never answered.
     let now = Instant::now();
@@ -659,6 +783,86 @@ fn combine(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::ServeConfig;
+    use crate::shard::{serve_shard, shard_partition};
+    use usj_core::JoinConfig;
+
+    #[test]
+    fn sequential_probes_start_no_more_dispatch_threads_than_were_busy_at_once() {
+        let alphabet = Alphabet::dna();
+        let strings: Vec<UncertainString> = [
+            "ACGT",
+            "ACGTA",
+            "ACGTAC",
+            "ACGTACG",
+            "ACGTACGT",
+            "ACGTACGTA",
+            "ACGTACGTAC",
+            "ACGTACGTACGT",
+        ]
+        .iter()
+        .map(|t| UncertainString::parse(t, &alphabet).unwrap())
+        .collect();
+        let partition = shard_partition(&strings, 3);
+        let shards: Vec<_> = (0..3)
+            .map(|i| {
+                let cfg = JoinConfig::new(1, 0.3);
+                serve_shard(
+                    cfg,
+                    alphabet.clone(),
+                    &strings,
+                    &partition,
+                    i,
+                    ServeConfig::default(),
+                )
+                .expect("bind shard")
+            })
+            .collect();
+        let addrs: Vec<String> = shards.iter().map(|h| h.addr().to_string()).collect();
+        let specs = ShardSpec::from_partition(&partition, &addrs).expect("specs");
+        let probes = ["ACGTA", "ACGTACG", "ACGTACGTA", "ACGTACGTACG", "ACGTAC"];
+        // Sequential probes keep at most one probe's fan-out busy at once.
+        let widest = probes
+            .iter()
+            .map(|p| specs.iter().filter(|s| s.relevant(p.len(), 1)).count())
+            .max()
+            .unwrap();
+        assert_eq!(
+            widest, 2,
+            "the length filter prunes each probe to two shards"
+        );
+        let cfg = CoordConfig {
+            k: 1,
+            tau: 0.3,
+            // No hedges: each probe dispatches exactly its fan-out.
+            hedge_after: Duration::from_secs(60),
+            ..CoordConfig::default()
+        };
+        let coord = coordinate(specs, alphabet, cfg).expect("bind coordinator");
+        let dispatcher = &coord.frame.front.dispatcher;
+        let mut client = Client::new(coord.addr().to_string(), ClientConfig::default());
+        for i in 0..50 {
+            let outcome = client
+                .probe(1, 0.3, probes[i % probes.len()])
+                .expect("probe");
+            assert!(matches!(outcome, ProbeOutcome::Exact(_)), "{outcome:?}");
+            // A thread goes back to idle just after it sends its answer;
+            // wait for that so the next probe finds it idle.
+            let until = Instant::now() + Duration::from_secs(5);
+            while dispatcher.idle() < dispatcher.started() && Instant::now() < until {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        assert!(
+            (1..=widest).contains(&dispatcher.started()),
+            "50 sequential probes started {} dispatch threads",
+            dispatcher.started()
+        );
+        coord.shutdown();
+        for shard in shards {
+            shard.shutdown();
+        }
+    }
 
     #[test]
     fn shard_spec_relevance_uses_the_length_filter() {

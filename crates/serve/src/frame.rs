@@ -285,13 +285,11 @@ fn admit<F: Front>(frame: &Frame<F>, stream: TcpStream) {
     let ladder_sheds = frame.front.note_queue(depth);
     if depth >= frame.limits.queue_cap || ladder_sheds {
         frame.record(|r| r.counter(Counter::ServeShed, 1));
-        let mut stream = stream;
         let _ = stream.set_write_timeout(Some(frame.limits.io_timeout));
         let busy = Response::Busy {
             retry_after_ms: frame.limits.retry_after_ms,
         };
-        let _ = stream.write_all(busy.encode().as_bytes());
-        let _ = stream.write_all(b"\n");
+        let _ = (&stream).write_all(format!("{}\n", busy.encode()).as_bytes());
         linger_close(stream);
         return;
     }
@@ -372,12 +370,9 @@ fn handle_conn<F: Front>(frame: &Frame<F>, stream: TcpStream) {
         return;
     }
     let _ = stream.set_write_timeout(Some(frame.limits.io_timeout));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
+    let mut reader = BufReader::new(&stream);
     let mut line = String::new();
+    let mut out = String::new();
     loop {
         line.clear();
         match reader.read_line(&mut line) {
@@ -403,15 +398,16 @@ fn handle_conn<F: Front>(frame: &Frame<F>, stream: TcpStream) {
             Response::Err(format!("internal panic: {}", panic_message(&*payload))).into()
         });
         let done = matches!(reply.response, Response::Bye);
+        // The optional TRACE line and the response line leave in one
+        // write: a reply split over writes costs a syscall per piece.
+        out.clear();
         for response in reply.trace.iter().chain([&reply.response]) {
-            if writer.write_all(response.encode().as_bytes()).is_err() {
-                return;
-            }
-            if writer.write_all(b"\n").is_err() {
-                return;
-            }
+            out.push_str(&response.encode());
+            out.push('\n');
         }
-        let _ = writer.flush();
+        if (&stream).write_all(out.as_bytes()).is_err() {
+            return;
+        }
         // Draining: answer the current request, then close so the worker
         // can exit instead of idling on a held-open connection.
         if done || frame.draining() {

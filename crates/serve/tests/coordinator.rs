@@ -800,3 +800,92 @@ fn a_coordinator_with_a_full_queue_sheds_with_busy() {
     coord.shutdown();
     drop(stalled);
 }
+
+#[test]
+fn attempts_stalled_on_a_silent_shard_do_not_delay_a_healthy_shards_answer() {
+    let _guard = lock();
+    let strings = uniform_strings();
+    let partition = shard_partition(&strings, 1);
+    let healthy = serve_shard(
+        JoinConfig::new(K, TAU),
+        Alphabet::dna(),
+        &strings,
+        &partition,
+        0,
+        ServeConfig::default(),
+    )
+    .expect("bind shard");
+    let silent = SilentShard::start();
+    let mut specs =
+        ShardSpec::from_partition(&partition, &[healthy.addr().to_string()]).expect("specs");
+    specs.extend(silent.specs());
+    const PROBES: usize = 4;
+    let coord = coordinate(
+        specs,
+        Alphabet::dna(),
+        CoordConfig {
+            k: K,
+            tau: TAU,
+            workers: PROBES,
+            // The hedge delay outlasts every probe's budget: whatever
+            // answers, answers before any hedge.
+            hedge_after: Duration::from_secs(30),
+            quarantine_after: 100,
+            ..CoordConfig::default()
+        },
+    )
+    .expect("bind coordinator");
+    let probe = "ACGTAC";
+    let expected: Vec<u32> = oracle(&strings, probe).iter().map(|&(id, _)| id).collect();
+    assert!(!expected.is_empty(), "oracle sanity");
+    // Concurrent probes each leave one attempt stalled on the silent
+    // shard until the probe's budget runs out. Each probe's attempt at
+    // the healthy shard must still run, on a thread of its own, and
+    // answer inside that budget.
+    let addr = coord.addr().to_string();
+    let outcomes: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..PROBES)
+            .map(|_| {
+                let addr = addr.clone();
+                scope.spawn(move || {
+                    let mut client = Client::new(
+                        addr,
+                        ClientConfig {
+                            max_retries: 0,
+                            deadline: Some(Duration::from_millis(1500)),
+                            ..ClientConfig::default()
+                        },
+                    );
+                    client.probe(K, TAU, probe)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for outcome in outcomes {
+        match outcome {
+            Ok(ProbeOutcome::Degraded { ids, shards }) => {
+                // Under load the shard may itself answer a degraded
+                // superset; either way every exact hit is there.
+                assert!(
+                    expected.iter().all(|id| ids.contains(id)),
+                    "the healthy shard's hits {expected:?} in {ids:?}"
+                );
+                assert_eq!(shards, Some((1, 2)), "only the healthy shard answered");
+            }
+            other => panic!("expected the healthy shard's marked answer, got {other:?}"),
+        }
+    }
+    let mut held = 0;
+    while silent.accepted.try_recv().is_ok() {
+        held += 1;
+    }
+    assert!(
+        held >= PROBES,
+        "every probe stalled an attempt on the silent shard: {held}"
+    );
+    let stats = coord.stats_json();
+    assert_eq!(stat_u64(&stats, "hedges_sent"), 0, "{stats}");
+    coord.shutdown();
+    healthy.shutdown();
+}

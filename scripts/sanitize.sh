@@ -204,8 +204,9 @@ run_tsan_coord() {
     tsan_prereqs || return 0
     note "TSan: coordinator scatter-gather / kill-a-shard tests (-Zsanitizer=thread)"
     # The coordinator crosses more threads than the single-node server:
-    # gather loops join detached per-shard dispatch threads through mpsc
-    # channels while hedges race the primary attempt, health tracking
+    # gather loops receive from the pooled dispatch threads through mpsc
+    # channels while hedges race the primary attempt, idle dispatch
+    # threads wait on the pool's condvar, health tracking
     # mixes a mutexed table with the stop flag, and the soak test kills a
     # live proxy mid-probe. Single-threaded test order because the fault
     # injection plans are process-global.
