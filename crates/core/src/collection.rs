@@ -1,13 +1,18 @@
-//! Similarity *search*: one probe against a pre-indexed collection.
+//! Similarity *search*: one probe against a pre-indexed collection, and
+//! the probe funnel the self-join runs too.
 //!
 //! The paper frames the join as repeated search over the visited prefix of
-//! the collection; [`IndexedCollection`] exposes the same machinery for
-//! standing collections — build once, probe many times. Unlike the join
-//! driver, a search probe may be shorter *or* longer than indexed strings,
-//! so all lengths in `[|R|−k, |R|+k]` are queried.
+//! the collection, and the code follows it: `Funnel::probe` takes one
+//! probe through q-gram candidates, the frequency filter, admission, CDF
+//! bounds and verification, for the join driver (`crate::parallel`) and
+//! for [`IndexedCollection`] alike. The callers differ only in what they
+//! hand it. A join probe of length `l` reaches lengths `[l − k, l]` and, at
+//! its own length, only ids below its own; a search probe may be shorter
+//! *or* longer than indexed strings, so it reaches `[l − k, l + k]`.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 use std::time::{Duration, Instant};
 
 use crate::config::JoinConfig;
@@ -47,8 +52,6 @@ pub enum SearchAbort {
         /// Time spent on the probe before it was abandoned.
         elapsed: Duration,
     },
-    /// The cooperative cancel flag was raised by another thread.
-    Cancelled,
 }
 
 impl std::fmt::Display for SearchAbort {
@@ -57,44 +60,156 @@ impl std::fmt::Display for SearchAbort {
             SearchAbort::Deadline { elapsed } => {
                 write!(f, "probe deadline exceeded after {elapsed:.2?}")
             }
-            SearchAbort::Cancelled => write!(f, "probe cancelled"),
         }
     }
 }
 
 impl std::error::Error for SearchAbort {}
 
-/// Cooperative execution budget for one probe: an optional absolute
-/// wall-clock deadline plus an optional cancel flag another thread may
-/// raise. The default budget is unlimited, under which a budgeted
-/// search can never abort.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ProbeBudget<'a> {
-    /// Absolute instant after which the probe must abort.
-    pub deadline: Option<Instant>,
-    /// Flag another thread raises to abandon the probe early.
-    pub cancel: Option<&'a AtomicBool>,
+/// A probe's deadline passed before its funnel finished.
+pub(crate) struct Expired;
+
+fn check(deadline: Option<Instant>) -> Result<(), Expired> {
+    match deadline {
+        Some(d) if Instant::now() >= d => Err(Expired),
+        _ => Ok(()),
+    }
 }
 
-impl<'a> ProbeBudget<'a> {
-    /// Returns the abort reason if the budget is exhausted.
-    fn check(&self, started: Instant) -> Result<(), SearchAbort> {
-        if let Some(cancel) = self.cancel {
-            // ordering: Relaxed — the cancel flag is advisory; the only
-            // requirement is eventual visibility, not ordering against
-            // any other memory operation.
-            if cancel.load(Ordering::Relaxed) {
-                return Err(SearchAbort::Cancelled);
+/// What a probe runs against: a standing collection, or the join's
+/// resident wave.
+pub(crate) struct Funnel<'a> {
+    pub(crate) config: &'a JoinConfig,
+    pub(crate) strings: &'a [UncertainString],
+    pub(crate) index: &'a SegmentIndex,
+    /// String ids by length, ascending within each length: the candidate
+    /// scope of a pipeline without the q-gram stage.
+    pub(crate) by_len: &'a BTreeMap<usize, Vec<u32>>,
+    /// The frequency profile of a string by id.
+    pub(crate) profile_of: &'a (dyn Fn(u32) -> &'a FreqProfile + Sync),
+    pub(crate) freq_filter: FreqFilter,
+}
+
+/// One probe as its caller hands it to [`Funnel::probe`].
+pub(crate) struct Probe<'p> {
+    pub(crate) string: &'p UncertainString,
+    /// The candidate lengths.
+    pub(crate) lengths: RangeInclusive<usize>,
+    /// At the probe's own length, only ids below this one are candidates.
+    pub(crate) below: Option<u32>,
+    /// The probe's frequency profile, when the caller holds it; computed
+    /// on demand otherwise.
+    pub(crate) profile: Option<&'p FreqProfile>,
+}
+
+impl Funnel<'_> {
+    /// Takes `probe` through the filters: q-gram candidates over its
+    /// lengths (every string of those lengths when the pipeline has no
+    /// q-gram stage), then the frequency filter. Returns the survivors
+    /// `admit` accepts, ascending. With `hits`, each of them is then
+    /// decided by [`decide_candidate`] (CDF bounds, then verification),
+    /// and the similar ones are pushed onto `hits` in ascending id order.
+    ///
+    /// Errs once `deadline` has passed, checked before each length's
+    /// lookup, after the filters and after each decision. `cache` is the
+    /// caller's window table, cleared here. Events go to `rec`, the
+    /// caller's `(stats, recorder)` pair.
+    pub(crate) fn probe<R: Recorder>(
+        &self,
+        probe: &Probe<'_>,
+        cache: &mut EquivCache,
+        admit: impl Fn(u32) -> bool,
+        hits: Option<&mut Vec<SearchHit>>,
+        deadline: Option<Instant>,
+        rec: &mut R,
+    ) -> Result<Vec<u32>, Expired> {
+        let config = self.config;
+        let own_len = probe.string.len();
+
+        // ---- Candidate generation -----------------------------------
+        let mut qgram_span = PhaseGuard::enter(&mut *rec, Phase::Qgram);
+        let mut candidates: Vec<u32> = Vec::new();
+        let mut scope = 0u64;
+        if config.pipeline.uses_qgram() {
+            // The probe's windows are enumerated once and reused across
+            // every indexed length it touches.
+            cache.clear();
+            for len in probe.lengths.clone() {
+                check(deadline)?;
+                scope += self.index.collect_candidates_recorded(
+                    probe.string,
+                    len,
+                    config,
+                    probe.below.filter(|_| len == own_len),
+                    cache,
+                    &mut candidates,
+                    qgram_span.rec(),
+                );
+            }
+        } else {
+            for (&len, ids) in self.by_len.range(probe.lengths.clone()) {
+                check(deadline)?;
+                let admitted = (probe.below.filter(|_| len == own_len))
+                    .map_or(ids.len(), |below| ids.partition_point(|&id| id < below));
+                scope += admitted as u64;
+                candidates.extend_from_slice(&ids[..admitted]);
             }
         }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                return Err(SearchAbort::Deadline {
-                    elapsed: started.elapsed(),
-                });
-            }
+        qgram_span.rec().counter(Counter::PairsInScope, scope);
+        qgram_span
+            .rec()
+            .counter(Counter::QgramSurvivors, candidates.len() as u64);
+        drop(qgram_span);
+        // Deterministic candidate order keeps runs reproducible.
+        candidates.sort_unstable();
+
+        // ---- Frequency-distance filtering ---------------------------
+        if config.pipeline.uses_freq() && !candidates.is_empty() {
+            let mut freq_span = PhaseGuard::enter(&mut *rec, Phase::Freq);
+            let rec = freq_span.rec();
+            let computed;
+            let rp = match probe.profile {
+                Some(profile) => profile,
+                None => {
+                    computed = self.freq_filter.profile(probe.string);
+                    &computed
+                }
+            };
+            candidates.retain(|&id| {
+                let out = self.freq_filter.evaluate(rp, (self.profile_of)(id));
+                if !out.candidate {
+                    if out.fd_lower as usize > config.k {
+                        rec.counter(Counter::FreqPrunedLower, 1);
+                    } else {
+                        rec.counter(Counter::FreqPrunedChebyshev, 1);
+                    }
+                }
+                out.candidate
+            });
         }
-        Ok(())
+        rec.counter(Counter::FreqSurvivors, candidates.len() as u64);
+        candidates.retain(|&id| admit(id));
+
+        // ---- CDF bounds + verification ------------------------------
+        let Some(hits) = hits else {
+            return Ok(candidates);
+        };
+        check(deadline)?;
+        let cdf_filter = CdfFilter::new(config.k, config.tau);
+        let mut verifier: Option<ProbeVerifier> = None; // lazily built
+        let mut found = 0u64;
+        for &id in &candidates {
+            let other = &self.strings[id as usize];
+            if let Some((true, prob)) =
+                decide_candidate(probe.string, other, &cdf_filter, &mut verifier, config, rec)
+            {
+                found += 1;
+                hits.push(SearchHit { id, prob });
+            }
+            check(deadline)?;
+        }
+        rec.counter(Counter::OutputPairs, found);
+        Ok(candidates)
     }
 }
 
@@ -106,6 +221,9 @@ pub struct IndexedCollection {
     strings: Vec<UncertainString>,
     index: SegmentIndex,
     profiles: Vec<FreqProfile>,
+    /// String ids by length, derived from the strings rather than the
+    /// index: a salvaged snapshot's index can lack bands.
+    by_len: BTreeMap<usize, Vec<u32>>,
 }
 
 impl IndexedCollection {
@@ -131,12 +249,17 @@ impl IndexedCollection {
         assert!(sigma >= 1, "alphabet must be non-empty");
         let freq = FreqFilter::new(config.k, config.tau, sigma);
         let profiles = strings.iter().map(|s| freq.profile(s)).collect();
+        let mut by_len: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
+        for (id, s) in (0u32..).zip(&strings) {
+            by_len.entry(s.len()).or_default().push(id);
+        }
         IndexedCollection {
             config,
             sigma,
             strings,
             index,
             profiles,
+            by_len,
         }
     }
 
@@ -185,162 +308,106 @@ impl IndexedCollection {
     /// The server's degraded mode answers with these candidates when it
     /// cannot afford verification.
     pub fn filter_candidates(&self, probe: &UncertainString) -> Vec<u32> {
-        self.candidate_stage(probe, &mut NoopRecorder)
+        match self.probe(probe, |_| true, None, None, &mut NoopRecorder) {
+            Ok(candidates) => candidates,
+            Err(Expired) => unreachable!("a probe without a deadline expired"),
+        }
     }
 
-    /// Shared candidate-generation stage: q-gram index lookups, Lemma 5
-    /// count condition, sound Theorem 2 bound, frequency filtering. Events
-    /// go to `rec`, the search's `(stats, recorder)` pair.
-    fn candidate_stage<R: Recorder>(&self, probe: &UncertainString, rec: &mut R) -> Vec<u32> {
+    /// [`Funnel::probe`] over lengths `[|R|−k, |R|+k]` of this
+    /// collection. The thread's window table is taken for the probe and
+    /// put back after it, so a warm one serves the next search without
+    /// growing its buffers again, and a probe that panics drops it.
+    fn probe<R: Recorder>(
+        &self,
+        probe: &UncertainString,
+        admit: impl Fn(u32) -> bool,
+        hits: Option<&mut Vec<SearchHit>>,
+        deadline: Option<Instant>,
+        rec: &mut R,
+    ) -> Result<Vec<u32>, Expired> {
         let config = &self.config;
-        let freq_filter = FreqFilter::new(config.k, config.tau, self.sigma);
-        let min_len = probe.len().saturating_sub(config.k);
-        let max_len = probe.len() + config.k;
-
-        let mut qgram_span = PhaseGuard::enter(&mut *rec, Phase::Qgram);
-        let mut candidates: Vec<u32> = Vec::new();
-        if config.pipeline.uses_qgram() {
-            // One window table per probe, shared across lengths. The
-            // thread's cache is taken for the search and put back after
-            // it, so a warm one serves the next search without growing
-            // its buffers again, and a search that panics drops it.
-            let mut cache = PROBE_CACHE.take();
-            cache.clear();
-            let mut scope = 0u64;
-            for len in min_len..=max_len {
-                scope += self.index.collect_candidates_recorded(
-                    probe,
-                    len,
-                    config,
-                    None,
-                    &mut cache,
-                    &mut candidates,
-                    qgram_span.rec(),
-                );
-            }
-            PROBE_CACHE.set(cache);
-            qgram_span.rec().counter(Counter::PairsInScope, scope);
-        } else {
-            let mut scope = 0u64;
-            for (id, s) in self.strings.iter().enumerate() {
-                if s.len() >= min_len && s.len() <= max_len {
-                    scope += 1;
-                    candidates.push(id as u32);
-                }
-            }
-            qgram_span.rec().counter(Counter::PairsInScope, scope);
-        }
-        qgram_span
-            .rec()
-            .counter(Counter::QgramSurvivors, candidates.len() as u64);
-        drop(qgram_span);
-        candidates.sort_unstable();
-
-        if config.pipeline.uses_freq() && !candidates.is_empty() {
-            let mut freq_span = PhaseGuard::enter(&mut *rec, Phase::Freq);
-            let rec = freq_span.rec();
-            let rp = freq_filter.profile(probe);
-            candidates.retain(|&id| {
-                let out = freq_filter.evaluate(&rp, &self.profiles[id as usize]);
-                if !out.candidate {
-                    if out.fd_lower as usize > config.k {
-                        rec.counter(Counter::FreqPrunedLower, 1);
-                    } else {
-                        rec.counter(Counter::FreqPrunedChebyshev, 1);
-                    }
-                }
-                out.candidate
-            });
-        }
-        rec.counter(Counter::FreqSurvivors, candidates.len() as u64);
-        candidates
+        let funnel = Funnel {
+            config,
+            strings: &self.strings,
+            index: &self.index,
+            by_len: &self.by_len,
+            profile_of: &|id| &self.profiles[id as usize],
+            freq_filter: FreqFilter::new(config.k, config.tau, self.sigma),
+        };
+        let spec = Probe {
+            string: probe,
+            lengths: probe.len().saturating_sub(config.k)..=probe.len() + config.k,
+            below: None,
+            profile: None,
+        };
+        let mut cache = PROBE_CACHE.take();
+        let out = funnel.probe(&spec, &mut cache, admit, hits, deadline, rec);
+        PROBE_CACHE.set(cache);
+        out
     }
 
     /// [`IndexedCollection::search`] restricted to candidate ids accepted
     /// by `admit`, applied *before* the expensive CDF/verification stages,
     /// plus the per-phase statistics. Probing a collection with its own
-    /// strings, `id < probe_id` verifies each unordered pair exactly once
-    /// (and a probe never against itself).
+    /// strings in the join's visit order (ascending length, then id) and
+    /// admitting only the strings visited before the probe, each unordered
+    /// pair is decided once, exactly as [`crate::SimilarityJoin::self_join`]
+    /// decides it.
     pub fn search_filtered(
         &self,
         probe: &UncertainString,
         admit: impl Fn(u32) -> bool,
     ) -> (Vec<SearchHit>, JoinStats) {
-        match self.search_budgeted_recorded(
-            0,
-            probe,
-            admit,
-            ProbeBudget::default(),
-            &mut NoopRecorder,
-        ) {
+        match self.search_recorded(0, probe, admit, None, &mut NoopRecorder) {
             Ok(out) => out,
-            // An unlimited budget has nothing to exhaust.
-            Err(abort) => unreachable!("unlimited budget aborted: {abort}"),
+            Err(abort) => unreachable!("a search without a deadline aborted: {abort}"),
         }
     }
 
-    /// [`IndexedCollection::search_filtered`] with the whole search
-    /// bracketed as probe `probe_id` on `recorder` (phase spans, prune
-    /// counters, and a per-probe [`Phase::Total`] sample), under a
-    /// cooperative [`ProbeBudget`]. `probe_id` is only a label for the
-    /// event stream; it does not affect the search.
+    /// [`IndexedCollection::search`] with the whole search bracketed as
+    /// probe `probe_id` on `recorder` (phase spans, prune counters, and a
+    /// per-probe [`Phase::Total`] sample), abandoned once `deadline`
+    /// passes. `probe_id` is only a label for the event stream; it does
+    /// not affect the search.
     ///
-    /// The deadline / cancel flag is checked before candidate generation,
-    /// after the filter stages, and between candidate verifications (the
-    /// expensive CDF + DP loop). On abort the partial hit list is
-    /// *discarded* — the caller gets `Err`, never a silently truncated
-    /// answer — but the probe's recorded events up to that point,
-    /// including the [`Phase::Total`] sample, are kept so latency
-    /// histograms still see abandoned probes.
+    /// The deadline is checked before each indexed length's lookup, after
+    /// the filter stages, and after each candidate decision (the expensive
+    /// CDF + DP loop). On abort the partial hit list is *discarded* — the
+    /// caller gets `Err`, never a silently truncated answer — but the
+    /// probe's recorded events up to that point, including the
+    /// [`Phase::Total`] sample, are kept so latency histograms still see
+    /// abandoned probes.
     pub fn search_budgeted_recorded<R: Recorder>(
         &self,
         probe_id: u32,
         probe: &UncertainString,
-        admit: impl Fn(u32) -> bool,
-        budget: ProbeBudget<'_>,
+        deadline: Option<Instant>,
         recorder: &mut R,
     ) -> Result<(Vec<SearchHit>, JoinStats), SearchAbort> {
-        let config = &self.config;
+        self.search_recorded(probe_id, probe, |_| true, deadline, recorder)
+    }
+
+    /// The body of both recorded searches.
+    fn search_recorded<R: Recorder>(
+        &self,
+        probe_id: u32,
+        probe: &UncertainString,
+        admit: impl Fn(u32) -> bool,
+        deadline: Option<Instant>,
+        recorder: &mut R,
+    ) -> Result<(Vec<SearchHit>, JoinStats), SearchAbort> {
         let total_start = Instant::now();
         let mut stats = JoinStats {
             num_strings: self.strings.len(),
             ..Default::default()
         };
         let mut hits = Vec::new();
-        let mut abort;
-        {
+        let outcome = {
             let mut rec = (&mut stats, &mut *recorder);
             rec.probe_start(probe_id);
-            abort = budget.check(total_start).err();
-
-            // ---- Candidate generation + frequency filtering ----------
-            if abort.is_none() {
-                let cdf_filter = CdfFilter::new(config.k, config.tau);
-                let mut candidates = self.candidate_stage(probe, &mut rec);
-                candidates.retain(|&id| admit(id));
-                abort = budget.check(total_start).err();
-
-                // ---- CDF + verification ------------------------------
-                let mut verifier: Option<ProbeVerifier> = None;
-                for id in candidates {
-                    if abort.is_some() {
-                        break;
-                    }
-                    let other = &self.strings[id as usize];
-                    if let Some((similar, prob)) =
-                        decide_candidate(probe, other, &cdf_filter, &mut verifier, config, &mut rec)
-                    {
-                        if similar {
-                            hits.push(SearchHit { id, prob });
-                        }
-                    }
-                    abort = budget.check(total_start).err();
-                }
-            }
-            if abort.is_none() {
-                rec.counter(Counter::OutputPairs, hits.len() as u64);
-            }
-        }
+            self.probe(probe, admit, Some(&mut hits), deadline, &mut rec)
+        };
         // Gauges are set on the stats view directly: the index is static
         // during a search, so per-probe gauge events would only repeat the
         // same value into the trace.
@@ -351,9 +418,9 @@ impl IndexedCollection {
         recorder.enter_phase(Phase::Total);
         recorder.exit_phase(Phase::Total, elapsed);
         recorder.probe_end(probe_id);
-        match abort {
-            Some(abort) => Err(abort),
-            None => Ok((hits, stats)),
+        match outcome {
+            Ok(_) => Ok((hits, stats)),
+            Err(Expired) => Err(SearchAbort::Deadline { elapsed }),
         }
     }
 }
@@ -448,28 +515,10 @@ mod tests {
     #[test]
     fn expired_deadline_refuses_partial_results() {
         let coll = IndexedCollection::build(JoinConfig::new(2, 0.3), 4, collection());
-        let budget = ProbeBudget {
-            deadline: Some(Instant::now()),
-            cancel: None,
-        };
         let err = coll
-            .search_budgeted_recorded(0, &dna("ACGTACGT"), |_| true, budget, &mut NoopRecorder)
+            .search_budgeted_recorded(0, &dna("ACGTACGT"), Some(Instant::now()), &mut NoopRecorder)
             .unwrap_err();
         assert!(matches!(err, SearchAbort::Deadline { .. }), "{err:?}");
-    }
-
-    #[test]
-    fn raised_cancel_flag_aborts() {
-        let coll = IndexedCollection::build(JoinConfig::new(2, 0.3), 4, collection());
-        let cancel = AtomicBool::new(true);
-        let budget = ProbeBudget {
-            deadline: None,
-            cancel: Some(&cancel),
-        };
-        let err = coll
-            .search_budgeted_recorded(0, &dna("ACGTACGT"), |_| true, budget, &mut NoopRecorder)
-            .unwrap_err();
-        assert_eq!(err, SearchAbort::Cancelled);
     }
 
     #[test]
@@ -478,14 +527,8 @@ mod tests {
         let probe = dna("ACGT{(A,0.5),(C,0.5)}CGT");
         let plain = coll.search(&probe);
         let (budgeted, _) = coll
-            .search_budgeted_recorded(
-                0,
-                &probe,
-                |_| true,
-                ProbeBudget::default(),
-                &mut NoopRecorder,
-            )
-            .expect("unlimited budget cannot abort");
+            .search_budgeted_recorded(0, &probe, None, &mut NoopRecorder)
+            .expect("a search without a deadline cannot abort");
         assert_eq!(plain, budgeted);
     }
 
@@ -514,35 +557,56 @@ mod tests {
         assert!(stats.index_bytes > 0);
     }
 
-    /// Self-probing with `admit = |id| id < probe_id` visits each
-    /// unordered pair once, so it must report the self-join's pairs.
+    /// Self-probing in the join's visit order (ascending length, then
+    /// id), each probe admitting only the strings visited before it,
+    /// decides every unordered pair once and in the join's direction, so
+    /// it must report the self-join's pairs with the same probability
+    /// bits.
     #[test]
     fn admitted_self_probes_equal_self_join() {
-        let strings = collection();
-        for pipeline in Pipeline::all() {
-            for early_stop in [true, false] {
-                let config = JoinConfig::new(2, 0.3)
-                    .with_pipeline(pipeline)
-                    .with_early_stop(early_stop);
-                let coll = IndexedCollection::build(config.clone(), 4, strings.clone());
-                let mut got = Vec::new();
-                for (probe_id, probe) in (0u32..).zip(&strings) {
-                    let (hits, _) = coll.search_filtered(probe, |id| id < probe_id);
-                    got.extend(hits.into_iter().map(|h| (h.id, probe_id, h.prob)));
-                }
-                got.sort_by_key(|&(left, right, _)| (left, right));
-                let want = SimilarityJoin::new(config, 4).self_join(&strings).pairs;
-                let label = format!("{pipeline:?} early_stop={early_stop}");
-                assert!(!want.is_empty(), "{label}");
-                assert_eq!(
-                    got.iter().map(|&(l, r, _)| (l, r)).collect::<Vec<_>>(),
-                    want.iter().map(|p| (p.left, p.right)).collect::<Vec<_>>(),
-                    "{label}"
-                );
-                if !early_stop {
-                    for (&(_, _, prob), pair) in got.iter().zip(&want) {
-                        assert!((prob - pair.prob).abs() < 1e-9, "{label}: {pair:?}");
+        use usj_datagen::{DatasetKind, DatasetSpec};
+        let dataset = |kind, n, seed| {
+            let ds = DatasetSpec::new(kind, n, seed).generate();
+            (ds.alphabet.size(), ds.strings)
+        };
+        let inputs = [
+            ("dna", (4, collection()), 2, 0.3),
+            ("dblp", dataset(DatasetKind::Dblp, 300, 31), 2, 0.1),
+            ("protein", dataset(DatasetKind::Protein, 60, 32), 4, 0.01),
+        ];
+        for (name, (sigma, strings), k, tau) in inputs {
+            let mut order: Vec<u32> = (0..strings.len() as u32).collect();
+            order.sort_by_key(|&id| (strings[id as usize].len(), id));
+            let mut rank = vec![0usize; strings.len()];
+            for (r, &id) in order.iter().enumerate() {
+                rank[id as usize] = r;
+            }
+            for pipeline in Pipeline::all() {
+                for early_stop in [true, false] {
+                    let config = JoinConfig::new(k, tau)
+                        .with_pipeline(pipeline)
+                        .with_early_stop(early_stop);
+                    let coll = IndexedCollection::build(config.clone(), sigma, strings.clone());
+                    let mut got = Vec::new();
+                    for (r, &probe_id) in order.iter().enumerate() {
+                        let probe = &strings[probe_id as usize];
+                        let (hits, _) = coll.search_filtered(probe, |id| rank[id as usize] < r);
+                        got.extend(
+                            hits.into_iter().map(|h| {
+                                (h.id.min(probe_id), h.id.max(probe_id), h.prob.to_bits())
+                            }),
+                        );
                     }
+                    got.sort_unstable();
+                    let want: Vec<(u32, u32, u64)> = SimilarityJoin::new(config, sigma)
+                        .self_join(&strings)
+                        .pairs
+                        .iter()
+                        .map(|p| (p.left, p.right, p.prob.to_bits()))
+                        .collect();
+                    let label = format!("{name} {pipeline:?} early_stop={early_stop}");
+                    assert!(!want.is_empty(), "{label}");
+                    assert_eq!(got, want, "{label}");
                 }
             }
         }

@@ -47,7 +47,7 @@ pub mod verifier;
 pub use usj_obs as obs;
 
 pub use checkpoint::{Checkpoint, CheckpointError};
-pub use collection::{IndexedCollection, ProbeBudget, SearchAbort, SearchHit};
+pub use collection::{IndexedCollection, SearchAbort, SearchHit};
 pub use config::{JoinConfig, Pipeline, VerifierKind};
 pub use container::durable_atomic_write;
 pub use index::{EquivCache, SegmentIndex};

@@ -9,6 +9,13 @@
 //! pairs, probabilities and funnel counters — is therefore the same at
 //! every thread count; `threads = 1` is the classic sequential join.
 //!
+//! A probe is a search of the strings visited before it: it runs the
+//! probe funnel of `crate::collection` (q-gram candidates, frequency
+//! filter, CDF bounds, verification) that every
+//! [`IndexedCollection`](crate::IndexedCollection) search runs. This
+//! driver supplies the length window, the same-length id limit, the
+//! wave's frequency profiles and the worker's window table.
+//!
 //! * Strings are grouped by length into *shards*; consecutive length
 //!   groups form a *wave* ([`JoinConfig::shard_band`] lengths per wave,
 //!   `0` = sized automatically so a wave feeds every worker).
@@ -56,19 +63,18 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use usj_cdf::CdfFilter;
 use usj_fault::{panic_message, shield, InjectedFault};
 use usj_freq::{FreqFilter, FreqProfile};
 use usj_model::UncertainString;
 use usj_obs::{Counter, Gauge, MergeRecorder, NoopRecorder, Phase, PhaseGuard, Recorder};
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::collection::{Expired, Funnel, Probe};
 use crate::config::JoinConfig;
 use crate::container::{fold_config, fold_string, fold_u64, FNV_SEED};
 use crate::index::{EquivCache, SegmentIndex};
 use crate::join::{JoinResult, SimilarPair};
 use crate::stats::JoinStats;
-use crate::verifier::{decide_candidate, ProbeVerifier};
 
 /// How [`run_self_join`] runs; the deadline is
 /// [`JoinConfig::deadline`].
@@ -257,7 +263,6 @@ where
     };
 
     let freq_filter = FreqFilter::new(config.k, config.tau, sigma);
-    let cdf_filter = CdfFilter::new(config.k, config.tau);
 
     let mut stats = JoinStats {
         num_strings: strings.len(),
@@ -393,14 +398,21 @@ where
         let probes = &order[probe_range];
         let next = AtomicUsize::new(0);
         let cancel = AtomicBool::new(false);
+        let profile_of = |id: u32| {
+            profiles[id as usize]
+                .as_ref()
+                .expect("resident strings have profiles")
+        };
         let ctx = WaveCtx {
-            strings,
-            config: &config,
-            index: &index,
-            visited: &visited,
+            funnel: Funnel {
+                config: &config,
+                strings,
+                index: &index,
+                by_len: &visited,
+                profile_of: &profile_of,
+                freq_filter: freq_filter.clone(),
+            },
             profiles: &profiles,
-            freq_filter: &freq_filter,
-            cdf_filter: &cdf_filter,
             probes,
             workers: threads.min(probes.len()).max(1),
             batch_min,
@@ -559,13 +571,10 @@ fn plan_waves(strings: &[UncertainString], config: &JoinConfig, threads: usize) 
 /// One wave's shared state: the read-only shards its probes run against
 /// and the work-stealing cursor its workers share.
 struct WaveCtx<'a> {
-    strings: &'a [UncertainString],
-    config: &'a JoinConfig,
-    index: &'a SegmentIndex,
-    visited: &'a BTreeMap<usize, Vec<u32>>,
+    /// The resident shards, with the visited ids as the FCT scope.
+    funnel: Funnel<'a>,
+    /// The resident profiles, each probe's own included.
     profiles: &'a [Option<FreqProfile>],
-    freq_filter: &'a FreqFilter,
-    cdf_filter: &'a CdfFilter,
     /// The wave's probe ids in visit order.
     probes: &'a [u32],
     workers: usize,
@@ -626,7 +635,7 @@ where
         if ctx.cancel.load(Ordering::Relaxed) {
             break;
         }
-        if let Some(deadline) = ctx.config.deadline {
+        if let Some(deadline) = ctx.funnel.config.deadline {
             if ctx.started.elapsed() > deadline {
                 // ordering: Relaxed — same advisory-flag argument as the
                 // load above.
@@ -682,6 +691,11 @@ fn catching<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 /// caller to triage (retry, quarantine, count injected faults).
 /// `isolated` marks the probe-by-probe retry of a failed batch. `cache`
 /// is the worker's, cleared per probe.
+///
+/// Each probe runs the wave's [`Funnel`] over lengths `[l − k, l]`, at
+/// its own length against lower ids only, and with no deadline: the
+/// worker checks [`JoinConfig::deadline`] before every batch, so a
+/// probe stays atomic and its counters match at every thread count.
 fn run_batch_caught<R, F>(
     ids: &[u32],
     isolated: bool,
@@ -711,8 +725,39 @@ where
             if isolated && usj_fault::fail_point!("parallel.isolate") {
                 rec.counter(Counter::FaultsInjected, 1);
             }
-            for &id in ids {
-                probe_one(id, ctx, cache, &mut pairs, &mut rec);
+            let funnel = &ctx.funnel;
+            let uses_freq = funnel.config.pipeline.uses_freq();
+            let mut hits = Vec::new();
+            for &probe_id in ids {
+                let string = &funnel.strings[probe_id as usize];
+                let probe = Probe {
+                    string,
+                    lengths: string.len().saturating_sub(funnel.config.k)..=string.len(),
+                    below: Some(probe_id),
+                    // The probe's own profile was computed when its wave
+                    // was built.
+                    profile: uses_freq.then(|| {
+                        ctx.profiles[probe_id as usize]
+                            .as_ref()
+                            .expect("wave strings have profiles")
+                    }),
+                };
+                rec.probe_start(probe_id);
+                // Failpoint: a stuck or crashing probe; a delay that fires
+                // is a survived fault.
+                if usj_fault::fail_point!("parallel.verify") {
+                    rec.counter(Counter::FaultsInjected, 1);
+                }
+                let out = funnel.probe(&probe, cache, |_| true, Some(&mut hits), None, &mut rec);
+                if let Err(Expired) = out {
+                    unreachable!("a probe without a deadline expired");
+                }
+                pairs.extend(hits.drain(..).map(|hit| SimilarPair {
+                    left: probe_id.min(hit.id),
+                    right: probe_id.max(hit.id),
+                    prob: hit.prob,
+                }));
+                rec.probe_end(probe_id);
             }
             (pairs, rec)
         }))
@@ -794,116 +839,6 @@ fn grab_batch(
             Err(observed) => cur = observed,
         }
     }
-}
-
-/// One probe against the resident shards: the qgram → freq → CDF →
-/// verify pipeline, restricted to visit-order-earlier candidates (all of
-/// a smaller length, ids `< probe_id` at equal length) so each unordered
-/// pair is decided exactly once, in one fixed probe→candidate direction.
-/// Events go to `rec`, the batch's `(stats, recorder)` pair.
-fn probe_one<R: Recorder>(
-    probe_id: u32,
-    ctx: &WaveCtx<'_>,
-    cache: &mut EquivCache,
-    pairs: &mut Vec<SimilarPair>,
-    rec: &mut R,
-) {
-    let config = ctx.config;
-    let probe = &ctx.strings[probe_id as usize];
-    let min_len = probe.len().saturating_sub(config.k);
-    rec.probe_start(probe_id);
-
-    // ---- Candidate generation ---------------------------------------
-    let mut qgram_span = PhaseGuard::enter(&mut *rec, Phase::Qgram);
-    let mut candidates: Vec<u32> = Vec::new();
-    let mut scope = 0u64;
-    if config.pipeline.uses_qgram() {
-        // The probe's windows are enumerated once and reused across
-        // every shard (indexed length) it touches.
-        cache.clear();
-        for len in min_len..=probe.len() {
-            let admit_below = (len == probe.len()).then_some(probe_id);
-            scope += ctx.index.collect_candidates_recorded(
-                probe,
-                len,
-                config,
-                admit_below,
-                cache,
-                &mut candidates,
-                qgram_span.rec(),
-            );
-        }
-    } else {
-        for (&len, ids) in ctx.visited.range(min_len..=probe.len()) {
-            if len == probe.len() {
-                let admitted = ids.partition_point(|&id| id < probe_id);
-                scope += admitted as u64;
-                candidates.extend_from_slice(&ids[..admitted]);
-            } else {
-                scope += ids.len() as u64;
-                candidates.extend_from_slice(ids);
-            }
-        }
-    }
-    qgram_span.rec().counter(Counter::PairsInScope, scope);
-    qgram_span
-        .rec()
-        .counter(Counter::QgramSurvivors, candidates.len() as u64);
-    drop(qgram_span);
-    // Deterministic candidate order keeps runs reproducible.
-    candidates.sort_unstable();
-
-    // ---- Frequency-distance filtering -------------------------------
-    if config.pipeline.uses_freq() && !candidates.is_empty() {
-        let mut freq_span = PhaseGuard::enter(&mut *rec, Phase::Freq);
-        let rec = freq_span.rec();
-        // The probe's own profile was computed when its wave was built.
-        let rp = ctx.profiles[probe_id as usize]
-            .as_ref()
-            .expect("wave strings have profiles");
-        candidates.retain(|&id| {
-            let sp = ctx.profiles[id as usize]
-                .as_ref()
-                .expect("resident strings have profiles");
-            let out = ctx.freq_filter.evaluate(rp, sp);
-            if !out.candidate {
-                if out.fd_lower as usize > config.k {
-                    rec.counter(Counter::FreqPrunedLower, 1);
-                } else {
-                    rec.counter(Counter::FreqPrunedChebyshev, 1);
-                }
-            }
-            out.candidate
-        });
-    }
-    rec.counter(Counter::FreqSurvivors, candidates.len() as u64);
-
-    // ---- CDF bounds + verification ----------------------------------
-    // Failpoint: a stuck or crashing verification (the heaviest per-probe
-    // phase); a delay that fires is a survived fault.
-    if usj_fault::fail_point!("parallel.verify") {
-        rec.counter(Counter::FaultsInjected, 1);
-    }
-    let mut verifier: Option<ProbeVerifier> = None; // lazily built
-    let mut found = 0u64;
-    for id in candidates {
-        let other = &ctx.strings[id as usize];
-        let Some((similar, prob)) =
-            decide_candidate(probe, other, ctx.cdf_filter, &mut verifier, config, rec)
-        else {
-            continue;
-        };
-        if similar {
-            found += 1;
-            pairs.push(SimilarPair {
-                left: probe_id.min(id),
-                right: probe_id.max(id),
-                prob,
-            });
-        }
-    }
-    rec.counter(Counter::OutputPairs, found);
-    rec.probe_end(probe_id);
 }
 
 #[cfg(test)]

@@ -150,11 +150,9 @@ impl ProbeVerifier {
 /// when exact-probability mode verifies accepts too). Returns `None` when
 /// the CDF bound rejects the pair, otherwise `Some((similar, prob))`.
 ///
-/// Both drivers ([`crate::SimilarityJoin::self_join`] and
-/// [`crate::IndexedCollection::search_filtered`]) route candidates through
-/// this one function, so the CDF/verify counters and phase spans cannot
-/// diverge between them. Events go to `rec`, the driver's
-/// `(stats, recorder)` pair.
+/// Its one caller is the probe funnel ([`crate::collection::Funnel::probe`])
+/// that the self-join and every search run. Events go to `rec`, the
+/// caller's `(stats, recorder)` pair.
 pub(crate) fn decide_candidate<R: Recorder>(
     probe: &UncertainString,
     other: &UncertainString,

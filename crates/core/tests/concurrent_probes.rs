@@ -8,7 +8,7 @@
 use std::collections::BTreeMap;
 
 use usj_core::obs::CollectingRecorder;
-use usj_core::{EquivCache, IndexedCollection, JoinConfig, ProbeBudget, SegmentIndex};
+use usj_core::{EquivCache, IndexedCollection, JoinConfig, SegmentIndex};
 use usj_model::{Alphabet, UncertainString};
 
 const THREADS: usize = 8;
@@ -205,8 +205,7 @@ fn concurrent_collection_searches_match_sequential() {
                                 .search_budgeted_recorded(
                                     (t * probes.len() + i) as u32,
                                     p,
-                                    |_| true,
-                                    ProbeBudget::default(),
+                                    None,
                                     &mut rec,
                                 )
                                 .expect("unlimited budget never aborts");

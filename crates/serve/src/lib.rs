@@ -15,9 +15,9 @@
 //!   `DEGRADED` (a sound superset of the exact answer, per the q-gram
 //!   and frequency-distance lower bounds), then load shedding.
 //! - **Deadline propagation** — clients send `deadline_ms=`, the server
-//!   enforces it *inside* the probe loop via
-//!   [`usj_core::ProbeBudget`] (cooperative cancellation, partial
-//!   results refused, `DEADLINE` on the wire).
+//!   enforces it *inside* the probe loops by handing it to
+//!   [`usj_core::IndexedCollection::search_budgeted_recorded`] (checked
+//!   cooperatively, partial results refused, `DEADLINE` on the wire).
 //! - **Panic isolation** — every admission decision and request line is
 //!   handled under `catch_unwind` behind `usj_fault::shield`, so one
 //!   poisoned request answers `ERR internal panic: ..` and the listener

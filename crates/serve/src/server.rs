@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use usj_core::snapshot::{self, SalvageMode};
-use usj_core::{IndexedCollection, JoinConfig, LoadRung, ProbeBudget, SearchAbort, SnapshotReport};
+use usj_core::{IndexedCollection, JoinConfig, LoadRung, SearchAbort, SnapshotReport};
 use usj_model::{Alphabet, UncertainString};
 use usj_obs::{
     band_of, ChromeTraceRecorder, CollectingRecorder, Counter, Gauge, MergeRecorder, Phase,
@@ -432,11 +432,8 @@ impl Front for Server {
                 shards: None,
             }
         } else {
-            let budget = ProbeBudget {
-                deadline: deadline.and_then(|d| started.checked_add(d)),
-                cancel: None,
-            };
-            match coll.search_budgeted_recorded(probe_id, &probe, |_| true, budget, &mut local) {
+            let deadline = deadline.and_then(|d| started.checked_add(d));
+            match coll.search_budgeted_recorded(probe_id, &probe, deadline, &mut local) {
                 Ok((hits, _stats)) => {
                     local.counter(Counter::ServeFull, 1);
                     Response::Ok(
@@ -454,10 +451,6 @@ impl Front for Server {
                     Response::Deadline {
                         elapsed_ms: total.as_millis().min(u64::MAX as u128) as u64,
                     }
-                }
-                Err(SearchAbort::Cancelled) => {
-                    local.counter(Counter::ServeDeadline, 1);
-                    Response::Err("probe cancelled".to_string())
                 }
             }
         };

@@ -18,7 +18,7 @@
 //! | `socket-timeout` | no blocking socket read in `crates/serve/src/` without a prior `set_read_timeout` |
 //! | `durable-write` | no raw `File::create`/`fs::write` in `crates/{core,serve,cli}/src/` outside the `durable_atomic_write` helpers |
 //! | `span-paired` | every manual `enter_phase` in `crates/{core,serve}/src/` is exited in-file, with no early `return`/`?` while open (RAII `PhaseGuard` is exempt) |
-//! | `budget-loop` | every loop in a probe/search fn (budget-scoped files) consults `ProbeBudget`/deadline/cancel in its body |
+//! | `budget-loop` | every loop in a probe/search fn (budget-scoped files) consults a budget/deadline/cancel word in its body |
 //! | `failpoint-coverage` | every `catch_unwind` carries a named failpoint in-extent; fault-plan names resolve; every failpoint is test-exercised |
 //! | `lock-discipline` | no lock guard stays live across `catch_unwind`, a failpoint, blocking I/O, or `sleep` |
 //!

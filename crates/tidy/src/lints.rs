@@ -732,8 +732,8 @@ const BUDGET_FILES: [&str; 4] = [
 ];
 
 /// A loop body "consults the budget" when it mentions one of these words
-/// (`ProbeBudget`, `probe_budget`, `check_deadline`, `cancel` flags all
-/// contain one).
+/// (a `budget` value, a `deadline` argument, `check_deadline`, `cancel`
+/// flags all contain one).
 const BUDGET_WORDS: [&str; 3] = ["budget", "deadline", "cancel"];
 
 fn in_budget_scope(rel_path: &str) -> bool {
@@ -741,7 +741,7 @@ fn in_budget_scope(rel_path: &str) -> bool {
 }
 
 /// `budget-loop`: every `loop` / `while` / `for` inside a probe/search
-/// function in the budget-scoped files must consult `ProbeBudget` /
+/// function in the budget-scoped files must consult its budget /
 /// deadline / cancellation within its body.
 ///
 /// The (k,τ) probe loops are where a request spends unbounded time; the
@@ -803,7 +803,7 @@ pub fn budget_loop(files: &[SourceFile]) -> Vec<Diagnostic> {
                         lint: "budget-loop".to_string(),
                         message: format!(
                             "`{kw}` loop in probe/search fn `{}` never consults its \
-                             ProbeBudget/deadline — probe loops must stay cancellable; \
+                             budget/deadline — probe loops must stay cancellable; \
                              check the budget in-body or allowlist with the bounding \
                              mechanism as the reason",
                             e.name
