@@ -588,8 +588,7 @@ fn start_serve(flags: &Flags) -> Result<ServerHandle, CliError> {
 }
 
 /// One-line boot summary for the serve/shard banners: warm/cold, the
-/// recovery-ladder rung, the snapshot age, and any bands still pending
-/// their background rebuild.
+/// recovery-ladder rung and the snapshot age.
 fn describe_boot(report: &usj_core::SnapshotReport) -> String {
     let mut s = format!(
         "{} start, rung {:?}",
@@ -598,13 +597,6 @@ fn describe_boot(report: &usj_core::SnapshotReport) -> String {
     );
     if let Some(age) = report.age_seconds {
         let _ = write!(s, ", snapshot age {age}s");
-    }
-    if !report.degraded_bands.is_empty() {
-        let _ = write!(
-            s,
-            ", {} band(s) degraded pending rebuild",
-            report.degraded_bands.len()
-        );
     }
     s
 }

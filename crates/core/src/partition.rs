@@ -40,13 +40,27 @@ pub struct ShardSlice {
 }
 
 impl ShardSlice {
+    /// `(min_len, max_len)` of the shard's strings, or `None` when it
+    /// holds none.
+    pub fn band(&self) -> Option<(usize, usize)> {
+        (!self.ids.is_empty()).then_some((self.min_len, self.max_len))
+    }
+
     /// Does this shard hold any string a probe of length `probe_len`
     /// could match under threshold `k`? Empty shards match nothing.
     pub fn relevant(&self, probe_len: usize, k: usize) -> bool {
-        !self.ids.is_empty()
-            && self.min_len <= probe_len.saturating_add(k)
-            && self.max_len.saturating_add(k) >= probe_len
+        band_relevant(self.band(), probe_len, k)
     }
+}
+
+/// The length filter applied to a whole shard: can a shard whose
+/// strings span `band` (`None` for an empty shard) hold a match for a
+/// probe of length `probe_len` under threshold `k`? Only if the band
+/// meets `[probe_len − k, probe_len + k]`.
+pub fn band_relevant(band: Option<(usize, usize)>, probe_len: usize, k: usize) -> bool {
+    band.is_some_and(|(min, max)| {
+        min <= probe_len.saturating_add(k) && max.saturating_add(k) >= probe_len
+    })
 }
 
 /// A length-band partition of string ids `0..lens.len()` into `n`

@@ -45,8 +45,8 @@
 //!    the intact interner holds every instance the original build
 //!    interned, rebuilding a band replays the cold build exactly.
 //!    Under [`SalvageMode::Degraded`], a band that fails salvage is left
-//!    out and reported instead — the server answers for it in `DEGRADED`
-//!    superset mode while a background rebuild readmits it.
+//!    out and reported instead; the benchmark's snapshot reload is the
+//!    one caller of that mode (servers and shards load strictly).
 //! 3. **Refuse** — the header decodes cleanly but its fingerprint does
 //!    not match the running config/input: the snapshot belongs to a
 //!    different run, and silently rebuilding would mask the operator
@@ -123,9 +123,9 @@ pub enum SalvageMode {
     /// collection is always complete.
     Strict,
     /// Leave the band out and report it in
-    /// [`SnapshotReport::degraded_bands`] — the server answers for such
-    /// bands in `DEGRADED` superset mode while a background rebuild
-    /// readmits them.
+    /// [`SnapshotReport::degraded_bands`]; the returned collection then
+    /// cannot answer for that band's strings. Its one caller is the
+    /// benchmark's snapshot reload.
     Degraded,
 }
 
@@ -157,9 +157,8 @@ pub struct SnapshotReport {
     pub bands_rebuilt: usize,
     /// Checksum or structural corruptions detected while loading.
     pub corruptions_detected: u64,
-    /// Bands left out under [`SalvageMode::Degraded`]; the index answers
-    /// for them only via superset (`DEGRADED`) fallbacks until a rebuild
-    /// readmits them.
+    /// Bands left out under [`SalvageMode::Degraded`]; the index holds
+    /// none of their strings.
     pub degraded_bands: Vec<usize>,
     /// Snapshot age (now − file mtime) in seconds, when a file was read.
     pub age_seconds: Option<u64>,

@@ -162,9 +162,9 @@ fn write_error_preserves_the_previous_snapshot() {
 }
 
 /// A band that fails salvage under [`SalvageMode::Degraded`] is left
-/// out and reported — the caller (the server) keeps answering for it in
-/// superset mode — while [`SalvageMode::Strict`] rebuilds it inline and
-/// stays bit-identical.
+/// out and reported — the benchmark's snapshot reload is that mode's
+/// one caller — while [`SalvageMode::Strict`], the mode servers and
+/// shards boot on, rebuilds it inline and stays bit-identical.
 #[test]
 fn failed_salvage_degrades_or_rebuilds_by_mode() {
     let _g = lock();

@@ -52,6 +52,7 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use usj_core::partition::band_relevant;
 use usj_core::Partition;
 use usj_model::{Alphabet, UncertainString};
 use usj_obs::{band_of, CollectingRecorder, Counter, Gauge, MergeRecorder, Recorder};
@@ -92,11 +93,7 @@ impl ShardSpec {
             .zip(addrs)
             .map(|(slice, addr)| ShardSpec {
                 addr: addr.clone(),
-                band: if slice.ids.is_empty() {
-                    None
-                } else {
-                    Some((slice.min_len, slice.max_len))
-                },
+                band: slice.band(),
             })
             .collect())
     }
@@ -104,12 +101,7 @@ impl ShardSpec {
     /// Can this shard hold a match for a probe of length `probe_len`
     /// under threshold `k`?
     fn relevant(&self, probe_len: usize, k: usize) -> bool {
-        match self.band {
-            Some((min, max)) => {
-                min <= probe_len.saturating_add(k) && max.saturating_add(k) >= probe_len
-            }
-            None => false,
-        }
+        band_relevant(self.band, probe_len, k)
     }
 }
 

@@ -52,12 +52,12 @@
 //! - **Warm restarts** — [`server::serve_from_snapshot`] (and the
 //!   per-shard [`shard::serve_shard_from_snapshot`]) boot from a
 //!   durable on-disk index image through `usj-core`'s four-rung
-//!   recovery ladder: a verified or salvaged snapshot answers probes
-//!   immediately (`HEALTH` reports `warm=true` plus the snapshot age),
-//!   bands that failed salvage are served as `DEGRADED` supersets while
-//!   a background rebuild readmits them, and an unrecoverable image
-//!   falls back to a cold build that re-writes the snapshot for the
-//!   next restart.
+//!   recovery ladder: a verified or salvaged snapshot boots warm
+//!   (`HEALTH` reports `warm=true` plus the snapshot age), a band that
+//!   fails salvage is rebuilt before the server binds, and an
+//!   unrecoverable image falls back to a cold build that re-writes the
+//!   snapshot for the next restart. Either way the served index is
+//!   complete from the first probe and never changes afterwards.
 //!
 //! The [`client`] pairs with it: blocking, one connection per request,
 //! capped exponential backoff with deterministic jitter on `BUSY`, and

@@ -12,11 +12,9 @@
 //! request outcome is counted into the frame's [`CollectingRecorder`]
 //! using the golden `usj-obs` schema.
 
-use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 use usj_core::snapshot::{self, SalvageMode};
@@ -69,16 +67,9 @@ impl Default for ServeConfig {
 /// the degradation ladder. Callers reach it only through
 /// [`ServerHandle`].
 pub struct Server {
-    /// The served index. Swapped wholesale (behind the `RwLock`) when
-    /// the post-boot rebuild readmits bands that failed snapshot
-    /// salvage; probes clone the `Arc` once and search a consistent
-    /// index for their whole lifetime.
-    coll: RwLock<Arc<IndexedCollection>>,
-    /// Length bands admitted in superset mode: their snapshot sections
-    /// failed salvage, so their strings are absent from the index and
-    /// any probe whose length window touches them is answered
-    /// `DEGRADED` until the background rebuild readmits them.
-    degraded_bands: Mutex<BTreeSet<usize>>,
+    /// The served index: complete when the server binds, and never
+    /// changed afterwards.
+    coll: IndexedCollection,
     /// Whether this server started warm (from an on-disk snapshot).
     warm: bool,
     /// Age in seconds of the snapshot a warm start loaded.
@@ -111,13 +102,14 @@ pub fn serve(
 }
 
 /// Warm-restart entry point: load `snapshot_path` through the recovery
-/// ladder ([`usj_core::snapshot::load`], [`SalvageMode::Degraded`]) and
-/// start answering immediately. A verified or salvaged image makes the
-/// start *warm*; bands whose sections failed salvage are served in
-/// superset (`DEGRADED`) mode while a background rebuild readmits them;
-/// a missing or unrecoverable image falls back to a cold build (and the
-/// refreshed snapshot is re-written in the background). A fingerprint
-/// mismatch refuses to start with the diagnosis in the error.
+/// ladder ([`usj_core::snapshot::load`], [`SalvageMode::Strict`]) and
+/// start answering. A verified or salvaged image makes the start
+/// *warm*; a band that fails salvage is rebuilt inside the load, so the
+/// server binds with a complete index and answers exactly from its
+/// first probe. A missing or unrecoverable image falls back to a cold
+/// build. Any boot that was not verified re-writes the snapshot in the
+/// background. A fingerprint mismatch refuses to start with the
+/// diagnosis in the error.
 pub fn serve_from_snapshot(
     snapshot_path: &Path,
     config: JoinConfig,
@@ -138,14 +130,8 @@ pub(crate) fn serve_snapshot_with_map(
     id_map: Option<Vec<u32>>,
 ) -> io::Result<(ServerHandle, SnapshotReport)> {
     let sigma = alphabet.size();
-    let loaded = snapshot::load(
-        snapshot_path,
-        &config,
-        sigma,
-        strings,
-        SalvageMode::Degraded,
-    )
-    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    let loaded = snapshot::load(snapshot_path, &config, sigma, strings, SalvageMode::Strict)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     let report = loaded.report;
     let handle = serve_boot(
         loaded.collection,
@@ -168,13 +154,9 @@ pub(crate) fn serve_boot(
     id_map: Option<Vec<u32>>,
     snapshot: Option<(PathBuf, SnapshotReport)>,
 ) -> io::Result<ServerHandle> {
-    let (warm, snapshot_age_s, degraded) = match &snapshot {
-        Some((_, report)) => (
-            report.warm,
-            report.age_seconds,
-            report.degraded_bands.iter().copied().collect(),
-        ),
-        None => (false, None, BTreeSet::new()),
+    let (warm, snapshot_age_s) = match &snapshot {
+        Some((_, report)) => (report.warm, report.age_seconds),
+        None => (false, None),
     };
     let limits = Limits {
         addr: cfg.addr.clone(),
@@ -185,8 +167,7 @@ pub(crate) fn serve_boot(
     };
     let server = Server {
         controller: Controller::new(cfg.degrade.clone()),
-        coll: RwLock::new(Arc::new(coll)),
-        degraded_bands: Mutex::new(degraded),
+        coll,
         warm,
         snapshot_age_s,
         alphabet,
@@ -197,11 +178,15 @@ pub(crate) fn serve_boot(
     let mut handle = frame::start(server, limits, "serve")?;
     if let Some((path, report)) = snapshot {
         seed_snapshot_metrics(&handle.frame, &report);
-        // Readmission and refresh run off the serving path; probes are
-        // being answered (warm or superset) before the build starts.
-        handle.spawn("usj-serve-snapshot".to_string(), move |frame| {
-            snapshot_maintenance(frame, &path, &report)
-        })?;
+        if report.rung != LoadRung::Verified {
+            // Refresh the on-disk image off the serving path, so the
+            // *next* restart is warm. Best-effort: a failed write (disk
+            // full, injected fault) leaves the previous committed image
+            // in place — the durable write never exposes a torn file.
+            handle.spawn("usj-serve-snapshot".to_string(), move |frame| {
+                let _ = snapshot::write(&path, &frame.front.coll);
+            })?;
+        }
     }
     Ok(handle)
 }
@@ -233,67 +218,7 @@ fn seed_snapshot_metrics(frame: &Frame<Server>, report: &SnapshotReport) {
     frame.record(|r| r.absorb(boot));
 }
 
-/// Post-boot snapshot maintenance: cold-rebuild the full index when any
-/// band failed salvage (then swap it in and readmit those bands to
-/// exact service), and refresh the on-disk image whenever the load was
-/// not already verified — so the *next* restart is warm.
-fn snapshot_maintenance(frame: &Frame<Server>, path: &Path, report: &SnapshotReport) {
-    if !report.degraded_bands.is_empty() {
-        let (config, sigma, strings) = {
-            let coll = frame.front.collection();
-            (coll.config().clone(), coll.sigma(), coll.strings().to_vec())
-        };
-        let rebuilt = Arc::new(IndexedCollection::build(config, sigma, strings));
-        *frame
-            .front
-            .coll
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = rebuilt;
-        frame
-            .front
-            .degraded_bands
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-        let mut rec = CollectingRecorder::new();
-        rec.counter(
-            Counter::SnapshotBandsRebuilt,
-            report.degraded_bands.len() as u64,
-        );
-        frame.registry.fold(None, &rec);
-        frame.record(|r| r.absorb(rec));
-    }
-    if report.rung != LoadRung::Verified {
-        let coll = frame.front.collection();
-        // Best-effort: a refresh failure (disk full, injected fault)
-        // leaves the previous committed image in place — the durable
-        // write never exposes a torn file.
-        let _ = snapshot::write(path, &coll);
-    }
-}
-
 impl Server {
-    /// The current index, cloned out of the swap slot in one statement
-    /// so no lock guard outlives the probe.
-    fn collection(&self) -> Arc<IndexedCollection> {
-        self.coll
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// The bands still missing from the index. Read it *before*
-    /// [`Server::collection`]: snapshot maintenance swaps the rebuilt
-    /// index in before it clears this set, so an empty set guarantees
-    /// the index read afterwards is complete, and a stale non-empty one
-    /// only widens an answer to a sound superset.
-    fn degraded_bands(&self) -> BTreeSet<usize> {
-        self.degraded_bands
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
     /// Translates one local hit id to the collection-global id when this
     /// server is a shard; the identity otherwise.
     fn to_global_id(&self, id: u32) -> u32 {
@@ -354,11 +279,7 @@ impl Front for Server {
         if usj_fault::fire("serve.probe") {
             frame.record(|r| r.counter(Counter::FaultsInjected, 1));
         }
-        // One Arc clone up front: the probe searches a consistent index even
-        // if the snapshot-maintenance thread swaps the slot mid-request. The
-        // degraded set is read first (see `Server::degraded_bands`).
-        let degraded = self.degraded_bands();
-        let coll = self.collection();
+        let coll = &self.coll;
         // The index is built for one (k, τ): segment partitioning depends on
         // k, filter thresholds on τ. Serving a different pair would be
         // silently wrong, so it is an explicit protocol error instead.
@@ -389,40 +310,19 @@ impl Front for Server {
         if let Some(id) = trace_id {
             local.set_trace_id(id);
         }
-        // Bands admitted in superset mode after a failed snapshot salvage:
-        // their strings are absent from the index, so any probe whose
-        // length window touches one (candidates within edit distance k
-        // differ by at most k in length) cannot be answered exactly until
-        // the background rebuild readmits them.
-        let touched: Vec<usize> = degraded
-            .into_iter()
-            .filter(|band| band.abs_diff(probe.len()) <= config.k)
-            .collect();
         let level = self.controller.level();
         let response = if level == Level::Shed {
             local.counter(Counter::ServeShed, 1);
             Response::Busy {
                 retry_after_ms: self.cfg.retry_after_ms,
             }
-        } else if level == Level::Degraded || !touched.is_empty() {
+        } else if level == Level::Degraded {
             // Filter-only answer: q-gram + frequency-distance lower
             // bounds never prune a true match, so the candidate list is
             // a sound superset of the exact answer — served at a
-            // fraction of the cost and flagged on the wire. Bands still
-            // missing from a salvaged index contribute *all* their ids
-            // (their strings are unindexed, so the filters cannot speak
-            // for them; including everything keeps the superset sound).
+            // fraction of the cost and flagged on the wire.
             local.probe_start(probe_id);
-            let mut ids = coll.filter_candidates(&probe);
-            if !touched.is_empty() {
-                for (id, s) in coll.strings().iter().enumerate() {
-                    if touched.contains(&s.len()) {
-                        ids.push(id as u32);
-                    }
-                }
-                ids.sort_unstable();
-                ids.dedup();
-            }
+            let ids = coll.filter_candidates(&probe);
             local.counter(Counter::ServeDegraded, 1);
             local.enter_phase(Phase::Total);
             local.exit_phase(Phase::Total, started.elapsed());

@@ -53,12 +53,13 @@ pub fn serve_shard(
 
 /// [`serve_shard`] booting from this shard's own snapshot file (see
 /// [`shard_snapshot_path`]): the shard loads its slice through the full
-/// recovery ladder and starts answering immediately — warm when the
-/// image verifies or salvages, superset-degraded for bands that failed
-/// salvage, cold-rebuilt otherwise (re-writing the image for the next
-/// restart). The snapshot's fingerprint covers only this shard's slice,
-/// so a repartitioned fleet refuses stale images with a diagnosis
-/// instead of serving the wrong subset.
+/// recovery ladder (as [`crate::serve_from_snapshot`] does) — warm when
+/// the image verifies or salvages, with any band that failed salvage
+/// rebuilt before the shard binds, and cold-rebuilt otherwise
+/// (re-writing the image for the next restart). The snapshot's
+/// fingerprint covers only this shard's slice, so a repartitioned fleet
+/// refuses stale images with a diagnosis instead of serving the wrong
+/// subset.
 pub fn serve_shard_from_snapshot(
     snapshot_path: &Path,
     config: JoinConfig,

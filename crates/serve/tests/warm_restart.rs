@@ -2,10 +2,10 @@
 //! recovery ladder under injected salvage failures, fingerprint
 //! mismatches, and cold misses.
 //!
-//! The tentpole behaviours pinned here:
-//! * a band that fails salvage is served in `DEGRADED` superset mode
-//!   (never a wrong exact answer) while the background rebuild runs,
-//!   and is readmitted to exact service when it finishes;
+//! The behaviours pinned here:
+//! * a band that fails salvage is rebuilt inside the load, so a server
+//!   or shard booted from the image still starts warm and answers its
+//!   first probe exactly, with the cold build's hits;
 //! * a snapshot written for a different run configuration refuses to
 //!   boot, with the diagnosis in the error;
 //! * a cold miss rebuilds, re-writes the snapshot in the background,
@@ -15,10 +15,13 @@ use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use usj_core::{snapshot, IndexedCollection, JoinConfig};
+use usj_core::{snapshot, IndexedCollection, JoinConfig, LoadRung, SnapshotReport};
 use usj_fault::{shield, FaultAction, FaultPlan};
 use usj_model::{Alphabet, UncertainString};
-use usj_serve::{serve_from_snapshot, Client, ClientConfig, ProbeOutcome, ServeConfig};
+use usj_serve::{
+    serve_from_snapshot, serve_shard_from_snapshot, shard_partition, shard_snapshot_path, Client,
+    ClientConfig, ProbeOutcome, ServeConfig, ServerHandle,
+};
 
 const K: usize = 1;
 const TAU: f64 = 0.3;
@@ -70,23 +73,19 @@ fn exact_ids(coll: &IndexedCollection, probe: &str) -> Vec<u32> {
     coll.search(&probe).into_iter().map(|h| h.id).collect()
 }
 
-/// A band that fails salvage at boot is served as a `DEGRADED` superset
-/// — every interim answer contains all true hits — and the background
-/// rebuild readmits it to exact service, bumping
-/// `snapshot_bands_rebuilt` in the exposition.
-#[test]
-fn failed_salvage_band_serves_superset_until_readmitted() {
-    let _g = lock();
-    let dir = scratch("salvage");
-    let path = dir.join("index.snap");
-    let cold = IndexedCollection::build(config(), 4, strings());
-    snapshot::write(&path, &cold).expect("snapshot commits");
-    let want = exact_ids(&cold, "ACGTAC");
-
+/// Boots a server through `boot` with the first `snapshot.salvage` fire
+/// (the length-6 band) failing. The load rebuilds that band itself, so
+/// the boot is warm and complete: the first answer to each of `probes`
+/// is exact and equals `cold`'s hits among the collection-global `ids`
+/// the server holds.
+fn salvaged_boot_answers_exactly(
+    cold: &IndexedCollection,
+    ids: &[u32],
+    probes: &[&str],
+    boot: impl FnOnce() -> std::io::Result<(ServerHandle, SnapshotReport)>,
+) {
     let (handle, report) = {
-        // The guard spans only the boot: the first salvage attempt (the
-        // length-6 band) fails, later fires — including the refresh
-        // write — pass.
+        // The guard spans only the boot, so the refresh write passes.
         let _guard = FaultPlan::new()
             .fail_at(
                 "snapshot.salvage",
@@ -94,50 +93,79 @@ fn failed_salvage_band_serves_superset_until_readmitted() {
                 FaultAction::Error("salvage refused".into()),
             )
             .arm();
+        boot().expect("boot survives a failed salvage")
+    };
+    assert_eq!(report.rung, LoadRung::Salvaged, "{report:?}");
+    assert!(report.warm, "salvaged boot is still warm: {report:?}");
+    assert_eq!(report.bands_rebuilt, 1, "failed band rebuilt: {report:?}");
+    assert!(report.degraded_bands.is_empty(), "{report:?}");
+
+    let mut c = Client::new(handle.addr().to_string(), ClientConfig::default());
+    for probe in probes {
+        let want: Vec<u32> = exact_ids(cold, probe)
+            .into_iter()
+            .filter(|id| ids.contains(id))
+            .collect();
+        assert!(!want.is_empty(), "{probe} has no hit on this server");
+        match c.probe(K, TAU, probe).expect("probe") {
+            ProbeOutcome::Exact(hits) => {
+                let got: Vec<u32> = hits.into_iter().map(|(id, _)| id).collect();
+                assert_eq!(got, want, "salvaged answers to {probe} diverged");
+            }
+            other => panic!("first answer to {probe} was not exact: {other:?}"),
+        }
+    }
+    assert_eq!(c.health_report().expect("HEALTH").warm, Some(true));
+    let text = handle.metrics_text();
+    assert!(
+        text.contains("\nusj_snapshot_bands_rebuilt_total 1\n"),
+        "rebuilt band not counted:\n{text}"
+    );
+    assert!(text.contains("\nusj_warm_restarts_total 1\n"));
+    handle.shutdown();
+}
+
+/// A band that fails salvage at boot is rebuilt before the server binds,
+/// for a single node and for one shard of a fleet alike: no answer is
+/// ever a superset, and the index never changes after boot.
+#[test]
+fn failed_salvage_band_is_rebuilt_before_serving() {
+    let _g = lock();
+    let dir = scratch("salvage");
+    let base = dir.join("index.snap");
+    let all = strings();
+    let cold = IndexedCollection::build(config(), 4, all.clone());
+
+    snapshot::write(&base, &cold).expect("snapshot commits");
+    let every: Vec<u32> = (0..all.len() as u32).collect();
+    salvaged_boot_answers_exactly(&cold, &every, &["ACGTAC", "ACGTACGT"], || {
         serve_from_snapshot(
-            &path,
+            &base,
             config(),
             strings(),
             Alphabet::dna(),
             ServeConfig::default(),
         )
-        .expect("boot survives a failed salvage")
-    };
-    assert!(report.warm, "salvaged boot is still warm: {report:?}");
-    assert_eq!(report.degraded_bands, vec![6], "length-6 band degraded");
+    });
 
-    // Until the rebuild lands, the touched probe is answered DEGRADED
-    // with a superset; afterwards it goes exact. Either way no answer
-    // may ever miss a true hit.
-    let mut c = Client::new(handle.addr().to_string(), ClientConfig::default());
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        match c.probe(K, TAU, "ACGTAC").expect("probe") {
-            ProbeOutcome::Degraded { ids, .. } => {
-                assert!(
-                    want.iter().all(|id| ids.binary_search(id).is_ok()),
-                    "superset answer {ids:?} misses a true hit from {want:?}"
-                );
-            }
-            ProbeOutcome::Exact(hits) => {
-                let ids: Vec<u32> = hits.into_iter().map(|(id, _)| id).collect();
-                assert_eq!(ids, want, "readmitted band answers diverged");
-                break;
-            }
-        }
-        assert!(
-            Instant::now() < deadline,
-            "band was never readmitted to exact service"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let text = handle.metrics_text();
-    assert!(
-        text.contains("\nusj_snapshot_bands_rebuilt_total 1\n"),
-        "readmission not counted:\n{text}"
-    );
-    assert!(text.contains("\nusj_warm_restarts_total 1\n"));
-    handle.shutdown();
+    // Shard 1 of 2 holds global ids 4..=7, in a length-6 and a length-8
+    // band; its hits must come back as those global ids.
+    let partition = shard_partition(&all, 2);
+    let slice = &partition.shards[1];
+    let subset = slice.ids.iter().map(|&id| all[id as usize].clone());
+    let shard = IndexedCollection::build(config(), 4, subset.collect());
+    snapshot::write(&shard_snapshot_path(&base, 1), &shard).expect("shard snapshot commits");
+    salvaged_boot_answers_exactly(&cold, &slice.ids, &["ACGACG", "ACGTACGT"], || {
+        serve_shard_from_snapshot(
+            &base,
+            config(),
+            Alphabet::dna(),
+            &all,
+            &partition,
+            1,
+            ServeConfig::default(),
+        )
+    });
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -185,12 +185,12 @@ run_persist() {
         skip_or_die "nightly+miri unavailable (snapshot Miri leg not run)"
     fi
     tsan_prereqs || return 0
-    note "TSan: warm-restart serving and background rebuild (-Zsanitizer=thread)"
-    # serve_from_snapshot hands a degraded superset to worker threads
-    # while a maintenance thread rebuilds the salvage-failed bands and
-    # swaps the repaired collection in behind an RwLock; TSan checks the
-    # readmission handoff under altered interleavings. Single-threaded
-    # test order because failpoint plans are process-global.
+    note "TSan: warm-restart serving and background refresh (-Zsanitizer=thread)"
+    # serve_from_snapshot's worker threads answer probes from the loaded
+    # collection while a background thread re-writes the snapshot from
+    # that same collection; TSan checks the shared reads under altered
+    # interleavings. Single-threaded test order because failpoint plans
+    # are process-global.
     if ! RUSTFLAGS="-Zsanitizer=thread" \
         cargo +nightly test -Zbuild-std --target "$HOST" \
         -p usj-serve --test warm_restart -- --test-threads 1; then
