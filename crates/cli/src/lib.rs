@@ -504,32 +504,43 @@ const SERVE_FLAGS: &[&str] = &[
     "retry-after-ms",
 ];
 
+/// Parses the frame flags every front takes (`serve`, `shard` and
+/// `coord`) onto `$cfg`, a [`ServeConfig`] or a [`CoordConfig`], over its
+/// own values, and returns from the caller on a bad value. A
+/// `--default-deadline-ms` of 0 (its default) keeps the front's default
+/// deadline.
+macro_rules! parse_frame_flags {
+    ($flags:expr, $cfg:expr) => {
+        $cfg.workers = $flags.get_parse("workers", $cfg.workers)?;
+        if $cfg.workers == 0 {
+            return Err(err("--workers must be at least 1"));
+        }
+        $cfg.queue_cap = $flags.get_parse("queue-cap", $cfg.queue_cap)?;
+        if $cfg.queue_cap == 0 {
+            return Err(err("--queue-cap must be at least 1"));
+        }
+        let io_timeout_secs: f64 = $flags.get_parse("io-timeout-secs", 5.0)?;
+        if !io_timeout_secs.is_finite() || io_timeout_secs <= 0.0 {
+            return Err(err(format!(
+                "--io-timeout-secs must be a finite positive number, got {io_timeout_secs}"
+            )));
+        }
+        $cfg.io_timeout = std::time::Duration::from_secs_f64(io_timeout_secs);
+        let default_deadline_ms: u64 = $flags.get_parse("default-deadline-ms", 0)?;
+        if default_deadline_ms > 0 {
+            $cfg.default_deadline = Some(std::time::Duration::from_millis(default_deadline_ms));
+        }
+        $cfg.retry_after_ms = $flags.get_parse("retry-after-ms", $cfg.retry_after_ms)?;
+    };
+}
+
 /// Parses the single-server tuning flags into a [`ServeConfig`].
 fn serve_config_from_flags(flags: &Flags, default_addr: &str) -> Result<ServeConfig, CliError> {
     let mut cfg = ServeConfig {
         addr: flags.get("addr").unwrap_or(default_addr).to_string(),
         ..ServeConfig::default()
     };
-    cfg.workers = flags.get_parse("workers", cfg.workers)?;
-    if cfg.workers == 0 {
-        return Err(err("--workers must be at least 1"));
-    }
-    cfg.queue_cap = flags.get_parse("queue-cap", cfg.queue_cap)?;
-    if cfg.queue_cap == 0 {
-        return Err(err("--queue-cap must be at least 1"));
-    }
-    let io_timeout_secs: f64 = flags.get_parse("io-timeout-secs", 5.0)?;
-    if !io_timeout_secs.is_finite() || io_timeout_secs <= 0.0 {
-        return Err(err(format!(
-            "--io-timeout-secs must be a finite positive number, got {io_timeout_secs}"
-        )));
-    }
-    cfg.io_timeout = std::time::Duration::from_secs_f64(io_timeout_secs);
-    let default_deadline_ms: u64 = flags.get_parse("default-deadline-ms", 0)?;
-    if default_deadline_ms > 0 {
-        cfg.default_deadline = Some(std::time::Duration::from_millis(default_deadline_ms));
-    }
-    cfg.retry_after_ms = flags.get_parse("retry-after-ms", cfg.retry_after_ms)?;
+    parse_frame_flags!(flags, cfg);
     let degrade = DegradeConfig::default();
     let queue_degrade: usize = flags.get_parse("queue-degrade", degrade.queue_degrade)?;
     let queue_shed: usize = flags.get_parse("queue-shed", degrade.queue_shed)?;
@@ -835,26 +846,7 @@ fn start_coord(flags: &Flags) -> Result<CoordinatorHandle, CliError> {
         strict: flags.get_parse("strict", false)?,
         ..CoordConfig::default()
     };
-    cfg.workers = flags.get_parse("workers", cfg.workers)?;
-    if cfg.workers == 0 {
-        return Err(err("--workers must be at least 1"));
-    }
-    cfg.queue_cap = flags.get_parse("queue-cap", cfg.queue_cap)?;
-    if cfg.queue_cap == 0 {
-        return Err(err("--queue-cap must be at least 1"));
-    }
-    let io_timeout_secs: f64 = flags.get_parse("io-timeout-secs", 5.0)?;
-    if !io_timeout_secs.is_finite() || io_timeout_secs <= 0.0 {
-        return Err(err(format!(
-            "--io-timeout-secs must be a finite positive number, got {io_timeout_secs}"
-        )));
-    }
-    cfg.io_timeout = std::time::Duration::from_secs_f64(io_timeout_secs);
-    let default_deadline_ms: u64 = flags.get_parse("default-deadline-ms", 0)?;
-    if default_deadline_ms > 0 {
-        cfg.default_deadline = Some(std::time::Duration::from_millis(default_deadline_ms));
-    }
-    cfg.retry_after_ms = flags.get_parse("retry-after-ms", cfg.retry_after_ms)?;
+    parse_frame_flags!(flags, cfg);
     let hedge_after_ms: u64 =
         flags.get_parse("hedge-after-ms", cfg.hedge_after.as_millis() as u64)?;
     cfg.hedge_after = std::time::Duration::from_millis(hedge_after_ms);

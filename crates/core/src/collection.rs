@@ -25,7 +25,8 @@ use usj_model::{Prob, UncertainString};
 use usj_obs::{Counter, NoopRecorder, Phase, PhaseGuard, Recorder};
 
 thread_local! {
-    /// The window table and α rows of this thread's searches.
+    /// The window table and α rows of every probe this thread runs, join
+    /// probe or search; only [`Funnel::probe`] takes it.
     static PROBE_CACHE: Cell<EquivCache> = Cell::new(EquivCache::new());
 }
 
@@ -69,7 +70,8 @@ impl std::error::Error for SearchAbort {}
 /// A probe's deadline passed before its funnel finished.
 pub(crate) struct Expired;
 
-fn check(deadline: Option<Instant>) -> Result<(), Expired> {
+/// Errs once `deadline` has passed.
+pub(crate) fn check(deadline: Option<Instant>) -> Result<(), Expired> {
     match deadline {
         Some(d) if Instant::now() >= d => Err(Expired),
         _ => Ok(()),
@@ -111,13 +113,14 @@ impl Funnel<'_> {
     /// and the similar ones are pushed onto `hits` in ascending id order.
     ///
     /// Errs once `deadline` has passed, checked before each length's
-    /// lookup, after the filters and after each decision. `cache` is the
-    /// caller's window table, cleared here. Events go to `rec`, the
-    /// caller's `(stats, recorder)` pair.
+    /// lookup, after the filters and after each decision. The lookups use
+    /// the thread's window table: taken for them and put back after them,
+    /// so a warm one serves the thread's next probe without growing its
+    /// buffers again, and a probe that panics while holding it drops it.
+    /// Events go to `rec`, the caller's `(stats, recorder)` pair.
     pub(crate) fn probe<R: Recorder>(
         &self,
         probe: &Probe<'_>,
-        cache: &mut EquivCache,
         admit: impl Fn(u32) -> bool,
         hits: Option<&mut Vec<SearchHit>>,
         deadline: Option<Instant>,
@@ -133,19 +136,23 @@ impl Funnel<'_> {
         if config.pipeline.uses_qgram() {
             // The probe's windows are enumerated once and reused across
             // every indexed length it touches.
+            let mut cache = PROBE_CACHE.take();
             cache.clear();
-            for len in probe.lengths.clone() {
+            let looked_up = probe.lengths.clone().try_for_each(|len| {
                 check(deadline)?;
                 scope += self.index.collect_candidates_recorded(
                     probe.string,
                     len,
                     config,
                     probe.below.filter(|_| len == own_len),
-                    cache,
+                    &mut cache,
                     &mut candidates,
                     qgram_span.rec(),
                 );
-            }
+                Ok(())
+            });
+            PROBE_CACHE.set(cache);
+            looked_up?;
         } else {
             for (&len, ids) in self.by_len.range(probe.lengths.clone()) {
                 check(deadline)?;
@@ -315,9 +322,7 @@ impl IndexedCollection {
     }
 
     /// [`Funnel::probe`] over lengths `[|R|−k, |R|+k]` of this
-    /// collection. The thread's window table is taken for the probe and
-    /// put back after it, so a warm one serves the next search without
-    /// growing its buffers again, and a probe that panics drops it.
+    /// collection.
     fn probe<R: Recorder>(
         &self,
         probe: &UncertainString,
@@ -341,10 +346,7 @@ impl IndexedCollection {
             below: None,
             profile: None,
         };
-        let mut cache = PROBE_CACHE.take();
-        let out = funnel.probe(&spec, &mut cache, admit, hits, deadline, rec);
-        PROBE_CACHE.set(cache);
-        out
+        funnel.probe(&spec, admit, hits, deadline, rec)
     }
 
     /// [`IndexedCollection::search`] restricted to candidate ids accepted
@@ -430,6 +432,7 @@ mod tests {
     use super::*;
     use crate::config::Pipeline;
     use crate::join::SimilarityJoin;
+    use crate::parallel::par_self_join;
     use usj_model::Alphabet;
     use usj_verify::exact_similarity_prob;
 
@@ -612,9 +615,10 @@ mod tests {
         }
     }
 
-    /// Searches on one thread reuse its window table across collections
-    /// and probe lengths, and each answers bit for bit as a search on a
-    /// fresh thread (with a fresh table) does.
+    /// Searches on one thread reuse its window table across collections,
+    /// probe lengths and the self-joins run between them, and each search
+    /// and join answers bit for bit as it does on a fresh thread (with a
+    /// fresh table).
     #[test]
     fn reused_probe_cache_answers_like_a_fresh_one() {
         use usj_datagen::{DatasetKind, DatasetSpec};
@@ -638,6 +642,24 @@ mod tests {
         let bits = |hits: Vec<SearchHit>| -> Vec<(u32, u64)> {
             hits.iter().map(|h| (h.id, h.prob.to_bits())).collect()
         };
+        // A collection's self-join on one thread and on two: each join's
+        // pairs with their probability bits, and its funnel counters.
+        let joins = |coll: &IndexedCollection| {
+            let (config, sigma, strings) = (coll.config(), coll.sigma(), coll.strings());
+            [
+                SimilarityJoin::new(config.clone(), sigma).self_join(strings),
+                par_self_join(config.clone(), sigma, strings, 2),
+            ]
+            .map(|r| {
+                let pairs: Vec<(u32, u32, u64)> = (r.pairs.iter())
+                    .map(|p| (p.left, p.right, p.prob.to_bits()))
+                    .collect();
+                (pairs, Counter::ALL.map(|c| r.stats.counter_value(c)))
+            })
+        };
+        let fresh_joins: Vec<_> = (collections.iter())
+            .map(|coll| std::thread::scope(|scope| scope.spawn(|| joins(coll)).join().unwrap()))
+            .collect();
         let mut found = 0;
         for (c, probe) in &searches {
             let reused = bits(collections[*c].search(probe));
@@ -654,6 +676,14 @@ mod tests {
                 probe.len()
             );
             found += reused.len();
+            // The thread's table, warm from this search, serves joins with
+            // the other collection's index, k and lengths.
+            let other = 1 - c;
+            assert_eq!(
+                joins(&collections[other]),
+                fresh_joins[other],
+                "joins over collection {other}"
+            );
         }
         assert!(found >= searches.len(), "each probe finds itself at least");
     }

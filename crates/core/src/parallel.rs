@@ -13,8 +13,8 @@
 //! probe funnel of `crate::collection` (q-gram candidates, frequency
 //! filter, CDF bounds, verification) that every
 //! [`IndexedCollection`](crate::IndexedCollection) search runs. This
-//! driver supplies the length window, the same-length id limit, the
-//! wave's frequency profiles and the worker's window table.
+//! driver supplies the length window, the same-length id limit and the
+//! wave's frequency profiles; the window table is the probing thread's.
 //!
 //! * Strings are grouped by length into *shards*; consecutive length
 //!   groups form a *wave* ([`JoinConfig::shard_band`] lengths per wave,
@@ -29,8 +29,7 @@
 //!   batches ([`JoinConfig::batch_min`]`..=`[`JoinConfig::batch_max`],
 //!   shrinking near the tail where self-join probes are most expensive),
 //!   counted by [`Counter::StealBatches`]. The calling thread is one of
-//!   the workers, so a one-thread run spawns no thread. Each worker keeps
-//!   one [`EquivCache`] for all its batches.
+//!   the workers, so a one-thread run spawns no thread.
 //! * A same-length probe walks each posting run only up to its own id
 //!   (runs are id-sorted), so it touches exactly the postings indexed
 //!   before it in visit order.
@@ -42,9 +41,9 @@
 //! scratch wholesale — no half-counted funnel counters — and is retried
 //! probe-by-probe; a probe that panics even in isolation is
 //! **quarantined** ([`Counter::ProbesQuarantined`]) and the run continues
-//! without its pairs. A wall-clock [`JoinConfig::deadline`] is checked at
-//! batch granularity through a cooperative cancel flag, ending a stuck
-//! run with a clean [`JoinError::Deadline`]. With a checkpoint directory
+//! without its pairs. A wall-clock [`JoinConfig::deadline`] is checked
+//! between waves and by every worker before each batch it claims, ending
+//! a stuck run with a clean [`JoinError::Deadline`]. With a checkpoint directory
 //! ([`RunOptions::checkpoint_dir`]), every completed wave atomically
 //! commits a [`Checkpoint`] (pairs, funnel counters, config/input
 //! fingerprint), and [`RunOptions::resume`] replays index construction
@@ -60,7 +59,7 @@ use std::fmt;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use usj_fault::{panic_message, shield, InjectedFault};
@@ -69,10 +68,10 @@ use usj_model::UncertainString;
 use usj_obs::{Counter, Gauge, MergeRecorder, NoopRecorder, Phase, PhaseGuard, Recorder};
 
 use crate::checkpoint::{Checkpoint, CheckpointError};
-use crate::collection::{Expired, Funnel, Probe};
+use crate::collection::{check, Expired, Funnel, Probe};
 use crate::config::JoinConfig;
 use crate::container::{fold_config, fold_string, fold_u64, FNV_SEED};
-use crate::index::{EquivCache, SegmentIndex};
+use crate::index::SegmentIndex;
 use crate::join::{JoinResult, SimilarPair};
 use crate::stats::JoinStats;
 
@@ -239,6 +238,8 @@ where
 {
     assert!(sigma >= 1, "alphabet must be non-empty");
     let total_start = Instant::now();
+    // A deadline too far off to represent never passes.
+    let deadline = config.deadline.and_then(|d| total_start.checked_add(d));
     let threads = resolve_threads(opts.threads, strings.len());
     let mut merged = make_recorder();
     if opts.resume && opts.checkpoint_dir.is_none() {
@@ -274,8 +275,6 @@ where
     let mut index = SegmentIndex::new();
     let mut visited: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
     let mut profiles: Vec<Option<FreqProfile>> = vec![None; strings.len()];
-    // One window table per worker, kept across batches and waves.
-    let mut caches: Vec<EquivCache> = (0..threads).map(|_| EquivCache::new()).collect();
 
     // ---- Resume: adopt the committed prefix ---------------------------
     let mut resumed_waves = 0usize;
@@ -314,14 +313,12 @@ where
         let probe_range = wave_groups[0].1.start..wave_groups[wave_groups.len() - 1].1.end;
 
         // Deadline check between waves (workers re-check per batch below).
-        if let Some(deadline) = config.deadline {
-            if total_start.elapsed() > deadline {
-                return Err(JoinError::Deadline {
-                    elapsed: total_start.elapsed(),
-                    completed_waves,
-                    checkpoint: last_checkpoint,
-                });
-            }
+        if let Err(Expired) = check(deadline) {
+            return Err(JoinError::Deadline {
+                elapsed: total_start.elapsed(),
+                completed_waves,
+                checkpoint: last_checkpoint,
+            });
         }
 
         // ---- Evict shards no remaining probe can reach, then build ----
@@ -397,7 +394,6 @@ where
         // ---- Probe the wave with adaptive work-stealing batches -------
         let probes = &order[probe_range];
         let next = AtomicUsize::new(0);
-        let cancel = AtomicBool::new(false);
         let profile_of = |id: u32| {
             profiles[id as usize]
                 .as_ref()
@@ -412,23 +408,19 @@ where
                 profile_of: &profile_of,
                 freq_filter: freq_filter.clone(),
             },
-            profiles: &profiles,
             probes,
             workers: threads.min(probes.len()).max(1),
             batch_min,
             batch_max,
             next: &next,
-            cancel: &cancel,
-            started: total_start,
+            deadline,
         };
-        let (own, helpers) = caches.split_at_mut(1);
         let outs: Vec<WorkerOut<R>> = std::thread::scope(|scope| {
             let (ctx, make_recorder) = (&ctx, &make_recorder);
-            let spawned: Vec<_> = helpers[..ctx.workers - 1]
-                .iter_mut()
-                .map(|cache| scope.spawn(move || run_worker(ctx, cache, make_recorder)))
+            let spawned: Vec<_> = (1..ctx.workers)
+                .map(|_| scope.spawn(move || run_worker(ctx, make_recorder)))
                 .collect();
-            let mut outs = vec![run_worker(ctx, &mut own[0], make_recorder)];
+            let mut outs = vec![run_worker(ctx, make_recorder)];
             for handle in spawned {
                 outs.push(
                     handle
@@ -438,9 +430,7 @@ where
             }
             outs
         });
-        // ordering: Relaxed — the workers were joined above; this is a
-        // plain read of whether anyone tripped the deadline.
-        if cancel.load(Ordering::Relaxed) {
+        if outs.iter().any(|out| out.expired) {
             // The wave is incomplete; its partial results are discarded —
             // a resume re-runs the whole wave from the last checkpoint.
             return Err(JoinError::Deadline {
@@ -568,32 +558,32 @@ fn plan_waves(strings: &[UncertainString], config: &JoinConfig, threads: usize) 
     }
 }
 
-/// One wave's shared state: the read-only shards its probes run against
-/// and the work-stealing cursor its workers share.
+/// One wave's shared state: the read-only shards its probes run against,
+/// the work-stealing cursor its workers share and the run's deadline.
 struct WaveCtx<'a> {
-    /// The resident shards, with the visited ids as the FCT scope.
+    /// The resident shards and profiles (each probe's own included), with
+    /// the visited ids as the FCT scope.
     funnel: Funnel<'a>,
-    /// The resident profiles, each probe's own included.
-    profiles: &'a [Option<FreqProfile>],
     /// The wave's probe ids in visit order.
     probes: &'a [u32],
     workers: usize,
     batch_min: usize,
     batch_max: usize,
     next: &'a AtomicUsize,
-    cancel: &'a AtomicBool,
-    started: Instant,
+    deadline: Option<Instant>,
 }
 
 /// One batch's scratch: its pairs and its `(stats, recorder)` pair.
 type BatchScratch<R> = (Vec<SimilarPair>, (JoinStats, R));
 
 /// What one worker produced in one wave: its pairs, its
-/// `(stats, recorder)` pair and the probes it quarantined.
+/// `(stats, recorder)` pair, the probes it quarantined and whether it
+/// stopped on the deadline.
 struct WorkerOut<R> {
     pairs: Vec<SimilarPair>,
     rec: (JoinStats, R),
     quarantined: Vec<u32>,
+    expired: bool,
 }
 
 impl<R: MergeRecorder> WorkerOut<R> {
@@ -616,9 +606,8 @@ impl<R: MergeRecorder> WorkerOut<R> {
 /// One wave worker: claims batches off the shared cursor until the wave
 /// is drained or the deadline trips. A batch that panics is replayed
 /// probe by probe so one poisonous probe cannot take its batchmates down
-/// with it; a probe that panics alone is quarantined. A caught panic may
-/// leave `cache` half-written, so each one replaces it.
-fn run_worker<R, F>(ctx: &WaveCtx<'_>, cache: &mut EquivCache, make_recorder: &F) -> WorkerOut<R>
+/// with it; a probe that panics alone is quarantined.
+fn run_worker<R, F>(ctx: &WaveCtx<'_>, make_recorder: &F) -> WorkerOut<R>
 where
     R: MergeRecorder + Send,
     F: Fn() -> R + Sync,
@@ -627,21 +616,12 @@ where
         pairs: Vec::new(),
         rec: (JoinStats::default(), make_recorder()),
         quarantined: Vec::new(),
+        expired: false,
     };
     loop {
-        // ordering: Relaxed — the cancel flag is advisory (a worker that
-        // misses it merely finishes one more batch); results are
-        // published through the thread join, not this flag.
-        if ctx.cancel.load(Ordering::Relaxed) {
+        if let Err(Expired) = check(ctx.deadline) {
+            out.expired = true;
             break;
-        }
-        if let Some(deadline) = ctx.funnel.config.deadline {
-            if ctx.started.elapsed() > deadline {
-                // ordering: Relaxed — same advisory-flag argument as the
-                // load above.
-                ctx.cancel.store(true, Ordering::Relaxed);
-                break;
-            }
         }
         let Some(batch) = grab_batch(
             ctx.next,
@@ -654,16 +634,14 @@ where
         };
         out.rec.counter(Counter::StealBatches, 1);
         let ids = &ctx.probes[batch];
-        match run_batch_caught(ids, false, ctx, cache, make_recorder) {
+        match run_batch_caught(ids, false, ctx, make_recorder) {
             Ok(scratch) => out.absorb(scratch),
             Err(payload) => {
-                *cache = EquivCache::new();
                 out.count_panic(Counter::BatchesRetried, &*payload);
                 for &id in ids {
-                    match run_batch_caught(&[id], true, ctx, cache, make_recorder) {
+                    match run_batch_caught(&[id], true, ctx, make_recorder) {
                         Ok(scratch) => out.absorb(scratch),
                         Err(payload) => {
-                            *cache = EquivCache::new();
                             out.count_panic(Counter::ProbesQuarantined, &*payload);
                             out.quarantined.push(id);
                         }
@@ -689,8 +667,7 @@ fn catching<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 /// the batch the scratch is discarded wholesale — no half-counted funnel
 /// counters, no partial pairs — and the payload is returned for the
 /// caller to triage (retry, quarantine, count injected faults).
-/// `isolated` marks the probe-by-probe retry of a failed batch. `cache`
-/// is the worker's, cleared per probe.
+/// `isolated` marks the probe-by-probe retry of a failed batch.
 ///
 /// Each probe runs the wave's [`Funnel`] over lengths `[l − k, l]`, at
 /// its own length against lower ids only, and with no deadline: the
@@ -700,7 +677,6 @@ fn run_batch_caught<R, F>(
     ids: &[u32],
     isolated: bool,
     ctx: &WaveCtx<'_>,
-    cache: &mut EquivCache,
     make_recorder: &F,
 ) -> Result<BatchScratch<R>, Box<dyn Any + Send>>
 where
@@ -708,8 +684,8 @@ where
     F: Fn() -> R + Sync,
 {
     // AssertUnwindSafe: the closure only reads the shared wave state and
-    // writes the scratch it returns and the cache; a panic drops the
-    // scratch entirely and the caller replaces the cache.
+    // writes the scratch it returns; a panic drops the scratch entirely,
+    // and one mid-lookup drops the thread's window table with it.
     shield::shielded(|| {
         catch_unwind(AssertUnwindSafe(|| {
             let mut pairs = Vec::new();
@@ -736,11 +712,7 @@ where
                     below: Some(probe_id),
                     // The probe's own profile was computed when its wave
                     // was built.
-                    profile: uses_freq.then(|| {
-                        ctx.profiles[probe_id as usize]
-                            .as_ref()
-                            .expect("wave strings have profiles")
-                    }),
+                    profile: uses_freq.then(|| (funnel.profile_of)(probe_id)),
                 };
                 rec.probe_start(probe_id);
                 // Failpoint: a stuck or crashing probe; a delay that fires
@@ -748,7 +720,7 @@ where
                 if usj_fault::fail_point!("parallel.verify") {
                     rec.counter(Counter::FaultsInjected, 1);
                 }
-                let out = funnel.probe(&probe, cache, |_| true, Some(&mut hits), None, &mut rec);
+                let out = funnel.probe(&probe, |_| true, Some(&mut hits), None, &mut rec);
                 if let Err(Expired) = out {
                     unreachable!("a probe without a deadline expired");
                 }

@@ -745,8 +745,8 @@ fn in_budget_scope(rel_path: &str) -> bool {
 /// deadline / cancellation within its body.
 ///
 /// The (k,τ) probe loops are where a request spends unbounded time; the
-/// serve deadline ladder and the parallel driver's cooperative
-/// cancellation only work if every such loop re-checks its budget. A loop
+/// serve deadline ladder and the parallel driver's per-batch deadline
+/// checks only work if every such loop re-checks its budget. A loop
 /// that cannot check in-body (e.g. because per-item checks would break
 /// bit-identity with the sequential driver) must name the mechanism that
 /// bounds it in a tidy.allow reason.

@@ -124,8 +124,8 @@ run_tsan() {
     fi
     note "TSan: panic isolation / checkpoint-resume tests (-Zsanitizer=thread)"
     # The fault-tolerant driver unwinds worker panics across the
-    # work-stealing cursor and cancellation flag; TSan checks that the
-    # recovery paths (batch retry, quarantine, deadline cancel) are as
+    # work-stealing cursor; TSan checks that the recovery paths (batch
+    # retry, quarantine, workers stopping on the deadline) are as
     # race-free as the happy path. Single-threaded test order because the
     # injection plans are process-global.
     if ! RUSTFLAGS="-Zsanitizer=thread" \
