@@ -17,8 +17,8 @@
 //! request can be followed across client, server log, and trace viewer.
 //!
 //! Counters and gauges are not rendered: they are aggregate metrics, not
-//! causal events, and belong to [`crate::CollectingRecorder`] /
-//! [`crate::MetricsRegistry`].
+//! causal events, and belong to [`crate::CollectingRecorder`] and the
+//! service aggregate that folds it, [`crate::MetricsRegistry`].
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;

@@ -83,24 +83,6 @@ impl Log2Histogram {
         self.max
     }
 
-    /// Raw per-bucket sample counts (bucket 0 = value 0, bucket `i ≥ 1` =
-    /// `[2^(i-1), 2^i)`), for sinks that fold histograms into their own
-    /// storage (e.g. the atomic [`crate::MetricsRegistry`]).
-    pub fn bucket_counts(&self) -> &[u64; 65] {
-        &self.buckets
-    }
-
-    /// Rebuilds a histogram from raw parts (the inverse of the accessors;
-    /// used to snapshot the atomic registry back into quantile queries).
-    pub(crate) fn from_raw(buckets: [u64; 65], count: u64, sum: u64, max: u64) -> Self {
-        Log2Histogram {
-            buckets,
-            count,
-            sum,
-            max,
-        }
-    }
-
     /// Folds another histogram into this one.
     pub fn merge(&mut self, other: &Log2Histogram) {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
@@ -193,7 +175,7 @@ mod tests {
         h.record(u64::MAX);
         h.record(u64::MAX - 1);
         // All three land in bucket 64, whose upper bound is u64::MAX.
-        assert_eq!(h.bucket_counts()[64], 3);
+        assert_eq!(h.buckets[64], 3);
         assert_eq!(h.quantile(0.5), u64::MAX);
         assert_eq!(h.max(), u64::MAX);
         // The sum saturates instead of wrapping.

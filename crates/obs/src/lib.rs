@@ -15,14 +15,15 @@
 //!   per-probe latency and candidate-count histograms (p50/p90/p99/max per
 //!   phase) plus per-phase prune-attribution counters, and serialises the
 //!   snapshot as schema-stable JSON ([`CollectingRecorder::to_json`]) with
-//!   no serde.
+//!   no serde. It is the sink for one run, and for each request of a service.
 //! * [`TraceRecorder`] — one event line per probe to any `io::Write`
 //!   (the CLI's `--trace` wires it to stderr).
 //! * [`ChromeTraceRecorder`] — the same event stream rendered as Chrome
 //!   trace-event JSON ([`SpanId`]/parent-id causal tree, loadable in
 //!   Perfetto or `chrome://tracing`).
-//! * [`MetricsRegistry`] — a shared atomic counter/gauge/histogram
-//!   registry for long-running processes (`usj-serve`), rendered in
+//! * [`MetricsRegistry`] — a long-running service's one aggregate
+//!   (`usj-serve`): the folded request recorders plus the per-length-band
+//!   candidate funnel, rendered both as the golden-schema JSON and in
 //!   Prometheus text exposition format.
 //! * [`json`] — the workspace's JSON writer and parser.
 //!

@@ -1,16 +1,16 @@
-//! A shared, atomic metrics registry for long-running processes, rendered
-//! in Prometheus text exposition format.
+//! The metrics aggregate of a long-running service, rendered both as the
+//! golden-schema JSON snapshot and in Prometheus text exposition format.
 //!
-//! [`crate::CollectingRecorder`] is the right sink for one run: it is
-//! single-threaded, rich, and snapshotted at the end. A query server
-//! needs the dual — many short requests, each recorded locally and then
-//! **folded** into one process-wide registry that can be scraped at any
-//! moment without locking the request path. [`MetricsRegistry`] is that
-//! registry: plain `AtomicU64`s for every golden-schema counter, gauge,
-//! per-phase total, and per-phase log₂ latency histogram, plus the
+//! [`crate::CollectingRecorder`] is the sink for one run. A query server
+//! serves many short requests instead: each is recorded into a local
+//! recorder, then **folded** into the service's one [`MetricsRegistry`].
+//! The registry is that recorder aggregate (every golden-schema counter,
+//! gauge, per-phase total and per-phase log₂ latency histogram) plus the
 //! per-length-band selectivity **funnel** (candidates in/out of each
 //! filter stage per band of 8 probe-text lengths), which shows where
-//! each stage prunes as the probe length changes.
+//! each stage prunes as the probe length changes. The service holds it
+//! behind one lock and renders both `STATS` and `METRICS` from it, so the
+//! two expositions always agree.
 //!
 //! [`MetricsRegistry::render_prometheus`] emits the whole registry in
 //! Prometheus text exposition format (`# TYPE` headers, `_total` counter
@@ -18,13 +18,7 @@
 //! every counter/gauge/phase/band appears even at zero — so scrapes are
 //! schema-stable from the first request.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use crate::{CollectingRecorder, Counter, Gauge, Log2Histogram, Phase};
-
-const NUM_PHASES: usize = Phase::ALL.len();
-const NUM_COUNTERS: usize = Counter::ALL.len();
-const NUM_GAUGES: usize = Gauge::ALL.len();
+use crate::{CollectingRecorder, Counter, Gauge, MergeRecorder, Phase, Recorder};
 
 /// Number of probe-text length bands in the selectivity funnel: band `b`
 /// covers lengths `[8b, 8b+7]`, the last band is open-ended.
@@ -62,86 +56,19 @@ pub fn band_label(band: usize) -> String {
     }
 }
 
-/// An atomically-updatable [`Log2Histogram`]: folded into under
-/// `Relaxed` ordering, snapshotted bucket-by-bucket for quantiles.
-#[derive(Debug)]
-struct AtomicHistogram {
-    buckets: [AtomicU64; 65],
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for AtomicHistogram {
-    // [AtomicU64; 65] has no derived Default (std stops at 32 elements).
-    fn default() -> Self {
-        AtomicHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-impl AtomicHistogram {
-    fn fold(&self, h: &Log2Histogram) {
-        // ordering: every cell is an independent monotone accumulator;
-        // scrapes tolerate tearing across cells (each series is
-        // monotone), so Relaxed suffices throughout the registry.
-        for (cell, &n) in self.buckets.iter().zip(h.bucket_counts()) {
-            if n != 0 {
-                // ordering: see above — independent monotone accumulators.
-                cell.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        // ordering: see above — independent monotone accumulators.
-        self.count.fetch_add(h.count(), Ordering::Relaxed);
-        self.sum.fetch_add(h.sum(), Ordering::Relaxed);
-        self.max.fetch_max(h.max(), Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> Log2Histogram {
-        // ordering: a scrape is a statistical read; per-cell tearing is
-        // acceptable, so Relaxed loads suffice.
-        let buckets = std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
-        Log2Histogram::from_raw(
-            buckets,
-            // ordering: see above.
-            self.count.load(Ordering::Relaxed),
-            self.sum.load(Ordering::Relaxed),
-            self.max.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// Process-wide atomic metrics, scraped via `METRICS` / `usj metrics`.
+/// A service's metrics aggregate: every event it recorded, plus the
+/// band × stage funnel. `STATS` renders it as the golden-schema JSON
+/// ([`MetricsRegistry::to_json`]), `METRICS` / `usj metrics` as the
+/// Prometheus exposition ([`MetricsRegistry::render_prometheus`]).
 ///
-/// Request handlers record into a local [`CollectingRecorder`] (lock-free
-/// for the handler) and call [`MetricsRegistry::fold`] once per request;
-/// a scrape calls [`MetricsRegistry::render_prometheus`] at any time.
-#[derive(Debug)]
+/// Request handlers record into a local [`CollectingRecorder`] and hand
+/// it to [`MetricsRegistry::fold`] once per request; the service's own
+/// events (admission, sheds, panics) go straight in through
+/// [`MetricsRegistry::counter`] and [`MetricsRegistry::gauge`].
+#[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    probes: AtomicU64,
-    counters: [AtomicU64; NUM_COUNTERS],
-    gauges: [AtomicU64; NUM_GAUGES],
-    phase_ns: [AtomicU64; NUM_PHASES],
-    phase_hist: [AtomicHistogram; NUM_PHASES],
-    funnel: [[AtomicU64; FUNNEL_STAGES]; FUNNEL_BANDS],
-}
-
-impl Default for MetricsRegistry {
-    // [AtomicU64; NUM_COUNTERS] has no derived Default past 32 elements.
-    fn default() -> Self {
-        MetricsRegistry {
-            probes: AtomicU64::new(0),
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            gauges: std::array::from_fn(|_| AtomicU64::new(0)),
-            phase_ns: std::array::from_fn(|_| AtomicU64::new(0)),
-            phase_hist: std::array::from_fn(|_| AtomicHistogram::default()),
-            funnel: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
-        }
-    }
+    recorder: CollectingRecorder,
+    funnel: [[u64; FUNNEL_STAGES]; FUNNEL_BANDS],
 }
 
 impl MetricsRegistry {
@@ -150,42 +77,33 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Folds one request's local snapshot into the registry. `band` is
-    /// the probe-text length band ([`band_of`]) and routes this request's
+    /// Folds one request's recorder into the aggregate. `band` is the
+    /// probe-text length band ([`band_of`]) and routes this request's
     /// filter-funnel counters into the per-band selectivity series; pass
     /// `None` for non-probe work (index builds, admin requests).
-    pub fn fold(&self, band: Option<usize>, rec: &CollectingRecorder) {
-        // ordering: monotone accumulators, see AtomicHistogram::fold.
-        self.probes.fetch_add(rec.probes(), Ordering::Relaxed);
-        for c in Counter::ALL {
-            let total = rec.counter_total(c);
-            if total != 0 {
-                // ordering: monotone accumulator.
-                self.counters[c.index()].fetch_add(total, Ordering::Relaxed);
-            }
-        }
-        for g in Gauge::ALL {
-            // ordering: gauges aggregate by max; monotone, Relaxed.
-            self.gauges[g.index()].fetch_max(rec.gauge_max(g), Ordering::Relaxed);
-        }
-        for p in Phase::ALL {
-            let ns = rec.phase_total_ns(p);
-            if ns != 0 {
-                // ordering: monotone accumulator.
-                self.phase_ns[p.index()].fetch_add(ns, Ordering::Relaxed);
-            }
-            self.phase_hist[p.index()].fold(rec.phase_histogram(p));
-        }
+    pub fn fold(&mut self, band: Option<usize>, rec: CollectingRecorder) {
         if let Some(band) = band {
-            let band = band.min(FUNNEL_BANDS - 1);
-            for (stage, &(_, c)) in STAGES.iter().enumerate() {
-                let total = rec.counter_total(c);
-                if total != 0 {
-                    // ordering: monotone accumulator.
-                    self.funnel[band][stage].fetch_add(total, Ordering::Relaxed);
-                }
+            let row = &mut self.funnel[band.min(FUNNEL_BANDS - 1)];
+            for (cell, &(_, c)) in row.iter_mut().zip(&STAGES) {
+                *cell = cell.saturating_add(rec.counter_total(c));
             }
         }
+        self.recorder.absorb(rec);
+    }
+
+    /// Records one service-level counter event outside any request.
+    pub fn counter(&mut self, counter: Counter, delta: u64) {
+        self.recorder.counter(counter, delta);
+    }
+
+    /// Records one service-level gauge reading outside any request.
+    pub fn gauge(&mut self, gauge: Gauge, value: u64) {
+        self.recorder.gauge(gauge, value);
+    }
+
+    /// The aggregate as golden-schema JSON ([`CollectingRecorder::to_json`]).
+    pub fn to_json(&self) -> String {
+        self.recorder.to_json()
     }
 
     /// Renders every series in Prometheus text exposition format. The
@@ -193,27 +111,23 @@ impl MetricsRegistry {
     /// per-phase totals and latency summaries, and the complete
     /// band × stage funnel appear in fixed order even when zero.
     pub fn render_prometheus(&self) -> String {
+        let rec = &self.recorder;
         let mut out = String::new();
         out.push_str("# TYPE usj_probes_total counter\n");
-        // ordering: scrape reads are statistical; Relaxed throughout.
-        let probes = self.probes.load(Ordering::Relaxed);
-        out.push_str(&format!("usj_probes_total {probes}\n"));
+        out.push_str(&format!("usj_probes_total {}\n", rec.probes()));
         for c in Counter::ALL {
-            // ordering: statistical scrape read.
-            let v = self.counters[c.index()].load(Ordering::Relaxed);
+            let v = rec.counter_total(c);
             out.push_str(&format!("# TYPE usj_{}_total counter\n", c.name()));
             out.push_str(&format!("usj_{}_total {v}\n", c.name()));
         }
         for g in Gauge::ALL {
-            // ordering: statistical scrape read.
-            let v = self.gauges[g.index()].load(Ordering::Relaxed);
+            let v = rec.gauge_max(g);
             out.push_str(&format!("# TYPE usj_{} gauge\n", g.name()));
             out.push_str(&format!("usj_{} {v}\n", g.name()));
         }
         out.push_str("# TYPE usj_phase_ns_total counter\n");
         for p in Phase::ALL {
-            // ordering: statistical scrape read.
-            let ns = self.phase_ns[p.index()].load(Ordering::Relaxed);
+            let ns = rec.phase_total_ns(p);
             out.push_str(&format!(
                 "usj_phase_ns_total{{phase=\"{}\"}} {ns}\n",
                 p.name()
@@ -221,7 +135,7 @@ impl MetricsRegistry {
         }
         out.push_str("# TYPE usj_phase_latency_ns summary\n");
         for p in Phase::ALL {
-            let h = self.phase_hist[p.index()].snapshot();
+            let h = rec.phase_histogram(p);
             for (label, q) in [("0.5", 0.5), ("0.9", 0.9), ("0.99", 0.99)] {
                 out.push_str(&format!(
                     "usj_phase_latency_ns{{phase=\"{}\",quantile=\"{label}\"}} {}\n",
@@ -242,9 +156,7 @@ impl MetricsRegistry {
         }
         out.push_str("# TYPE usj_funnel_candidates_total counter\n");
         for band in 0..FUNNEL_BANDS {
-            for (stage, (name, _)) in STAGES.iter().enumerate() {
-                // ordering: statistical scrape read.
-                let v = self.funnel[band][stage].load(Ordering::Relaxed);
+            for ((name, _), v) in STAGES.iter().zip(self.funnel[band]) {
                 out.push_str(&format!(
                     "usj_funnel_candidates_total{{band=\"{}\",stage=\"{name}\"}} {v}\n",
                     band_label(band)
@@ -289,10 +201,10 @@ mod tests {
 
     #[test]
     fn fold_accumulates_across_requests() {
-        let reg = MetricsRegistry::new();
-        reg.fold(Some(band_of(10)), &one_request());
-        reg.fold(Some(band_of(10)), &one_request());
-        reg.fold(Some(band_of(200)), &one_request());
+        let mut reg = MetricsRegistry::new();
+        reg.fold(Some(band_of(10)), one_request());
+        reg.fold(Some(band_of(10)), one_request());
+        reg.fold(Some(band_of(200)), one_request());
         let text = reg.render_prometheus();
         assert!(text.contains("usj_probes_total 3\n"));
         assert!(text.contains("usj_pairs_in_scope_total 30\n"));
@@ -348,8 +260,8 @@ mod tests {
 
     #[test]
     fn latency_summary_reflects_folded_histograms() {
-        let reg = MetricsRegistry::new();
-        reg.fold(None, &one_request());
+        let mut reg = MetricsRegistry::new();
+        reg.fold(None, one_request());
         let text = reg.render_prometheus();
         // One 100ns qgram sample: p50 = bucket upper bound clamped to max.
         assert!(text.contains("usj_phase_latency_ns{phase=\"qgram\",quantile=\"0.5\"} 100\n"));

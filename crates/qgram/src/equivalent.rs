@@ -332,7 +332,7 @@ fn grouped_probability(w: &[Symbol], occs: &[(usize, Prob)], probe: &UncertainSt
 /// possible worlds of the probe region the group covers and add the mass
 /// of worlds containing `w` at one of the group's starts. Groups cover
 /// disjoint regions, hence are independent. A group whose region has more
-/// than [`EXACT_GROUP_WORLD_CAP`] worlds falls back to the union bound
+/// than `EXACT_GROUP_WORLD_CAP` worlds falls back to the union bound
 /// (an over-estimate, preserving filter soundness).
 fn exact_probability(w: &[Symbol], occs: &[(usize, Prob)], probe: &UncertainString) -> Prob {
     const EXACT_GROUP_WORLD_CAP: u64 = 4096;

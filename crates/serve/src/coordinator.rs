@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 use usj_core::partition::band_relevant;
 use usj_core::Partition;
 use usj_model::{Alphabet, UncertainString};
-use usj_obs::{band_of, CollectingRecorder, Counter, Gauge, MergeRecorder, Recorder};
+use usj_obs::{band_of, CollectingRecorder, Counter, Gauge, Recorder};
 
 use crate::client::{Client, ClientConfig, ProbeOutcome};
 use crate::degrade::LatencyRing;
@@ -315,7 +315,7 @@ impl Front for Coordinator {
     /// The golden-schema registry plus one `usj_shard_up{shard="<i>"}`
     /// series per shard (1 healthy or half-open, 0 quarantined).
     fn metrics_text(&self, frame: &Frame<Self>) -> String {
-        let mut text = frame.registry.render_prometheus();
+        let mut text = frame.record(|r| r.render_prometheus());
         // Live per-shard health as a labeled series, appended after the
         // schema-stable golden exposition (which stays byte-identical to
         // a single server's — dashboards work unchanged).
@@ -375,8 +375,7 @@ impl Front for Coordinator {
         );
         local.probe_end(probe_id);
         local.gauge(Gauge::ShardHealthy, self.healthy_count() as u64);
-        frame.registry.fold(Some(band_of(probe.len())), &local);
-        frame.record(|r| r.absorb(local));
+        frame.record(|r| r.fold(Some(band_of(probe.len())), local));
         response.into()
     }
 }

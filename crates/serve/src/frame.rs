@@ -20,7 +20,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use usj_fault::{panic_message, shield};
-use usj_obs::{CollectingRecorder, Counter, Gauge, MetricsRegistry, Recorder};
+use usj_obs::{Counter, Gauge, MetricsRegistry};
 
 use crate::proto::{parse_request, Request, Response, ShardState};
 
@@ -49,7 +49,7 @@ pub trait Front: Sized + Send + Sync + 'static {
 
     /// The Prometheus exposition `METRICS` and the handle return.
     fn metrics_text(&self, frame: &Frame<Self>) -> String {
-        frame.registry.render_prometheus()
+        frame.record(|r| r.render_prometheus())
     }
 
     /// The per-shard states `SHARDS` reports; a single server fronts no
@@ -114,16 +114,15 @@ pub struct Frame<F> {
     /// queue empties.
     stop: AtomicBool,
     inflight: AtomicUsize,
-    recorder: Mutex<CollectingRecorder>,
-    /// Lock-free aggregate behind the `METRICS` exposition.
-    pub(crate) registry: MetricsRegistry,
+    /// The one aggregate behind both `STATS` and `METRICS`.
+    metrics: Mutex<MetricsRegistry>,
 }
 
 impl<F> Frame<F> {
-    pub(crate) fn record<T>(&self, f: impl FnOnce(&mut CollectingRecorder) -> T) -> T {
-        // A poisoned recorder lock only means a panic elsewhere while
+    pub(crate) fn record<T>(&self, f: impl FnOnce(&mut MetricsRegistry) -> T) -> T {
+        // A poisoned metrics lock only means a panic elsewhere while
         // recording; the metrics stay usable.
-        let mut r = self.recorder.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut r = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
         f(&mut r)
     }
 
@@ -183,8 +182,7 @@ pub(crate) fn start<F: Front>(front: F, limits: Limits, name: &str) -> io::Resul
             queue_cv: Condvar::new(),
             stop: AtomicBool::new(false),
             inflight: AtomicUsize::new(0),
-            recorder: Mutex::new(CollectingRecorder::new()),
-            registry: MetricsRegistry::default(),
+            metrics: Mutex::new(MetricsRegistry::new()),
         }),
         threads: Vec::new(),
     };

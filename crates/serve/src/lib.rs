@@ -32,12 +32,15 @@
 //! coordinator; each supplies only its admission decision, its answers
 //! to `HEALTH`, `METRICS`, `SHARDS` and `PROBE`, and any extra threads.
 //!
-//! - **Live observability** — a `METRICS` request renders the shared
+//! - **Live observability** — the frame keeps one
 //!   [`usj_obs::MetricsRegistry`] (every golden-schema counter/gauge,
 //!   per-phase latency summaries, and the per-length-band candidate
-//!   funnel) in Prometheus text exposition format; a probe carrying a
-//!   client-minted `trace_id=` is answered with an extra `TRACE` line
-//!   holding its Chrome trace-event JSON (see [`usj_obs::ChromeTraceRecorder`]).
+//!   funnel) behind one lock. `STATS` renders it as golden-schema JSON
+//!   and `METRICS` in Prometheus text exposition format, so the two
+//!   always agree, the frame's own admission events included. A probe
+//!   carrying a client-minted `trace_id=` is answered with an extra
+//!   `TRACE` line holding its Chrome trace-event JSON (see
+//!   [`usj_obs::ChromeTraceRecorder`]).
 //!
 //! - **Sharded scatter-gather** — [`shard`] binds this same server to
 //!   one length band of a [`usj_core::Partition`] (answers remapped to

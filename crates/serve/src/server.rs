@@ -20,10 +20,7 @@ use std::time::{Duration, Instant};
 use usj_core::snapshot::{self, SalvageMode};
 use usj_core::{IndexedCollection, JoinConfig, LoadRung, SearchAbort, SnapshotReport};
 use usj_model::{Alphabet, UncertainString};
-use usj_obs::{
-    band_of, ChromeTraceRecorder, CollectingRecorder, Counter, Gauge, MergeRecorder, Phase,
-    Recorder,
-};
+use usj_obs::{band_of, ChromeTraceRecorder, CollectingRecorder, Counter, Gauge, Phase, Recorder};
 
 use crate::degrade::{Controller, DegradeConfig, Level};
 use crate::frame::{self, Frame, Front, Handle, Limits, Reply};
@@ -214,8 +211,7 @@ fn seed_snapshot_metrics(frame: &Frame<Server>, report: &SnapshotReport) {
     if let Some(age) = report.age_seconds {
         boot.gauge(Gauge::SnapshotAgeSeconds, age);
     }
-    frame.registry.fold(None, &boot);
-    frame.record(|r| r.absorb(boot));
+    frame.record(|r| r.fold(None, boot));
 }
 
 impl Server {
@@ -356,8 +352,7 @@ impl Front for Server {
         };
         let (collected, chrome) = local;
         // Funnel exposition buckets this probe's counters by its length band.
-        frame.registry.fold(Some(band_of(probe.len())), &collected);
-        frame.record(|r| r.absorb(collected));
+        frame.record(|r| r.fold(Some(band_of(probe.len())), collected));
         self.controller
             .observe(started.elapsed(), frame.queue_depth());
         let trace = trace_id

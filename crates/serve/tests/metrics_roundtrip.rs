@@ -9,7 +9,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 use usj_model::{Alphabet, UncertainString};
-use usj_obs::{band_label, Counter, Gauge, Phase, FUNNEL_BANDS};
+use usj_obs::{band_label, json, Counter, Gauge, Phase, FUNNEL_BANDS};
 use usj_serve::{
     serve, serve_from_snapshot, Client, ClientConfig, ProbeOutcome, Response, ServeConfig,
     ServerHandle,
@@ -144,6 +144,34 @@ fn metrics_exposition_covers_the_golden_schema_after_probes() {
     assert!(!text.contains("usj_funnel_candidates_total{band=\"0-7\",stage=\"pairs_in\"} 0\n"));
     // The handle-side accessor renders the same registry.
     assert_eq!(handle.metrics_text().lines().count(), text.lines().count());
+    // STATS and METRICS render one aggregate: every counter and gauge
+    // reads the same in both, the frame's own admission events included.
+    // Both reads go through the handle, so no admission lands between.
+    let metrics = handle.metrics_text();
+    let stats = json::parse(&handle.stats_json()).expect("STATS is JSON");
+    let stats_value = |section: &str, name: &str| {
+        stats
+            .get(section)
+            .and_then(|s| s.get(name))
+            .and_then(json::Value::as_u64)
+            .unwrap_or_else(|| panic!("STATS lacks {section}.{name}"))
+    };
+    for counter in Counter::ALL {
+        let name = counter.name();
+        let v = stats_value("counters", name);
+        assert!(
+            metrics.contains(&format!("\nusj_{name}_total {v}\n")),
+            "counter {name} differs: STATS {v}\n{metrics}"
+        );
+    }
+    for gauge in Gauge::ALL {
+        let name = gauge.name();
+        let v = stats_value("gauges", name);
+        assert!(
+            metrics.contains(&format!("\nusj_{name} {v}\n")),
+            "gauge {name} differs: STATS {v}\n{metrics}"
+        );
+    }
     handle.shutdown();
 }
 

@@ -206,6 +206,13 @@ fn saturated_server_sheds_degrades_and_never_corrupts() {
     assert_eq!(exact + degraded + shed, CLIENTS);
 
     drop(armed);
+    // METRICS counts every shed the clients saw, admission sheds
+    // included, not only the load ladder's.
+    let metrics = handle.metrics_text();
+    assert!(
+        metrics.contains(&format!("\nusj_serve_shed_total {shed}\n")),
+        "clients saw {shed} BUSY:\n{metrics}"
+    );
     // The overloaded server is still alive and drains cleanly.
     let final_stats = handle.shutdown();
     assert!(final_stats.contains("\"serve_shed\""), "{final_stats}");

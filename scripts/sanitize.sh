@@ -18,10 +18,12 @@
 #    tests (accept/worker/client threads over one shared index).
 #
 # Both halves need rustup pieces that may be missing locally (a nightly
-# toolchain, the miri and rust-src components). By default a missing
-# prerequisite SKIPs that half with a clear notice and the script still
-# exits 0, so it is safe to run on any machine; CI sets SANITIZE_STRICT=1
-# to make missing prerequisites fatal there.
+# toolchain, the miri and rust-src components). The script only checks
+# for them and never installs anything: each CI job that runs it installs
+# them first. By default a missing prerequisite SKIPs that half with a
+# clear notice and the script still exits 0, so it is safe to run on any
+# machine, offline included; CI sets SANITIZE_STRICT=1 to make missing
+# prerequisites fatal there.
 #
 # Usage: sanitize.sh [all|kernels|serve|coord|persist] — `all` (default)
 # runs every check; `kernels` runs Miri plus the parallel-driver TSan
@@ -61,26 +63,21 @@ skip_or_die() {
 }
 
 have_nightly() {
-    rustup toolchain list 2>/dev/null | grep -q '^nightly' && return 0
-    note "installing nightly toolchain (minimal profile)"
-    rustup toolchain install nightly --profile minimal >/dev/null 2>&1
+    rustup toolchain list 2>/dev/null | grep -q '^nightly'
 }
 
 have_component() {
-    rustup component list --toolchain nightly --installed 2>/dev/null | grep -q "^$1" \
-        && return 0
-    note "installing nightly component $1"
-    rustup component add --toolchain nightly "$1" >/dev/null 2>&1
+    rustup component list --toolchain nightly --installed 2>/dev/null | grep -q "^$1"
 }
 
 # ---- Miri over the probability kernels ----------------------------------
 run_miri() {
     if ! have_nightly; then
-        skip_or_die "no nightly toolchain and cannot install one (Miri not run)"
+        skip_or_die "no nightly toolchain installed (Miri not run)"
         return
     fi
     if ! have_component miri; then
-        skip_or_die "miri component unavailable for nightly (Miri not run)"
+        skip_or_die "miri component not installed for nightly (Miri not run)"
         return
     fi
     note "Miri: usj-cdf / usj-qgram / usj-editdist unit tests"
@@ -101,11 +98,11 @@ tsan_prereqs() {
             ;;
     esac
     if ! have_nightly; then
-        skip_or_die "no nightly toolchain and cannot install one (TSan not run)"
+        skip_or_die "no nightly toolchain installed (TSan not run)"
         return 1
     fi
     if ! have_component rust-src; then
-        skip_or_die "rust-src component unavailable for nightly (TSan not run)"
+        skip_or_die "rust-src component not installed for nightly (TSan not run)"
         return 1
     fi
 }
@@ -182,7 +179,7 @@ run_persist() {
             FAILED=1
         fi
     else
-        skip_or_die "nightly+miri unavailable (snapshot Miri leg not run)"
+        skip_or_die "nightly+miri not installed (snapshot Miri leg not run)"
     fi
     tsan_prereqs || return 0
     note "TSan: warm-restart serving and background refresh (-Zsanitizer=thread)"
