@@ -36,8 +36,8 @@ use usj_core::{FaultReport, JoinConfig, JoinError, Pipeline, RunOptions};
 use usj_datagen::{Dataset, DatasetJson, DatasetKind, DatasetSpec};
 use usj_model::UncertainString;
 use usj_serve::{
-    Client, ClientConfig, CoordConfig, CoordinatorHandle, DegradeConfig, ProbeOutcome, ServeConfig,
-    ServerHandle, ShardSpec,
+    Client, ClientConfig, CoordConfig, CoordinatorHandle, ProbeOutcome, ServeConfig, ServerHandle,
+    ShardSpec,
 };
 
 /// CLI error type: every failure is a printable message with an exit code
@@ -129,7 +129,7 @@ USAGE:
   usj join     --input FILE [--k K] [--tau F] [--q Q] [--pipeline qfct|qct|qft|fct] [--exact true] [--threads N] [--shard-band B] [--batch-min N] [--batch-max N] [--deadline-secs S] [--checkpoint DIR] [--resume] [--out FILE] [--stats-json FILE] [--trace] [--chrome-trace FILE]
   usj search   --input FILE --probe STRING [--k K] [--tau F]
   usj stats    --input FILE
-  usj serve    --input FILE [--snapshot FILE] [--k K] [--tau F] [--q Q] [--addr HOST:PORT] [--workers N] [--queue-cap N] [--queue-degrade N] [--queue-shed N] [--io-timeout-secs S] [--default-deadline-ms MS] [--retry-after-ms MS]
+  usj serve    --input FILE [--snapshot FILE] [--k K] [--tau F] [--q Q] [--addr HOST:PORT] [--workers N] [--queue-cap N] [--queue-degrade N] [--io-timeout-secs S] [--default-deadline-ms MS] [--retry-after-ms MS]
   usj shard    --input FILE --shards N --shard-index I [--snapshot FILE] [--k K] [--tau F] [--q Q] [--addr HOST:PORT] [serve flags]
   usj snapshot write|verify|fsck --snapshot FILE [--input FILE] [--k K] [--tau F] [--q Q] [--pipeline qfct|qct|qft|fct] [--exact true]
   usj coord    --input FILE --shard-addrs H:P,H:P,.. [--k K] [--tau F] [--addr HOST:PORT] [--workers N] [--queue-cap N] [--strict] [--hedge-after-ms MS] [--quarantine-after N] [--quarantine-cooldown-ms MS] [--io-timeout-secs S] [--default-deadline-ms MS] [--retry-after-ms MS]
@@ -498,7 +498,6 @@ const SERVE_FLAGS: &[&str] = &[
     "workers",
     "queue-cap",
     "queue-degrade",
-    "queue-shed",
     "io-timeout-secs",
     "default-deadline-ms",
     "retry-after-ms",
@@ -541,19 +540,7 @@ fn serve_config_from_flags(flags: &Flags, default_addr: &str) -> Result<ServeCon
         ..ServeConfig::default()
     };
     parse_frame_flags!(flags, cfg);
-    let degrade = DegradeConfig::default();
-    let queue_degrade: usize = flags.get_parse("queue-degrade", degrade.queue_degrade)?;
-    let queue_shed: usize = flags.get_parse("queue-shed", degrade.queue_shed)?;
-    if queue_shed < queue_degrade {
-        return Err(err(format!(
-            "--queue-shed ({queue_shed}) must be at least --queue-degrade ({queue_degrade})"
-        )));
-    }
-    cfg.degrade = DegradeConfig {
-        queue_degrade,
-        queue_shed,
-        ..degrade
-    };
+    cfg.degrade.queue_degrade = flags.get_parse("queue-degrade", cfg.degrade.queue_degrade)?;
     Ok(cfg)
 }
 
@@ -1616,8 +1603,8 @@ mod tests {
         assert!(e.0.contains("--queue-cap must be at least 1"), "{e:?}");
         let e = bad(&["--io-timeout-secs", "-2"]);
         assert!(e.0.contains("--io-timeout-secs"), "{e:?}");
-        let e = bad(&["--queue-degrade", "8", "--queue-shed", "2"]);
-        assert!(e.0.contains("--queue-shed"), "{e:?}");
+        let e = bad(&["--queue-shed", "16"]);
+        assert!(e.0.contains("unknown flag --queue-shed"), "{e:?}");
         let e = bad(&["--listeners", "2"]);
         assert!(e.0.contains("unknown flag --listeners"), "{e:?}");
 

@@ -209,7 +209,7 @@ metric_table! {
         /// q-gram + frequency-distance funnel without CDF/verification, a
         /// sound superset of the exact answer flagged `DEGRADED` on the wire.
         ServeDegraded => "serve_degraded",
-        /// Requests shed with `BUSY` (admission queue full or ladder level 2).
+        /// Requests shed with `BUSY` (admission queue full).
         ServeShed => "serve_shed",
         /// Probe requests refused because their per-request deadline expired
         /// mid-pipeline (partial results are discarded, never served).

@@ -68,7 +68,8 @@ pub enum ProbeOutcome {
 /// Everything a `HEALTH` reply reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HealthReport {
-    /// Degradation-ladder level (0 full, 1 degraded, 2 shed).
+    /// A server's degradation-ladder level (0 full, 1 degraded); a
+    /// coordinator's fleet coverage (0 all shards, 1 some, 2 none).
     pub level: u8,
     /// Admission-queue depth at reply time.
     pub queue: usize,

@@ -1,4 +1,4 @@
-//! The three-level degradation ladder.
+//! The two-level degradation ladder.
 //!
 //! Overload is answered in stages rather than by falling over:
 //!
@@ -6,37 +6,25 @@
 //! |-------|------|-----------|
 //! | 0 | Full | complete q-gram → frequency → CDF → verification pipeline |
 //! | 1 | Degraded | filter-only answers (q-gram + frequency-distance lower bounds), flagged `DEGRADED` — a sound superset of the exact answer at a fraction of the cost |
-//! | 2 | Shed | reject with `BUSY` + retry-after hint |
 //!
-//! The controller climbs on *either* pressure signal — admission-queue
-//! depth or p99 service latency over a sliding window — and recomputes
-//! from current readings on every observation, so the ladder descends
-//! again once pressure clears.
+//! The ladder never refuses work: the frame's bounded admission queue is
+//! the one place a server answers `BUSY`, so every admitted request is
+//! answered. The level climbs on *either* pressure signal — admission-queue
+//! depth or p99 service latency over a sliding window — and is read from
+//! current readings whenever a request needs it. Degraded answers are
+//! cheap and each one is observed, so the window refills with fast
+//! samples and the ladder comes back down once pressure clears.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// One rung of the ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Level {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Level {
     /// Full exact pipeline.
     Full = 0,
     /// Filter-only answers, flagged `DEGRADED`.
     Degraded = 1,
-    /// Reject new work with `BUSY`.
-    Shed = 2,
-}
-
-impl Level {
-    /// Decodes a stored level (saturating: unknown values shed).
-    fn from_u8(v: u8) -> Level {
-        match v {
-            0 => Level::Full,
-            1 => Level::Degraded,
-            _ => Level::Shed,
-        }
-    }
 }
 
 /// Thresholds driving the ladder.
@@ -44,12 +32,8 @@ impl Level {
 pub struct DegradeConfig {
     /// Queue depth at which answers degrade to filter-only.
     pub queue_degrade: usize,
-    /// Queue depth at which new work is shed.
-    pub queue_shed: usize,
     /// p99 service latency at which answers degrade.
     pub p99_degrade: Duration,
-    /// p99 service latency at which new work is shed.
-    pub p99_shed: Duration,
     /// Sliding-window size (completed requests) for the p99 estimate.
     pub window: usize,
 }
@@ -58,28 +42,24 @@ impl Default for DegradeConfig {
     fn default() -> Self {
         DegradeConfig {
             queue_degrade: 4,
-            queue_shed: 16,
             p99_degrade: Duration::from_millis(250),
-            p99_shed: Duration::from_secs(2),
             window: 64,
         }
     }
 }
 
-/// Shared ladder state. All methods take `&self`; the level itself is an
-/// atomic so admission can read it without the latency lock.
+/// Shared ladder state. All methods take `&self`.
 #[derive(Debug)]
-pub struct Controller {
+pub(crate) struct Controller {
     cfg: DegradeConfig,
-    /// Current level as `u8`.
-    level: AtomicU8,
     /// Recent service latencies and their p99 as of the last sample.
     window: Mutex<LatencyWindow>,
 }
 
 /// The ladder's latency window. The ring only changes in
 /// [`Controller::observe`], so the p99 is computed there once and
-/// admission reads the cached value instead of re-sorting the ring.
+/// [`Controller::level`] reads the cached value instead of re-sorting
+/// the ring.
 #[derive(Debug)]
 struct LatencyWindow {
     ring: LatencyRing,
@@ -131,67 +111,39 @@ impl LatencyRing {
 }
 
 impl Controller {
-    /// A controller starting at [`Level::Full`].
-    pub fn new(cfg: DegradeConfig) -> Controller {
+    /// A controller with an empty latency window.
+    pub(crate) fn new(cfg: DegradeConfig) -> Controller {
         let window = Mutex::new(LatencyWindow {
             ring: LatencyRing::new(cfg.window),
             p99: None,
         });
-        Controller {
-            cfg,
-            level: AtomicU8::new(Level::Full as u8),
-            window,
-        }
+        Controller { cfg, window }
     }
 
-    /// The level admission and probe handling act on right now.
-    pub fn level(&self) -> Level {
-        // ordering: Relaxed — the level is an advisory snapshot; a
-        // stale read only means one request is served at the previous
-        // rung, which the ladder tolerates by design.
-        Level::from_u8(self.level.load(Ordering::Relaxed))
-    }
-
-    /// Records a completed request's service latency and re-evaluates
-    /// the ladder against the current queue depth. Returns the new level.
-    pub fn observe(&self, latency: Duration, queue_depth: usize) -> Level {
-        let p99 = {
-            // A poisoned lock only means another worker panicked while
-            // recording a sample; the ring stays usable.
-            let mut window = self.window.lock().unwrap_or_else(PoisonError::into_inner);
-            window.ring.push(latency);
-            window.p99 = window.ring.p99();
-            window.p99
-        };
-        self.reassess(queue_depth, p99)
-    }
-
-    /// Re-evaluates the ladder from the queue depth alone (used at
-    /// admission, where no latency sample is available yet), against the
-    /// p99 the last [`Controller::observe`] computed.
-    pub fn note_queue(&self, queue_depth: usize) -> Level {
-        let p99 = self
-            .window
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .p99;
-        self.reassess(queue_depth, p99)
-    }
-
-    /// An empty window reads as a p99 of zero.
-    fn reassess(&self, queue_depth: usize, p99: Option<Duration>) -> Level {
-        let p99 = p99.unwrap_or_default();
-        let level = if queue_depth >= self.cfg.queue_shed || p99 >= self.cfg.p99_shed {
-            Level::Shed
-        } else if queue_depth >= self.cfg.queue_degrade || p99 >= self.cfg.p99_degrade {
+    /// The level for the current queue depth and the p99 the last
+    /// [`Controller::observe`] cached; an empty window reads as a p99
+    /// of zero.
+    pub(crate) fn level(&self, queue_depth: usize) -> Level {
+        let p99 = self.lock().p99.unwrap_or_default();
+        if queue_depth >= self.cfg.queue_degrade || p99 >= self.cfg.p99_degrade {
             Level::Degraded
         } else {
             Level::Full
-        };
-        // ordering: Relaxed — see `level()`; the write needs no
-        // synchronisation beyond eventual visibility.
-        self.level.store(level as u8, Ordering::Relaxed);
-        level
+        }
+    }
+
+    /// Records a completed request's service latency and caches the
+    /// window's new p99.
+    pub(crate) fn observe(&self, latency: Duration) {
+        let mut window = self.lock();
+        window.ring.push(latency);
+        window.p99 = window.ring.p99();
+    }
+
+    fn lock(&self) -> MutexGuard<'_, LatencyWindow> {
+        // A poisoned lock only means another worker panicked while
+        // recording a sample; the ring stays usable.
+        self.window.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -202,63 +154,68 @@ mod tests {
     fn cfg() -> DegradeConfig {
         DegradeConfig {
             queue_degrade: 2,
-            queue_shed: 4,
             p99_degrade: Duration::from_millis(10),
-            p99_shed: Duration::from_millis(100),
             window: 8,
         }
     }
 
     #[test]
-    fn queue_depth_climbs_and_descends_the_ladder() {
+    fn queue_depth_degrades_and_recovers() {
         let c = Controller::new(cfg());
-        assert_eq!(c.level(), Level::Full);
-        assert_eq!(c.note_queue(2), Level::Degraded);
-        assert_eq!(c.note_queue(4), Level::Shed);
+        assert_eq!(c.level(0), Level::Full);
+        assert_eq!(c.level(1), Level::Full);
+        assert_eq!(c.level(2), Level::Degraded);
+        assert_eq!(c.level(64), Level::Degraded);
         // Pressure clears -> back to full service.
-        assert_eq!(c.note_queue(0), Level::Full);
+        assert_eq!(c.level(0), Level::Full);
     }
 
     #[test]
     fn p99_latency_climbs_the_ladder() {
         let c = Controller::new(cfg());
         for _ in 0..8 {
-            c.observe(Duration::from_millis(1), 0);
+            c.observe(Duration::from_millis(1));
         }
-        assert_eq!(c.level(), Level::Full);
+        assert_eq!(c.level(0), Level::Full);
         for _ in 0..8 {
-            c.observe(Duration::from_millis(20), 0);
+            c.observe(Duration::from_millis(20));
         }
-        assert_eq!(c.level(), Level::Degraded);
+        assert_eq!(c.level(0), Level::Degraded);
+        // Latency alone never refuses work: however slow the window,
+        // the ladder stops at `Degraded`.
         for _ in 0..8 {
-            c.observe(Duration::from_millis(200), 0);
+            c.observe(Duration::from_secs(5));
         }
-        assert_eq!(c.level(), Level::Shed);
-        // The window slides: fast requests recover the ladder.
-        for _ in 0..8 {
-            c.observe(Duration::from_micros(10), 0);
+        assert_eq!(c.level(0), Level::Degraded);
+        // The window slides: once every slow sample is evicted, fast
+        // requests recover the ladder.
+        for _ in 0..7 {
+            c.observe(Duration::from_micros(10));
         }
-        assert_eq!(c.level(), Level::Full);
+        assert_eq!(c.level(0), Level::Degraded);
+        c.observe(Duration::from_micros(10));
+        assert_eq!(c.level(0), Level::Full);
     }
 
+    /// Admission reads the level from the queue depth alone, against
+    /// the p99 the last `observe` cached.
     #[test]
     fn note_queue_reads_the_p99_of_the_last_observe() {
         let c = Controller::new(cfg());
         // 12 samples through an 8-slot window: the ring wraps, leaving
         // four 1 ms samples and four 20 ms ones (p99 = 20 ms).
         for ms in [200, 200, 200, 200, 1, 1, 1, 1, 20, 20, 20, 20] {
-            c.observe(Duration::from_millis(ms), 0);
+            c.observe(Duration::from_millis(ms));
         }
-        assert_eq!(c.level(), Level::Degraded);
-        assert_eq!(c.note_queue(0), Level::Degraded);
+        assert_eq!(c.level(0), Level::Degraded);
         // One more sample evicts a 1 ms one; the p99 stays 20 ms.
-        c.observe(Duration::from_millis(1), 0);
-        assert_eq!(c.note_queue(0), Level::Degraded);
+        c.observe(Duration::from_millis(1));
+        assert_eq!(c.level(0), Level::Degraded);
         // Once every slow sample is evicted, admission sees the recovery.
         for _ in 0..8 {
-            c.observe(Duration::from_millis(1), 0);
+            c.observe(Duration::from_millis(1));
         }
-        assert_eq!(c.note_queue(0), Level::Full);
+        assert_eq!(c.level(0), Level::Full);
     }
 
     fn ring_of(ms: impl IntoIterator<Item = u64>, cap: usize) -> LatencyRing {

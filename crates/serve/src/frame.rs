@@ -24,19 +24,13 @@ use usj_obs::{Counter, Gauge, MetricsRegistry};
 
 use crate::proto::{parse_request, Request, Response, ShardState};
 
-/// What a serving front adds to the frame: its failpoints, its load
-/// ladder, and its answers to `HEALTH`, `METRICS`, `SHARDS` and `PROBE`.
+/// What a serving front adds to the frame: its failpoints and its
+/// answers to `HEALTH`, `METRICS`, `SHARDS` and `PROBE`. Admission is the
+/// frame's alone, so every connection a front sees is answered.
 pub trait Front: Sized + Send + Sync + 'static {
     /// Fires the front's admission failpoint, if it has one; `true` when
     /// a fault was injected. Runs first in each admission.
     fn fire_accept(&self) -> bool {
-        false
-    }
-
-    /// Feeds a queue depth to the front's load ladder: once before a
-    /// connection is admitted and once after it is queued. `true` sheds
-    /// the arriving connection even when the queue has room.
-    fn note_queue(&self, _depth: usize) -> bool {
         false
     }
 
@@ -275,13 +269,12 @@ fn accept_loop<F: Front>(frame: &Frame<F>, listener: TcpListener) {
     }
 }
 
-/// Bounded admission: reject with `BUSY` instead of queueing without
-/// limit. The rejected client gets a retry-after hint and a closed
-/// connection; the admitted one is queued for a worker.
+/// Bounded admission, the one place a service answers `BUSY`: reject
+/// instead of queueing without limit. The rejected client gets a
+/// retry-after hint and a closed connection; the admitted one is queued
+/// for a worker and always answered.
 fn admit<F: Front>(frame: &Frame<F>, stream: TcpStream) {
-    let depth = frame.queue_depth();
-    let ladder_sheds = frame.front.note_queue(depth);
-    if depth >= frame.limits.queue_cap || ladder_sheds {
+    if frame.queue_depth() >= frame.limits.queue_cap {
         frame.record(|r| r.counter(Counter::ServeShed, 1));
         let _ = stream.set_write_timeout(Some(frame.limits.io_timeout));
         let busy = Response::Busy {
@@ -296,7 +289,6 @@ fn admit<F: Front>(frame: &Frame<F>, stream: TcpStream) {
         queue.push_back(stream);
         queue.len()
     };
-    frame.front.note_queue(depth);
     frame.record(|r| {
         r.counter(Counter::ServeAccepted, 1);
         r.gauge(Gauge::ServeQueueDepth, depth as u64);

@@ -9,11 +9,13 @@
 //!   worker pool; when it fills, new connections are rejected with an
 //!   explicit `BUSY retry_after_ms=..` instead of queueing without
 //!   limit ([`server::ServeConfig::queue_cap`]).
-//! - **Degradation ladder** — three service levels driven by queue
-//!   depth and p99 latency ([`degrade::Controller`]): the full
-//!   qgram→freq→CDF→verify pipeline, then filter-only answers flagged
-//!   `DEGRADED` (a sound superset of the exact answer, per the q-gram
-//!   and frequency-distance lower bounds), then load shedding.
+//! - **Degradation ladder** — two service levels driven by queue depth
+//!   and p99 latency ([`degrade`]): the full qgram→freq→CDF→verify
+//!   pipeline, then filter-only answers flagged `DEGRADED` (a sound
+//!   superset of the exact answer, per the q-gram and frequency-distance
+//!   lower bounds). The ladder never refuses: the admission queue is the
+//!   one place a server answers `BUSY`, so an admitted request is always
+//!   answered and the ladder recovers once pressure clears.
 //! - **Deadline propagation** — clients send `deadline_ms=`, the server
 //!   enforces it *inside* the probe loops by handing it to
 //!   [`usj_core::IndexedCollection::search_budgeted_recorded`] (checked
@@ -80,7 +82,7 @@ pub mod shard;
 
 pub use client::{Client, ClientConfig, ClientError, HealthReport, ProbeOutcome, ProbeTrace};
 pub use coordinator::{coordinate, CoordConfig, CoordinatorHandle, ShardSpec};
-pub use degrade::{Controller, DegradeConfig, Level};
+pub use degrade::DegradeConfig;
 pub use proto::{parse_request, Request, Response, ShardState};
 pub use server::{serve, serve_from_snapshot, ServeConfig, ServerHandle};
 pub use shard::{serve_shard, serve_shard_from_snapshot, shard_partition, shard_snapshot_path};

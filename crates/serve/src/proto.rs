@@ -209,7 +209,8 @@ pub enum Response {
     },
     /// Liveness report.
     Health {
-        /// Current degradation-ladder level (0 full, 1 degraded, 2 shed).
+        /// A server's degradation-ladder level (0 full, 1 degraded); a
+        /// coordinator's fleet coverage (0 all shards, 1 some, 2 none).
         level: u8,
         /// Current admission-queue depth.
         queue: usize,

@@ -2,15 +2,16 @@
 //! holding the index, the degradation ladder and the q-gram → frequency
 //! → CDF → verify probe.
 //!
-//! The frame owns the listener, the bounded admission queue, the worker
-//! pool, the panic perimeter and the drain. The server adds its
-//! admission decision (shed on queue depth *or* on the [`Controller`]
-//! ladder) and its answers to `HEALTH` and `PROBE`. Every stage is
-//! failpoint-instrumented (`serve.accept` / `serve.parse` /
-//! `serve.probe`, and `shard.accept` for a shard) so the fault suite can
-//! drive injected panics and delays through the full path, and every
-//! request outcome is counted into the frame's [`CollectingRecorder`]
-//! using the golden `usj-obs` schema.
+//! The frame owns the listener, the bounded admission queue (the one
+//! place a server answers `BUSY`), the worker pool, the panic perimeter
+//! and the drain. The server adds its answers to `HEALTH` and `PROBE`:
+//! every admitted probe is answered, exactly or with a filter-only
+//! superset flagged `DEGRADED`, as the ladder (`degrade.rs`) reads the
+//! current queue depth and p99. Every stage is failpoint-instrumented
+//! (`serve.accept` / `serve.parse` / `serve.probe`, and `shard.accept`
+//! for a shard) so the fault suite can drive injected panics and delays
+//! through the full path, and every request outcome is counted into the
+//! frame's [`CollectingRecorder`] using the golden `usj-obs` schema.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -72,7 +73,8 @@ pub struct Server {
     /// Age in seconds of the snapshot a warm start loaded.
     snapshot_age_s: Option<u64>,
     alphabet: Alphabet,
-    cfg: ServeConfig,
+    /// Deadline applied to probes that do not carry their own.
+    default_deadline: Option<Duration>,
     /// `Some` when this server is one shard of a partitioned fleet:
     /// maps the local collection's dense ids to the global ids of the
     /// full collection (ascending, so the remap is monotone and served
@@ -156,19 +158,19 @@ pub(crate) fn serve_boot(
         None => (false, None),
     };
     let limits = Limits {
-        addr: cfg.addr.clone(),
+        addr: cfg.addr,
         workers: cfg.workers,
         queue_cap: cfg.queue_cap,
         io_timeout: cfg.io_timeout,
         retry_after_ms: cfg.retry_after_ms,
     };
     let server = Server {
-        controller: Controller::new(cfg.degrade.clone()),
+        controller: Controller::new(cfg.degrade),
         coll,
         warm,
         snapshot_age_s,
         alphabet,
-        cfg,
+        default_deadline: cfg.default_deadline,
         id_map,
         probe_seq: AtomicU32::new(0),
     };
@@ -244,18 +246,15 @@ impl Front for Server {
         }
     }
 
-    fn note_queue(&self, depth: usize) -> bool {
-        self.controller.note_queue(depth) == Level::Shed
-    }
-
     fn fire_request(&self) -> bool {
         usj_fault::fire("serve.parse")
     }
 
     fn health(&self, frame: &Frame<Self>) -> Response {
+        let queue = frame.queue_depth();
         Response::Health {
-            level: self.controller.level() as u8,
-            queue: frame.queue_depth(),
+            level: self.controller.level(queue) as u8,
+            queue,
             inflight: frame.inflight(),
             warm: Some(self.warm),
             snapshot_age_s: self.snapshot_age_s,
@@ -293,7 +292,7 @@ impl Front for Server {
         };
         let deadline = deadline_ms
             .map(Duration::from_millis)
-            .or(self.cfg.default_deadline);
+            .or(self.default_deadline);
         // ordering: Relaxed — the id is only a label in the event stream.
         let probe_id = self.probe_seq.fetch_add(1, Ordering::Relaxed);
         // Untraced probes pair the collector with a silent Chrome recorder,
@@ -306,13 +305,7 @@ impl Front for Server {
         if let Some(id) = trace_id {
             local.set_trace_id(id);
         }
-        let level = self.controller.level();
-        let response = if level == Level::Shed {
-            local.counter(Counter::ServeShed, 1);
-            Response::Busy {
-                retry_after_ms: self.cfg.retry_after_ms,
-            }
-        } else if level == Level::Degraded {
+        let response = if self.controller.level(frame.queue_depth()) == Level::Degraded {
             // Filter-only answer: q-gram + frequency-distance lower
             // bounds never prune a true match, so the candidate list is
             // a sound superset of the exact answer — served at a
@@ -353,8 +346,7 @@ impl Front for Server {
         let (collected, chrome) = local;
         // Funnel exposition buckets this probe's counters by its length band.
         frame.record(|r| r.fold(Some(band_of(probe.len())), collected));
-        self.controller
-            .observe(started.elapsed(), frame.queue_depth());
+        self.controller.observe(started.elapsed());
         let trace = trace_id
             .zip(chrome.finish())
             .map(|(trace_id, json)| Response::Trace { trace_id, json });

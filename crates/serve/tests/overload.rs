@@ -137,7 +137,6 @@ fn saturated_server_sheds_degrades_and_never_corrupts() {
         queue_cap: 3,
         degrade: DegradeConfig {
             queue_degrade: 2,
-            queue_shed: 64,
             ..DegradeConfig::default()
         },
         ..ServeConfig::default()
@@ -217,6 +216,67 @@ fn saturated_server_sheds_degrades_and_never_corrupts() {
     let final_stats = handle.shutdown();
     assert!(final_stats.contains("\"serve_shed\""), "{final_stats}");
     assert!(final_stats.contains("\"serve_degraded\""), "{final_stats}");
+}
+
+#[test]
+fn one_slow_probe_degrades_but_never_wedges_the_server() {
+    let _guard = lock();
+    // One probe slower than any latency threshold fills a 4-sample
+    // window with a 2.1 s p99. The ladder must only degrade on it: every
+    // later request is admitted and answered, and fast degraded answers
+    // slide the slow sample out of the window.
+    let armed = FaultPlan::new()
+        .fail_at(
+            "serve.probe",
+            0,
+            FaultAction::Delay(Duration::from_millis(2100)),
+        )
+        .arm();
+    let handle = start(ServeConfig {
+        workers: 1,
+        degrade: DegradeConfig {
+            window: 4,
+            ..DegradeConfig::default()
+        },
+        ..ServeConfig::default()
+    });
+    let text = "ACGTAC";
+    let expected = oracle(text);
+    let expected_ids: BTreeSet<u32> = expected.iter().map(|(id, _)| *id).collect();
+    let mut client = client(
+        &handle,
+        ClientConfig {
+            max_retries: 0, // surface BUSY instead of retrying
+            ..ClientConfig::default()
+        },
+    );
+    match client.probe(K, TAU, text).expect("slow probe") {
+        ProbeOutcome::Exact(hits) => assert_eq!(hits, expected),
+        other => panic!("the slow probe started at full level, got {other:?}"),
+    }
+    drop(armed);
+    let (level, _, _) = client.health().expect("HEALTH after the slow probe");
+    assert_eq!(level, 1, "a slow p99 degrades the server");
+    for i in 0..4 {
+        match client.probe(K, TAU, text) {
+            Ok(ProbeOutcome::Degraded { ids, .. }) => {
+                let got: BTreeSet<u32> = ids.iter().copied().collect();
+                assert!(
+                    got.is_superset(&expected_ids),
+                    "degraded answer {got:?} lost exact hits {expected_ids:?}"
+                );
+            }
+            other => panic!("probe {i} behind the slow one must degrade, got {other:?}"),
+        }
+    }
+    match client.probe(K, TAU, text).expect("recovered probe") {
+        ProbeOutcome::Exact(hits) => assert_eq!(hits, expected),
+        other => panic!("the window slid past the slow probe, got {other:?}"),
+    }
+    let (level, _, _) = client.health().expect("HEALTH after recovery");
+    assert_eq!(level, 0, "the ladder comes back down");
+    client.shutdown().expect("a wire SHUTDOWN answers BYE");
+    handle.wait();
 }
 
 #[test]

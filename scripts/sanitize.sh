@@ -148,8 +148,8 @@ run_tsan_serve() {
     tsan_prereqs || return 0
     note "TSan: usj-serve overload / fault-plan server tests (-Zsanitizer=thread)"
     # The server shares one immutable index across accept, worker, and
-    # client threads while the degradation controller mixes atomics with a
-    # mutexed latency ring; re-run the whole overload suite (shedding,
+    # client threads, and the degradation controller's mutexed latency
+    # ring across workers; re-run the whole overload suite (shedding,
     # injected panics, deadline aborts, wire-driven drain) under TSan's
     # altered interleavings. Single-threaded test order because the fault
     # injection plans are process-global.
